@@ -1,0 +1,9 @@
+"""Make the elastica sources and the benchmark modules importable."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+for path in (HERE, os.path.join(os.path.dirname(HERE), "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
