@@ -17,7 +17,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from elastica.assembly import ElasticityProblem  # noqa: E402
-from elastica.cap1d import CapProblem, p1, q1  # noqa: E402
+from elastica.cap1d import CapProblem, solve_cap  # noqa: E402
 from elastica.harness import solve_problem  # noqa: E402
 
 PI = math.pi
@@ -44,8 +44,10 @@ def main():
     print("hemisphere equalities:")
     prev_p = prev_q = None
     for cells in (int(c) for c in args.cap.split(",")):
-        ep = abs(p1(CapProblem(PI / 2, "p_problem", 4, cells)) - 4.0)
-        eq = abs(q1(CapProblem(PI / 2, "q_problem", 4, cells)) - 2.0)
+        ep = abs(solve_cap(CapProblem(PI / 2, "p_problem", 4, cells)).value
+                 - 4.0)
+        eq = abs(solve_cap(CapProblem(PI / 2, "q_problem", 4, cells)).value
+                 - 2.0)
         rp = "" if prev_p is None else f" order {math.log2(prev_p / ep):.2f}"
         rq = "" if prev_q is None else f" order {math.log2(prev_q / eq):.2f}"
         print(f"  {cells:4d} cells  |p-4| {ep:.3e}{rp}   |q-2| {eq:.3e}{rq}")

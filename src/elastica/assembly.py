@@ -32,7 +32,6 @@ class ElasticityProblem:
     edges: tuple[float, ...]
     alpha: float
     cells: tuple[int, ...]
-    element: str = "multilinear"
 
     def __post_init__(self):
         edges = tuple(float(e) for e in self.edges)
@@ -50,16 +49,14 @@ class ElasticityProblem:
                              "(one interior node)")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
-        if self.element != "multilinear":
-            raise ValueError(f"unknown element type {self.element!r}")
 
     @property
     def dim(self):
         return len(self.edges)
 
-    def refined(self, factor=2):
+    def refined(self):
         return ElasticityProblem(self.edges, self.alpha,
-                                 tuple(factor * c for c in self.cells))
+                                 tuple(2 * c for c in self.cells))
 
     def mesh_label(self):
         return "x".join(str(c) for c in self.cells)
@@ -72,7 +69,6 @@ class DofMap:
     dim: int
     interior: tuple[int, ...]   # interior nodes per direction
     spacings: tuple[float, ...]
-    ordering: str = "component-major, nodes lexicographic (last axis fastest)"
 
     @property
     def nodes(self):
@@ -121,14 +117,12 @@ def _kron_chain(factors, sizes):
     return out
 
 
-def assemble(problem, lump_mass=False):
+def assemble(problem):
     """Assemble (K, M, dof_map) for the generalized eigenproblem.
 
     K = K_lap + alpha*K_div and M are exactly symmetric; the generalized
     eigenvalues approximate the continuous ones at O(h²) for smooth
-    eigenfunctions.  ``lump_mass`` replaces the consistent mass by its
-    row-sum diagonal (cheaper solves, same convergence order, slightly
-    larger constants).
+    eigenfunctions.
     """
     dim = problem.dim
     interior = tuple(c - 1 for c in problem.cells)
@@ -194,10 +188,6 @@ def assemble(problem, lump_mass=False):
     M = SparseSymMatrix.from_coo(order, np.concatenate(rows_m),
                                  np.concatenate(cols_m),
                                  np.concatenate(vals_m))
-    if lump_mass:
-        lumped = M.matvec(np.ones(order))
-        idx = np.arange(order)
-        M = SparseSymMatrix.from_coo(order, idx, idx, lumped)
     return K, M, dof_map
 
 
@@ -210,12 +200,11 @@ def divergence_stiffness(problem):
     return k1.add_scaled(k0, -1.0)
 
 
-def laplacian_inverse(problem, shift=0.0):
+def laplacian_inverse(problem):
     """Exact inverse of the α = 0 stiffness, the eigensolver preconditioner."""
     interior = tuple(c - 1 for c in problem.cells)
     spacings = tuple(e / c for e, c in zip(problem.edges, problem.cells))
-    return BlockLaplacianInverse(list(zip(interior, spacings)), problem.dim,
-                                 shift=shift)
+    return BlockLaplacianInverse(list(zip(interior, spacings)), problem.dim)
 
 
 def interpolate_field(problem, components):

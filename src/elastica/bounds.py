@@ -26,10 +26,9 @@ import numpy as np
 
 SPECTRUM_SOURCES = ("synthetic", "computed")
 VERDICTS = ("pass", "marginal", "fail", "skip")
-RECORD_KINDS = ("upper_next", "lower_sum", "gap", "sum_ratio", "low_order",
-                "index_growth", "quadratic_form",
-                # spherical-cap records emitted by the harness
-                "cap_lower", "cap_strict_lower", "cap_equality")
+
+#: relative gap below which σ_{k+1} and σ_k count as one eigenvalue
+DEGENERATE_GAP_RTOL = 1e-8
 
 #: conservative admissible constant in the index-growth bound (the true
 #: dimension-dependent constant is only known to be <= 4)
@@ -269,15 +268,15 @@ def levitin_parnovski_gap(spectrum, k):
     return coeff * float(np.mean(spectrum.values[:k]))
 
 
-def hook_sum_ratio(spectrum, k, gap_rtol=1e-8):
+def hook_sum_ratio(spectrum, k):
     """Hook's trace bound: (lhs, rhs) of Σ σᵢ/(σ_{k+1}−σᵢ) ≥ n²k/(4(n+α)).
 
     Raises :class:`DegenerateGapError` when σ_{k+1} and σ_k coincide within
-    ``gap_rtol`` (the ratio is then undefined, not violated).
+    ``DEGENERATE_GAP_RTOL`` (the ratio is then undefined, not violated).
     """
     _check_k(spectrum, k, need_next=True)
     sig = spectrum.values
-    if sig[k] - sig[k - 1] <= gap_rtol * sig[k]:
+    if sig[k] - sig[k - 1] <= DEGENERATE_GAP_RTOL * sig[k]:
         raise DegenerateGapError(
             f"sigma_{k + 1} equals sigma_{k} within tolerance; ratio undefined")
     lhs = float(np.sum(sig[:k] / (sig[k] - sig[:k])))
@@ -313,11 +312,8 @@ def low_order_check(spectrum, tolerance=None):
     sig = spectrum.values
     measured = float(np.sum(sig[1:n + 1]))
     bound = (n + 4.0 * (1.0 + spectrum.alpha)) * sig[0]
-    slack = bound - measured
-    tol = tolerance or VerifyTolerance()
-    band = tol.band(n + 1, max(abs(bound), abs(measured)))
-    return BoundRecord("low_order", "low_order", n + 1, bound, measured,
-                       slack, _verdict(slack, band))
+    return _record("low_order", "low_order", n + 1, bound, measured,
+                   tolerance or VerifyTolerance())
 
 
 def index_growth_upper(sigma1, n, alpha, k):
@@ -357,18 +353,11 @@ def chebyshev_sum_check(a, b, s):
     return lhs, rhs
 
 
-def _upper_record(name, kind, k, bound, measured, tol):
-    slack = bound - measured
+def _record(name, kind, k, bound, measured, tol, lower=False, note=""):
+    slack = measured - bound if lower else bound - measured
     band = tol.band(k, max(abs(bound), abs(measured)))
     return BoundRecord(name, kind, k, bound, measured, slack,
-                       _verdict(slack, band))
-
-
-def _lower_record(name, kind, k, bound, measured, tol):
-    slack = measured - bound
-    band = tol.band(k, max(abs(bound), abs(measured)))
-    return BoundRecord(name, kind, k, bound, measured, slack,
-                       _verdict(slack, band))
+                       _verdict(slack, band), note)
 
 
 def evaluate_all(spectrum, k_max, geometry=None, tolerance=None):
@@ -396,13 +385,8 @@ def evaluate_all(spectrum, k_max, geometry=None, tolerance=None):
             records.append(BoundRecord(name, kind, k, math.nan, math.nan,
                                        math.nan, "skip", str(err)))
             return
-        make = _lower_record if lower else _upper_record
-        rec = make(name, kind, k, bound, measured, tol)
-        if note:
-            rec = BoundRecord(rec.name, rec.kind, rec.k, rec.bound_value,
-                              rec.measured_value, rec.slack, rec.verdict,
-                              note)
-        records.append(rec)
+        records.append(_record(name, kind, k, bound, measured, tol, lower,
+                               note))
 
     for k in range(1, k_max + 1):
         gap = float(sig[k] - sig[k - 1])

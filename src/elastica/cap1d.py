@@ -40,8 +40,16 @@ import numpy as np
 from .eigensolve import FactorizationError, banded_smallest
 from .sparse import BandedSymMatrix
 
-CAP_KINDS = ("dirichlet_laplacian", "clamped", "buckling", "p_problem",
-             "q_problem")
+# kind -> (numerator, metric, rim slope clamped, rim correction); numerator
+# and metric name the W, A, S matrices of the module docstring
+_KIND_TABLE = {
+    "dirichlet_laplacian": ("A", "W", False, False),
+    "clamped": ("S", "W", True, False),
+    "buckling": ("S", "A", True, False),
+    "p_problem": ("S", "W", False, True),
+    "q_problem": ("S", "A", False, True),
+}
+CAP_KINDS = tuple(_KIND_TABLE)
 
 _GAUSS_X = np.array([-0.9061798459386640, -0.5384693101056831, 0.0,
                      0.5384693101056831, 0.9061798459386640])
@@ -163,29 +171,21 @@ def build_mode_operator(theta0, cells, m, kind):
     """Constrained banded pencil (numerator, metric) for one mode."""
     if kind not in CAP_KINDS:
         raise ValueError(f"unknown cap problem kind {kind!r}")
+    numerator, metric, slope_clamped, rim_corrected = _KIND_TABLE[kind]
     W, A, S = _assemble_dense(theta0, cells, m)
     ndof = W.shape[0]
     last_val, last_slope = ndof - 2, ndof - 1
 
     removed = list(_pole_constraints(m)) + [last_val]
-    if kind in ("clamped", "buckling"):
+    if slope_clamped:
         removed.append(last_slope)
-    if kind in ("p_problem", "q_problem"):
+    if rim_corrected:
         # boundary correction −cosθ₀ u'(θ₀)² makes u''(θ₀)=0 natural
         S[last_slope, last_slope] -= np.cos(theta0)
     removed = tuple(sorted(removed))
 
-    if kind == "dirichlet_laplacian":
-        num, met = A, W
-    elif kind == "clamped":
-        num, met = S, W
-    elif kind == "buckling":
-        num, met = S, A
-    elif kind == "p_problem":
-        num, met = S, W
-    else:
-        num, met = S, A
-
+    pencil = {"W": W, "A": A, "S": S}
+    num, met = pencil[numerator], pencil[metric]
     keep = np.setdiff1d(np.arange(ndof), removed)
     num = num[np.ix_(keep, keep)]
     met = met[np.ix_(keep, keep)]
@@ -239,43 +239,3 @@ def solve_cap(problem):
         per_mode[m], _ = _first_pair(op)
     best = int(np.argmin(per_mode))
     return CapResult(problem, float(per_mode[best]), best, per_mode)
-
-
-def _require_kind(problem, kind):
-    if problem.kind != kind:
-        raise ValueError(f"expected kind {kind!r}, got {problem.kind!r}")
-
-
-def dirichlet_lambda1(problem):
-    """First Dirichlet eigenvalue of the Laplacian; the minimiser is radial."""
-    _require_kind(problem, "dirichlet_laplacian")
-    result = solve_cap(problem)
-    if result.minimizing_mode != 0:
-        raise AssertionError(
-            "first Dirichlet eigenfunction should be radial, got mode "
-            f"{result.minimizing_mode}")
-    return result.value
-
-
-def clamped_gamma1(problem):
-    """First eigenvalue with u = u' = 0 at the rim: L²u = Γ u."""
-    _require_kind(problem, "clamped")
-    return solve_cap(problem).value
-
-
-def buckling_lambda1(problem):
-    """First eigenvalue with u = u' = 0 at the rim: L²u = −Λ L u."""
-    _require_kind(problem, "buckling")
-    return solve_cap(problem).value
-
-
-def p1(problem):
-    """First eigenvalue with u = u'' = 0 at the rim: L²u = p u."""
-    _require_kind(problem, "p_problem")
-    return solve_cap(problem).value
-
-
-def q1(problem):
-    """First eigenvalue with u = u'' = 0 at the rim: L²u = −q L u."""
-    _require_kind(problem, "q_problem")
-    return solve_cap(problem).value

@@ -30,12 +30,6 @@ def dst1(a, axis=0):
     return np.moveaxis(out, 0, axis)
 
 
-def idst1(a, axis=0):
-    """Inverse of :func:`dst1`."""
-    n = np.asarray(a).shape[axis]
-    return dst1(a, axis=axis) * (2.0 / (n + 1))
-
-
 def stiffness_eigenvalues_1d(n, h):
     """Eigenvalues of the interior P1 stiffness tridiag(-1, 2, -1)/h."""
     j = np.arange(1, n + 1)
@@ -48,11 +42,6 @@ def mass_eigenvalues_1d(n, h):
     return h * (4.0 + 2.0 * np.cos(j * np.pi / (n + 1))) / 6.0
 
 
-def fd_stiffness_eigenvalues_1d(n, h):
-    """Eigenvalues of the finite-difference Laplacian tridiag(-1,2,-1)/h^2."""
-    return stiffness_eigenvalues_1d(n, h) / h
-
-
 class ScalarLaplacianInverse:
     """Exact inverse of the tensor-product P1 Laplacian stiffness.
 
@@ -60,14 +49,13 @@ class ScalarLaplacianInverse:
     first; vectors are flattened row-major (last direction fastest).
     """
 
-    def __init__(self, grid, shift=0.0):
+    def __init__(self, grid):
         self.grid = tuple(grid)
         self.shape = tuple(n for n, _ in self.grid)
         kappas = [stiffness_eigenvalues_1d(n, h) for n, h in self.grid]
         masses = [mass_eigenvalues_1d(n, h) for n, h in self.grid]
         dim = len(self.grid)
-        eig = np.zeros(self.shape)
-        mass_total = np.ones(self.shape)
+        self.eig = np.zeros(self.shape)
         for d in range(dim):
             term = np.ones(self.shape)
             for e in range(dim):
@@ -75,16 +63,11 @@ class ScalarLaplacianInverse:
                 sl = [None] * dim
                 sl[e] = slice(None)
                 term = term * vec[tuple(sl)]
-            eig += term
-        for e in range(dim):
-            sl = [None] * dim
-            sl[e] = slice(None)
-            mass_total = mass_total * masses[e][tuple(sl)]
-        self.eig = eig + shift * mass_total
+            self.eig += term
         self.scale = np.prod([2.0 / (n + 1) for n, _ in self.grid])
 
     def apply(self, x):
-        """Solve (K_lap + shift*M) y = x for one vector or a column block."""
+        """Solve K_lap y = x for one vector or a column block."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         xb = x[:, None] if single else x
@@ -107,8 +90,8 @@ class BlockLaplacianInverse:
     within a factor ~(1 + alpha) of unity.
     """
 
-    def __init__(self, grid, ncomp, shift=0.0):
-        self.scalar = ScalarLaplacianInverse(grid, shift=shift)
+    def __init__(self, grid, ncomp):
+        self.scalar = ScalarLaplacianInverse(grid)
         self.ncomp = ncomp
         self.block = int(np.prod(self.scalar.shape))
 

@@ -86,8 +86,8 @@ def _relative_residuals(K, M, X, theta):
     return norms / np.maximum(np.abs(theta), 1e-300)
 
 
-def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, block_size=None,
-                        maxiter=500, precond=None):
+def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
+                        precond=None):
     """m algebraically smallest eigenpairs of K x = σ M x by blocked LOBPCG.
 
     K must be symmetric, M symmetric positive definite, m <= order/4.  The
@@ -101,8 +101,7 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, block_size=None,
         raise ValueError("m must be >= 1")
     if m > n // 4:
         raise ValueError(f"m={m} exceeds order/4 = {n // 4}")
-    bs = block_size if block_size is not None else max(m + 8, 8)
-    bs = min(max(bs, m + 2), n)
+    bs = min(m + 8, n)
 
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, bs))

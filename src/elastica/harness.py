@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .assembly import ElasticityProblem, assemble, laplacian_inverse
 from .bounds import (BoundRecord, DomainGeometry, Spectrum, VerifyTolerance,
-                     evaluate_all)
-from .cap1d import CapProblem, solve_cap
+                     _verdict, evaluate_all)
+from .cap1d import CAP_KINDS, CapProblem, solve_cap
 from .eigensolve import smallest_eigenpairs
 from .report import VerificationReport, render_csv, save_report
 from .sparse import read_matrix_market, write_matrix_market
@@ -57,28 +57,30 @@ def parse_angle(text):
     return float(text)
 
 
-_KEY_PARSERS = {
-    "domain.edges": parse_floats,
-    "domain.alpha": float,
-    "mesh.cells": parse_ints,
-    "solver.m": int,
-    "solver.tol": float,
-    "solver.seed": int,
-    "verify.k_max": int,
-    "verify.policy": str,
-    "spectrum.path": str,
-    "cap.theta0": parse_angle,
-    "cap.kind": str,
-    "cap.mode_max": int,
-    "cap.cells": int,
-    "output.path": str,
-    "output.format": str,
+# config key -> (RunConfig field, value parser), in report echo order
+CONFIG_KEYS = {
+    "domain.edges": ("edges", parse_floats),
+    "domain.alpha": ("alpha", float),
+    "mesh.cells": ("cells", parse_ints),
+    "solver.m": ("m", int),
+    "solver.tol": ("tol", float),
+    "solver.seed": ("seed", int),
+    "verify.k_max": ("k_max", int),
+    "verify.policy": ("policy", str),
+    "cap.theta0": ("theta0", parse_angle),
+    "cap.kind": ("cap_kind", str),
+    "cap.mode_max": ("mode_max", int),
+    "cap.cells": ("radial_cells", int),
+    "spectrum.path": ("spectrum_path", str),
+    "output.path": ("output_path", str),
+    "output.format": ("output_format", str),
 }
 
 _POLICY_RE = re.compile(r"fixed(?::([0-9.eE+-]+))?$|richardson$")
+#: relative verdict band of the fixed policy when it names no eps
+FIXED_EPS = 1e-9
 OUTPUT_FORMATS = ("json", "csv", "spectrum")
-CAP_RUN_KINDS = ("all", "dirichlet_laplacian", "clamped", "buckling",
-                 "p_problem", "q_problem")
+CAP_RUN_KINDS = ("all",) + CAP_KINDS
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,6 @@ class RunConfig:
     seed: int = 2024
     k_max: int = 10
     policy: str = "richardson"
-    fixed_eps: float = 1e-9
     theta0: float = math.pi / 2
     cap_kind: str = "all"
     mode_max: int = 8
@@ -107,12 +108,10 @@ class RunConfig:
     def validate(self):
         if self.mode not in ("solve", "bounds", "verify", "cap", "report"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if not self.policy == "richardson":
-            m = _POLICY_RE.fullmatch(self.policy)
-            if not m:
-                raise ConfigError(
-                    f"verify.policy must be 'richardson' or 'fixed[:eps]', "
-                    f"got {self.policy!r}")
+        if not _POLICY_RE.fullmatch(self.policy):
+            raise ConfigError(
+                f"verify.policy must be 'richardson' or 'fixed[:eps]', "
+                f"got {self.policy!r}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(f"output.format must be one of {OUTPUT_FORMATS}")
         if self.cap_kind not in CAP_RUN_KINDS:
@@ -123,12 +122,22 @@ class RunConfig:
             raise ConfigError("solver.m out of range")
         if not 0 < self.tol <= 1e-2:
             raise ConfigError("solver.tol out of range (0, 1e-2]")
-        if self.mode in ("solve", "verify") and self.spectrum_path is None:
-            # the elasticity problem constructor re-validates edges/cells
-            ElasticityProblem(self.edges, self.alpha, self.cells)
-        if self.mode == "cap":
-            CapProblem(self.theta0, "dirichlet_laplacian", self.mode_max,
-                       self.radial_cells)
+        if self.seed < 0:
+            raise ConfigError("solver.seed must be >= 0")
+        if self.mode in ("verify", "bounds") and self.spectrum_path is None \
+                and self.m < self.k_max + 1:
+            raise ConfigError(
+                f"solver.m = {self.m} cannot cover verify.k_max = "
+                f"{self.k_max}; need solver.m >= {self.k_max + 1}")
+        try:
+            # the problem constructors re-validate edges, cells and angles
+            if self.mode in ("solve", "verify") and self.spectrum_path is None:
+                ElasticityProblem(self.edges, self.alpha, self.cells)
+            if self.mode == "cap":
+                CapProblem(self.theta0, "dirichlet_laplacian", self.mode_max,
+                           self.radial_cells)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
         if self.spectrum_path is not None \
                 and not os.path.exists(self.spectrum_path):
             raise ConfigError(f"spectrum file not found: {self.spectrum_path}")
@@ -138,46 +147,14 @@ class RunConfig:
         m = _POLICY_RE.fullmatch(self.policy)
         if m and m.group(1):
             return float(m.group(1))
-        return self.fixed_eps
+        return FIXED_EPS
 
     def echo(self):
-        return {
-            "mode": self.mode,
-            "domain.edges": list(self.edges),
-            "domain.alpha": self.alpha,
-            "mesh.cells": list(self.cells),
-            "solver.m": self.m,
-            "solver.tol": self.tol,
-            "solver.seed": self.seed,
-            "verify.k_max": self.k_max,
-            "verify.policy": self.policy,
-            "cap.theta0": self.theta0,
-            "cap.kind": self.cap_kind,
-            "cap.mode_max": self.mode_max,
-            "cap.cells": self.radial_cells,
-            "spectrum.path": self.spectrum_path,
-            "output.path": self.output_path,
-            "output.format": self.output_format,
-        }
-
-
-_FIELD_BY_KEY = {
-    "domain.edges": "edges",
-    "domain.alpha": "alpha",
-    "mesh.cells": "cells",
-    "solver.m": "m",
-    "solver.tol": "tol",
-    "solver.seed": "seed",
-    "verify.k_max": "k_max",
-    "verify.policy": "policy",
-    "spectrum.path": "spectrum_path",
-    "cap.theta0": "theta0",
-    "cap.kind": "cap_kind",
-    "cap.mode_max": "mode_max",
-    "cap.cells": "radial_cells",
-    "output.path": "output_path",
-    "output.format": "output_format",
-}
+        out = {"mode": self.mode}
+        for key, (name, _) in CONFIG_KEYS.items():
+            value = getattr(self, name)
+            out[key] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
 def parse_config_text(text, base=None, source="<config>"):
@@ -190,10 +167,11 @@ def parse_config_text(text, base=None, source="<config>"):
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEY_PARSERS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        name, parse = CONFIG_KEYS[key]
         try:
-            updates[_FIELD_BY_KEY[key]] = _KEY_PARSERS[key](value)
+            updates[name] = parse(value)
         except ValueError as err:
             raise ConfigError(
                 f"{source}:{lineno}: bad value for {key}: {err}") from None
@@ -349,25 +327,18 @@ def run_verify(cfg):
     return report
 
 
-run_bounds = run_verify   # 'bounds' mode is verify driven by a spectrum file
-
-
 def _cap_equality_record(name, target, value, band):
     slack = band - abs(value - target)
-    verdict = "pass" if slack >= 0 else ("marginal" if slack >= -band
-                                         else "fail")
-    return BoundRecord(name, "cap_equality", 1, target, value, slack, verdict,
+    return BoundRecord(name, "cap_equality", 1, target, value, slack,
+                       _verdict(slack, band),
                        f"equality within slack {band:.3g}")
 
 
 def _cap_lower_record(name, bound, value, band, strict, note=""):
     slack = value - bound
-    if slack >= 0 and (not strict or slack > band):
-        verdict = "pass"
-    elif slack >= -band:
-        verdict = "marginal"
-    else:
-        verdict = "fail"
+    # a strict inequality passes only with slack beyond the error band
+    verdict = "marginal" if strict and 0 <= slack <= band \
+        else _verdict(slack, band)
     return BoundRecord(name, "cap_strict_lower" if strict else "cap_lower",
                        1, bound, value, slack, verdict, note)
 
@@ -386,7 +357,7 @@ def run_cap(cfg):
     """First-eigenvalue suite on a spherical cap, Richardson-extrapolated."""
     cfg.validate()
     eps = cfg.fixed_tolerance()
-    kinds = CAP_RUN_KINDS[1:] if cfg.cap_kind == "all" else \
+    kinds = CAP_KINDS if cfg.cap_kind == "all" else \
         ("dirichlet_laplacian", cfg.cap_kind)
     kinds = tuple(dict.fromkeys(kinds))  # keep order, drop duplicates
     values, bands = {}, {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .bounds import BoundRecord
+from .bounds import VERDICTS, BoundRecord
 
 CSV_HEADER = "name,k,bound,measured,slack,verdict"
 
@@ -39,7 +39,7 @@ class VerificationReport:
     summary: dict = field(init=False)
 
     def __post_init__(self):
-        counts = {"pass": 0, "marginal": 0, "fail": 0, "skip": 0}
+        counts = dict.fromkeys(VERDICTS, 0)
         for rec in self.records:
             counts[rec.verdict] += 1
         self.summary = counts

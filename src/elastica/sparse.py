@@ -51,7 +51,6 @@ class SparseSymMatrix:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    symmetric: bool = True
 
     @classmethod
     def from_coo(cls, order, rows, cols, vals, check_symmetry=True):
@@ -72,13 +71,6 @@ class SparseSymMatrix:
     @property
     def nnz(self):
         return int(self.data.size)
-
-    def diagonal(self):
-        diag = np.zeros(self.order)
-        rows = np.repeat(np.arange(self.order), np.diff(self.indptr))
-        on_diag = rows == self.indices
-        diag[rows[on_diag]] = self.data[on_diag]
-        return diag
 
     def matvec(self, x):
         """A @ x for a vector (n,) or a block of vectors (n, b)."""
@@ -137,18 +129,17 @@ class BandedSymMatrix:
             raise MatrixFormatError("band storage has wrong shape")
 
     @classmethod
-    def from_dense(cls, dense, bandwidth=None):
+    def from_dense(cls, dense):
         dense = np.asarray(dense, dtype=np.float64)
         n = dense.shape[0]
         if dense.shape != (n, n):
             raise MatrixFormatError("dense input must be square")
         if not np.array_equal(dense, dense.T):
             raise MatrixFormatError("dense input must be symmetric")
-        if bandwidth is None:
-            bandwidth = 0
-            nz = np.nonzero(dense)
-            if nz[0].size:
-                bandwidth = int(np.max(np.abs(nz[0] - nz[1])))
+        bandwidth = 0
+        nz = np.nonzero(dense)
+        if nz[0].size:
+            bandwidth = int(np.max(np.abs(nz[0] - nz[1])))
         bands = np.zeros((bandwidth + 1, n))
         for d in range(bandwidth + 1):
             bands[d, :n - d] = np.diagonal(dense, -d)

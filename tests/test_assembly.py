@@ -168,18 +168,3 @@ class TestConvergence:
             errors[cells] = abs(dense_generalized_eigs(K, M)[0] - 2.0)
         rate = np.log2(errors[16] / errors[32])
         assert 1.8 <= rate <= 2.2
-
-    def test_lumped_mass_still_second_order(self):
-        # lumping reaches its asymptotic rate on finer meshes, so use the
-        # iterative solver on the 32/64 pair
-        from elastica.eigensolve import smallest_eigenpairs
-        errors = {}
-        for cells in (32, 64):
-            p = ElasticityProblem((PI, PI), 0.0, (cells, cells))
-            K, M, _ = assemble(p, lump_mass=True)
-            assert M.nnz == M.order  # diagonal
-            res = smallest_eigenpairs(K, M, 2, tol=1e-9, seed=6,
-                                      precond=laplacian_inverse(p))
-            errors[cells] = abs(res.values[0] - 2.0)
-        rate = np.log2(errors[32] / errors[64])
-        assert 1.8 <= rate <= 2.2

@@ -10,9 +10,8 @@ with mpmath.
 import numpy as np
 import pytest
 
-from elastica.cap1d import (CapProblem, build_mode_operator, buckling_lambda1,
-                            clamped_gamma1, dirichlet_lambda1,
-                            mode_eigenfunction, p1, q1, solve_cap)
+from elastica.cap1d import (CapProblem, build_mode_operator,
+                            mode_eigenfunction, solve_cap)
 
 PI = np.pi
 HEMI = PI / 2
@@ -32,10 +31,6 @@ class TestProblemValidation:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             CapProblem(1.0, "clamped", radial_cells=8)
-
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            dirichlet_lambda1(CapProblem(1.0, "clamped"))
 
 
 class TestModeOperators:
@@ -65,9 +60,10 @@ class TestModeOperators:
 
 class TestHemisphereLaplacian:
     def test_lambda1_is_two(self):
-        lam = dirichlet_lambda1(CapProblem(HEMI, "dirichlet_laplacian",
-                                           mode_max=4, radial_cells=96))
-        assert lam == pytest.approx(2.0, rel=1e-9)
+        res = solve_cap(CapProblem(HEMI, "dirichlet_laplacian", mode_max=4,
+                                   radial_cells=96))
+        assert res.minimizing_mode == 0
+        assert res.value == pytest.approx(2.0, rel=1e-9)
 
     def test_per_mode_legendre_ladder(self):
         res = solve_cap(CapProblem(HEMI, "dirichlet_laplacian", mode_max=4,
@@ -78,8 +74,10 @@ class TestHemisphereLaplacian:
 
     def test_domain_monotonicity(self):
         caps = [PI / 4, PI / 2, 2.0, 2.8]
-        vals = [dirichlet_lambda1(CapProblem(t, "dirichlet_laplacian", 2, 64))
-                for t in caps]
+        results = [solve_cap(CapProblem(t, "dirichlet_laplacian", 2, 64))
+                   for t in caps]
+        assert all(res.minimizing_mode == 0 for res in results)
+        vals = [res.value for res in results]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[0] > 2.0          # sub-hemisphere regime
         assert vals[-1] < 0.5         # near-full sphere tends to zero
@@ -94,11 +92,13 @@ class TestHemisphereLaplacian:
 
 class TestHemisphereEqualities:
     def test_p1_equals_four(self):
-        val = p1(CapProblem(HEMI, "p_problem", mode_max=4, radial_cells=96))
+        val = solve_cap(CapProblem(HEMI, "p_problem", mode_max=4,
+                                   radial_cells=96)).value
         assert val == pytest.approx(4.0, rel=1e-7)
 
     def test_q1_equals_two(self):
-        val = q1(CapProblem(HEMI, "q_problem", mode_max=4, radial_cells=96))
+        val = solve_cap(CapProblem(HEMI, "q_problem", mode_max=4,
+                                   radial_cells=96)).value
         assert val == pytest.approx(2.0, rel=1e-7)
 
     def test_minimizing_mode_is_radial(self):
@@ -125,10 +125,10 @@ class TestHemisphereEqualities:
     def test_equality_error_decays_at_least_quadratically(self):
         errors_p, errors_q = [], []
         for cells in (16, 32):
-            errors_p.append(abs(p1(CapProblem(HEMI, "p_problem", 2, cells))
-                                - 4.0))
-            errors_q.append(abs(q1(CapProblem(HEMI, "q_problem", 2, cells))
-                                - 2.0))
+            errors_p.append(abs(solve_cap(CapProblem(HEMI, "p_problem", 2,
+                                                     cells)).value - 4.0))
+            errors_q.append(abs(solve_cap(CapProblem(HEMI, "q_problem", 2,
+                                                     cells)).value - 2.0))
         assert errors_p[1] < errors_p[0] / 2 ** 1.8
         assert errors_q[1] < errors_q[0] / 2 ** 1.8
 
@@ -137,15 +137,15 @@ class TestStrictInequalities:
     def test_clamped_exceeds_n_lambda1(self):
         margins = []
         for cells in (64, 128):
-            gam = clamped_gamma1(CapProblem(HEMI, "clamped", 4, cells))
-            lam = dirichlet_lambda1(CapProblem(HEMI, "dirichlet_laplacian",
-                                               4, cells))
-            margins.append(gam - 2 * lam)
+            gam = solve_cap(CapProblem(HEMI, "clamped", 4, cells)).value
+            res = solve_cap(CapProblem(HEMI, "dirichlet_laplacian", 4, cells))
+            assert res.minimizing_mode == 0
+            margins.append(gam - 2 * res.value)
         assert all(m > 1.0 for m in margins)
         assert abs(margins[0] - margins[1]) < 1e-4 * margins[0]
 
     def test_buckling_exceeds_n(self):
-        vals = [buckling_lambda1(CapProblem(HEMI, "buckling", 4, cells))
+        vals = [solve_cap(CapProblem(HEMI, "buckling", 4, cells)).value
                 for cells in (64, 128)]
         assert all(v > 2.0 + 1.0 for v in vals)
         assert abs(vals[0] - vals[1]) < 1e-6 * vals[0]
@@ -153,27 +153,27 @@ class TestStrictInequalities:
     def test_hemisphere_buckling_analytic_value(self):
         # P2(cos t) + 1/2 satisfies the clamped rim conditions and gives
         # the eigenvalue l(l+1) = 6 exactly
-        val = buckling_lambda1(CapProblem(HEMI, "buckling", 4, 96))
+        val = solve_cap(CapProblem(HEMI, "buckling", 4, 96)).value
         assert val == pytest.approx(6.0, rel=1e-7)
 
     def test_buckling_dominates_membrane(self):
         for theta0 in (PI / 3, HEMI, 2.0):
-            lam = dirichlet_lambda1(CapProblem(theta0, "dirichlet_laplacian",
-                                               4, 64))
-            buck = buckling_lambda1(CapProblem(theta0, "buckling", 4, 64))
-            assert buck >= lam - 1e-9
+            res = solve_cap(CapProblem(theta0, "dirichlet_laplacian", 4, 64))
+            assert res.minimizing_mode == 0
+            buck = solve_cap(CapProblem(theta0, "buckling", 4, 64)).value
+            assert buck >= res.value - 1e-9
 
 
 class TestSubHemisphere:
     def test_p_strictly_above_bound(self):
         for theta0 in (PI / 3, PI / 4):
-            lam = dirichlet_lambda1(CapProblem(theta0, "dirichlet_laplacian",
-                                               4, 96))
-            val = p1(CapProblem(theta0, "p_problem", 4, 96))
-            assert val > 2 * lam * (1 + 1e-6)
+            res = solve_cap(CapProblem(theta0, "dirichlet_laplacian", 4, 96))
+            assert res.minimizing_mode == 0
+            val = solve_cap(CapProblem(theta0, "p_problem", 4, 96)).value
+            assert val > 2 * res.value * (1 + 1e-6)
 
     def test_q_strictly_above_two(self):
-        val = q1(CapProblem(PI / 3, "q_problem", 4, 96))
+        val = solve_cap(CapProblem(PI / 3, "q_problem", 4, 96)).value
         assert val > 2.0 + 0.5
 
 
@@ -189,7 +189,7 @@ class TestFlatLimits:
         disk = k ** 4
         assert disk == pytest.approx(104.3631, abs=2e-3)
         theta0 = 0.1
-        gam = clamped_gamma1(CapProblem(theta0, "clamped", 2, 128))
+        gam = solve_cap(CapProblem(theta0, "clamped", 2, 128)).value
         assert theta0 ** 4 * gam == pytest.approx(disk, rel=5e-2)
 
     def test_buckling_disk_constant(self):
@@ -199,7 +199,7 @@ class TestFlatLimits:
         disk = j11 ** 2
         assert disk == pytest.approx(14.682, abs=2e-3)
         theta0 = 0.1
-        buck = buckling_lambda1(CapProblem(theta0, "buckling", 2, 128))
+        buck = solve_cap(CapProblem(theta0, "buckling", 2, 128)).value
         assert theta0 ** 2 * buck == pytest.approx(disk, rel=5e-2)
 
 

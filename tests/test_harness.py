@@ -4,6 +4,7 @@ import json
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ import pytest
 from elastica import cli
 from elastica.assembly import reference_spectrum_alpha0
 from elastica.bounds import Spectrum
-from elastica.harness import (ConfigError, RunConfig, SpectrumFileError,
-                              apply_overrides, load_config, parse_config_text,
-                              read_spectrum, run_cap, run_solve, run_verify,
-                              run_verify_sweep, worker_count, write_spectrum)
+from elastica.harness import (CONFIG_KEYS, ConfigError, RunConfig,
+                              SpectrumFileError, apply_overrides, load_config,
+                              parse_config_text, read_spectrum, run_cap,
+                              run_solve, run_verify, run_verify_sweep,
+                              worker_count, write_spectrum)
 from elastica.report import (VerificationReport, load_report, render_csv,
                              render_svg, render_table, save_report,
                              svg_series_for)
@@ -86,6 +88,42 @@ class TestConfigParsing:
     def test_degenerate_mesh_rejected_at_load(self):
         with pytest.raises(ValueError):
             tiny_verify_config(cells=(1, 10)).validate()
+
+
+def config_text(cfg):
+    """A config's echo as ``key = value`` lines; unset paths are left out."""
+    lines = []
+    for key, value in cfg.echo().items():
+        if key == "mode" or value is None:
+            continue
+        if isinstance(value, list):
+            value = ", ".join(str(v) for v in value)
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines)
+
+
+class TestConfigTable:
+    def test_echo_round_trips_through_the_parser(self):
+        default = RunConfig()
+        changed = replace(
+            default, edges=(2.0, 3.0, 1.5), alpha=0.75, cells=(6, 8, 4),
+            m=20, tol=1e-9, seed=7, k_max=12, policy="fixed:1e-6",
+            theta0=1.0, cap_kind="clamped", mode_max=3, radial_cells=64,
+            spectrum_path="run.spec", output_path="out.csv",
+            output_format="csv")
+        for name, _ in CONFIG_KEYS.values():
+            assert getattr(changed, name) != getattr(default, name), name
+        for cfg in (default, changed):
+            assert list(cfg.echo()) == ["mode", *CONFIG_KEYS]
+            assert parse_config_text(config_text(cfg)) == cfg
+
+    def test_readme_lists_the_keys_in_table_order(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
+        block = next(b for b in blocks if b.lstrip().startswith("domain."))
+        keys = [line.split("=", 1)[0].strip()
+                for line in block.splitlines() if "=" in line]
+        assert keys == list(CONFIG_KEYS)
 
 
 class TestSpectrumFiles:
@@ -339,6 +377,18 @@ class TestCLI:
     def test_unknown_key_exits_one(self, capsys):
         assert cli.main(["verify", "--set", "solver.bogus=1"]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--set", "mesh.cells=1,1"], "at least 2 cells"),
+        (["cap", "--set", "cap.cells=8"], "16 radial cells"),
+        (["solve", "--set", "solver.seed=-1"], "solver.seed"),
+        (["verify", "--set", "solver.m=4", "--set", "verify.k_max=10"],
+         "solver.m >= 11"),
+    ], ids=["mesh_cells", "cap_cells", "negative_seed", "m_below_k_max"])
+    def test_bad_config_exits_one(self, argv, message, capsys):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_corrupt_spectrum_exit_code(self, tmp_path):
         path = tmp_path / "bad.spec"

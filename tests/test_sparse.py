@@ -51,10 +51,6 @@ class TestSparseSym:
         c = a.add_scaled(b, -2.5)
         assert np.allclose(c.to_dense(), da - 2.5 * db, atol=1e-13)
 
-    def test_diagonal(self, rng):
-        m, dense = random_symmetric_csr(rng)
-        assert np.allclose(m.diagonal(), np.diag(dense))
-
 
 class TestBanded:
     def test_round_trip_and_matvec(self, rng):
