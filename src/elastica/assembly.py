@@ -12,6 +12,10 @@ Kronecker products of three exact 1D tridiagonal matrices: the quadratic
 form is discretised, never the strong operator, which keeps K(α) exactly
 symmetric.  Degrees of freedom are component-major; within a component,
 nodes are lexicographic with the last coordinate fastest.
+
+The eigensolver applies these Kronecker sums matrix-free, as 1D three-point
+stencils along each axis (:func:`box_operators`); :func:`assemble` builds
+the same terms as CSR for the Matrix Market export and the tests.
 """
 
 from __future__ import annotations
@@ -79,6 +83,56 @@ class DofMap:
         return self.dim * self.nodes
 
 
+def _stencils_1d(h):
+    """(lower, diag, upper) of the interior P1 tridiagonals on a uniform grid.
+
+    K is the stiffness, M the mass, C the convection ∫φ'ψ and Ct its
+    transpose; every one is constant along its diagonals.
+    """
+    return {"K": (-1.0 / h, 2.0 / h, -1.0 / h),
+            "M": (h / 6.0, 4.0 * h / 6.0, h / 6.0),
+            "C": (0.5, 0.0, -0.5),
+            "Ct": (-0.5, 0.0, 0.5)}
+
+
+def _terms(problem):
+    """Kronecker terms (row comp, col comp, scale, kinds) of K_lap, α·K_div, M.
+
+    ``kinds`` names the 1D factor on each axis (a key of
+    :func:`_stencils_1d`).  K(α) is the Laplacian terms followed by the
+    divergence terms, which are absent when α = 0.
+    """
+    dim, alpha = problem.dim, problem.alpha
+
+    def kinds(*on_axes):
+        out = ["M"] * dim
+        for axis, kind in on_axes:
+            out[axis] = kind
+        return tuple(out)
+
+    lap_terms = [(c, c, 1.0, kinds((d, "K")))
+                 for c in range(dim) for d in range(dim)]
+    div_terms = []
+    if alpha > 0:
+        div_terms += [(c, c, alpha, kinds((c, "K"))) for c in range(dim)]
+        for ca in range(dim):
+            for cb in range(ca + 1, dim):
+                # block (ca, cb) of the divergence Gram:
+                # ∫ (d phi/dx_ca)(d psi/dx_cb) = C_ca ⊗ Ct_cb ⊗ masses
+                div_terms.append((ca, cb, alpha,
+                                  kinds((ca, "C"), (cb, "Ct"))))
+                div_terms.append((cb, ca, alpha,
+                                  kinds((ca, "Ct"), (cb, "C"))))
+    mass_terms = [(c, c, 1.0, ("M",) * dim) for c in range(dim)]
+    return lap_terms, div_terms, mass_terms
+
+
+def _dof_map(problem):
+    interior = tuple(c - 1 for c in problem.cells)
+    spacings = tuple(e / c for e, c in zip(problem.edges, problem.cells))
+    return DofMap(problem.dim, interior, spacings)
+
+
 def _coo_1d(n, lower, diag, upper):
     """COO triplets of an n x n tridiagonal with constant diagonals."""
     idx = np.arange(n)
@@ -88,14 +142,6 @@ def _coo_1d(n, lower, diag, upper):
                            np.full(n - 1, lower),
                            np.full(n - 1, upper)])
     return rows, cols, vals
-
-
-def _one_d_matrices(n, h):
-    """Interior P1 stiffness, mass and convection ∫φ'ψ on a uniform grid."""
-    stiff = _coo_1d(n, -1.0 / h, 2.0 / h, -1.0 / h)
-    mass = _coo_1d(n, h / 6.0, 4.0 * h / 6.0, h / 6.0)
-    conv = _coo_1d(n, 0.5, 0.0, -0.5)
-    return stiff, mass, conv
 
 
 def _kron(a, b, nb):
@@ -108,103 +154,120 @@ def _kron(a, b, nb):
     return rows, cols, vals
 
 
-def _kron_chain(factors, sizes):
-    out = factors[0]
-    size = sizes[0]
-    for fac, n in zip(factors[1:], sizes[1:]):
-        out = _kron(out, fac, n)
-        size *= n
-    return out
+def _csr(dof_map, terms):
+    """Sum of Kronecker terms as a SparseSymMatrix."""
+    stencils = [_stencils_1d(h) for h in dof_map.spacings]
+    rows, cols, vals = [], [], []
+    for row, col, scale, kinds in terms:
+        factors = [_coo_1d(n, *stencils[d][kind]) for d, (n, kind)
+                   in enumerate(zip(dof_map.interior, kinds))]
+        r, c, v = factors[0]
+        for fac, n in zip(factors[1:], dof_map.interior[1:]):
+            r, c, v = _kron((r, c, v), fac, n)
+        rows.append(r + row * dof_map.nodes)
+        cols.append(c + col * dof_map.nodes)
+        vals.append(v * scale)
+    return SparseSymMatrix.from_coo(dof_map.order, np.concatenate(rows),
+                                    np.concatenate(cols),
+                                    np.concatenate(vals))
 
 
 def assemble(problem):
-    """Assemble (K, M, dof_map) for the generalized eigenproblem.
+    """Assemble (K, M, dof_map) for the generalized eigenproblem as CSR.
 
     K = K_lap + alpha*K_div and M are exactly symmetric; the generalized
     eigenvalues approximate the continuous ones at O(h²) for smooth
-    eigenfunctions.
+    eigenfunctions.  The solver applies the same terms matrix-free (see
+    :func:`box_operators`); the CSR form serves the Matrix Market export
+    and the tests.
     """
-    dim = problem.dim
-    interior = tuple(c - 1 for c in problem.cells)
-    spacings = tuple(e / c for e, c in zip(problem.edges, problem.cells))
-    dof_map = DofMap(dim, interior, spacings)
-    nodes = dof_map.nodes
+    dof_map = _dof_map(problem)
+    lap_terms, div_terms, mass_terms = _terms(problem)
+    return (_csr(dof_map, lap_terms + div_terms), _csr(dof_map, mass_terms),
+            dof_map)
 
-    stiff, mass, conv = zip(*(_one_d_matrices(n, h)
-                              for n, h in zip(interior, spacings)))
-    conv_t = tuple((c[1], c[0], c[2]) for c in conv)
 
-    def tensor(kind_per_axis):
-        table = {"K": stiff, "M": mass, "C": conv, "Ct": conv_t}
-        return _kron_chain([table[t][d] for d, t in enumerate(kind_per_axis)],
-                           list(interior))
+def _stencil(x, axis, lower, diag, upper):
+    """Apply the constant tridiagonal (lower, diag, upper) along ``axis``."""
+    lead = (slice(None),) * axis
+    head, tail = lead + (slice(None, -1),), lead + (slice(1, None),)
+    y = x * diag
+    y[tail] += lower * x[head]
+    y[head] += upper * x[tail]
+    return y
 
-    def scalar_stiffness():
-        blocks = []
-        for d in range(dim):
-            kinds = ["M"] * dim
-            kinds[d] = "K"
-            blocks.append(tensor(kinds))
-        return blocks
 
-    rows_k, cols_k, vals_k = [], [], []
-    rows_m, cols_m, vals_m = [], [], []
+class TensorProductOperator:
+    """Matrix-free sum of Kronecker products of 1D three-point stencils.
 
-    def push(target, block, comp_row, comp_col, scale=1.0):
-        r, c, v = block
-        target[0].append(r + comp_row * nodes)
-        target[1].append(c + comp_col * nodes)
-        target[2].append(v * scale)
+    Operands are component-major stacks of ``dim`` scalar fields on the
+    ``shape`` grid (last axis fastest).  Each term is (row component,
+    column component, scale, (lower, diag, upper) per axis); ``matvec``
+    runs the stencils axis by axis and accumulates into the row component.
+    """
 
-    mass_block = tensor(["M"] * dim)
-    lap_blocks = scalar_stiffness()
-    for comp in range(dim):
-        for blk in lap_blocks:
-            push((rows_k, cols_k, vals_k), blk, comp, comp)
-        push((rows_m, cols_m, vals_m), mass_block, comp, comp)
+    def __init__(self, dim, shape, terms):
+        self.dim = dim
+        self.shape = tuple(shape)
+        self.terms = tuple(terms)
+        self.order = dim * int(np.prod(self.shape))
 
-    alpha = problem.alpha
-    if alpha > 0:
-        for comp in range(dim):
-            kinds = ["M"] * dim
-            kinds[comp] = "K"
-            push((rows_k, cols_k, vals_k), tensor(kinds), comp, comp, alpha)
-        for ca in range(dim):
-            for cb in range(ca + 1, dim):
-                # block (ca, cb) of the divergence Gram:
-                # ∫ (d phi/dx_ca)(d psi/dx_cb) = C_ca ⊗ Ct_cb ⊗ masses
-                kinds = ["M"] * dim
-                kinds[ca] = "C"
-                kinds[cb] = "Ct"
-                blk = tensor(kinds)
-                push((rows_k, cols_k, vals_k), blk, ca, cb, alpha)
-                push((rows_k, cols_k, vals_k),
-                     (blk[1], blk[0], blk[2]), cb, ca, alpha)
+    def matvec(self, x):
+        """A @ x for a vector (n,) or a block of vectors (n, b)."""
+        x = np.asarray(x, dtype=np.float64)
+        single = x.ndim == 1
+        xb = x[:, None] if single else x
+        if xb.shape[0] != self.order:
+            raise ValueError("operand has wrong leading dimension")
+        work = xb.reshape((self.dim,) + self.shape + (xb.shape[1],))
+        out = np.zeros_like(work)
+        for row, col, scale, stencils in self.terms:
+            y = work[col]
+            for axis, coeffs in enumerate(stencils):
+                if axis == 0:
+                    coeffs = tuple(scale * c for c in coeffs)
+                y = _stencil(y, axis, *coeffs)
+            out[row] += y
+        out = out.reshape(xb.shape)
+        return out[:, 0] if single else out
 
-    order = dof_map.order
-    K = SparseSymMatrix.from_coo(order, np.concatenate(rows_k),
-                                 np.concatenate(cols_k),
-                                 np.concatenate(vals_k))
-    M = SparseSymMatrix.from_coo(order, np.concatenate(rows_m),
-                                 np.concatenate(cols_m),
-                                 np.concatenate(vals_m))
-    return K, M, dof_map
+
+def box_operators(problem):
+    """Matrix-free (K, M) with the terms of :func:`assemble`.
+
+    K's Laplacian and α-diagonal terms share their factors and are applied
+    once, scaled by 1 + α.
+    """
+    dof_map = _dof_map(problem)
+    stencils = [_stencils_1d(h) for h in dof_map.spacings]
+
+    def operator(terms):
+        merged = {}
+        for row, col, scale, kinds in terms:
+            key = (row, col, kinds)
+            merged[key] = merged.get(key, 0.0) + scale
+        return TensorProductOperator(
+            dof_map.dim, dof_map.interior,
+            [(row, col, scale, tuple(stencils[d][kind]
+                                     for d, kind in enumerate(kinds)))
+             for (row, col, kinds), scale in merged.items()])
+
+    lap_terms, div_terms, mass_terms = _terms(problem)
+    return operator(lap_terms + div_terms), operator(mass_terms)
 
 
 def divergence_stiffness(problem):
     """The divergence Gram matrix K_div alone (alpha-independent)."""
-    base = ElasticityProblem(problem.edges, 0.0, problem.cells)
-    k0, _, _ = assemble(base)
     unit = ElasticityProblem(problem.edges, 1.0, problem.cells)
-    k1, _, _ = assemble(unit)
-    return k1.add_scaled(k0, -1.0)
+    _, div_terms, _ = _terms(unit)
+    return _csr(_dof_map(unit), div_terms)
 
 
 def laplacian_inverse(problem):
     """Exact inverse of the α = 0 stiffness, the eigensolver preconditioner."""
-    interior = tuple(c - 1 for c in problem.cells)
-    spacings = tuple(e / c for e, c in zip(problem.edges, problem.cells))
-    return BlockLaplacianInverse(list(zip(interior, spacings)), problem.dim)
+    dof_map = _dof_map(problem)
+    return BlockLaplacianInverse(list(zip(dof_map.interior, dof_map.spacings)),
+                                 problem.dim)
 
 
 def interpolate_field(problem, components):
@@ -213,9 +276,9 @@ def interpolate_field(problem, components):
     ``components`` is a sequence of callables taking the dim coordinate
     arrays (broadcast on the interior grid) and returning node values.
     """
-    interior = tuple(c - 1 for c in problem.cells)
-    spacings = tuple(e / c for e, c in zip(problem.edges, problem.cells))
-    axes = [h * np.arange(1, n + 1) for n, h in zip(interior, spacings)]
+    dof_map = _dof_map(problem)
+    axes = [h * np.arange(1, n + 1)
+            for n, h in zip(dof_map.interior, dof_map.spacings)]
     grids = np.meshgrid(*axes, indexing="ij")
     parts = [np.asarray(comp(*grids), dtype=np.float64).ravel()
              for comp in components]

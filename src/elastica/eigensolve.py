@@ -4,8 +4,9 @@ Two paths, both free of third-party eigensolver/factorisation libraries
 (numpy supplies array arithmetic and the dense Rayleigh-Ritz projections):
 
 * :func:`smallest_eigenpairs`: preconditioned blocked LOBPCG iteration for
-  large sparse pencils (K, M), deterministic for a fixed seed.  The block is
-  sized past the requested count so clustered eigenvalues are recovered.
+  large pencils (K, M) given as sparse or matrix-free operators,
+  deterministic for a fixed seed.  The block is sized past the requested
+  count so clustered eigenvalues are recovered.
 * :func:`banded_smallest`: banded Cholesky factorisation plus block inverse
   iteration for small banded pencils (orders up to ~1e4).
 """
@@ -90,7 +91,9 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
                         precond=None):
     """m algebraically smallest eigenpairs of K x = σ M x by blocked LOBPCG.
 
-    K must be symmetric, M symmetric positive definite, m <= order/4.  The
+    K and M need only ``order`` and ``matvec`` (on (n,) and (n, b)
+    operands): a CSR matrix or a matrix-free operator.  K must be
+    symmetric, M symmetric positive definite, m <= order/4.  The
     starting block is pseudo-random from ``seed`` and the whole iteration is
     deterministic.  Eigenvalues within a cluster are reported individually.
     Non-convergence within ``maxiter`` raises :class:`ConvergenceError`

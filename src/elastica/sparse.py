@@ -1,9 +1,9 @@
 """Symmetric sparse (CSR) and banded matrix containers.
 
-These are the common matrix currency of the toolkit: assembly produces
-``SparseSymMatrix``, the iterative eigensolver consumes it, and the radial
-cap problems work with ``BandedSymMatrix``.  Matrix Market export/import is
-provided for external cross-checks.
+Assembly produces ``SparseSymMatrix`` for the Matrix Market export and as
+the test oracle of the matrix-free box operators that the iterative
+eigensolver applies; the radial cap problems work with ``BandedSymMatrix``.
+Matrix Market export/import is provided for external cross-checks.
 """
 
 from __future__ import annotations
@@ -79,18 +79,13 @@ class SparseSymMatrix:
         xb = x[:, None] if single else x
         if xb.shape[0] != self.order:
             raise MatrixFormatError("operand has wrong leading dimension")
-        out = np.empty((self.order, xb.shape[1]))
-        # chunk the block so the (nnz, chunk) scratch stays modest
-        chunk = max(1, int(3e7 // max(self.nnz, 1)))
-        row_counts = np.diff(self.indptr)
-        empty = row_counts == 0
-        for lo in range(0, xb.shape[1], chunk):
-            cols = xb[:, lo:lo + chunk]
-            prod = self.data[:, None] * cols[self.indices, :]
-            seg = np.add.reduceat(prod, self.indptr[:-1], axis=0)
-            if empty.any():
-                seg[empty] = 0.0
-            out[:, lo:lo + chunk] = seg
+        # the (nnz, b) gather scratch is fine at the oracle sizes CSR serves;
+        # empty rows are left out of reduceat, which cannot express them
+        prod = self.data[:, None] * xb[self.indices, :]
+        out = np.zeros((self.order, xb.shape[1]))
+        rows = np.flatnonzero(np.diff(self.indptr))
+        if rows.size:
+            out[rows] = np.add.reduceat(prod, self.indptr[rows], axis=0)
         return out[:, 0] if single else out
 
     def add_scaled(self, other, factor):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from elastica.assembly import (DofMap, ElasticityProblem, assemble,
-                               divergence_stiffness, interpolate_field,
-                               laplacian_inverse, reference_spectrum_alpha0)
+                               box_operators, divergence_stiffness,
+                               interpolate_field, laplacian_inverse,
+                               reference_spectrum_alpha0)
 from conftest import dense_generalized_eigs
 
 PI = np.pi
@@ -110,6 +111,49 @@ class TestAssembledMatrices:
         alphas = sorted(vals)
         for lo, hi in zip(alphas, alphas[1:]):
             assert np.all(vals[hi] >= vals[lo] - 1e-11)
+
+
+OPERATOR_CASES = [((1.0, 2.5), (5, 7)), ((1.0, 1.5, 2.0), (3, 4, 5))]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.75])
+@pytest.mark.parametrize("edges,cells", OPERATOR_CASES,
+                         ids=["2d", "3d"])
+class TestBoxOperators:
+    """The matrix-free stencil operators against the assembled CSR oracle."""
+
+    def _pair(self, edges, cells, alpha):
+        problem = ElasticityProblem(edges, alpha, cells)
+        K, M, _ = assemble(problem)
+        return (K, M), box_operators(problem)
+
+    def test_dense_form_matches_csr(self, edges, cells, alpha):
+        csr, ops = self._pair(edges, cells, alpha)
+        for mat, op in zip(csr, ops):
+            dense = mat.to_dense()
+            eye = np.eye(op.order)
+            scale = np.abs(dense).max()
+            block = op.matvec(eye)
+            columns = np.column_stack([op.matvec(e) for e in eye])
+            assert op.order == mat.order
+            assert np.abs(block - dense).max() <= 1e-14 * scale
+            assert np.abs(columns - dense).max() <= 1e-14 * scale
+
+    def test_same_spectrum_as_csr(self, edges, cells, alpha):
+        (K, M), (Kop, Mop) = self._pair(edges, cells, alpha)
+        eye = np.eye(K.order)
+        ref = dense_generalized_eigs(K, M)
+        vals = dense_generalized_eigs(Kop.matvec(eye), Mop.matvec(eye))
+        assert np.allclose(vals, ref, rtol=1e-12, atol=0)
+
+    def test_vector_operand_keeps_shape(self, edges, cells, alpha, rng):
+        (K, M), ops = self._pair(edges, cells, alpha)
+        x = rng.standard_normal(K.order)
+        for mat, op in zip((K, M), ops):
+            y = op.matvec(x)
+            assert y.shape == (K.order,)
+            ref = mat.matvec(x)
+            assert np.abs(y - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestFieldChecks:

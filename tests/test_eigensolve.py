@@ -10,6 +10,7 @@ from elastica.eigensolve import (BandedCholesky, ConvergenceError,
                                  EigenResult, FactorizationError,
                                  IndefiniteMassError, banded_smallest,
                                  cholesky_banded, smallest_eigenpairs)
+from elastica.harness import solve_problem
 from elastica.sparse import BandedSymMatrix, SparseSymMatrix
 
 PI = np.pi
@@ -103,6 +104,22 @@ class TestLOBPCG:
         fresh = np.linalg.norm(R, axis=0) / res.values
         assert np.all(fresh <= tol)
         assert np.all(res.residuals <= tol)
+
+    def test_operator_solve_rechecked_with_csr(self):
+        # the matrix-free solve behind solve_problem against the same LOBPCG
+        # run on the assembled CSR pencil, and its residuals recomputed by
+        # CSR matvec
+        p = ElasticityProblem((PI, PI), 2.0, (16, 16))
+        K, M, _ = assemble(p)
+        tol = 1e-8
+        spectrum, res = solve_problem(p, 12, tol, 7)
+        ref = smallest_eigenpairs(K, M, 12, tol=tol, seed=7,
+                                  precond=laplacian_inverse(p))
+        assert np.all(np.abs(res.values - ref.values) <= 1e-10 * ref.values)
+        assert np.array_equal(spectrum.values, res.values)
+        R = K.matvec(res.vectors) - M.matvec(res.vectors) * res.values
+        fresh = np.linalg.norm(R, axis=0) / res.values
+        assert np.all(fresh <= tol)
 
     def test_m_orthonormality(self):
         p = ElasticityProblem((PI, PI), 0.5, (16, 16))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elastica import cli
+from elastica import cli, harness
 from elastica.assembly import reference_spectrum_alpha0
 from elastica.bounds import Spectrum
 from elastica.harness import (CONFIG_KEYS, ConfigError, RunConfig,
@@ -384,7 +384,9 @@ class TestCLI:
         (["solve", "--set", "solver.seed=-1"], "solver.seed"),
         (["verify", "--set", "solver.m=4", "--set", "verify.k_max=10"],
          "solver.m >= 11"),
-    ], ids=["mesh_cells", "cap_cells", "negative_seed", "m_below_k_max"])
+        (["verify", "--set", "output.format=spectrum"], "output.format"),
+    ], ids=["mesh_cells", "cap_cells", "negative_seed", "m_below_k_max",
+            "spectrum_format"])
     def test_bad_config_exits_one(self, argv, message, capsys):
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
@@ -410,3 +412,22 @@ class TestCLI:
         assert K.order == 2 * 49
         dense = K.to_dense()
         assert np.array_equal(dense, dense.T)
+
+    @pytest.mark.parametrize("dump,calls", [(True, 1), (False, 0)],
+                             ids=["dump", "no_dump"])
+    def test_solve_assembles_only_for_the_dump(self, tmp_path, monkeypatch,
+                                               dump, calls):
+        seen = []
+        original = harness.assemble
+
+        def counting(problem):
+            seen.append(problem)
+            return original(problem)
+
+        monkeypatch.setattr(harness, "assemble", counting)
+        argv = ["solve", "--set", "mesh.cells=6,6", "--set", "solver.m=5",
+                "--output", str(tmp_path / "s.spec")]
+        if dump:
+            argv += ["--dump-matrices", str(tmp_path / "mats")]
+        assert cli.main(argv) == 0
+        assert len(seen) == calls

@@ -44,6 +44,11 @@ class TestSparseSym:
                                      [1.0, 1.0, 0.5, 0.5])
         out = m.matvec(np.ones(3))
         assert np.allclose(out, [1.5, 0.0, 1.5])
+        # leading and trailing empty rows, and no entries at all
+        m = SparseSymMatrix.from_coo(4, [1], [1], [2.0])
+        assert np.array_equal(m.matvec(np.ones(4)), [0.0, 2.0, 0.0, 0.0])
+        m = SparseSymMatrix.from_coo(2, [], [], [])
+        assert np.array_equal(m.matvec(np.ones((2, 3))), np.zeros((2, 3)))
 
     def test_add_scaled(self, rng):
         a, da = random_symmetric_csr(rng)
