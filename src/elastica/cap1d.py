@@ -126,12 +126,11 @@ def _hermite_tables(h):
     return val, d1, d2
 
 
-def _assemble_dense(theta0, cells, m):
-    """Dense (W, A, S) on the full Hermite space of 2(cells+1) DOFs."""
-    n_elem = cells
+def _element_matrices(theta0, cells, m):
+    """Per-element (cells, 4, 4) W, A, S; element e couples DOFs 2e..2e+3."""
     h = theta0 / cells
     val, d1, d2 = _hermite_tables(h)
-    left = h * np.arange(n_elem)
+    left = h * np.arange(cells)
     theta = left[:, None] + h * 0.5 * (1.0 + _GAUSS_X)[None, :]
     s = np.sin(theta)
     cot = np.cos(theta) / s
@@ -142,21 +141,22 @@ def _assemble_dense(theta0, cells, m):
         - (m * m) * inv2[:, None, :] * val[None, :, :]
     mass_e = np.einsum("ag,bg,eg->eab", val, val, wq)
     grad_e = np.einsum("ag,bg,eg->eab", d1, d1, wq) \
-        + (m * m) * np.einsum("ag,bg,eg->eab", val, val,
-                              wq * inv2)
+        + (m * m) * np.einsum("ag,bg,eg->eab", val, val, wq * inv2)
     bilap_e = np.einsum("eag,ebg,eg->eab", lphi, lphi, wq)
+    return {"W": mass_e, "A": grad_e, "S": bilap_e}
 
-    ndof = 2 * (cells + 1)
-    idx = 2 * np.arange(n_elem)[:, None] + np.arange(4)[None, :]
-    W = np.zeros((ndof, ndof))
-    A = np.zeros((ndof, ndof))
-    S = np.zeros((ndof, ndof))
-    rows = idx[:, :, None]
-    cols = idx[:, None, :]
-    np.add.at(W, (rows, cols), mass_e)
-    np.add.at(A, (rows, cols), grad_e)
-    np.add.at(S, (rows, cols), bilap_e)
-    return W, A, S
+
+def _scatter_bands(elem, index, order):
+    """Sum element matrices, in element order, into lower band storage.
+
+    ``index`` maps each full DOF to its kept position, −1 if constrained.
+    """
+    dofs = index[2 * np.arange(len(elem))[:, None] + np.arange(4)[None, :]]
+    rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+    lower = (cols >= 0) & (rows >= cols)
+    bands = np.zeros((4, order))
+    np.add.at(bands, ((rows - cols)[lower], cols[lower]), elem[lower])
+    return BandedSymMatrix(order, 3, bands)
 
 
 def _pole_constraints(m):
@@ -172,26 +172,25 @@ def build_mode_operator(theta0, cells, m, kind):
     if kind not in CAP_KINDS:
         raise ValueError(f"unknown cap problem kind {kind!r}")
     numerator, metric, slope_clamped, rim_corrected = _KIND_TABLE[kind]
-    W, A, S = _assemble_dense(theta0, cells, m)
-    ndof = W.shape[0]
+    elem = _element_matrices(theta0, cells, m)
+    ndof = 2 * (cells + 1)
     last_val, last_slope = ndof - 2, ndof - 1
 
     removed = list(_pole_constraints(m)) + [last_val]
     if slope_clamped:
         removed.append(last_slope)
     if rim_corrected:
-        # boundary correction −cosθ₀ u'(θ₀)² makes u''(θ₀)=0 natural
-        S[last_slope, last_slope] -= np.cos(theta0)
+        # boundary correction −cosθ₀ u'(θ₀)² makes u''(θ₀)=0 natural; the
+        # rim slope is local DOF 3 of the last element only
+        elem["S"][-1, 3, 3] -= np.cos(theta0)
     removed = tuple(sorted(removed))
 
-    pencil = {"W": W, "A": A, "S": S}
-    num, met = pencil[numerator], pencil[metric]
     keep = np.setdiff1d(np.arange(ndof), removed)
-    num = num[np.ix_(keep, keep)]
-    met = met[np.ix_(keep, keep)]
+    index = np.full(ndof, -1)
+    index[keep] = np.arange(keep.size)
     return ModeOperator(m, kind,
-                        BandedSymMatrix.from_dense(num),
-                        BandedSymMatrix.from_dense(met),
+                        _scatter_bands(elem[numerator], index, keep.size),
+                        _scatter_bands(elem[metric], index, keep.size),
                         removed, ndof)
 
 

@@ -130,15 +130,24 @@ class RunConfig:
             raise ConfigError(
                 f"solver.m = {self.m} cannot cover verify.k_max = "
                 f"{self.k_max}; need solver.m >= {self.k_max + 1}")
+        solves = self.mode == "solve" or (
+            self.mode in ("verify", "bounds") and self.spectrum_path is None)
         try:
             # the problem constructors re-validate edges, cells and angles
-            if self.mode in ("solve", "verify") and self.spectrum_path is None:
-                ElasticityProblem(self.edges, self.alpha, self.cells)
+            if solves:
+                box = ElasticityProblem(self.edges, self.alpha, self.cells)
             if self.mode == "cap":
                 CapProblem(self.theta0, "dirichlet_laplacian", self.mode_max,
                            self.radial_cells)
         except ValueError as err:
             raise ConfigError(str(err)) from None
+        if solves:
+            # LOBPCG needs m <= order/4; Richardson's coarse mesh is the limit
+            order = box.dim * math.prod(c - 1 for c in box.cells)
+            if self.m > order // 4:
+                raise ConfigError(
+                    f"solver.m = {self.m} exceeds order/4 = {order // 4} "
+                    f"of the {box.mesh_label()} mesh")
         if self.spectrum_path is not None \
                 and not os.path.exists(self.spectrum_path):
             raise ConfigError(f"spectrum file not found: {self.spectrum_path}")
@@ -218,6 +227,8 @@ def read_spectrum(path):
             dim, alpha, count = int(header[0]), float(header[1]), int(header[2])
         except ValueError as err:
             raise SpectrumFileError(f"bad header: {err}") from None
+        if count < 1:
+            raise SpectrumFileError("header count must be >= 1")
         values = np.empty(count)
         residuals = None
         for i in range(count):
@@ -225,13 +236,18 @@ def read_spectrum(path):
             if len(parts) not in (2, 3):
                 raise SpectrumFileError(
                     f"line {i + 2}: expected 'index value [residual]'")
-            if int(parts[0]) != i + 1:
+            try:
+                index = int(parts[0])
+                numbers = [float(p) for p in parts[1:]]
+            except ValueError as err:
+                raise SpectrumFileError(f"line {i + 2}: {err}") from None
+            if index != i + 1:
                 raise SpectrumFileError(f"line {i + 2}: index out of order")
-            values[i] = float(parts[1])
-            if len(parts) == 3:
+            values[i] = numbers[0]
+            if len(numbers) == 2:
                 if residuals is None:
                     residuals = np.zeros(count)
-                residuals[i] = float(parts[2])
+                residuals[i] = numbers[1]
     source = "computed" if residuals is not None else "synthetic"
     try:
         return Spectrum(dim, alpha, values, source=source,
@@ -302,6 +318,10 @@ def run_verify(cfg):
     geometry = None
     if cfg.spectrum_path is not None:
         spectrum = read_spectrum(cfg.spectrum_path)
+        if len(spectrum) < cfg.k_max + 1:
+            raise ConfigError(
+                f"verify.k_max = {cfg.k_max} needs {cfg.k_max + 1} "
+                f"eigenvalues; {cfg.spectrum_path} has {len(spectrum)}")
         tolerance = VerifyTolerance(rel=eps)
         mesh = f"file:{os.path.basename(cfg.spectrum_path)}"
     elif cfg.policy == "richardson":

@@ -125,6 +125,10 @@ class BandedSymMatrix:
 
     @classmethod
     def from_dense(cls, dense):
+        """Bands of a dense symmetric matrix; a test-side constructor.
+
+        The bandwidth is the farthest nonzero from the diagonal.
+        """
         dense = np.asarray(dense, dtype=np.float64)
         n = dense.shape[0]
         if dense.shape != (n, n):

@@ -10,7 +10,8 @@ with mpmath.
 import numpy as np
 import pytest
 
-from elastica.cap1d import (CapProblem, build_mode_operator,
+from elastica.cap1d import (_KIND_TABLE, CAP_KINDS, CapProblem,
+                            _element_matrices, build_mode_operator,
                             mode_eigenfunction, solve_cap)
 
 PI = np.pi
@@ -50,6 +51,32 @@ class TestModeOperators:
         # the slope DOF at the pole is constrained to zero for m = 0
         _, full = mode_eigenfunction(HEMI, 64, 0, "dirichlet_laplacian")
         assert full[1] == 0.0
+
+    @pytest.mark.parametrize("theta0", [HEMI, 1.0, 2.2])
+    @pytest.mark.parametrize("cells", [16, 33])
+    def test_bands_match_dense_assembly(self, theta0, cells):
+        # oracle: scatter the element matrices into dense ndof² matrices,
+        # correct the rim slope there, and cut out the constrained DOFs
+        ndof = 2 * (cells + 1)
+        idx = 2 * np.arange(cells)[:, None] + np.arange(4)[None, :]
+        for m in range(4):
+            dense = {}
+            for name, elem in _element_matrices(theta0, cells, m).items():
+                dense[name] = np.zeros((ndof, ndof))
+                np.add.at(dense[name], (idx[:, :, None], idx[:, None, :]),
+                          elem)
+            rim = dense["S"].copy()
+            rim[-1, -1] -= np.cos(theta0)
+            for kind in CAP_KINDS:
+                op = build_mode_operator(theta0, cells, m, kind)
+                numerator, metric, _, rim_corrected = _KIND_TABLE[kind]
+                keep = np.setdiff1d(np.arange(ndof), op.removed)
+                cut = np.ix_(keep, keep)
+                num = rim if rim_corrected else dense[numerator]
+                assert op.numerator.bandwidth == op.metric.bandwidth == 3
+                assert np.array_equal(op.numerator.to_dense(), num[cut])
+                assert np.array_equal(op.metric.to_dense(),
+                                      dense[metric][cut])
 
     def test_metric_positive_definite(self):
         from elastica.eigensolve import cholesky_banded

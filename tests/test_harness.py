@@ -153,6 +153,9 @@ class TestSpectrumFiles:
         ("2 0.0 2\n1 2.0\n2 1.0\n", "non-decreasing"),
         ("2 0.0 2\n1 -1.0\n2 1.0\n", "positive"),
         ("2 0.0 1\n1 1.0 2.0 3.0 4.0\n", "expected"),
+        ("2 0.0 2\n1 1.0\n2 abc\n", "line 3: could not convert"),
+        ("2 0.0 2\n1.5 1.0\n2 2.0\n", "line 2: invalid literal"),
+        ("2 0.0 -1\n", "count must be >= 1"),
     ])
     def test_malformed_rejected(self, tmp_path, content, msg):
         path = tmp_path / "bad.spec"
@@ -385,10 +388,27 @@ class TestCLI:
         (["verify", "--set", "solver.m=4", "--set", "verify.k_max=10"],
          "solver.m >= 11"),
         (["verify", "--set", "output.format=spectrum"], "output.format"),
+        (["solve", "--set", "mesh.cells=4,4", "--set", "solver.m=8",
+          "--set", "verify.k_max=4"], "exceeds order/4 = 4 of the 4x4"),
+        (["verify", "--set", "mesh.cells=4,4", "--set", "solver.m=8",
+          "--set", "verify.k_max=4"], "exceeds order/4 = 4 of the 4x4"),
     ], ids=["mesh_cells", "cap_cells", "negative_seed", "m_below_k_max",
-            "spectrum_format"])
+            "spectrum_format", "solve_m_above_order", "verify_m_above_order"])
     def test_bad_config_exits_one(self, argv, message, capsys):
         assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("content,k_max,message", [
+        ("2 0 2\n1 1.0\n2 abc\n", 1, "line 3"),
+        ("2 0 3\n1 1.0\n2 2.0\n3 3.0\n", 5, "verify.k_max = 5"),
+    ], ids=["non_numeric_value", "k_max_beyond_file"])
+    def test_bad_spectrum_file_exits_one(self, tmp_path, capsys, content,
+                                         k_max, message):
+        path = tmp_path / "in.spec"
+        path.write_text(content)
+        assert cli.main(["bounds", "--set", f"spectrum.path={path}",
+                         "--set", f"verify.k_max={k_max}"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
