@@ -15,17 +15,20 @@ nodes are lexicographic with the last coordinate fastest.
 
 The eigensolver applies these Kronecker sums matrix-free, as 1D three-point
 stencils along each axis (:func:`box_operators`); :func:`assemble` builds
-the same terms as CSR for the Matrix Market export and the tests.
+the same terms as CSR for the Matrix Market export and the tests.  Its
+preconditioner, the exact inverse of K(0) (:func:`laplacian_inverse`),
+takes the eigenvalues of the same 1D factors in the sine basis.  One term
+table (:func:`_terms`, :func:`_stencils_1d`) feeds all three.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dst import BlockLaplacianInverse
 from .sparse import SparseSymMatrix
 
 
@@ -46,13 +49,13 @@ class ElasticityProblem:
             raise ValueError("only 2D and 3D boxes are supported")
         if len(cells) != self.dim:
             raise ValueError("cells must list one resolution per direction")
-        if any(e <= 0 for e in edges):
-            raise ValueError("edges must be positive")
+        if not all(0 < e < math.inf for e in edges):
+            raise ValueError("edges must be positive and finite")
         if any(c < 2 for c in cells):
             raise ValueError("need at least 2 cells per direction "
                              "(one interior node)")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and non-negative")
 
     @property
     def dim(self):
@@ -232,6 +235,20 @@ class TensorProductOperator:
         return out[:, 0] if single else out
 
 
+def _operator(dof_map, terms):
+    """TensorProductOperator of Kronecker terms, merging equal factors."""
+    stencils = [_stencils_1d(h) for h in dof_map.spacings]
+    merged = {}
+    for row, col, scale, kinds in terms:
+        key = (row, col, kinds)
+        merged[key] = merged.get(key, 0.0) + scale
+    return TensorProductOperator(
+        dof_map.dim, dof_map.interior,
+        [(row, col, scale, tuple(stencils[d][kind]
+                                 for d, kind in enumerate(kinds)))
+         for (row, col, kinds), scale in merged.items()])
+
+
 def box_operators(problem):
     """Matrix-free (K, M) with the terms of :func:`assemble`.
 
@@ -239,21 +256,9 @@ def box_operators(problem):
     once, scaled by 1 + α.
     """
     dof_map = _dof_map(problem)
-    stencils = [_stencils_1d(h) for h in dof_map.spacings]
-
-    def operator(terms):
-        merged = {}
-        for row, col, scale, kinds in terms:
-            key = (row, col, kinds)
-            merged[key] = merged.get(key, 0.0) + scale
-        return TensorProductOperator(
-            dof_map.dim, dof_map.interior,
-            [(row, col, scale, tuple(stencils[d][kind]
-                                     for d, kind in enumerate(kinds)))
-             for (row, col, kinds), scale in merged.items()])
-
     lap_terms, div_terms, mass_terms = _terms(problem)
-    return operator(lap_terms + div_terms), operator(mass_terms)
+    return (_operator(dof_map, lap_terms + div_terms),
+            _operator(dof_map, mass_terms))
 
 
 def divergence_stiffness(problem):
@@ -263,11 +268,62 @@ def divergence_stiffness(problem):
     return _csr(_dof_map(unit), div_terms)
 
 
+def _dst1(a, axis):
+    """Type-I discrete sine transform along ``axis``.
+
+    Returns ``X[j] = sum_i a[i] * sin(pi (i+1)(j+1) / (n+1))``; applying it
+    twice multiplies by (n+1)/2.
+    """
+    a = np.moveaxis(a, axis, 0)
+    n = a.shape[0]
+    w = np.zeros((2 * n + 2,) + a.shape[1:])
+    w[1:n + 1] = a
+    w[n + 2:] = -a[::-1]
+    out = -0.5 * np.fft.rfft(w, axis=0).imag[1:n + 1]
+    return np.moveaxis(out, 0, axis)
+
+
 def laplacian_inverse(problem):
-    """Exact inverse of the α = 0 stiffness, the eigensolver preconditioner."""
+    """Exact inverse of the α = 0 stiffness, the eigensolver preconditioner.
+
+    The sine vectors diagonalise every symmetric constant tridiagonal
+    (lower, diag, lower), with eigenvalue diag + 2 lower cos(jπ/(n+1)) at
+    frequency j (Lynch, Rice & Thomas, Numer. Math. 6, 1964).  Each
+    Laplacian term is component-diagonal with symmetric factors, so its
+    symbol is the product of those eigenvalues over the axes, and the
+    inverse is a sine transform, a division by the summed symbols of the
+    component, and the transform back.  Returns the apply callable, which
+    takes a vector (n,) or a block (n, b).
+    """
     dof_map = _dof_map(problem)
-    return BlockLaplacianInverse(list(zip(dof_map.interior, dof_map.spacings)),
-                                 problem.dim)
+    shape = dof_map.interior
+    symbols = np.zeros((dof_map.dim,) + shape)
+    lap = _operator(dof_map, _terms(problem)[0])
+    for row, _, scale, stencils in lap.terms:
+        factors = np.ix_(*[
+            diag + 2.0 * lower * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+            for n, (lower, diag, _) in zip(shape, stencils)])
+        symbols[row] += scale * math.prod(factors)
+    norm = np.prod([2.0 / (n + 1) for n in shape])
+
+    def apply(x):
+        x = np.asarray(x, dtype=np.float64)
+        single = x.ndim == 1
+        xb = x[:, None] if single else x
+        work = xb.reshape((dof_map.dim,) + shape + (xb.shape[1],))
+        out = np.empty_like(work)
+        for c in range(dof_map.dim):
+            y = work[c]
+            for axis in range(len(shape)):
+                y = _dst1(y, axis)
+            y = y / symbols[c][..., None]
+            for axis in range(len(shape)):
+                y = _dst1(y, axis)
+            out[c] = y * norm
+        out = out.reshape(xb.shape)
+        return out[:, 0] if single else out
+
+    return apply
 
 
 def interpolate_field(problem, components):

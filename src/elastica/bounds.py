@@ -47,9 +47,9 @@ class DegenerateGapError(ValueError):
 class Spectrum:
     """Ordered eigenvalue list with provenance.
 
-    ``values`` must be strictly positive and non-decreasing.  Computed
-    spectra carry per-eigenvalue residual norms and the solver tolerance
-    they were required to meet.
+    ``values`` must be finite, strictly positive and non-decreasing.
+    Computed spectra carry per-eigenvalue residual norms (finite and
+    non-negative) and the solver tolerance they were required to meet.
     """
 
     dim: int
@@ -65,12 +65,12 @@ class Spectrum:
         object.__setattr__(self, "values", values)
         if self.dim < 1:
             raise SpectrumError("dimension must be >= 1")
-        if self.alpha < 0:
-            raise SpectrumError("alpha must be non-negative")
+        if not 0 <= self.alpha < math.inf:
+            raise SpectrumError("alpha must be finite and non-negative")
         if values.ndim != 1 or values.size < 1:
             raise SpectrumError("need at least one eigenvalue")
-        if not np.all(values > 0):
-            raise SpectrumError("eigenvalues must be positive")
+        if not np.all((values > 0) & (values < np.inf)):
+            raise SpectrumError("eigenvalues must be positive and finite")
         if np.any(np.diff(values) < 0):
             raise SpectrumError("eigenvalues must be non-decreasing")
         if self.source not in SPECTRUM_SOURCES:
@@ -80,6 +80,8 @@ class Spectrum:
             object.__setattr__(self, "residuals", residuals)
             if residuals.shape != values.shape:
                 raise SpectrumError("residuals must match values in length")
+            if not np.all((residuals >= 0) & (residuals < np.inf)):
+                raise SpectrumError("residuals must be finite and non-negative")
             if self.source == "computed" and self.solver_tol is not None \
                     and np.any(residuals > self.solver_tol):
                 raise SpectrumError("residuals exceed the recorded solver tolerance")

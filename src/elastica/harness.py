@@ -54,6 +54,8 @@ def parse_angle(text):
     if m:
         num = float(m.group(1)) if m.group(1) else 1.0
         den = float(m.group(2)) if m.group(2) else 1.0
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return num * math.pi / den
     return float(text)
 
@@ -219,6 +221,7 @@ def write_spectrum(path, spectrum):
 
 
 def read_spectrum(path):
+    rows = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
         if len(header) != 3:
@@ -229,8 +232,6 @@ def read_spectrum(path):
             raise SpectrumFileError(f"bad header: {err}") from None
         if count < 1:
             raise SpectrumFileError("header count must be >= 1")
-        values = np.empty(count)
-        residuals = None
         for i in range(count):
             parts = fh.readline().split()
             if len(parts) not in (2, 3):
@@ -238,16 +239,19 @@ def read_spectrum(path):
                     f"line {i + 2}: expected 'index value [residual]'")
             try:
                 index = int(parts[0])
-                numbers = [float(p) for p in parts[1:]]
+                rows.append([float(p) for p in parts[1:]])
             except ValueError as err:
                 raise SpectrumFileError(f"line {i + 2}: {err}") from None
             if index != i + 1:
                 raise SpectrumFileError(f"line {i + 2}: index out of order")
-            values[i] = numbers[0]
-            if len(numbers) == 2:
-                if residuals is None:
-                    residuals = np.zeros(count)
-                residuals[i] = numbers[1]
+        for lineno, line in enumerate(fh, count + 2):
+            if line.strip():
+                raise SpectrumFileError(
+                    f"line {lineno}: data past the declared count {count}")
+    values = np.array([row[0] for row in rows])
+    residuals = np.array([row[1] if len(row) == 2 else 0.0 for row in rows])
+    if all(len(row) == 1 for row in rows):
+        residuals = None
     source = "computed" if residuals is not None else "synthetic"
     try:
         return Spectrum(dim, alpha, values, source=source,

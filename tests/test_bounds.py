@@ -264,6 +264,20 @@ class TestSpectrumValidation:
         with pytest.raises(SpectrumError):
             Spectrum(2, -0.5, np.array([1.0]))
 
+    @pytest.mark.parametrize("alpha,values,residuals", [
+        (0.0, [1.0, np.inf], None),
+        (0.0, [1.0, np.nan], None),
+        (np.inf, [1.0, 2.0], None),
+        (np.nan, [1.0, 2.0], None),
+        (0.0, [1.0, 2.0], [1e-10, np.nan]),
+        (0.0, [1.0, 2.0], [np.inf, 1e-10]),
+        (0.0, [1.0, 2.0], [-1e-10, 1e-10]),
+    ], ids=["inf_value", "nan_value", "inf_alpha", "nan_alpha",
+            "nan_residual", "inf_residual", "negative_residual"])
+    def test_rejects_non_finite(self, alpha, values, residuals):
+        with pytest.raises(SpectrumError):
+            Spectrum(2, alpha, np.array(values), residuals=residuals)
+
     def test_residual_contract(self):
         Spectrum(2, 0.0, np.array([1.0, 2.0]), source="computed",
                  residuals=np.array([1e-10, 1e-10]), solver_tol=1e-8)

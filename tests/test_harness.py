@@ -156,12 +156,32 @@ class TestSpectrumFiles:
         ("2 0.0 2\n1 1.0\n2 abc\n", "line 3: could not convert"),
         ("2 0.0 2\n1.5 1.0\n2 2.0\n", "line 2: invalid literal"),
         ("2 0.0 -1\n", "count must be >= 1"),
+        ("2 0 2\n1 1.0\n2 2.0\n3 0.5\n",
+         "line 4: data past the declared count 2"),
+        ("2 0 1000000000000\n1 1.0\n", "line 3: expected"),
+        ("2 0 2\n1 inf\n2 inf\n", "positive and finite"),
+        ("2 0 2\n1 1.0\n2 nan\n", "positive and finite"),
+        ("2 nan 1\n1 1.0\n", "alpha must be finite"),
+        ("2 0 1\n1 1.0 nan\n", "residuals must be finite"),
+        ("2 0 1\n1 1.0 -1e-12\n", "residuals must be finite"),
     ])
     def test_malformed_rejected(self, tmp_path, content, msg):
         path = tmp_path / "bad.spec"
         path.write_text(content)
         with pytest.raises(SpectrumFileError, match=msg):
             read_spectrum(path)
+
+    def test_missing_residuals_read_as_zero(self, tmp_path):
+        path = tmp_path / "s.spec"
+        path.write_text("2 0 3\n1 1.0 1e-9\n2 2.0\n3 3.0 2e-9\n")
+        back = read_spectrum(path)
+        assert back.source == "computed"
+        assert np.array_equal(back.residuals, [1e-9, 0.0, 2e-9])
+
+    def test_trailing_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "s.spec"
+        path.write_text("2 0 2\n1 1.0\n2 2.0\n\n  \n")
+        assert np.array_equal(read_spectrum(path).values, [1.0, 2.0])
 
 
 class TestVerifyFlows:
@@ -392,8 +412,15 @@ class TestCLI:
           "--set", "verify.k_max=4"], "exceeds order/4 = 4 of the 4x4"),
         (["verify", "--set", "mesh.cells=4,4", "--set", "solver.m=8",
           "--set", "verify.k_max=4"], "exceeds order/4 = 4 of the 4x4"),
+        (["verify", "--set", "domain.alpha=nan", "--set", "mesh.cells=6,6",
+          "--set", "solver.m=5", "--set", "verify.k_max=4"],
+         "alpha must be finite"),
+        (["solve", "--set", "domain.edges=inf,1"], "positive and finite"),
+        (["solve", "--set", "domain.edges=nan,1"], "positive and finite"),
+        (["cap", "--set", "cap.theta0=pi/0"], "zero denominator"),
     ], ids=["mesh_cells", "cap_cells", "negative_seed", "m_below_k_max",
-            "spectrum_format", "solve_m_above_order", "verify_m_above_order"])
+            "spectrum_format", "solve_m_above_order", "verify_m_above_order",
+            "nan_alpha", "infinite_edge", "nan_edge", "angle_over_zero"])
     def test_bad_config_exits_one(self, argv, message, capsys):
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
@@ -402,7 +429,11 @@ class TestCLI:
     @pytest.mark.parametrize("content,k_max,message", [
         ("2 0 2\n1 1.0\n2 abc\n", 1, "line 3"),
         ("2 0 3\n1 1.0\n2 2.0\n3 3.0\n", 5, "verify.k_max = 5"),
-    ], ids=["non_numeric_value", "k_max_beyond_file"])
+        ("2 0 2\n1 1.0\n2 2.0\n3 0.5\n", 1, "line 4"),
+        ("2 0 1000000000000\n1 1.0\n", 1, "line 3"),
+        ("2 0 2\n1 inf\n2 inf\n", 1, "positive and finite"),
+    ], ids=["non_numeric_value", "k_max_beyond_file", "data_past_count",
+            "huge_count", "infinite_values"])
     def test_bad_spectrum_file_exits_one(self, tmp_path, capsys, content,
                                          k_max, message):
         path = tmp_path / "in.spec"

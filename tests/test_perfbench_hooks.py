@@ -9,6 +9,7 @@ import importlib
 from pathlib import Path
 
 from elastica import cap1d, eigensolve, harness
+from elastica.assembly import ElasticityProblem
 from elastica.cap1d import CapProblem
 from elastica.sparse import BandedSymMatrix
 
@@ -23,6 +24,10 @@ def _hooks():
         "from_dense": vars(BandedSymMatrix)["from_dense"],
         "solve_problem": vars(harness)["solve_problem"],
         "smallest_eigenpairs": vars(harness)["smallest_eigenpairs"],
+        "laplacian_inverse": vars(harness)["laplacian_inverse"],
+        "assemble": vars(harness)["assemble"],
+        "evaluate_all": vars(harness)["evaluate_all"],
+        "save_report": vars(harness)["save_report"],
     }
 
 
@@ -34,12 +39,16 @@ def test_instrument_wraps_and_restores(monkeypatch):
         inside = _hooks()
         cap1d.solve_cap(CapProblem(1.0, "q_problem", mode_max=1,
                                    radial_cells=16))
+        harness.solve_problem(ElasticityProblem((1.0, 1.0), 1.0, (8, 8)),
+                              4, 1e-8, 7)
     assert all(inside[name] is not before[name] for name in before)
     after = _hooks()
     assert all(after[name] is before[name] for name in before)
     names = {span.name for span in trace.spans}
     assert {"cap1d.build_mode_operator", "eigensolve.banded_smallest",
             "eigensolve.cholesky_banded",
-            "eigensolve.banded_solve"} <= names
+            "eigensolve.banded_solve", "dst.laplacian_inverse",
+            "dst.precond_apply", "eigensolve.K_apply",
+            "eigensolve.M_apply"} <= names
     # the cap pencils are scattered into bands, never built dense
     assert "sparse.from_dense" not in names
