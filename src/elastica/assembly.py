@@ -16,9 +16,11 @@ nodes are lexicographic with the last coordinate fastest.
 The eigensolver applies these Kronecker sums matrix-free, as 1D three-point
 stencils along each axis (:func:`box_operators`); :func:`assemble` builds
 the same terms as CSR for the Matrix Market export and the tests.  Its
-preconditioner, the exact inverse of K(0) (:func:`laplacian_inverse`),
-takes the eigenvalues of the same 1D factors in the sine basis.  One term
-table (:func:`_terms`, :func:`_stencils_1d`) feeds all three.
+preconditioner has two layers: the exact inverse of K(0)
+(:func:`laplacian_inverse`), which takes the eigenvalues of the same 1D
+factors in the sine basis and transforms with dense sine matrices, and
+Chebyshev steps for K(α) on [1, 1+α] around it (:func:`chebyshev`).  One
+term table (:func:`_terms`, :func:`_stencils_1d`) feeds all of them.
 """
 
 from __future__ import annotations
@@ -268,23 +270,17 @@ def divergence_stiffness(problem):
     return _csr(_dof_map(unit), div_terms)
 
 
-def _dst1(a, axis):
-    """Type-I discrete sine transform along ``axis``.
+def _sine_matrix(n):
+    """Orthonormal type-I sine matrix √(2/(n+1))·sin(π i j/(n+1)), i, j = 1..n.
 
-    Returns ``X[j] = sum_i a[i] * sin(pi (i+1)(j+1) / (n+1))``; applying it
-    twice multiplies by (n+1)/2.
+    It is symmetric and its own inverse.
     """
-    a = np.moveaxis(a, axis, 0)
-    n = a.shape[0]
-    w = np.zeros((2 * n + 2,) + a.shape[1:])
-    w[1:n + 1] = a
-    w[n + 2:] = -a[::-1]
-    out = -0.5 * np.fft.rfft(w, axis=0).imag[1:n + 1]
-    return np.moveaxis(out, 0, axis)
+    j = np.arange(1, n + 1)
+    return math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
 
 
 def laplacian_inverse(problem):
-    """Exact inverse of the α = 0 stiffness, the eigensolver preconditioner.
+    """Exact inverse of the α = 0 stiffness K(0), the inner preconditioner.
 
     The sine vectors diagonalise every symmetric constant tridiagonal
     (lower, diag, lower), with eigenvalue diag + 2 lower cos(jπ/(n+1)) at
@@ -292,8 +288,10 @@ def laplacian_inverse(problem):
     Laplacian term is component-diagonal with symmetric factors, so its
     symbol is the product of those eigenvalues over the axes, and the
     inverse is a sine transform, a division by the summed symbols of the
-    component, and the transform back.  Returns the apply callable, which
-    takes a vector (n,) or a block (n, b).
+    component, and the transform back.  Each transform multiplies by one
+    dense orthonormal sine matrix per axis (a BLAS matmul on a reshaped
+    view of the block, with no padded copy as an FFT would need).  Returns
+    the apply callable, which takes a vector (n,) or a block (n, b).
     """
     dof_map = _dof_map(problem)
     shape = dof_map.interior
@@ -304,24 +302,68 @@ def laplacian_inverse(problem):
             diag + 2.0 * lower * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
             for n, (lower, diag, _) in zip(shape, stencils)])
         symbols[row] += scale * math.prod(factors)
-    norm = np.prod([2.0 / (n + 1) for n in shape])
+    sines = [_sine_matrix(n) for n in shape]
+    # the component axis leads every transform as a batch axis
+    batches = [dof_map.dim * math.prod(shape[:a]) for a in range(len(shape))]
+
+    def transform(y):
+        for S, batch in zip(sines, batches):
+            y = S @ y.reshape(batch, S.shape[0], -1)
+        return y
 
     def apply(x):
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[:, None] if single else x
-        work = xb.reshape((dof_map.dim,) + shape + (xb.shape[1],))
-        out = np.empty_like(work)
-        for c in range(dof_map.dim):
-            y = work[c]
-            for axis in range(len(shape)):
-                y = _dst1(y, axis)
-            y = y / symbols[c][..., None]
-            for axis in range(len(shape)):
-                y = _dst1(y, axis)
-            out[c] = y * norm
-        out = out.reshape(xb.shape)
-        return out[:, 0] if single else out
+        y = transform(x).reshape(symbols.shape + (-1,)) / symbols[..., None]
+        return transform(y).reshape(x.shape)
+
+    return apply
+
+
+def _chebyshev_steps(alpha):
+    """Smallest k >= 1 with T_k((2+α)/α) >= 3; 1 at α = 0.
+
+    k steps on [1, 1+α] leave a residual polynomial bounded by 1/T_k, so
+    the preconditioned spectrum lies in [2/3, 4/3].
+    """
+    if alpha == 0:
+        return 1
+    sigma = (2.0 + alpha) / alpha
+    k, t_prev, t = 1, 1.0, sigma
+    while t < 3.0:
+        k, t_prev, t = k + 1, t, 2.0 * sigma * t - t_prev
+    return k
+
+
+def chebyshev(K, inner, alpha):
+    """Chebyshev-accelerated preconditioner for K(α) around K(0)⁻¹.
+
+    For u in H¹₀, ∫|∇u|² = ∫|div u|² + ∫|curl u|², so the conforming fields
+    give K(0) <= K(α) <= (1+α) K(0) and spec(K(0)⁻¹K(α)) ⊂ [1, 1+α].  The
+    apply runs k steps of Chebyshev iteration for K z = r from z = 0 on that
+    interval, with ``inner`` (K(0)⁻¹) as the preconditioner (Saad,
+    *Iterative Methods for Sparse Linear Systems*, Alg. 12.1).  It is a
+    fixed polynomial in K(0)⁻¹K times K(0)⁻¹: symmetric, positive definite
+    and deterministic.  k comes from α alone (:func:`_chebyshev_steps`);
+    with k = 1 ``inner`` itself is returned.
+    """
+    steps = _chebyshev_steps(alpha)
+    if steps == 1:
+        return inner
+    delta = 0.5 * alpha
+    theta = 1.0 + delta
+    sigma = theta / delta
+
+    def apply(r):
+        rho = 1.0 / sigma
+        d = inner(r) / theta
+        z = d
+        for _ in range(steps - 1):
+            r = r - K.matvec(d)
+            rho_next = 1.0 / (2.0 * sigma - rho)
+            d = (rho_next * rho) * d + (2.0 * rho_next / delta) * inner(r)
+            rho = rho_next
+            z = z + d
+        return z
 
     return apply
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import (ElasticityProblem, assemble, box_operators,
-                       laplacian_inverse)
+                       chebyshev, laplacian_inverse)
 from .bounds import (BoundRecord, DomainGeometry, Spectrum, VerifyTolerance,
                      _verdict, evaluate_all)
 from .cap1d import CAP_KINDS, CapProblem, solve_cap
@@ -127,6 +127,13 @@ class RunConfig:
             raise ConfigError("solver.tol out of range (0, 1e-2]")
         if self.seed < 0:
             raise ConfigError("solver.seed must be >= 0")
+        # every report echoes these, whether or not the run uses them
+        if not all(0 < e < math.inf for e in self.edges):
+            raise ConfigError("domain.edges must be positive and finite")
+        if not 0 <= self.alpha < math.inf:
+            raise ConfigError("domain.alpha must be finite and non-negative")
+        if not math.isfinite(self.theta0):
+            raise ConfigError("cap.theta0 must be finite")
         if self.mode in ("verify", "bounds") and self.spectrum_path is None \
                 and self.m < self.k_max + 1:
             raise ConfigError(
@@ -267,11 +274,12 @@ def solve_problem(problem, m, tol, seed):
     """Solve the box pencil; returns (Spectrum, EigenResult).
 
     K(α) and M are applied matrix-free as tensor-product stencils
-    (:func:`box_operators`) and preconditioned by the exact DST inverse of
-    the α = 0 stiffness; no CSR matrix is assembled.
+    (:func:`box_operators`) and preconditioned by Chebyshev steps on
+    [1, 1+α] around the exact sine-transform inverse of the α = 0
+    stiffness; no CSR matrix is assembled.
     """
     K, M = box_operators(problem)
-    precond = laplacian_inverse(problem)
+    precond = chebyshev(K, laplacian_inverse(problem), problem.alpha)
     result = smallest_eigenpairs(K, M, m, tol=tol, seed=seed, precond=precond)
     spectrum = Spectrum(problem.dim, problem.alpha, result.values,
                         source="computed", mesh=problem.mesh_label(),

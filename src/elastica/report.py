@@ -16,6 +16,7 @@ from . import __version__
 from .bounds import VERDICTS, BoundRecord
 
 CSV_HEADER = "name,k,bound,measured,slack,verdict"
+_VALUE_FIELDS = ("bound_value", "measured_value", "slack")
 
 
 class ReportFormatError(ValueError):
@@ -67,11 +68,14 @@ class VerificationReport:
         payload = {
             "config": self.config,
             "spectrum": self.spectrum,
-            "records": [vars(r) for r in self.records],
+            # a skip record has no values: NaN in memory, null in JSON
+            "records": [{key: None if isinstance(v, float) and np.isnan(v)
+                         else v for key, v in vars(r).items()}
+                        for r in self.records],
             "summary": self.summary,
             "provenance": self.provenance,
         }
-        return json.dumps(payload, indent=1)
+        return json.dumps(payload, indent=1, allow_nan=False)
 
     @classmethod
     def from_json(cls, text):
@@ -85,7 +89,9 @@ class VerificationReport:
         records = []
         for raw in payload["records"]:
             try:
-                records.append(BoundRecord(**raw))
+                records.append(BoundRecord(**{
+                    key: np.nan if v is None and key in _VALUE_FIELDS else v
+                    for key, v in raw.items()}))
             except TypeError as err:
                 raise ReportFormatError(f"bad record entry: {err}") from None
         report = cls(payload["config"], records,

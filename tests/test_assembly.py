@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from elastica.assembly import (DofMap, ElasticityProblem, assemble,
-                               box_operators, divergence_stiffness,
-                               interpolate_field, laplacian_inverse,
-                               reference_spectrum_alpha0)
+from elastica.assembly import (DofMap, ElasticityProblem, _chebyshev_steps,
+                               assemble, box_operators, chebyshev,
+                               divergence_stiffness, interpolate_field,
+                               laplacian_inverse, reference_spectrum_alpha0)
 from conftest import dense_generalized_eigs
 
 PI = np.pi
@@ -202,6 +202,73 @@ class TestPreconditioner:
         y = T(K.matvec(x))
         assert y.shape == x.shape
         assert np.abs(y - x).max() < 1e-10
+
+
+CHEBYSHEV_CASES = [((PI, 1.7), (6, 7)), ((PI, PI, 2.0), (3, 4, 5))]
+
+
+@pytest.mark.parametrize("edges,cells", CHEBYSHEV_CASES, ids=["2d", "3d"])
+class TestChebyshev:
+    """The Chebyshev preconditioner on [1, 1+α] against dense oracles."""
+
+    def test_interval_holds(self, edges, cells):
+        # ∫|∇u|² = ∫|div u|² + ∫|curl u|² on H¹₀ gives K_div <= K_lap
+        p = ElasticityProblem(edges, 0.0, cells)
+        K0, _, _ = assemble(p)
+        w = dense_generalized_eigs(divergence_stiffness(p), K0)
+        assert w.max() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("alpha,steps", [(1.0, 1), (2.0, 2), (10.0, 3),
+                                             (20.0, 4)])
+    def test_matches_dense_polynomial(self, edges, cells, alpha, steps):
+        # k steps leave the error polynomial T_k((θ − BA)/δ) / T_k(θ/δ),
+        # B = K(0)⁻¹, so the apply is (I − T_k(E)/T_k(θ/δ)) A⁻¹; k = 1 is
+        # returned unscaled (B itself), which LOBPCG cannot tell apart
+        assert _chebyshev_steps(alpha) == steps
+        p = ElasticityProblem(edges, alpha, cells)
+        A = assemble(p)[0].to_dense()
+        B = np.linalg.inv(assemble(ElasticityProblem(edges, 0.0, cells))[0]
+                          .to_dense())
+        eye = np.eye(len(A))
+        if steps == 1:
+            expected = B
+        else:
+            delta = alpha / 2
+            theta = 1.0 + delta
+            E = (theta * eye - B @ A) / delta
+            t_prev, t = eye, E
+            s_prev, s = 1.0, theta / delta
+            for _ in range(steps - 1):
+                t_prev, t = t, 2.0 * E @ t - t_prev
+                s_prev, s = s, 2.0 * (theta / delta) * s - s_prev
+            expected = (eye - t / s) @ np.linalg.inv(A)
+        K, _ = box_operators(p)
+        got = chebyshev(K, laplacian_inverse(p), alpha)(eye)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("alpha", [2.0, 10.0, 100.0])
+    def test_symmetric_positive_definite(self, edges, cells, alpha, rng):
+        p = ElasticityProblem(edges, alpha, cells)
+        K, _ = box_operators(p)
+        P = chebyshev(K, laplacian_inverse(p), alpha)
+        x, y = rng.standard_normal((2, K.order))
+        xPy, yPx = x @ P(y), y @ P(x)
+        assert abs(xPy - yPx) <= 1e-12 * abs(xPy)
+        dense = P(np.eye(K.order))
+        assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_one_step_is_the_inner_inverse(self, edges, cells, alpha, rng):
+        p = ElasticityProblem(edges, alpha, cells)
+        K, _ = box_operators(p)
+        inner = laplacian_inverse(p)
+        x = rng.standard_normal((K.order, 3))
+        assert np.array_equal(chebyshev(K, inner, alpha)(x), inner(x))
+
+
+def test_chebyshev_steps_from_alpha():
+    assert [_chebyshev_steps(a) for a in (0.0, 0.5, 1.0, 2.0, 10.0, 100.0)] \
+        == [1, 1, 1, 2, 3, 9]
 
 
 class TestConvergence:

@@ -151,6 +151,16 @@ class TestLOBPCG:
         assert np.all(np.abs(shifted.values - base.values - 1.0)
                       <= 20 * tol * shifted.values)
 
+    def test_iterations_independent_of_alpha(self):
+        # the production preconditioner: Chebyshev steps on [1, 1+α]
+        # around K(0)⁻¹ keep the preconditioned spectrum in [2/3, 4/3]
+        iterations = {}
+        for alpha in (0.0, 100.0):
+            p = ElasticityProblem((PI, PI), alpha, (32, 32))
+            _, res = solve_problem(p, 8, 1e-8, 7)
+            iterations[alpha] = res.iterations
+        assert iterations[100.0] <= 2 * iterations[0.0]
+
     def test_rejects_m_too_large(self):
         K = diag_csr(np.arange(1.0, 17.0))
         with pytest.raises(ValueError, match="order/4"):
@@ -174,6 +184,42 @@ class TestLOBPCG:
         assert not partial.converged.all()
         assert partial.iterations == 2
         assert str(info.value).count("tol")  # names the tolerance and indices
+        assert_certified(K, identity_csr(n), partial)
+
+    def test_budget_ending_as_implicit_norms_pass(self):
+        # the in-loop norms come from the K X, M X blocks the iteration
+        # holds; with maxiter at the converged run's count the loop ends
+        # right after they pass, before its own check, so the exit must
+        # polish and recompute explicitly, as the converged break does
+        p = ElasticityProblem((PI, PI), 2.0, (12, 12))
+        K, M, _ = assemble(p)
+        precond = laplacian_inverse(p)
+        full = smallest_eigenpairs(K, M, 6, tol=1e-10, seed=8,
+                                   precond=precond)
+        assert_certified(K, M, full)
+        for maxiter in (full.iterations, full.iterations - 1):
+            try:
+                res = smallest_eigenpairs(K, M, 6, tol=1e-10, seed=8,
+                                          precond=precond, maxiter=maxiter)
+            except ConvergenceError as err:
+                res = err.result
+                assert maxiter < full.iterations
+            assert res.iterations == maxiter
+            assert_certified(K, M, res)
+            if maxiter == full.iterations:
+                assert np.array_equal(res.values, full.values)
+                assert np.array_equal(res.vectors, full.vectors)
+                assert res.converged.all()
+
+
+def assert_certified(K, M, result):
+    """Reported residuals are explicit CSR ones; vectors M-orthonormal."""
+    X = result.vectors
+    R = K.matvec(X) - M.matvec(X) * result.values
+    fresh = np.linalg.norm(R, axis=0) / np.abs(result.values)
+    assert np.all(np.abs(result.residuals - fresh) <= 1e-12 * fresh)
+    gram = X.T @ M.matvec(X)
+    assert np.abs(gram - np.eye(X.shape[1])).max() <= 1e-10
 
 
 class TestBandedCholesky:

@@ -304,6 +304,26 @@ class TestReports:
         assert render_csv(back.records) == render_csv(report.records)
         assert back.summary == report.summary
 
+    def test_skip_records_written_as_strict_json(self, tmp_path):
+        # α = 0 has double eigenvalues, so some ratio records are skips
+        report = run_verify(tiny_verify_config())
+        skips = [r for r in report.records if r.verdict == "skip"]
+        assert skips and all(np.isnan(r.slack) for r in skips)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(report.to_json(), parse_constant=reject)
+        written = [r for r in payload["records"] if r["verdict"] == "skip"]
+        assert all(r["bound_value"] is r["measured_value"] is r["slack"]
+                   is None for r in written)
+        path = tmp_path / "r.json"
+        save_report(report, path)
+        back = load_report(path)
+        assert all(np.isnan(r.slack) for r in back.records
+                   if r.verdict == "skip")
+        assert render_table([back]) == render_table([report])
+
     def test_summary_tamper_detected(self, tmp_path):
         report = run_verify(tiny_verify_config())
         payload = json.loads(report.to_json())
@@ -418,13 +438,32 @@ class TestCLI:
         (["solve", "--set", "domain.edges=inf,1"], "positive and finite"),
         (["solve", "--set", "domain.edges=nan,1"], "positive and finite"),
         (["cap", "--set", "cap.theta0=pi/0"], "zero denominator"),
+        # runs from a spectrum file solve nothing but still echo the domain
+        (["bounds", "--set", "spectrum.path={spec}", "--set",
+          "verify.k_max=2", "--set", "domain.alpha=nan", "--output",
+          "{out}"], "domain.alpha must be finite"),
+        (["bounds", "--set", "spectrum.path={spec}", "--set",
+          "verify.k_max=2", "--set", "domain.edges=-1,0", "--output",
+          "{out}"], "domain.edges must be positive and finite"),
+        (["verify", "--set", "spectrum.path={spec}", "--set",
+          "verify.k_max=2", "--set", "domain.alpha=-3", "--output",
+          "{out}"], "domain.alpha must be finite"),
+        (["bounds", "--set", "spectrum.path={spec}", "--set",
+          "verify.k_max=2", "--set", "cap.theta0=inf", "--output",
+          "{out}"], "cap.theta0 must be finite"),
     ], ids=["mesh_cells", "cap_cells", "negative_seed", "m_below_k_max",
             "spectrum_format", "solve_m_above_order", "verify_m_above_order",
-            "nan_alpha", "infinite_edge", "nan_edge", "angle_over_zero"])
-    def test_bad_config_exits_one(self, argv, message, capsys):
+            "nan_alpha", "infinite_edge", "nan_edge", "angle_over_zero",
+            "bounds_nan_alpha", "bounds_bad_edges",
+            "verify_file_negative_alpha", "bounds_infinite_theta0"])
+    def test_bad_config_exits_one(self, argv, message, capsys, tmp_path):
+        spec, out = tmp_path / "ok.spec", tmp_path / "r.json"
+        write_spectrum(spec, Spectrum(2, 0.0, np.array([2.0, 5.0, 8.0])))
+        argv = [a.format(spec=spec, out=out) for a in argv]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("content,k_max,message", [
         ("2 0 2\n1 1.0\n2 abc\n", 1, "line 3"),
