@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Alpha sweep on a box: solve, verify every bound, render reports.
 
-Writes one JSON report per alpha plus a merged CSV/table and optional SVG
-charts.  Honors ELASTICA_THREADS for parallel cases (0 = auto).
+Runs one Richardson verify per alpha, in order, and writes its JSON report
+to ``report_alpha<a>.json``.  The merged ``sweep.csv``, the ``sweep.txt``
+table and, with --svg, the per-inequality charts are rendered by
+``elastica report``; the exit status is that command's.
 
     python3 scripts/box_sweep.py --out out/sweep --alphas 0,0.5,1,2,10 \
         --cells 64 --k-max 15
@@ -15,9 +17,9 @@ from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from elastica.harness import RunConfig, run_verify_sweep  # noqa: E402
-from elastica.report import (render_csv, render_svg, render_table,  # noqa: E402
-                             save_report, svg_series_for)
+from elastica import cli  # noqa: E402
+from elastica.harness import RunConfig, parse_angle, run_verify  # noqa: E402
+from elastica.report import save_report  # noqa: E402
 
 
 def main():
@@ -35,43 +37,25 @@ def main():
     ap.add_argument("--svg", action="store_true")
     args = ap.parse_args()
 
-    from elastica.harness import parse_angle
     edges = tuple(parse_angle(t) for t in args.edges.split(","))
-    alphas = [float(a) for a in args.alphas.split(",")]
-    m = args.m or args.k_max + 1
     os.makedirs(args.out, exist_ok=True)
-
-    configs = [replace(RunConfig(mode="verify"), edges=edges, alpha=a,
-                       cells=(args.cells,) * len(edges), m=m,
-                       k_max=args.k_max, tol=args.tol, seed=args.seed,
-                       policy="richardson")
-               for a in alphas]
-    reports = run_verify_sweep(configs)
-
-    rows = []
-    for alpha, report in zip(alphas, reports):
-        path = os.path.join(args.out, f"report_alpha{alpha:g}.json")
-        save_report(report, path)
-        rows.extend(report.records)
+    paths = []
+    for alpha in (float(a) for a in args.alphas.split(",")):
+        report = run_verify(replace(
+            RunConfig(mode="verify"), edges=edges, alpha=alpha,
+            cells=(args.cells,) * len(edges), m=args.m or args.k_max + 1,
+            k_max=args.k_max, tol=args.tol, seed=args.seed,
+            policy="richardson"))
+        paths.append(os.path.join(args.out, f"report_alpha{alpha:g}.json"))
+        save_report(report, paths[-1])
         print(f"alpha={alpha:<5g} pass={report.summary['pass']:<4d} "
               f"marginal={report.summary['marginal']:<3d} "
               f"fail={report.summary['fail']:<3d} "
               f"skip={report.summary['skip']}")
-    with open(os.path.join(args.out, "sweep.csv"), "w") as fh:
-        fh.write(render_csv(rows))
-    with open(os.path.join(args.out, "sweep.txt"), "w") as fh:
-        fh.write(render_table(reports))
-    if args.svg:
-        for alpha, report in zip(alphas, reports):
-            for name in dict.fromkeys(r.name for r in report.records):
-                svg = render_svg(f"{name} (alpha={alpha:g})",
-                                 svg_series_for(report, name))
-                with open(os.path.join(
-                        args.out, f"alpha{alpha:g}_{name}.svg"), "w") as fh:
-                    fh.write(svg)
-    worst = max(rep.exit_code() for rep in reports)
-    print(f"reports in {args.out}; exit {worst}")
-    return worst
+    return cli.main(["report", *paths,
+                     "--csv", os.path.join(args.out, "sweep.csv"),
+                     "--table", os.path.join(args.out, "sweep.txt")]
+                    + (["--svg-dir", args.out] if args.svg else []))
 
 
 if __name__ == "__main__":

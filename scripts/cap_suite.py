@@ -16,7 +16,7 @@ from dataclasses import replace
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from elastica.harness import RunConfig, parse_angle, run_cap  # noqa: E402
-from elastica.report import save_report  # noqa: E402
+from elastica.report import exit_code, save_report  # noqa: E402
 
 
 def main():
@@ -27,7 +27,7 @@ def main():
     ap.add_argument("--out", default=None, help="directory for JSON reports")
     args = ap.parse_args()
 
-    worst = 0
+    reports = []
     for token in args.thetas.split(","):
         theta0 = parse_angle(token)
         cfg = replace(RunConfig(mode="cap"), theta0=theta0,
@@ -43,8 +43,8 @@ def main():
             os.makedirs(args.out, exist_ok=True)
             save_report(report, os.path.join(
                 args.out, f"cap_{theta0:.4f}.json"))
-        worst = max(worst, report.exit_code())
-    return worst
+        reports.append(report)
+    return exit_code(reports)
 
 
 if __name__ == "__main__":

@@ -23,8 +23,8 @@ from .eigensolve import ConvergenceError
 from .harness import (ConfigError, RunConfig, SpectrumFileError,
                       apply_overrides, load_config, run_cap, run_solve,
                       run_verify)
-from .report import (ReportFormatError, load_report, render_csv, render_svg,
-                     render_table, svg_series_for)
+from .report import (ReportFormatError, exit_code, load_report, render_csv,
+                     render_svg, render_table, svg_series_for)
 
 
 def _add_common(parser):
@@ -99,7 +99,7 @@ def _run_report(args):
                 path = os.path.join(args.svg_dir, f"{label}_{name}.svg")
                 with open(path, "w", encoding="ascii") as fh:
                     fh.write(render_svg(f"{name} ({rep.label()})", series))
-    return max(rep.exit_code() for rep in reports)
+    return exit_code(reports)
 
 
 def main(argv=None):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,8 +26,6 @@ from .cap1d import CAP_KINDS, CapProblem, solve_cap
 from .eigensolve import smallest_eigenpairs
 from .report import VerificationReport, render_csv, save_report
 from .sparse import read_matrix_market, write_matrix_market
-
-THREADS_ENV = "ELASTICA_THREADS"
 
 
 class ConfigError(ValueError):
@@ -109,7 +106,7 @@ class RunConfig:
     dump_matrices: str | None = None
 
     def validate(self):
-        if self.mode not in ("solve", "bounds", "verify", "cap", "report"):
+        if self.mode not in ("solve", "bounds", "verify", "cap"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not _POLICY_RE.fullmatch(self.policy):
             raise ConfigError(
@@ -473,29 +470,3 @@ def _emit(report, cfg):
             fh.write(render_csv(report.records))
     else:
         save_report(report, cfg.output_path)
-
-
-def worker_count():
-    """Worker cap from ELASTICA_THREADS; 0 means auto, unset means 1."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError(f"{THREADS_ENV} must be >= 0")
-    return n or (os.cpu_count() or 1)
-
-
-def run_verify_sweep(configs):
-    """Run independent verify cases, in parallel when allowed.
-
-    Results come back in input order regardless of scheduling, so sweep
-    output is deterministic.
-    """
-    configs = list(configs)
-    workers = min(worker_count(), max(len(configs), 1))
-    if workers <= 1 or len(configs) <= 1:
-        return [run_verify(c) for c in configs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_verify, configs))

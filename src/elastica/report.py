@@ -47,19 +47,17 @@ class VerificationReport:
         self.provenance.setdefault("version", __version__)
 
     def exit_code(self):
-        """0 = pass/skip only, 2 = marginal present, 1 = any fail."""
-        if self.summary["fail"]:
-            return 1
-        if self.summary["marginal"]:
-            return 2
-        return 0
+        return exit_code([self])
 
     def label(self):
-        alpha = self.config.get("domain.alpha")
-        mesh = self.provenance.get("mesh", "")
+        """Names the run by what it used: the spectrum's alpha (box and
+        spectrum-file runs) or the cap's theta0, then the mesh."""
         parts = []
-        if alpha is not None:
-            parts.append(f"alpha={alpha:g}")
+        if self.spectrum is not None and "alpha" in self.spectrum:
+            parts.append(f"alpha={self.spectrum['alpha']:g}")
+        elif "theta0" in self.provenance:
+            parts.append(f"theta0={self.provenance['theta0']:g}")
+        mesh = self.provenance.get("mesh", "")
         if mesh:
             parts.append(str(mesh))
         return " ".join(parts) or "run"
@@ -100,6 +98,15 @@ class VerificationReport:
         if report.summary != payload["summary"]:
             raise ReportFormatError("summary does not match the record tally")
         return report
+
+
+def exit_code(reports):
+    """1 = any fail, else 2 = any marginal, else 0 (pass/skip only)."""
+    if any(rep.summary["fail"] for rep in reports):
+        return 1
+    if any(rep.summary["marginal"] for rep in reports):
+        return 2
+    return 0
 
 
 def save_report(report, path):

@@ -15,8 +15,7 @@ from elastica.bounds import Spectrum
 from elastica.harness import (CONFIG_KEYS, ConfigError, RunConfig,
                               SpectrumFileError, apply_overrides, load_config,
                               parse_config_text, read_spectrum, run_cap,
-                              run_solve, run_verify, run_verify_sweep,
-                              worker_count, write_spectrum)
+                              run_solve, run_verify, write_spectrum)
 from elastica.report import (VerificationReport, load_report, render_csv,
                              render_svg, render_table, save_report,
                              svg_series_for)
@@ -242,26 +241,6 @@ class TestVerifyFlows:
         assert render_csv(a.records) == render_csv(b.records)
         assert a.to_json() == b.to_json()
 
-    def test_sweep_matches_sequential(self, monkeypatch):
-        configs = [tiny_verify_config(alpha=a) for a in (0.0, 0.5)]
-        monkeypatch.setenv("ELASTICA_THREADS", "1")
-        seq = run_verify_sweep(configs)
-        monkeypatch.setenv("ELASTICA_THREADS", "2")
-        par = run_verify_sweep(configs)
-        for r1, r2 in zip(seq, par):
-            assert render_csv(r1.records) == render_csv(r2.records)
-
-    def test_worker_count_parsing(self, monkeypatch):
-        monkeypatch.delenv("ELASTICA_THREADS", raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv("ELASTICA_THREADS", "0")
-        assert worker_count() >= 1
-        monkeypatch.setenv("ELASTICA_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("ELASTICA_THREADS", "many")
-        with pytest.raises(ConfigError):
-            worker_count()
-
 
 class TestCapRuns:
     def test_hemisphere_records(self):
@@ -379,6 +358,18 @@ class TestReports:
         assert VerificationReport({}, [rec("marginal"), rec("fail")]) \
             .exit_code() == 1
 
+    def test_label_names_the_spectrum_alpha(self, tmp_path):
+        # a bounds run on an α = 2 file echoes the default domain.alpha = 0
+        path = tmp_path / "string.spec"
+        write_spectrum(path, Spectrum(1, 2.0, np.arange(1.0, 8.0) ** 2))
+        report = run_verify(replace(RunConfig(mode="bounds"),
+                                    spectrum_path=str(path), k_max=4,
+                                    policy="fixed"))
+        assert report.config["domain.alpha"] == 0.0
+        assert report.label() == "alpha=2 file:string.spec"
+        save_report(report, tmp_path / "r.json")
+        assert load_report(tmp_path / "r.json").label() == report.label()
+
 
 class TestCLI:
     def test_solve_bounds_pipeline(self, tmp_path):
@@ -416,6 +407,37 @@ class TestCLI:
         assert csv_path.read_text().startswith("name,k,bound")
         assert "verdict" in table_path.read_text()
         assert any(p.suffix == ".svg" for p in svg_dir.iterdir())
+
+    def test_report_exit_code_over_reports(self, tmp_path):
+        # one fail outranks any number of marginals, in either order
+        from elastica.bounds import BoundRecord
+        paths = []
+        for verdict in ("fail", "marginal", "pass"):
+            paths.append(str(tmp_path / f"{verdict}.json"))
+            save_report(VerificationReport({}, [BoundRecord(
+                "x", "gap", 1, 1.0, 1.0, 0.0, verdict)]), paths[-1])
+        table = ["--table", str(tmp_path / "t.txt")]
+        assert cli.main(["report", *paths, *table]) == 1
+        assert cli.main(["report", *paths[::-1], *table]) == 1
+        assert cli.main(["report", *paths[1:], *table]) == 2
+        assert cli.main(["report", paths[2], *table]) == 0
+
+    def test_report_charts_each_cap_angle(self, tmp_path):
+        paths = []
+        for theta0 in (PI / 3, PI / 2):
+            paths.append(str(tmp_path / f"cap{len(paths)}.json"))
+            save_report(run_cap(replace(RunConfig(mode="cap"), theta0=theta0,
+                                        radial_cells=16, mode_max=1)),
+                        paths[-1])
+        reports = [load_report(p) for p in paths]
+        assert [r.label() for r in reports] == [
+            "theta0=1.0472 radial(16,32)", "theta0=1.5708 radial(16,32)"]
+        svg_dir = tmp_path / "plots"
+        cli.main(["report", *paths, "--table", str(tmp_path / "t.txt"),
+                  "--svg-dir", str(svg_dir)])
+        # 4 records at pi/3, 7 on the hemisphere: one chart each
+        assert sum(len(r.records) for r in reports) == 11
+        assert len(list(svg_dir.glob("*.svg"))) == 11
 
     def test_unknown_key_exits_one(self, capsys):
         assert cli.main(["verify", "--set", "solver.bogus=1"]) == 1

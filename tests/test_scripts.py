@@ -1,5 +1,5 @@
 """Smoke tests of the experiment scripts: each parses --help, and the box
-sweep runs end to end on a tiny mesh."""
+sweep and the cap suite run end to end on tiny meshes."""
 
 import json
 import os
@@ -9,28 +9,45 @@ from pathlib import Path
 
 import pytest
 
+from elastica.report import exit_code, load_report
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
+def _run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name),
+                           *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
 def test_help_exits_zero(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(script), "--help"], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_script(script.name, "--help")
     assert proc.returncode == 0, proc.stderr
 
 
 def test_box_sweep_runs(tmp_path):
     # α = 10 takes the Chebyshev-accelerated preconditioner (3 steps)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "box_sweep.py"), "--cells",
-         "6", "--alphas", "0,10", "--k-max", "3", "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_script("box_sweep.py", "--cells", "6", "--alphas", "0,10",
+                       "--k-max", "3", "--out", str(tmp_path), "--svg")
     assert proc.returncode == 0, proc.stderr
     reports = sorted(p.name for p in tmp_path.glob("report_alpha*.json"))
     assert reports == ["report_alpha0.json", "report_alpha10.json"]
-    for name in reports:
-        report = json.loads((tmp_path / name).read_text())
+    for alpha in ("0", "10"):
+        report = json.loads(
+            (tmp_path / f"report_alpha{alpha}.json").read_text())
         assert report["summary"]["fail"] == 0
+        # `elastica report` names charts <label>_<record>.svg
+        assert any(tmp_path.glob(f"alpha{alpha}_*.svg"))
+    assert (tmp_path / "sweep.csv").read_text().startswith("name,k,bound")
+    assert "verdict" in (tmp_path / "sweep.txt").read_text()
+
+
+def test_cap_suite_runs(tmp_path):
+    proc = _run_script("cap_suite.py", "--thetas", "pi/3,pi/2", "--cells",
+                       "16", "--mode-max", "1", "--out", str(tmp_path))
+    reports = [load_report(p) for p in sorted(tmp_path.glob("cap_*.json"))]
+    assert len(reports) == 2
+    assert proc.returncode == exit_code(reports), proc.stderr
