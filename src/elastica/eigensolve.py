@@ -1,14 +1,17 @@
 """Self-contained symmetric generalized eigensolvers.
 
-Two paths, both free of third-party eigensolver/factorisation libraries
-(numpy supplies array arithmetic and the dense Rayleigh-Ritz projections):
+Two paths, both free of third-party eigensolver libraries (numpy supplies
+array arithmetic, the dense Rayleigh-Ritz projections and the LAPACK
+factorisations of dense blocks):
 
 * :func:`smallest_eigenpairs`: preconditioned blocked LOBPCG iteration for
   large pencils (K, M) given as sparse or matrix-free operators,
   deterministic for a fixed seed.  The block is sized past the requested
   count so clustered eigenvalues are recovered.
 * :func:`banded_smallest`: banded Cholesky factorisation plus block inverse
-  iteration for small banded pencils (orders up to ~1e4).
+  iteration for small banded pencils (orders up to ~1e4).  The factor is
+  built and applied on dense 64×64 diagonal blocks with numpy's LAPACK
+  (``np.linalg.cholesky`` and ``inv``), coupled through bandwidth² corners.
 """
 
 from __future__ import annotations
@@ -222,53 +225,96 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     return result
 
 
+_BLOCK = 64
+
+
 @dataclass
 class BandedCholesky:
-    """Lower Cholesky factor of a banded SPD matrix, band storage."""
+    """Lower Cholesky factor of a banded SPD matrix in dense diagonal blocks.
+
+    The order is padded with identity rows to whole blocks.  ``inv_diag[j]``
+    is L_jj⁻¹; ``coupling[j]`` is the bandwidth² corner (first rows, last
+    columns) of L_{j,j−1}, its only nonzero part.
+    """
 
     order: int
     bandwidth: int
-    bands: np.ndarray
+    inv_diag: np.ndarray
+    coupling: np.ndarray
 
     def solve(self, b):
         """Solve L Lᵀ x = b for a vector or column block."""
         b = np.asarray(b, dtype=np.float64)
+        if b.shape[0] != self.order:
+            raise ValueError(f"factor of order {self.order} cannot solve an "
+                             f"operand of length {b.shape[0]}")
         single = b.ndim == 1
-        y = (b[:, None] if single else b).copy()
-        n, bw, L = self.order, self.bandwidth, self.bands
-        for i in range(n):
-            lo = max(0, i - bw)
-            if lo < i:
-                mults = L[i - np.arange(lo, i), np.arange(lo, i)]
-                y[i] -= mults @ y[lo:i]
-            y[i] /= L[0, i]
-        for i in range(n - 1, -1, -1):
-            hi = min(n, i + bw + 1)
-            if hi > i + 1:
-                y[i] -= L[1:hi - i, i] @ y[i + 1:hi]
-            y[i] /= L[0, i]
-        return y[:, 0] if single else y
+        b = b[:, None] if single else b
+        inv, C, bw = self.inv_diag, self.coupling, self.bandwidth
+        nblk, size, _ = inv.shape
+        y = np.zeros((nblk * size, b.shape[1]))
+        y[:self.order] = b
+        y = y.reshape(nblk, size, -1)
+        for j in range(nblk):
+            if j and bw:
+                y[j, :bw] -= C[j] @ y[j - 1, -bw:]
+            y[j] = inv[j] @ y[j]
+        for j in range(nblk - 1, -1, -1):
+            y[j] = inv[j].T @ y[j]
+            if j and bw:
+                y[j - 1, -bw:] -= C[j].T @ y[j, :bw]
+        x = y.reshape(nblk * size, -1)[:self.order]
+        return x[:, 0] if single else x
+
+
+def _first_bad_pivot(block):
+    """(index, value) of the first pivot ≤ 0 in the column loop on a dense
+    block; the smallest pivot if round-off lets every one pass."""
+    a = np.tril(block)
+    pivots = np.empty(len(a))
+    for k in range(len(a)):
+        pivots[k] = a[k, k]
+        if not pivots[k] > 0.0:
+            return k, pivots[k]
+        a[k:, k] /= np.sqrt(pivots[k])
+        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k + 1:, k])
+    k = int(np.argmin(pivots))
+    return k, pivots[k]
 
 
 def cholesky_banded(A):
-    """Banded Cholesky of a BandedSymMatrix; fails loudly on bad pivots."""
+    """Banded Cholesky of a BandedSymMatrix; fails loudly on bad pivots.
+
+    Factors dense diagonal blocks in order; block j's top-left corner first
+    loses c cᵀ, where c = A_{j,j−1} corner · (trailing corner of L_{j−1})⁻ᵀ.
+    """
     n, bw = A.order, A.bandwidth
-    L = np.zeros_like(A.bands)
-    src = A.bands
-    for j in range(n):
-        s = src[:, j].copy()
-        for k in range(max(0, j - bw), j):
-            t = j - k
-            ljk = L[t, k]
-            if ljk != 0.0:
-                lim = bw - t
-                s[:lim + 1] -= ljk * L[t:t + lim + 1, k]
-        if not s[0] > 0.0:
-            raise FactorizationError(j, s[0])
-        L[0, j] = np.sqrt(s[0])
-        if bw:
-            L[1:, j] = s[1:] / L[0, j]
-    return BandedCholesky(n, bw, L)
+    size = max(_BLOCK, bw)
+    nblk = -(-n // size)
+    diag = np.zeros((nblk, size, size))  # cholesky reads the lower triangle
+    corner = np.zeros((nblk, bw, bw))
+    for d in range(bw + 1):
+        col = np.arange(n - d)
+        blk, c = np.divmod(col, size)
+        row_blk, r = np.divmod(col + d, size)
+        vals = A.bands[d, :n - d]
+        same = row_blk == blk
+        diag[blk[same], r[same], c[same]] = vals[same]
+        cross = ~same
+        corner[row_blk[cross], r[cross], c[cross] - (size - bw)] = vals[cross]
+    pad = np.arange(n, nblk * size) - (nblk - 1) * size
+    diag[-1, pad, pad] = 1.0
+    for j in range(nblk):  # diag[:j] already holds the factors L_ii
+        if j and bw:
+            coupling = np.linalg.solve(diag[j - 1, -bw:, -bw:], corner[j].T).T
+            diag[j, :bw, :bw] -= coupling @ coupling.T
+            corner[j] = coupling
+        try:
+            diag[j] = np.linalg.cholesky(diag[j])
+        except np.linalg.LinAlgError:
+            k, value = _first_bad_pivot(diag[j])
+            raise FactorizationError(j * size + k, value) from None
+    return BandedCholesky(n, bw, np.linalg.inv(diag), corner)
 
 
 def banded_smallest(A, B=None, m=1, tol=1e-10, maxiter=300, seed=0,

@@ -222,23 +222,89 @@ def assert_certified(K, M, result):
     assert np.abs(gram - np.eye(X.shape[1])).max() <= 1e-10
 
 
+def banded_dominant(rng, n, bw):
+    """Random symmetric matrix of bandwidth bw, diagonally dominant."""
+    off = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+    off -= np.triu(off, bw + 1)
+    dense = off + off.T
+    return dense + np.diag(np.abs(dense).sum(axis=1) + 1.0)
+
+
+def column_loop_pivot(A):
+    """Oracle: the scalar banded column loop of the Cholesky factorisation.
+
+    Returns (index, value) of the first pivot that is not positive, or None.
+    """
+    n, bw = A.order, A.bandwidth
+    L = np.zeros_like(A.bands)
+    for j in range(n):
+        s = A.bands[:, j].copy()
+        for k in range(max(0, j - bw), j):
+            t = j - k
+            s[:bw - t + 1] -= L[t, k] * L[t:bw + 1, k]
+        if not s[0] > 0.0:
+            return j, s[0]
+        L[0, j] = np.sqrt(s[0])
+        L[1:, j] = s[1:] / L[0, j]
+    return None
+
+
 class TestBandedCholesky:
-    def test_factor_matches_dense(self, rng):
-        dense = rng.standard_normal((10, 10))
-        dense = dense @ dense.T + 10 * np.eye(10)
-        dense[np.abs(np.subtract.outer(np.arange(10), np.arange(10))) > 3] = 0
-        dense = 0.5 * (dense + dense.T)
+    @pytest.mark.parametrize("rhs", ["vector", "block"])
+    @pytest.mark.parametrize("bw", [0, 1, 3])
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 200])
+    def test_factor_matches_dense(self, rng, n, bw, rhs):
+        # orders around the 64-row block: one partial, one whole, one over
+        dense = banded_dominant(rng, n, bw)
         A = BandedSymMatrix.from_dense(dense)
-        L = cholesky_banded(A)
-        b = rng.standard_normal((10, 2))
-        x = L.solve(b)
-        assert np.allclose(dense @ x, b, atol=1e-10)
+        assert A.bandwidth == min(bw, n - 1)
+        b = rng.standard_normal(n if rhs == "vector" else (n, 3))
+        x = cholesky_banded(A).solve(b)
+        ref = np.linalg.solve(dense, b)
+        assert x.shape == b.shape
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_band_wider_than_block(self, rng):
+        dense = banded_dominant(rng, 150, 70)
+        b = rng.standard_normal((150, 2))
+        x = cholesky_banded(BandedSymMatrix.from_dense(dense)).solve(b)
+        ref = np.linalg.solve(dense, b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_singular_pivot_named(self):
         dense = np.diag([1.0, 1.0, 0.0, 1.0])
         A = BandedSymMatrix.from_dense(dense)
         with pytest.raises(FactorizationError, match="index 2"):
             cholesky_banded(A)
+
+    def test_zero_pivot_in_second_block(self, rng):
+        dense = banded_dominant(rng, 130, 3)
+        dense[100, :] = dense[:, 100] = 0.0
+        A = BandedSymMatrix.from_dense(dense)
+        assert column_loop_pivot(A) == (100, 0.0)
+        with pytest.raises(FactorizationError) as err:
+            cholesky_banded(A)
+        assert (err.value.pivot, err.value.value) == (100, 0.0)
+
+    def test_pivot_after_schur_update_across_blocks(self, rng):
+        # A[64, 64] is positive, so the second diagonal block alone factors;
+        # the coupling to the first block makes its first pivot negative
+        dense = banded_dominant(rng, 100, 3)
+        lead = np.linalg.solve(dense[:64, :64], dense[:64, 64])
+        dense[64, 64] = 0.5 * (dense[64, :64] @ lead)
+        A = BandedSymMatrix.from_dense(dense)
+        index, value = column_loop_pivot(A)
+        assert index == 64 and value < 0.0
+        with pytest.raises(FactorizationError) as err:
+            cholesky_banded(A)
+        assert err.value.pivot == 64
+        assert err.value.value == pytest.approx(value, rel=1e-12)
+
+    def test_solve_rejects_wrong_length(self):
+        factor = cholesky_banded(
+            BandedSymMatrix.from_dense(np.diag([4.0, 4.0, 4.0, 4.0])))
+        with pytest.raises(ValueError, match="order 4.*length 6"):
+            factor.solve(np.ones(6))
 
 
 class TestBandedSmallest:

@@ -1,8 +1,10 @@
 """Smoke tests of the experiment scripts: each parses --help, and the box
-sweep and the cap suite run end to end on tiny meshes."""
+sweep, the cap suite and the convergence study run end to end on tiny
+meshes."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,3 +53,17 @@ def test_cap_suite_runs(tmp_path):
     reports = [load_report(p) for p in sorted(tmp_path.glob("cap_*.json"))]
     assert len(reports) == 2
     assert proc.returncode == exit_code(reports), proc.stderr
+
+
+def test_convergence_study_runs():
+    # 32 radial cells give cap pencils of order 63 and 64: one padded and
+    # one whole 64-row Cholesky block
+    proc = _run_script("convergence_study.py", "--box", "4,8", "--cap",
+                       "16,32")
+    assert proc.returncode == 0, proc.stderr
+    box, cap = proc.stdout.split("hemisphere equalities:")
+    box_orders = [float(o) for o in re.findall(r"order (\S+)", box)]
+    cap_orders = [float(o) for o in re.findall(r"order (\S+)", cap)]
+    assert len(box_orders) == 1 and 1.9 <= box_orders[0] <= 2.1
+    assert len(cap_orders) == 2
+    assert all(3.8 <= o <= 4.2 for o in cap_orders)
