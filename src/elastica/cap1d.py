@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import FactorizationError, banded_smallest
+from .eigensolve import banded_smallest
 from .sparse import BandedSymMatrix
 
 # kind -> (numerator, metric, rim slope clamped, rim correction); numerator
@@ -195,19 +195,9 @@ def build_mode_operator(theta0, cells, m, kind):
 
 
 def _first_pair(op, tol=1e-13, seed=0):
-    """Smallest eigenpair of the mode pencil; shifts on rare breakdowns."""
-    shift = 0.0
-    scale = float(np.max(np.abs(op.numerator.bands[0])))
-    last_err = None
-    for _ in range(6):
-        try:
-            res = banded_smallest(op.numerator, op.metric, m=1, tol=tol,
-                                  seed=seed, shift=shift)
-            return float(res.values[0]), res.vectors[:, 0]
-        except FactorizationError as err:
-            last_err = err
-            shift = 1e-8 * scale if shift == 0.0 else shift * 100.0
-    raise last_err
+    """Smallest eigenpair of the mode pencil."""
+    res = banded_smallest(op.numerator, op.metric, m=1, tol=tol, seed=seed)
+    return float(res.values[0]), res.vectors[:, 0]
 
 
 def mode_eigenfunction(theta0, cells, m, kind):

@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .eigensolve import ConvergenceError
+from .eigensolve import BreakdownError, ConvergenceError
 from .harness import (ConfigError, RunConfig, SpectrumFileError,
                       apply_overrides, load_config, run_cap, run_solve,
                       run_verify)
@@ -129,7 +129,7 @@ def main(argv=None):
     except (ConfigError, SpectrumFileError, ReportFormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except ConvergenceError as err:
+    except (ConvergenceError, BreakdownError) as err:
         print(f"solver error: {err}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,12 @@ factorisations of dense blocks):
   iteration for small banded pencils (orders up to ~1e4).  The factor is
   built and applied on dense 64×64 diagonal blocks with numpy's LAPACK
   (``np.linalg.cholesky`` and ``inv``), coupled through bandwidth² corners.
+
+Both carry every block of b columns together with its pencil images as one
+``(3, n, b)`` stack (Y, K·Y, M·Y), or (Y, A·Y, B·Y) for the banded pencil.
+A change of basis ``S @ C``, a concatenation along the last axis or a column
+scaling then moves all three at once, and :func:`_rayleigh_ritz` reads both
+Gram matrices from the stack without applying the pencil again.
 """
 
 from __future__ import annotations
@@ -21,11 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class IndefiniteMassError(ValueError):
+class BreakdownError(RuntimeError):
+    """A solver step broke down and left no result to report."""
+
+
+class IndefiniteMassError(BreakdownError):
     """The mass/metric matrix is not positive definite."""
 
 
-class FactorizationError(ValueError):
+class FactorizationError(BreakdownError):
     """A direct factorisation broke down (non-positive pivot)."""
 
     def __init__(self, pivot, value):
@@ -57,31 +67,46 @@ class EigenResult:
     converged: np.ndarray
 
 
-def _whiten(gram, drop_rel=1e-13, raise_indefinite=False):
+def _stack(K, M, Y):
+    """The (3, n, b) stack (Y, K·Y, M·Y) of a column block."""
+    return np.stack((Y, K.matvec(Y), M.matvec(Y)))
+
+
+def _whiten(gram, drop_rel=1e-13):
     """Return V with Vᵀ G V = I on the numerically independent subspace.
 
     Callers pass column-normalised bases so the Gram is well scaled; tiny
-    negative eigenvalues are dependent directions and get dropped, except on
-    the initial block where they witness an indefinite metric.
+    negative eigenvalues are dependent directions and get dropped, while a
+    clearly negative one witnesses an indefinite metric.
     """
     gram = 0.5 * (gram + gram.T)
     evals, evecs = np.linalg.eigh(gram)
     top = max(evals[-1], 0.0)
-    if raise_indefinite and evals[0] < -1e-10 * max(top, 1.0):
+    if evals[0] < -1e-10 * max(top, 1.0):
         raise IndefiniteMassError(
             f"metric Gram matrix has negative eigenvalue {evals[0]:.3e}")
     keep = evals > drop_rel * max(top, 1e-300)
     if not np.any(keep):
-        return None
+        raise BreakdownError("iteration subspace collapsed")
     return evecs[:, keep] / np.sqrt(evals[keep])
 
 
-def _unit_metric_columns(blocks):
-    """Scale the column blocks (S, KS, MS alike) to unit metric norm."""
-    S, KS, MS = blocks
-    norms = np.sqrt(np.maximum(np.einsum("ij,ij->j", S, MS), 1e-300))
-    inv = 1.0 / norms
-    return S * inv, KS * inv, MS * inv
+def _rayleigh_ritz(S):
+    """Ritz values θ (ascending) and coefficients C of a stacked block.
+
+    With S = (Y, K·Y, M·Y): Cᵀ(YᵀMY)C = I and Cᵀ(YᵀKY)C = diag θ on the
+    numerically independent part of span Y, so ``S @ C`` is the stack of
+    the Ritz vectors.
+    """
+    Y, KY, MY = S
+    try:
+        V = _whiten(Y.T @ MY)
+        H = V.T @ (Y.T @ KY) @ V
+        theta, Q = np.linalg.eigh(0.5 * (H + H.T))
+    except np.linalg.LinAlgError as err:
+        raise BreakdownError(f"Rayleigh-Ritz projection failed: {err}") \
+            from None
+    return theta, V @ Q
 
 
 def _residuals(KX, MX, theta):
@@ -107,7 +132,8 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     the residuals are recomputed with K and M.  Convergence is declared on
     the recomputed ones, and every exit reports them.  Non-convergence
     within ``maxiter`` raises :class:`ConvergenceError` carrying the
-    partial result with per-pair flags.
+    partial result with per-pair flags; a collapsed subspace raises
+    :class:`BreakdownError`.
     """
     n = K.order
     if m < 1:
@@ -118,40 +144,25 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
 
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, bs))
-    X /= np.linalg.norm(X, axis=0)
-    MX = M.matvec(X)
-    V = _whiten(X.T @ MX, raise_indefinite=True)
-    if V is None:
-        raise ValueError("starting block collapsed")
-    X, MX = X @ V, MX @ V
-    KX = K.matvec(X)
-    H = 0.5 * ((X.T @ KX) + (X.T @ KX).T)
-    theta, Q = np.linalg.eigh(H)
-    X, KX, MX = X @ Q, KX @ Q, MX @ Q
+    X = _stack(K, M, X / np.linalg.norm(X, axis=0))
+    theta, C = _rayleigh_ritz(X)
+    X = X @ C
 
-    def polish(X, KX, MX):
-        """Return the block re-orthonormalised and re-diagonalised.
-
-        Rotations inside an eigenvalue cluster redistribute residual norms,
-        so the convergence decision below is made on the polished block."""
-        V = _whiten(X.T @ MX)
-        X, MX, KX = X @ V, MX @ V, KX @ V
-        H = X.T @ KX
-        theta, Q = np.linalg.eigh(0.5 * (H + H.T))
-        return X @ Q, KX @ Q, MX @ Q, theta
-
-    P = KP = MP = None
+    P = None
     it = 0
     certified = False
-    R, res = _residuals(KX, MX, theta)
+    R, res = _residuals(X[1], X[2], theta)
     while it < maxiter:
         if np.all(res[:m] <= tol):
-            X, KX, MX, theta = polish(X, KX, MX)
-            _, res = _residuals(K.matvec(X), M.matvec(X), theta)
+            # rotations inside an eigenvalue cluster redistribute residual
+            # norms, so convergence is decided on the re-projected block
+            theta, C = _rayleigh_ritz(X)
+            X = X @ C
+            _, res = _residuals(K.matvec(X[0]), M.matvec(X[0]), theta)
             if np.all(res[:m] <= tol):
                 certified = True
                 break
-            R = KX - MX * theta
+            R = X[1] - X[2] * theta
         conv = res <= tol
         it += 1
         active = ~conv
@@ -161,59 +172,41 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
         W = R[:, active]
         if precond is not None:
             W = precond(W)
-        MW = M.matvec(W)
-        KW = K.matvec(W)
-        W, KW, MW = _unit_metric_columns((W, KW, MW))
+        W = _stack(K, M, W)
+        W *= 1.0 / np.sqrt(np.maximum(np.einsum("ij,ij->j", W[0], W[2]),
+                                      1e-300))
 
-        parts = [X, W] if P is None else [X, W, P]
-        kparts = [KX, KW] if P is None else [KX, KW, KP]
-        mparts = [MX, MW] if P is None else [MX, MW, MP]
-        S = np.concatenate(parts, axis=1)
-        KS = np.concatenate(kparts, axis=1)
-        MS = np.concatenate(mparts, axis=1)
-
-        V = _whiten(S.T @ MS)
-        if V is None:
-            break
-        H = V.T @ (S.T @ KS) @ V
-        H = 0.5 * (H + H.T)
-        evals, evecs = np.linalg.eigh(H)
-        take = min(bs, evals.size)
-        C = V @ evecs[:, :take]
-        theta = evals[:take]
+        S = np.concatenate([X, W] if P is None else [X, W, P], axis=2)
+        theta, C = _rayleigh_ritz(S)
+        theta, C = theta[:bs], C[:, :bs]
 
         # momentum block: the Ritz directions' W/P part alone, kept
         # M-normalised column by column; the new X adds the X part to it
-        nx = X.shape[1]
-        Cx, Cr = C[:nx], C[nx:]
-        Pn, KPn, MPn = S[:, nx:] @ Cr, KS[:, nx:] @ Cr, MS[:, nx:] @ Cr
-        X, KX, MX = X @ Cx + Pn, KX @ Cx + KPn, MX @ Cx + MPn
-        pnorm = np.sqrt(np.maximum(np.einsum("ij,ij->j", Pn, MPn), 0.0))
+        nx = X.shape[2]
+        P = S[:, :, nx:] @ C[nx:]
+        X = X @ C[:nx] + P
+        pnorm = np.sqrt(np.maximum(np.einsum("ij,ij->j", P[0], P[2]), 0.0))
         keep = pnorm > 1e-12
-        if np.any(keep):
-            scale = 1.0 / pnorm[keep]
-            P, KP, MP = Pn[:, keep] * scale, KPn[:, keep] * scale, \
-                MPn[:, keep] * scale
-        else:
-            P = KP = MP = None
-        # the basis blocks are dead now; freeing them before the next
-        # iteration's applies and concatenations lowers the peak memory
-        del S, KS, MS, Pn, KPn, MPn
-        R, res = _residuals(KX, MX, theta)
+        P = P[:, :, keep] * (1.0 / pnorm[keep]) if np.any(keep) else None
+        # the basis stack is dead now; freeing it before the next
+        # iteration's applies and concatenation lowers the peak memory
+        del S
+        R, res = _residuals(X[1], X[2], theta)
 
     # every exit but the certified break (the budget running out, even just
-    # after the implicit norms passed, or a collapsed subspace) polishes and
-    # recomputes the residuals explicitly, so the partial result is
-    # M-orthonormal and its residuals are true ones
+    # after the implicit norms passed) re-projects and recomputes the
+    # residuals explicitly, so the partial result is M-orthonormal and its
+    # residuals are true ones
     if not certified:
-        X, KX, MX, theta = polish(X, KX, MX)
-        _, res = _residuals(K.matvec(X), M.matvec(X), theta)
+        theta, C = _rayleigh_ritz(X)
+        X = X @ C
+        _, res = _residuals(K.matvec(X[0]), M.matvec(X[0]), theta)
     if theta.size < m:
-        raise ValueError(
+        raise BreakdownError(
             f"iteration subspace degenerated to {theta.size} directions, "
             f"fewer than the {m} requested")
     theta = theta[:m]
-    X = X[:, :m]
+    X = X[0, :, :m].copy()
     res = res[:m]
     converged = res <= tol
     result = EigenResult(theta.copy(), X, res, it, converged)
@@ -317,33 +310,30 @@ def cholesky_banded(A):
     return BandedCholesky(n, bw, np.linalg.inv(diag), corner)
 
 
-def banded_smallest(A, B=None, m=1, tol=1e-10, maxiter=300, seed=0,
-                    shift=0.0):
-    """m smallest eigenpairs of banded A x = λ B x by shift-inverted block
-    iteration.
+def banded_smallest(A, B, m=1, tol=1e-10, maxiter=300, seed=0):
+    """m smallest eigenpairs of banded A x = λ B x by inverse block iteration.
 
-    A (+ shift·B when a shift is supplied) must be positive definite; B
-    defaults to the identity.  Intended for orders up to ~1e4 where the
-    banded factorisation is cheap.  Because the two pencil norms may differ
-    by the full h^(-4) conditioning of a fourth-order problem, ``tol`` and
-    the reported residuals here are backward errors
-    ||A x − λ B x|| / ((||A||₁ + λ||B||₁)·||x||), not λ-relative norms.
+    A and B must be positive definite.  Intended for orders up to ~1e4
+    where the banded factorisation is cheap.  Each iteration solves with
+    the factor of A on B·X, applies A and B once to the new block Y, and
+    takes the next B·X from the Ritz combination of the (Y, A·Y, B·Y)
+    stack.  Because the two pencil norms may differ by the full h^(-4)
+    conditioning of a fourth-order problem, ``tol`` and the reported
+    residuals here are backward errors
+    ||A x − λ B x|| / ((||A||₁ + λ||B||₁)·||x||), not λ-relative norms,
+    computed explicitly on the m kept columns.
     """
-    from .sparse import BandedSymMatrix
-
     n = A.order
-    if B is None:
-        B = BandedSymMatrix.identity(n)
     if B.order != n:
         raise ValueError("A and B must have equal order")
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= order")
-    work = A if shift == 0.0 else A.add_scaled(B, shift)
-    factor = cholesky_banded(work)
+    factor = cholesky_banded(A)
 
     bs = min(n, max(m + 4, 6))
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, bs))
+    BX = B.matvec(X)
     norm_a = A.norm1()
     norm_b = B.norm1()
 
@@ -354,27 +344,19 @@ def banded_smallest(A, B=None, m=1, tol=1e-10, maxiter=300, seed=0,
             * np.linalg.norm(vectors, axis=0)
         return np.linalg.norm(R, axis=0) / np.maximum(scale, 1e-300)
 
-    theta = np.zeros(bs)
     it = 0
-    while it < maxiter:
+    while True:
         it += 1
-        Y = factor.solve(B.matvec(X))
+        Y = factor.solve(BX)
         Y /= np.maximum(np.linalg.norm(Y, axis=0), 1e-300)
-        BY = B.matvec(Y)
-        V = _whiten(Y.T @ BY)
-        if V is None:
-            raise ValueError("iteration subspace collapsed")
-        Y = Y @ V
-        AY = A.matvec(Y)
-        H = Y.T @ AY
-        theta, Q = np.linalg.eigh(0.5 * (H + H.T))
-        X = Y @ Q
-        take = min(m, theta.size)
-        if np.all(backward_errors(X[:, :take], theta[:take]) <= tol):
+        S = _stack(A, B, Y)
+        theta, C = _rayleigh_ritz(S)
+        X, BX = S[::2] @ C
+        residuals = backward_errors(X[:, :m], theta[:m])
+        if np.all(residuals <= tol) or it >= maxiter:
             break
     values = theta[:m]
     vectors = X[:, :m]
-    residuals = backward_errors(vectors, values)
     converged = residuals <= tol
     result = EigenResult(values.copy(), vectors, residuals, it, converged)
     if not np.all(converged):

@@ -144,10 +144,6 @@ class BandedSymMatrix:
             bands[d, :n - d] = np.diagonal(dense, -d)
         return cls(n, bandwidth, bands)
 
-    @classmethod
-    def identity(cls, order):
-        return cls(order, 0, np.ones((1, order)))
-
     def matvec(self, x):
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
@@ -158,13 +154,6 @@ class BandedSymMatrix:
             out[d:] += band * xb[:-d]
             out[:-d] += band * xb[d:]
         return out[:, 0] if single else out
-
-    def add_scaled(self, other, factor):
-        bw = max(self.bandwidth, other.bandwidth)
-        bands = np.zeros((bw + 1, self.order))
-        bands[:self.bandwidth + 1] = self.bands
-        bands[:other.bandwidth + 1] += factor * other.bands
-        return BandedSymMatrix(self.order, bw, bands)
 
     def norm1(self):
         """Maximum absolute column sum."""

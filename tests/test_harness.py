@@ -487,6 +487,21 @@ class TestCLI:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("theta0,message", [
+        ("1e-80", "subspace collapsed"),
+        ("1e-77", "Rayleigh-Ritz projection failed"),
+    ], ids=["collapsed_subspace", "non_finite_projection"])
+    def test_solver_breakdown_exits_one(self, theta0, message, capsys):
+        # caps this thin break the radial pencils down inside the banded
+        # solver; the breakdown is reported like an unconverged solve
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["cap", "--set", f"cap.theta0={theta0}",
+                             "--set", "cap.cells=16",
+                             "--set", "cap.mode_max=1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: ") and message in err
+
     @pytest.mark.parametrize("content,k_max,message", [
         ("2 0 2\n1 1.0\n2 abc\n", 1, "line 3"),
         ("2 0 3\n1 1.0\n2 2.0\n3 3.0\n", 5, "verify.k_max = 5"),

@@ -71,14 +71,6 @@ class TestBanded:
         x = rng.standard_normal((9, 3))
         assert np.allclose(b.matvec(x), dense @ x, atol=1e-13)
 
-    def test_identity_and_add_scaled(self):
-        eye = BandedSymMatrix.identity(4)
-        tri = BandedSymMatrix.from_dense(
-            np.diag([2.0] * 4) + np.diag([-1.0] * 3, 1)
-            + np.diag([-1.0] * 3, -1))
-        shifted = tri.add_scaled(eye, 3.0)
-        assert np.allclose(shifted.to_dense(), tri.to_dense() + 3 * np.eye(4))
-
     def test_norm1(self, rng):
         dense = np.diag(rng.standard_normal(7))
         dense[2, 1] = dense[1, 2] = 4.0
