@@ -15,6 +15,12 @@ The quadratic inequality  Σᵢ(σ_{k+1}−σᵢ)² ≤ C Σᵢ(σ_{k+1}−σᵢ
 explicit upper bounds on σ_{k+1}, on eigenvalue gaps and on index growth;
 the comparator bounds of Levine–Protter, Hook, Levitin–Parnovski and
 Cheng–Yang are provided alongside for dominance checks.
+
+Every record, box or cap, is judged by :func:`make_record` with an error
+band b: upper and lower bounds pass at slack ≥ 0 and are marginal down to
+slack −b; a strict lower bound passes only with slack > b; an equality
+passes with |measured − bound| ≤ b and is marginal up to 2b.  Anything
+else fails.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import numpy as np
 
 SPECTRUM_SOURCES = ("synthetic", "computed")
 VERDICTS = ("pass", "marginal", "fail", "skip")
+SENSES = ("upper", "lower", "strict lower", "equality")
 
 #: relative gap below which σ_{k+1} and σ_k count as one eigenvalue
 DEGENERATE_GAP_RTOL = 1e-8
@@ -113,7 +120,8 @@ class BoundRecord:
     """One evaluated inequality.
 
     ``slack`` is signed so that nonneg means the inequality holds: for upper
-    bounds it is bound − measured, for lower bounds measured − bound.
+    bounds it is bound − measured, for lower bounds measured − bound, for
+    equalities band − |measured − bound|.
     """
 
     name: str
@@ -133,26 +141,29 @@ class VerifyTolerance:
     ``rel`` is the base relative band (synthetic spectra default 1e-9);
     ``per_index_rel`` optionally adds a per-eigenvalue relative error budget
     (e.g. a Richardson a-posteriori estimate), of which the maximum over the
-    indices entering a record is applied.
+    ``count`` leading eigenvalues entering a record is applied.
     """
 
     rel: float = 1e-9
     per_index_rel: np.ndarray | None = None
 
-    def band(self, k, scale):
+    def band(self, count, scale):
         rel = self.rel
         if self.per_index_rel is not None:
-            upto = min(k + 1, len(self.per_index_rel))
-            rel = max(rel, float(np.max(self.per_index_rel[:upto])))
+            rel = max(rel, float(np.max(self.per_index_rel[:count])))
         return rel * max(abs(scale), 1e-300)
 
 
-def _verdict(slack, band):
-    if slack >= 0:
-        return "pass"
-    if slack >= -band:
-        return "marginal"
-    return "fail"
+def make_record(name, kind, k, bound, measured, band, sense, note=""):
+    """Judge one inequality of the given sense (see :data:`SENSES`)."""
+    if sense not in SENSES:
+        raise ValueError(f"unknown sense {sense!r}")
+    slack = bound - measured if sense == "upper" else measured - bound
+    if sense == "equality":
+        slack = band - abs(measured - bound)
+    passed = slack > band if sense == "strict lower" else slack >= 0
+    verdict = "pass" if passed else "marginal" if slack >= -band else "fail"
+    return BoundRecord(name, kind, k, bound, measured, slack, verdict, note)
 
 
 def alpha_threshold(n):
@@ -355,11 +366,11 @@ def chebyshev_sum_check(a, b, s):
     return lhs, rhs
 
 
-def _record(name, kind, k, bound, measured, tol, lower=False, note=""):
-    slack = measured - bound if lower else bound - measured
-    band = tol.band(k, max(abs(bound), abs(measured)))
-    return BoundRecord(name, kind, k, bound, measured, slack,
-                       _verdict(slack, band), note)
+def _record(name, kind, k, bound, measured, tol, sense="upper", note=""):
+    """Box record banded over σ₁..σ_k for sums, else over σ₁..σ_{k+1}."""
+    count = k if kind in ("lower_sum", "low_order") else k + 1
+    band = tol.band(count, max(abs(bound), abs(measured)))
+    return make_record(name, kind, k, bound, measured, band, sense, note)
 
 
 def evaluate_all(spectrum, k_max, geometry=None, tolerance=None):
@@ -379,7 +390,7 @@ def evaluate_all(spectrum, k_max, geometry=None, tolerance=None):
     sig = spectrum.values
     records = []
 
-    def guarded(name, kind, k, thunk, lower=False, note=""):
+    def guarded(name, kind, k, thunk, sense="upper", note=""):
         """thunk returns (bound, measured); exceptions become skip records."""
         try:
             bound, measured = thunk()
@@ -387,7 +398,7 @@ def evaluate_all(spectrum, k_max, geometry=None, tolerance=None):
             records.append(BoundRecord(name, kind, k, math.nan, math.nan,
                                        math.nan, "skip", str(err)))
             return
-        records.append(_record(name, kind, k, bound, measured, tol, lower,
+        records.append(_record(name, kind, k, bound, measured, tol, sense,
                                note))
 
     for k in range(1, k_max + 1):
@@ -406,12 +417,12 @@ def evaluate_all(spectrum, k_max, geometry=None, tolerance=None):
                 lambda k=k, gap=gap: (levitin_parnovski_gap(spectrum, k), gap))
         guarded("hook_sum_ratio", "sum_ratio", k,
                 lambda k=k: tuple(reversed(hook_sum_ratio(spectrum, k))),
-                lower=True)
+                sense="lower")
         if geometry is not None:
             guarded("levine_protter_sum", "lower_sum", k,
                     lambda k=k: (levine_protter_lower(geometry, k),
                                  float(np.sum(sig[:k]))),
-                    lower=True)
+                    sense="lower")
         guarded("index_growth", "index_growth", k,
                 lambda k=k: (index_growth_upper(
                     float(sig[0]), spectrum.dim, spectrum.alpha, k),

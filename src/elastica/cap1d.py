@@ -57,6 +57,9 @@ _GAUSS_W = np.array([0.2369268850561891, 0.4786286704993665,
                      0.5688888888888889, 0.4786286704993665,
                      0.2369268850561891])
 
+#: residual tolerance and starting seed of every mode's first-pair solve
+FIRST_PAIR_TOL, FIRST_PAIR_SEED = 1e-13, 0
+
 
 @dataclass(frozen=True)
 class CapProblem:
@@ -194,9 +197,10 @@ def build_mode_operator(theta0, cells, m, kind):
                         removed, ndof)
 
 
-def _first_pair(op, tol=1e-13, seed=0):
+def _first_pair(op):
     """Smallest eigenpair of the mode pencil."""
-    res = banded_smallest(op.numerator, op.metric, m=1, tol=tol, seed=seed)
+    res = banded_smallest(op.numerator, op.metric, m=1, tol=FIRST_PAIR_TOL,
+                          seed=FIRST_PAIR_SEED)
     return float(res.values[0]), res.vectors[:, 0]
 
 

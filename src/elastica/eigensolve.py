@@ -26,6 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: whitening drops Gram eigenvalues below DROP_REL times the largest
+DROP_REL = 1e-13
+
 
 class BreakdownError(RuntimeError):
     """A solver step broke down and left no result to report."""
@@ -72,7 +75,7 @@ def _stack(K, M, Y):
     return np.stack((Y, K.matvec(Y), M.matvec(Y)))
 
 
-def _whiten(gram, drop_rel=1e-13):
+def _whiten(gram):
     """Return V with Vᵀ G V = I on the numerically independent subspace.
 
     Callers pass column-normalised bases so the Gram is well scaled; tiny
@@ -85,7 +88,7 @@ def _whiten(gram, drop_rel=1e-13):
     if evals[0] < -1e-10 * max(top, 1.0):
         raise IndefiniteMassError(
             f"metric Gram matrix has negative eigenvalue {evals[0]:.3e}")
-    keep = evals > drop_rel * max(top, 1e-300)
+    keep = evals > DROP_REL * max(top, 1e-300)
     if not np.any(keep):
         raise BreakdownError("iteration subspace collapsed")
     return evecs[:, keep] / np.sqrt(evals[keep])

@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .assembly import (ElasticityProblem, assemble, box_operators,
                        chebyshev, laplacian_inverse)
-from .bounds import (BoundRecord, DomainGeometry, Spectrum, VerifyTolerance,
-                     _verdict, evaluate_all)
+from .bounds import (DomainGeometry, Spectrum, VerifyTolerance, evaluate_all,
+                     make_record)
 from .cap1d import CAP_KINDS, CapProblem, solve_cap
 from .eigensolve import smallest_eigenpairs
 from .report import VerificationReport, render_csv, save_report
@@ -241,6 +241,9 @@ def read_spectrum(path):
             if len(parts) not in (2, 3):
                 raise SpectrumFileError(
                     f"line {i + 2}: expected 'index value [residual]'")
+            if rows and len(parts) != len(rows[0]) + 1:
+                raise SpectrumFileError(
+                    f"line {i + 2}: column count differs from line 2")
             try:
                 index = int(parts[0])
                 rows.append([float(p) for p in parts[1:]])
@@ -252,13 +255,11 @@ def read_spectrum(path):
             if line.strip():
                 raise SpectrumFileError(
                     f"line {lineno}: data past the declared count {count}")
-    values = np.array([row[0] for row in rows])
-    residuals = np.array([row[1] if len(row) == 2 else 0.0 for row in rows])
-    if all(len(row) == 1 for row in rows):
-        residuals = None
+    columns = np.array(rows).T
+    residuals = columns[1] if len(columns) == 2 else None
     source = "computed" if residuals is not None else "synthetic"
     try:
-        return Spectrum(dim, alpha, values, source=source,
+        return Spectrum(dim, alpha, columns[0], source=source,
                         residuals=residuals)
     except ValueError as err:
         raise SpectrumFileError(str(err)) from None
@@ -323,27 +324,24 @@ def _richardson(cfg):
 def run_verify(cfg):
     """Evaluate every bound on a computed or file-loaded spectrum."""
     cfg.validate()
-    eps = cfg.fixed_tolerance()
-    geometry = None
+    geometry = budget_rel = None
     if cfg.spectrum_path is not None:
         spectrum = read_spectrum(cfg.spectrum_path)
         if len(spectrum) < cfg.k_max + 1:
             raise ConfigError(
                 f"verify.k_max = {cfg.k_max} needs {cfg.k_max + 1} "
                 f"eigenvalues; {cfg.spectrum_path} has {len(spectrum)}")
-        tolerance = VerifyTolerance(rel=eps)
         mesh = f"file:{os.path.basename(cfg.spectrum_path)}"
-    elif cfg.policy == "richardson":
-        spectrum, budget_rel = _richardson(cfg)
-        tolerance = VerifyTolerance(rel=eps, per_index_rel=budget_rel)
+    else:
+        if cfg.policy == "richardson":
+            spectrum, budget_rel = _richardson(cfg)
+        else:
+            problem = ElasticityProblem(cfg.edges, cfg.alpha, cfg.cells)
+            spectrum, _ = solve_problem(problem, cfg.m, cfg.tol, cfg.seed)
         geometry = DomainGeometry(len(cfg.edges), cfg.edges)
         mesh = spectrum.mesh
-    else:
-        problem = ElasticityProblem(cfg.edges, cfg.alpha, cfg.cells)
-        spectrum, _ = solve_problem(problem, cfg.m, cfg.tol, cfg.seed)
-        tolerance = VerifyTolerance(rel=eps)
-        geometry = DomainGeometry(problem.dim, cfg.edges)
-        mesh = spectrum.mesh
+    tolerance = VerifyTolerance(rel=cfg.fixed_tolerance(),
+                                per_index_rel=budget_rel)
     records = evaluate_all(spectrum, cfg.k_max, geometry=geometry,
                            tolerance=tolerance)
     report = VerificationReport(
@@ -363,20 +361,17 @@ def run_verify(cfg):
     return report
 
 
-def _cap_equality_record(name, target, value, band):
-    slack = band - abs(value - target)
-    return BoundRecord(name, "cap_equality", 1, target, value, slack,
-                       _verdict(slack, band),
-                       f"equality within slack {band:.3g}")
-
-
-def _cap_lower_record(name, bound, value, band, strict, note=""):
-    slack = value - bound
-    # a strict inequality passes only with slack beyond the error band
-    verdict = "marginal" if strict and 0 <= slack <= band \
-        else _verdict(slack, band)
-    return BoundRecord(name, "cap_strict_lower" if strict else "cap_lower",
-                       1, bound, value, slack, verdict, note)
+CAP_DIM = 2  # caps live in the round 2-sphere
+#: smallest hemisphere equality band, relative to the exact value
+CAP_EQUALITY_FLOOR = 0.005
+#: kind -> (lower record, bound n·λ₁ or n, strict, hemisphere record, exact)
+CAP_RECORDS = {
+    "dirichlet_laplacian": (None, False, False, "lambda1_hemisphere", 2.0),
+    "clamped": ("clamped_vs_n_lambda1", True, True, None, None),
+    "buckling": ("buckling_vs_n", False, True, None, None),
+    "p_problem": ("p1_vs_n_lambda1", True, False, "p1_hemisphere", 4.0),
+    "q_problem": ("q1_vs_n", False, False, "q1_hemisphere", 2.0),
+}
 
 
 def _cap_roundoff(theta0, cells, scale):
@@ -407,49 +402,35 @@ def run_cap(cfg):
             _cap_roundoff(cfg.theta0, 2 * cfg.radial_cells, values[kind])
         bands[kind] = max(eps, abs(fine - coarse), floor)
 
-    n = 2  # caps live in the round 2-sphere
     cap = CapProblem(cfg.theta0, "dirichlet_laplacian", cfg.mode_max,
                      cfg.radial_cells)
     hypothesis_ok = cap.boundary_mean_curvature_nonneg
-    exploratory = "" if hypothesis_ok else "exploratory (no claim here)"
+    lam, lam_band = values["dirichlet_laplacian"], bands["dirichlet_laplacian"]
     records = []
-    lam = values.get("dirichlet_laplacian")
-    if "clamped" in values:
-        records.append(_cap_lower_record(
-            "clamped_vs_n_lambda1", n * lam, values["clamped"],
-            bands["clamped"] + n * bands["dirichlet_laplacian"],
-            strict=True, note=exploratory))
-    if "buckling" in values:
-        records.append(_cap_lower_record(
-            "buckling_vs_n", float(n), values["buckling"],
-            bands["buckling"], strict=True, note=exploratory))
-    for kind, name, bound, band_extra in (
-            ("p_problem", "p1_vs_n_lambda1", None, "dirichlet_laplacian"),
-            ("q_problem", "q1_vs_n", float(n), None)):
-        if kind not in values:
+    for kind in values:
+        name, times_lambda1, strict = CAP_RECORDS[kind][:3]
+        if name is None:
             continue
-        bound_val = n * lam if bound is None else bound
-        band = bands[kind] + (n * bands[band_extra] if band_extra else 0.0)
-        if hypothesis_ok:
-            records.append(_cap_lower_record(name, bound_val, values[kind],
-                                             band, strict=False))
-        else:
-            records.append(BoundRecord(
-                name, "cap_lower", 1, bound_val, values[kind],
-                values[kind] - bound_val, "skip",
+        bound = CAP_DIM * lam if times_lambda1 else float(CAP_DIM)
+        band = bands[kind] + (CAP_DIM * lam_band if times_lambda1 else 0.0)
+        record_kind, sense = (("cap_strict_lower", "strict lower") if strict
+                              else ("cap_lower", "lower"))
+        record = make_record(name, record_kind, 1, bound, values[kind], band,
+                             sense)
+        # the paper claims nothing where the rim's mean curvature is < 0
+        if not hypothesis_ok and strict:
+            record = replace(record, note="exploratory (no claim here)")
+        elif not hypothesis_ok:
+            record = replace(record, verdict="skip", note=(
                 "hypothesis not satisfied: boundary mean curvature < 0"))
-    if cap.hemisphere:
-        records.append(_cap_equality_record(
-            "lambda1_hemisphere", float(n), lam,
-            max(bands["dirichlet_laplacian"], 0.005 * n)))
-        if "p_problem" in values:
-            records.append(_cap_equality_record(
-                "p1_hemisphere", float(n * n), values["p_problem"],
-                max(bands["p_problem"], 0.005 * n * n)))
-        if "q_problem" in values:
-            records.append(_cap_equality_record(
-                "q1_hemisphere", float(n), values["q_problem"],
-                max(bands["q_problem"], 0.005 * n)))
+        records.append(record)
+    for kind in values:
+        name, exact = CAP_RECORDS[kind][3:]
+        if cap.hemisphere and name is not None:
+            band = max(bands[kind], CAP_EQUALITY_FLOOR * exact)
+            records.append(make_record(name, "cap_equality", 1, exact,
+                                       values[kind], band, "equality",
+                                       f"equality within slack {band:.3g}"))
 
     report = VerificationReport(
         cfg.echo(), records,

@@ -19,7 +19,8 @@ from elastica.bounds import (BoundRecord, DegenerateGapError, DomainGeometry,
                              coupling_coefficient, evaluate_all, gap_upper,
                              hook_sum_ratio, index_growth_upper,
                              levine_protter_lower, levitin_parnovski_gap,
-                             low_order_check, sphere_surface_measure,
+                             low_order_check, make_record,
+                             sphere_surface_measure,
                              yang_coefficient, yang_type_next_upper,
                              yang_type_quadratic)
 from conftest import bisect
@@ -416,3 +417,62 @@ class TestEvaluateAll:
         records = evaluate_all(s, 1, tolerance=tol)
         nxt = [r for r in records if r.name == "next_upper"][0]
         assert nxt.verdict == "marginal"
+
+    def test_band_covers_sigma_k_plus_1_only_where_named(self):
+        tol = VerifyTolerance(per_index_rel=np.array([0, 0, 0, 0.5, 0]))
+        assert tol.band(4, 1.0) == 0.5
+        assert tol.band(3, 1.0) == 1e-9
+
+    def test_low_order_band_stops_at_sigma_n_plus_1(self):
+        # slack -0.02 with zero budget on sigma_1..sigma_3; sigma_4's
+        # budget does not enter sigma_2 + sigma_3 <= 6 sigma_1
+        s = spectrum([1.0, 3.0, 3.02, 4.0, 5.0])
+        tol = VerifyTolerance(per_index_rel=np.array([0, 0, 0, 0.5, 0]))
+        records = evaluate_all(s, 3, tolerance=tol)
+        low = [r for r in records if r.name == "low_order"][0]
+        assert (low.k, low.slack) == (3, pytest.approx(-0.02))
+        assert low.verdict == "fail"
+        upper = [r for r in records if r.name == "average_upper"][-1]
+        assert (upper.k, upper.verdict) == (3, "pass")
+
+    def test_levine_protter_band_stops_at_sigma_k(self):
+        s = spectrum([0.3, 1.0, 1.0, 2.0])
+        tol = VerifyTolerance(per_index_rel=np.array([0, 0.5, 0, 0]))
+        records = evaluate_all(s, 1, DomainGeometry(2, (math.pi, math.pi)),
+                               tol)
+        lp = [r for r in records if r.name == "levine_protter_sum"][0]
+        assert (lp.k, lp.slack) == (1, pytest.approx(0.3 - 1 / math.pi))
+        assert lp.verdict == "fail"
+
+
+class TestMakeRecord:
+    """The verdict rule at its edges, with bound 3 and band 0.5 exact."""
+
+    @pytest.mark.parametrize("sense,measured,slack,verdict", [
+        ("upper", 3.0, 0.0, "pass"),
+        ("upper", 3.5, -0.5, "marginal"),
+        ("upper", math.nextafter(3.5, 4.0), None, "fail"),
+        ("lower", 3.0, 0.0, "pass"),
+        ("lower", 2.5, -0.5, "marginal"),
+        ("lower", math.nextafter(2.5, 2.0), None, "fail"),
+        ("strict lower", 3.0, 0.0, "marginal"),
+        ("strict lower", 3.5, 0.5, "marginal"),
+        ("strict lower", math.nextafter(3.5, 4.0), None, "pass"),
+        ("strict lower", 2.5, -0.5, "marginal"),
+        ("strict lower", math.nextafter(2.5, 2.0), None, "fail"),
+        ("equality", 3.5, 0.0, "pass"),
+        ("equality", 2.5, 0.0, "pass"),
+        ("equality", 4.0, -0.5, "marginal"),
+        ("equality", 2.0, -0.5, "marginal"),
+        ("equality", math.nextafter(4.0, 5.0), None, "fail"),
+    ])
+    def test_edges(self, sense, measured, slack, verdict):
+        rec = make_record("r", "kind", 1, 3.0, measured, 0.5, sense, "n")
+        assert rec == BoundRecord("r", "kind", 1, 3.0, measured, rec.slack,
+                                  verdict, "n")
+        if slack is not None:
+            assert rec.slack == slack
+
+    def test_unknown_sense_rejected(self):
+        with pytest.raises(ValueError, match="unknown sense"):
+            make_record("r", "kind", 1, 3.0, 3.0, 0.5, "strict upper")

@@ -170,12 +170,16 @@ class TestSpectrumFiles:
         with pytest.raises(SpectrumFileError, match=msg):
             read_spectrum(path)
 
-    def test_missing_residuals_read_as_zero(self, tmp_path):
+    @pytest.mark.parametrize("content,line", [
+        ("2 0 3\n1 2.0 1e-9\n2 2.0\n3 5.0 1e-9\n", 3),
+        ("2 0 3\n1 2.0\n2 2.0\n3 5.0 1e-9\n", 4),
+    ], ids=["missing_residual", "extra_residual"])
+    def test_mixed_residual_columns_rejected(self, tmp_path, content, line):
         path = tmp_path / "s.spec"
-        path.write_text("2 0 3\n1 1.0 1e-9\n2 2.0\n3 3.0 2e-9\n")
-        back = read_spectrum(path)
-        assert back.source == "computed"
-        assert np.array_equal(back.residuals, [1e-9, 0.0, 2e-9])
+        path.write_text(content)
+        with pytest.raises(SpectrumFileError,
+                           match=f"line {line}: column count differs"):
+            read_spectrum(path)
 
     def test_trailing_blank_lines_accepted(self, tmp_path):
         path = tmp_path / "s.spec"
@@ -272,6 +276,62 @@ class TestCapRuns:
         names = [r.name for r in report.records]
         assert "buckling_vs_n" in names
         assert "clamped_vs_n_lambda1" not in names
+
+
+# (cap kind, record, record kind) of the lower bounds, in report order,
+# then (cap kind, record) of the hemisphere equalities
+CAP_LOWER_LAYOUT = [
+    ("clamped", "clamped_vs_n_lambda1", "cap_strict_lower"),
+    ("buckling", "buckling_vs_n", "cap_strict_lower"),
+    ("p_problem", "p1_vs_n_lambda1", "cap_lower"),
+    ("q_problem", "q1_vs_n", "cap_lower"),
+]
+CAP_EQUALITY_LAYOUT = [
+    ("dirichlet_laplacian", "lambda1_hemisphere"),
+    ("p_problem", "p1_hemisphere"),
+    ("q_problem", "q1_hemisphere"),
+]
+
+
+def expected_cap_layout(theta0, cap_kind):
+    """(name, kind, note, skipped) of each record run_cap should write."""
+    ran = {k for k, _, _ in CAP_LOWER_LAYOUT} if cap_kind == "all" \
+        else {cap_kind}
+    ran.add("dirichlet_laplacian")
+    rows = []
+    for kind, name, rec_kind in CAP_LOWER_LAYOUT:
+        if kind not in ran:
+            continue
+        if theta0 <= PI / 2:
+            rows.append((name, rec_kind, "", False))
+        elif rec_kind == "cap_strict_lower":
+            rows.append((name, rec_kind, "exploratory (no claim here)", False))
+        else:
+            rows.append((name, rec_kind, "hypothesis not satisfied: "
+                         "boundary mean curvature < 0", True))
+    if theta0 == PI / 2:
+        rows += [(name, "cap_equality", "equality within slack", False)
+                 for kind, name in CAP_EQUALITY_LAYOUT if kind in ran]
+    return rows
+
+
+class TestCapRecordLayout:
+    @pytest.mark.parametrize("cap_kind", ["all", "dirichlet_laplacian",
+                                          "clamped", "buckling", "p_problem",
+                                          "q_problem"])
+    @pytest.mark.parametrize("theta0", [1.0, PI / 2, 2.2],
+                             ids=["1", "pi_2", "2.2"])
+    def test_names_kinds_order_and_notes(self, theta0, cap_kind):
+        cfg = replace(RunConfig(mode="cap"), theta0=theta0,
+                      cap_kind=cap_kind, radial_cells=16, mode_max=1)
+        records = run_cap(cfg).records
+        want = expected_cap_layout(theta0, cap_kind)
+        assert [(r.name, r.kind, r.k, r.verdict == "skip") for r in records] \
+            == [(name, kind, 1, skip) for name, kind, _, skip in want]
+        for rec, (_, _, note, _) in zip(records, want):
+            # an equality note goes on to print its band
+            assert rec.note.startswith(note) if rec.kind == "cap_equality" \
+                else rec.note == note
 
 
 class TestReports:
@@ -508,8 +568,9 @@ class TestCLI:
         ("2 0 2\n1 1.0\n2 2.0\n3 0.5\n", 1, "line 4"),
         ("2 0 1000000000000\n1 1.0\n", 1, "line 3"),
         ("2 0 2\n1 inf\n2 inf\n", 1, "positive and finite"),
+        ("2 0 3\n1 2.0 1e-9\n2 2.0\n3 5.0 1e-9\n", 2, "line 3"),
     ], ids=["non_numeric_value", "k_max_beyond_file", "data_past_count",
-            "huge_count", "infinite_values"])
+            "huge_count", "infinite_values", "mixed_residual_columns"])
     def test_bad_spectrum_file_exits_one(self, tmp_path, capsys, content,
                                          k_max, message):
         path = tmp_path / "in.spec"
