@@ -18,7 +18,7 @@ from dataclasses import replace
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from elastica import cli  # noqa: E402
-from elastica.harness import RunConfig, parse_angle, run_verify  # noqa: E402
+from elastica.harness import RunConfig, parse_floats, run_verify  # noqa: E402
 from elastica.report import save_report  # noqa: E402
 
 
@@ -37,7 +37,7 @@ def main():
     ap.add_argument("--svg", action="store_true")
     args = ap.parse_args()
 
-    edges = tuple(parse_angle(t) for t in args.edges.split(","))
+    edges = parse_floats(args.edges)
     os.makedirs(args.out, exist_ok=True)
     paths = []
     for alpha in (float(a) for a in args.alphas.split(",")):

@@ -138,7 +138,8 @@ class BoundRecord:
 class VerifyTolerance:
     """Slack policy for verdicts.
 
-    ``rel`` is the base relative band (synthetic spectra default 1e-9);
+    ``rel`` is the base relative band; its default 1e-9 is also the
+    ``fixed`` policy's band without an eps and every cap run's floor;
     ``per_index_rel`` optionally adds a per-eigenvalue relative error budget
     (e.g. a Richardson a-posteriori estimate), of which the maximum over the
     ``count`` leading eigenvalues entering a record is applied.
@@ -316,17 +317,21 @@ def levine_protter_lower(geometry, k):
         / measure ** (2.0 / n)
 
 
-def low_order_check(spectrum, tolerance=None):
-    """Check σ₂+⋯+σ_{n+1} ≤ (n + 4(1+α))σ₁ and return the record."""
+def low_order_sides(spectrum):
+    """(bound, measured) of σ₂+⋯+σ_{n+1} ≤ (n + 4(1+α))σ₁."""
     n = spectrum.dim
     if len(spectrum) < n + 1:
         raise SpectrumError(
             f"low-order bound needs {n + 1} eigenvalues, have {len(spectrum)}")
     sig = spectrum.values
     measured = float(np.sum(sig[1:n + 1]))
-    bound = (n + 4.0 * (1.0 + spectrum.alpha)) * sig[0]
-    return _record("low_order", "low_order", n + 1, bound, measured,
-                   tolerance or VerifyTolerance())
+    return (n + 4.0 * (1.0 + spectrum.alpha)) * sig[0], measured
+
+
+def low_order_check(spectrum, tolerance=None):
+    """Check σ₂+⋯+σ_{n+1} ≤ (n + 4(1+α))σ₁ and return the record."""
+    return _record("low_order", "low_order", spectrum.dim + 1,
+                   *low_order_sides(spectrum), tolerance or VerifyTolerance())
 
 
 def index_growth_upper(sigma1, n, alpha, k):
@@ -378,7 +383,7 @@ def evaluate_all(spectrum, k_max, geometry=None, tolerance=None):
 
     Per-record failures (degenerate gaps, missing data) become skip entries;
     the batch never aborts.  Volume-dependent records require ``geometry``
-    and are skipped without one.
+    and are left out without one.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -429,9 +434,6 @@ def evaluate_all(spectrum, k_max, geometry=None, tolerance=None):
                     float(sig[k])),
                 note="conservative constant")
 
-    def low_order_pair():
-        rec = low_order_check(spectrum, tol)
-        return rec.bound_value, rec.measured_value
-
-    guarded("low_order", "low_order", spectrum.dim + 1, low_order_pair)
+    guarded("low_order", "low_order", spectrum.dim + 1,
+            lambda: low_order_sides(spectrum))
     return records

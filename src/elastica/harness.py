@@ -5,7 +5,10 @@ keys are errors so typos cannot silently fall back to defaults.  The
 ``verify`` flow solves the box problem at the configured mesh and at double
 resolution, extrapolates eigenvalues by (4 σ_2N − σ_N)/3 and uses
 |σ_2N − σ_N| as the per-eigenvalue error budget when judging strict
-inequalities on approximate spectra.
+inequalities on approximate spectra; the ``cap`` flow extrapolates its
+first eigenvalues the same way (:func:`_extrapolate`).  Both take their
+base relative band from ``VerifyTolerance.rel``; only box runs read
+``verify.policy``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__
 from .assembly import (ElasticityProblem, assemble, box_operators,
                        chebyshev, laplacian_inverse)
 from .bounds import (DomainGeometry, Spectrum, VerifyTolerance, evaluate_all,
@@ -37,7 +39,9 @@ class SpectrumFileError(ValueError):
 
 
 def parse_floats(text):
-    return tuple(float(t) for t in re.split(r"[,\s]+", text.strip()) if t)
+    """Comma/space separated numbers, each taking :func:`parse_angle` forms."""
+    return tuple(parse_angle(t) for t in re.split(r"[,\s]+", text.strip())
+                 if t)
 
 
 def parse_ints(text):
@@ -77,8 +81,6 @@ CONFIG_KEYS = {
 }
 
 _POLICY_RE = re.compile(r"fixed(?::([0-9.eE+-]+))?$|richardson$")
-#: relative verdict band of the fixed policy when it names no eps
-FIXED_EPS = 1e-9
 OUTPUT_FORMATS = ("json", "csv")
 CAP_RUN_KINDS = ("all",) + CAP_KINDS
 
@@ -160,10 +162,9 @@ class RunConfig:
         return self
 
     def fixed_tolerance(self):
+        """The eps of ``fixed:eps``, else the default base band."""
         m = _POLICY_RE.fullmatch(self.policy)
-        if m and m.group(1):
-            return float(m.group(1))
-        return FIXED_EPS
+        return float(m.group(1)) if m and m.group(1) else VerifyTolerance.rel
 
     def echo(self):
         out = {"mode": self.mode}
@@ -305,15 +306,19 @@ def run_solve(cfg):
     return spectrum, result
 
 
+def _extrapolate(coarse, fine):
+    """Order-h² Richardson value (4·fine − coarse)/3, budget |fine − coarse|."""
+    return (4.0 * fine - coarse) / 3.0, abs(fine - coarse)
+
+
 def _richardson(cfg):
     """Solve at N and 2N, extrapolate, and derive per-index budgets."""
     problem = ElasticityProblem(cfg.edges, cfg.alpha, cfg.cells)
     coarse, _ = solve_problem(problem, cfg.m, cfg.tol, cfg.seed)
     fine, _ = solve_problem(problem.refined(), cfg.m, cfg.tol, cfg.seed)
-    extrap = (4.0 * fine.values - coarse.values) / 3.0
+    extrap, budget = _extrapolate(coarse.values, fine.values)
     order = np.argsort(extrap, kind="stable")
-    extrap = extrap[order]
-    budget = np.abs(fine.values - coarse.values)[order]
+    extrap, budget = extrap[order], budget[order]
     spectrum = Spectrum(problem.dim, cfg.alpha, extrap, source="computed",
                         mesh=f"richardson({problem.mesh_label()},"
                              f"{problem.refined().mesh_label()})")
@@ -355,8 +360,7 @@ def run_verify(cfg):
             "residuals": None if spectrum.residuals is None
             else [float(r) for r in spectrum.residuals],
         },
-        provenance={"version": __version__, "seed": cfg.seed, "mesh": mesh,
-                    "solver_tol": cfg.tol})
+        provenance={"seed": cfg.seed, "mesh": mesh, "solver_tol": cfg.tol})
     _emit(report, cfg)
     return report
 
@@ -387,7 +391,7 @@ def _cap_roundoff(theta0, cells, scale):
 def run_cap(cfg):
     """First-eigenvalue suite on a spherical cap, Richardson-extrapolated."""
     cfg.validate()
-    eps = cfg.fixed_tolerance()
+    eps = VerifyTolerance.rel
     kinds = CAP_KINDS if cfg.cap_kind == "all" else \
         ("dirichlet_laplacian", cfg.cap_kind)
     kinds = tuple(dict.fromkeys(kinds))  # keep order, drop duplicates
@@ -397,10 +401,10 @@ def run_cap(cfg):
                                       cfg.radial_cells)).value
         fine = solve_cap(CapProblem(cfg.theta0, kind, cfg.mode_max,
                                     2 * cfg.radial_cells)).value
-        values[kind] = (4.0 * fine - coarse) / 3.0
+        values[kind], budget = _extrapolate(coarse, fine)
         floor = eps if kind == "dirichlet_laplacian" else \
             _cap_roundoff(cfg.theta0, 2 * cfg.radial_cells, values[kind])
-        bands[kind] = max(eps, abs(fine - coarse), floor)
+        bands[kind] = max(eps, budget, floor)
 
     cap = CapProblem(cfg.theta0, "dirichlet_laplacian", cfg.mode_max,
                      cfg.radial_cells)
@@ -434,11 +438,9 @@ def run_cap(cfg):
 
     report = VerificationReport(
         cfg.echo(), records,
-        provenance={"version": __version__,
-                    "mesh": f"radial({cfg.radial_cells},{2 * cfg.radial_cells})",
-                    "theta0": cfg.theta0,
-                    "values": {k: values[k] for k in values},
-                    "budgets": {k: bands[k] for k in bands}})
+        provenance={"mesh": f"radial({cfg.radial_cells},"
+                            f"{2 * cfg.radial_cells})",
+                    "theta0": cfg.theta0, "values": values, "budgets": bands})
     _emit(report, cfg)
     return report
 

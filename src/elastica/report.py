@@ -44,7 +44,7 @@ class VerificationReport:
         for rec in self.records:
             counts[rec.verdict] += 1
         self.summary = counts
-        self.provenance.setdefault("version", __version__)
+        self.provenance = {"version": __version__, **self.provenance}
 
     def exit_code(self):
         return exit_code([self])

@@ -53,10 +53,9 @@ class SparseSymMatrix:
     data: np.ndarray
 
     @classmethod
-    def from_coo(cls, order, rows, cols, vals, check_symmetry=True):
-        indptr, indices, data = _csr_from_coo(order, rows, cols, vals)
-        mat = cls(order, indptr, indices, data)
-        if check_symmetry and not mat._is_symmetric():
+    def from_coo(cls, order, rows, cols, vals):
+        mat = cls(order, *_csr_from_coo(order, rows, cols, vals))
+        if not mat._is_symmetric():
             raise MatrixFormatError("matrix is not numerically symmetric")
         return mat
 
@@ -87,18 +86,6 @@ class SparseSymMatrix:
         if rows.size:
             out[rows] = np.add.reduceat(prod, self.indptr[rows], axis=0)
         return out[:, 0] if single else out
-
-    def add_scaled(self, other, factor):
-        """Return self + factor * other (same order, symmetric result)."""
-        if other.order != self.order:
-            raise MatrixFormatError("order mismatch")
-        rows_a = np.repeat(np.arange(self.order), np.diff(self.indptr))
-        rows_b = np.repeat(np.arange(other.order), np.diff(other.indptr))
-        rows = np.concatenate([rows_a, rows_b])
-        cols = np.concatenate([self.indices, other.indices])
-        vals = np.concatenate([self.data, factor * other.data])
-        return SparseSymMatrix.from_coo(self.order, rows, cols, vals,
-                                        check_symmetry=False)
 
     def to_dense(self):
         dense = np.zeros((self.order, self.order))
@@ -191,7 +178,11 @@ def write_matrix_market(path, matrix, comment=None):
 
 
 def read_matrix_market(path):
-    """Read a real symmetric coordinate Matrix Market file."""
+    """Read a real symmetric coordinate Matrix Market file.
+
+    The stored triangle is mirrored, so the matrix is symmetric by
+    construction and skips the check in :meth:`SparseSymMatrix.from_coo`.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().lower().split()
         if header[:4] != ["%%matrixmarket", "matrix", "coordinate", "real"]:
@@ -216,5 +207,5 @@ def read_matrix_market(path):
     rows_full = np.concatenate([rows, cols[off]])
     cols_full = np.concatenate([cols, rows[off]])
     vals_full = np.concatenate([vals, vals[off]])
-    return SparseSymMatrix.from_coo(nrow, rows_full, cols_full, vals_full,
-                                    check_symmetry=False)
+    return SparseSymMatrix(nrow, *_csr_from_coo(nrow, rows_full, cols_full,
+                                                vals_full))

@@ -224,8 +224,8 @@ def test_criterion_9_eigensolver_contracts():
                                   precond=precond)
     assert np.all(np.abs(shifted.values - result.values - 1.0)
                   <= 20 * tol * shifted.values)
-    R = K.add_scaled(M, 1.0).matvec(shifted.vectors) \
-        - M.matvec(shifted.vectors) * shifted.values
+    Mv = M.matvec(shifted.vectors)
+    R = K.matvec(shifted.vectors) + Mv - Mv * shifted.values
     assert np.all(np.linalg.norm(R, axis=0) / shifted.values <= tol)
     announce(9, "residuals, M-orthonormality, determinism and "
                 "shift-invariance on the 64^2 acceptance mesh")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from elastica import bounds
 from elastica.bounds import (BoundRecord, DegenerateGapError, DomainGeometry,
                              Spectrum, SpectrumError, VerifyTolerance,
                              alpha_threshold, average_upper, blend_weight,
@@ -411,6 +412,17 @@ class TestEvaluateAll:
         per_k = sum(r.name == "yang_quadratic" for r in records)
         assert per_k == 4
 
+    def test_low_order_judged_once(self, monkeypatch):
+        judged = []
+
+        def counting(name, *args):
+            judged.append(name)
+            return make_record(name, *args)
+
+        monkeypatch.setattr(bounds, "make_record", counting)
+        evaluate_all(spectrum(np.arange(1.0, 6.0)), 3)
+        assert judged.count("low_order") == 1
+
     def test_marginal_band(self):
         tol = VerifyTolerance(rel=1e-2)
         s = spectrum([1.0, 3.02])  # bound (1+2)*1 = 3 < 3.02, within 1% band
@@ -443,6 +455,58 @@ class TestEvaluateAll:
         lp = [r for r in records if r.name == "levine_protter_sum"][0]
         assert (lp.k, lp.slack) == (1, pytest.approx(0.3 - 1 / math.pi))
         assert lp.verdict == "fail"
+
+
+# (name, kind, note) of the records evaluate_all writes for each k, in
+# order; levine_protter_sum needs the geometry
+BOX_PER_K_LAYOUT = [
+    ("yang_quadratic", "quadratic_form", ""),
+    ("cheng_yang", "quadratic_form", ""),
+    ("next_upper", "upper_next", ""),
+    ("average_upper", "upper_next", ""),
+    ("gap_upper", "gap", ""),
+    ("levitin_parnovski_gap", "gap", ""),
+    ("hook_sum_ratio", "sum_ratio", ""),
+    ("levine_protter_sum", "lower_sum", ""),
+    ("index_growth", "index_growth", "conservative constant"),
+]
+# leading α = 0 eigenvalues of the (0, π)^n box, each once per component
+BOX_SPECTRA = {2: [2.0, 2.0, 5.0, 5.0, 5.0], 3: [3.0, 3.0, 3.0, 6.0, 6.0]}
+
+
+def expected_box_layout(values, n, k_max, with_geometry):
+    """(name, kind, k, note, skipped) of each record evaluate_all writes."""
+    out = []
+    for k in range(1, k_max + 1):
+        for name, kind, note in BOX_PER_K_LAYOUT:
+            if name == "levine_protter_sum" and not with_geometry:
+                continue
+            # σ_{k+1} = σ_k leaves Hook's ratio undefined
+            skipped = name == "hook_sum_ratio" and values[k] == values[k - 1]
+            if skipped:
+                note = (f"sigma_{k + 1} equals sigma_{k} within tolerance; "
+                        "ratio undefined")
+            out.append((name, kind, k, note, skipped))
+    skipped = len(values) < n + 1
+    note = (f"low-order bound needs {n + 1} eigenvalues, have {len(values)}"
+            if skipped else "")
+    out.append(("low_order", "low_order", n + 1, note, skipped))
+    return out
+
+
+class TestBoxRecordLayout:
+    @pytest.mark.parametrize("k_max", [1, 4])
+    @pytest.mark.parametrize("with_geometry", [False, True],
+                             ids=["no_geometry", "geometry"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_names_kinds_order_and_notes(self, n, with_geometry, k_max):
+        values = BOX_SPECTRA[n][:k_max + 1]
+        geometry = DomainGeometry(n, (math.pi,) * n) if with_geometry \
+            else None
+        records = evaluate_all(spectrum(values, n=n), k_max, geometry)
+        assert [(r.name, r.kind, r.k, r.note, r.verdict == "skip")
+                for r in records] \
+            == expected_box_layout(values, n, k_max, with_geometry)
 
 
 class TestMakeRecord:

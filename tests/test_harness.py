@@ -76,6 +76,12 @@ class TestConfigParsing:
         cfg = apply_overrides(RunConfig(), ["cap.theta0=1.25"])
         assert cfg.theta0 == 1.25
 
+    def test_edges_take_angle_forms(self):
+        cfg = apply_overrides(RunConfig(), ["domain.edges=pi,pi/2"])
+        assert cfg.edges == (PI, PI / 2)
+        cfg = apply_overrides(RunConfig(), ["domain.edges=3.25, 0.1"])
+        assert cfg.echo()["domain.edges"] == [3.25, 0.1]
+
     def test_policy_forms(self):
         assert tiny_verify_config(policy="fixed:1e-7").validate() \
             .fixed_tolerance() == 1e-7
@@ -268,6 +274,15 @@ class TestCapRuns:
         assert "hypothesis" in names["p1_vs_n_lambda1"].note
         assert "exploratory" in names["clamped_vs_n_lambda1"].note
         assert not any(r.name.endswith("hemisphere") for r in report.records)
+
+    def test_box_policy_leaves_cap_budgets(self):
+        reports = [run_cap(replace(RunConfig(mode="cap"), radial_cells=16,
+                                   mode_max=1, policy=policy))
+                   for policy in ("richardson", "fixed", "fixed:1e-2")]
+        for report in reports[1:]:
+            assert report.records == reports[0].records
+            assert report.provenance["budgets"] \
+                == reports[0].provenance["budgets"]
 
     def test_single_kind_run(self):
         cfg = replace(RunConfig(mode="cap"), radial_cells=48, mode_max=2,

@@ -50,12 +50,6 @@ class TestSparseSym:
         m = SparseSymMatrix.from_coo(2, [], [], [])
         assert np.array_equal(m.matvec(np.ones((2, 3))), np.zeros((2, 3)))
 
-    def test_add_scaled(self, rng):
-        a, da = random_symmetric_csr(rng)
-        b, db = random_symmetric_csr(rng)
-        c = a.add_scaled(b, -2.5)
-        assert np.allclose(c.to_dense(), da - 2.5 * db, atol=1e-13)
-
 
 class TestBanded:
     def test_round_trip_and_matvec(self, rng):
