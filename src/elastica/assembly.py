@@ -21,6 +21,8 @@ preconditioner has two layers: the exact inverse of K(0)
 factors in the sine basis and transforms with dense sine matrices, and
 Chebyshev steps for K(α) on [1, 1+α] around it (:func:`chebyshev`).  One
 term table (:func:`_terms`, :func:`_stencils_1d`) feeds all of them.
+:func:`prolongate` carries a block of nodal vectors to the refined mesh,
+which gives the Richardson fine solve its starting block.
 """
 
 from __future__ import annotations
@@ -366,6 +368,32 @@ def chebyshev(K, inner, alpha):
         return z
 
     return apply
+
+
+def prolongate(problem, x):
+    """Interpolate an (n, b) block from ``problem``'s mesh to its refinement.
+
+    Per component this is the Kronecker product of the 1D linear
+    interpolations onto the halved grid: fine node 2i+1 takes coarse node
+    i, and each midpoint takes the mean of its two neighbours, with the
+    zero Dirichlet value beyond the ends.  It runs axis by axis on the
+    ``(dim, n₁, …, n_d, b)`` view, so no matrix is built.  Returns the
+    (n_fine, b) block on ``problem.refined()``'s interior nodes.
+    """
+    dof_map = _dof_map(problem)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != dof_map.order:
+        raise ValueError(f"need an ({dof_map.order}, b) block, "
+                         f"got shape {x.shape}")
+    y = x.reshape((dof_map.dim,) + dof_map.interior + (x.shape[1],))
+    for axis in range(1, dof_map.dim + 1):
+        coarse = np.moveaxis(y, axis, 0)
+        fine = np.zeros((2 * len(coarse) + 1,) + coarse.shape[1:])
+        fine[1::2] = coarse
+        fine[:-1:2] += 0.5 * coarse
+        fine[2::2] += 0.5 * coarse
+        y = np.moveaxis(fine, 0, axis)
+    return y.reshape(-1, x.shape[1])
 
 
 def interpolate_field(problem, components):

@@ -120,14 +120,19 @@ def _residuals(KX, MX, theta):
 
 
 def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
-                        precond=None):
+                        precond=None, start=None):
     """m algebraically smallest eigenpairs of K x = σ M x by blocked LOBPCG.
 
     K and M need only ``order`` and ``matvec`` (on (n,) and (n, b)
     operands): a CSR matrix or a matrix-free operator.  K must be
     symmetric, M symmetric positive definite, m <= order/4.  The
-    starting block is pseudo-random from ``seed`` and the whole iteration is
-    deterministic.  Eigenvalues within a cluster are reported individually.
+    starting block of m + 8 columns is pseudo-random from ``seed``, and the
+    whole iteration is deterministic.  An (n, k) ``start`` block with
+    k <= m, such as eigenvector approximations from a coarser mesh,
+    replaces its first k columns; ``seed`` still draws the others, so the
+    guard columns past m stay random and can find an eigenvector that
+    ``start`` misses.  Eigenvalues within a cluster are reported
+    individually.
 
     Residuals are decided implicitly and reported explicitly: each
     iteration takes its residual norms from the K X and M X blocks it
@@ -147,6 +152,12 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
 
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, bs))
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        if start.ndim != 2 or start.shape[0] != n or start.shape[1] > m:
+            raise ValueError(f"start must be an ({n}, k) block with k <= "
+                             f"m = {m}, got shape {start.shape}")
+        X[:, :start.shape[1]] = start
     X = _stack(K, M, X / np.linalg.norm(X, axis=0))
     theta, C = _rayleigh_ritz(X)
     X = X @ C

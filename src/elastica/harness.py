@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import (ElasticityProblem, assemble, box_operators,
-                       chebyshev, laplacian_inverse)
+                       chebyshev, laplacian_inverse, prolongate)
 from .bounds import (DomainGeometry, Spectrum, VerifyTolerance, evaluate_all,
                      make_record)
 from .cap1d import CAP_KINDS, CapProblem, solve_cap
@@ -269,17 +269,21 @@ def read_spectrum(path):
 # ---------------------------------------------------------------------------
 # runs
 
-def solve_problem(problem, m, tol, seed):
+def solve_problem(problem, m, tol, seed, start=None):
     """Solve the box pencil; returns (Spectrum, EigenResult).
 
     K(α) and M are applied matrix-free as tensor-product stencils
     (:func:`box_operators`) and preconditioned by Chebyshev steps on
     [1, 1+α] around the exact sine-transform inverse of the α = 0
-    stiffness; no CSR matrix is assembled.
+    stiffness; no CSR matrix is assembled.  ``start``, an (n, k) block
+    with k <= m, seeds the first k columns of LOBPCG's starting block
+    (see :func:`smallest_eigenpairs`); without it the block is random from
+    ``seed``.
     """
     K, M = box_operators(problem)
     precond = chebyshev(K, laplacian_inverse(problem), problem.alpha)
-    result = smallest_eigenpairs(K, M, m, tol=tol, seed=seed, precond=precond)
+    result = smallest_eigenpairs(K, M, m, tol=tol, seed=seed, precond=precond,
+                                 start=start)
     spectrum = Spectrum(problem.dim, problem.alpha, result.values,
                         source="computed", mesh=problem.mesh_label(),
                         residuals=result.residuals, solver_tol=tol)
@@ -312,10 +316,14 @@ def _extrapolate(coarse, fine):
 
 
 def _richardson(cfg):
-    """Solve at N and 2N, extrapolate, and derive per-index budgets."""
+    """Solve at N and 2N, extrapolate, and derive per-index budgets.
+
+    The 2N solve starts from the prolongated N eigenvectors.
+    """
     problem = ElasticityProblem(cfg.edges, cfg.alpha, cfg.cells)
-    coarse, _ = solve_problem(problem, cfg.m, cfg.tol, cfg.seed)
-    fine, _ = solve_problem(problem.refined(), cfg.m, cfg.tol, cfg.seed)
+    coarse, result = solve_problem(problem, cfg.m, cfg.tol, cfg.seed)
+    fine, _ = solve_problem(problem.refined(), cfg.m, cfg.tol, cfg.seed,
+                            start=prolongate(problem, result.vectors))
     extrap, budget = _extrapolate(coarse.values, fine.values)
     order = np.argsort(extrap, kind="stable")
     extrap, budget = extrap[order], budget[order]

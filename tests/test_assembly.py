@@ -6,7 +6,8 @@ import pytest
 from elastica.assembly import (DofMap, ElasticityProblem, _chebyshev_steps,
                                assemble, box_operators, chebyshev,
                                divergence_stiffness, interpolate_field,
-                               laplacian_inverse, reference_spectrum_alpha0)
+                               laplacian_inverse, prolongate,
+                               reference_spectrum_alpha0)
 from conftest import dense_generalized_eigs
 
 PI = np.pi
@@ -185,6 +186,63 @@ class TestFieldChecks:
                 lambda x, y: np.sin(x) * np.cos(y)])
             quotient = (u @ Kd.matvec(u)) / (u @ M.matvec(u))
             assert quotient > 1.0
+
+
+def interpolation_1d(cells):
+    """Dense linear interpolation from cells − 1 to 2·cells − 1 interior
+    nodes, entry by entry: fine node 2i+1 is coarse node i, and each fine
+    node between two coarse ones (or a coarse one and the boundary) takes
+    half of each neighbour."""
+    P = np.zeros((2 * cells - 1, cells - 1))
+    for i in range(cells - 1):
+        P[2 * i + 1, i] = 1.0
+        P[2 * i, i] = 0.5
+        P[2 * i + 2, i] = 0.5
+    return P
+
+
+class TestProlongate:
+    @pytest.mark.parametrize("cells", [(4, 4), (5, 3), (3, 4, 5), (2, 2, 2)])
+    def test_matches_dense_kronecker(self, cells, rng):
+        p = ElasticityProblem((PI,) * len(cells), 1.0, cells)
+        P = np.eye(1)
+        for c in cells:
+            P = np.kron(P, interpolation_1d(c))
+        P = np.kron(np.eye(len(cells)), P)  # component-major
+        x = rng.standard_normal((P.shape[1], 3))
+        y = prolongate(p, x)
+        assert y.shape == (P.shape[0], 3)
+        assert np.abs(y - P @ x).max() <= 1e-14 * np.abs(x).max()
+
+    @pytest.mark.parametrize("cells", [(5, 3), (3, 4, 5)])
+    def test_injects_coarse_nodes(self, cells, rng):
+        p = ElasticityProblem((1.0,) * len(cells), 0.0, cells)
+        x = rng.standard_normal((p.dim * int(np.prod([c - 1 for c in cells])),
+                                 2))
+        y = prolongate(p, x).reshape(
+            (p.dim,) + tuple(2 * c - 1 for c in cells) + (2,))
+        odd = (slice(None),) + (slice(1, None, 2),) * len(cells)
+        assert np.array_equal(y[odd].reshape(x.shape), x)
+
+    def test_error_second_order(self):
+        # sine products that vanish on the (π × 1.7π) box's boundary
+        fields = [lambda x, y: np.sin(x) * np.sin(2 * y / 1.7),
+                  lambda x, y: np.sin(3 * x) * np.sin(y / 1.7)]
+        errors = []
+        for cells in (8, 16, 32):
+            p = ElasticityProblem((PI, 1.7 * PI), 0.5, (cells, cells))
+            coarse = interpolate_field(p, fields)[:, None]
+            exact = interpolate_field(p.refined(), fields)
+            errors.append(np.abs(prolongate(p, coarse)[:, 0] - exact).max())
+        rates = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((3.5 <= rates) & (rates <= 4.5))
+
+    def test_rejects_wrong_shape(self):
+        p = ElasticityProblem((PI, PI), 0.0, (4, 4))
+        with pytest.raises(ValueError, match="block"):
+            prolongate(p, np.ones((17, 2)))
+        with pytest.raises(ValueError, match="block"):
+            prolongate(p, np.ones(18))
 
 
 @pytest.mark.parametrize("cols", [None, 4], ids=["vector", "block"])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from elastica.assembly import (ElasticityProblem, _csr, _terms, assemble,
-                               laplacian_inverse, reference_spectrum_alpha0)
+                               box_operators, chebyshev, laplacian_inverse,
+                               prolongate, reference_spectrum_alpha0)
 from elastica.eigensolve import (BandedCholesky, ConvergenceError,
                                  EigenResult, FactorizationError,
                                  IndefiniteMassError, banded_smallest,
@@ -217,6 +218,76 @@ class TestLOBPCG:
                 assert np.array_equal(res.values, full.values)
                 assert np.array_equal(res.vectors, full.vectors)
                 assert res.converged.all()
+
+
+def warm_and_cold(problem, m, tol=1e-8, seed=5):
+    """Cold and warm LOBPCG on the refined pencil, and the start block.
+
+    The warm solve starts from the coarse eigenvectors of ``problem``,
+    prolongated to the refined mesh, as the Richardson fine solve does.
+    """
+    _, coarse = solve_problem(problem, m, tol, seed)
+    start = prolongate(problem, coarse.vectors)
+    fine = problem.refined()
+    K, M = box_operators(fine)
+    precond = chebyshev(K, laplacian_inverse(fine), fine.alpha)
+    cold = smallest_eigenpairs(K, M, m, tol=tol, seed=seed, precond=precond)
+    warm = smallest_eigenpairs(K, M, m, tol=tol, seed=seed, precond=precond,
+                               start=start)
+    return cold, warm, start
+
+
+class TestWarmStart:
+    """Starting from prolongated coarse eigenvectors changes only the path."""
+
+    @pytest.mark.parametrize("edges,alpha,cells,m,moved", [
+        ((PI, PI), 0.0, (12, 12), 8, None),
+        ((PI, PI), 10.0, (12, 12), 8, None),
+        ((PI, PI), 100.0, (12, 12), 8, None),
+        ((PI, 0.3), 0.0, (16, 4), 8, None),
+        ((PI, 2.0, 1.5), 1.0, (4, 4, 4), 6, None),
+        # σ ≈ 12.64 is index 5 at 16² and index 3 at 32²
+        ((PI, PI), 10.0, (16, 16), 16, (5, 3)),
+    ], ids=["square-a0", "square-a10", "square-a100", "strip", "3d",
+            "out-of-order"])
+    def test_same_pairs_in_no_more_iterations(self, edges, alpha, cells, m,
+                                              moved):
+        tol = 1e-8
+        problem = ElasticityProblem(edges, alpha, cells)
+        cold, warm, start = warm_and_cold(problem, m, tol)
+        assert len(warm.values) == len(cold.values) == m
+        assert np.all(np.abs(warm.values - cold.values)
+                      <= 1e-10 * cold.values)
+        assert warm.iterations <= cold.iterations
+        # residuals recomputed on the assembled CSR pencil
+        K, M, _ = assemble(problem.refined())
+        R = K.matvec(warm.vectors) - M.matvec(warm.vectors) * warm.values
+        assert np.all(np.linalg.norm(R, axis=0) / warm.values <= tol)
+        assert np.all(warm.residuals <= tol) and np.all(cold.residuals <= tol)
+        if moved is not None:
+            # the start column that best matches the fine eigenvector
+            coarse_index, fine_index = moved
+            overlap = np.abs(start.T @ M.matvec(warm.vectors[:, fine_index]))
+            assert np.argmax(overlap) == coarse_index
+
+    def test_alpha0_fine_solve_nearly_free(self):
+        # at α = 0 the coarse eigenvectors are sampled sine products, and
+        # their interpolants are already close to the fine ones
+        problem = ElasticityProblem((PI, PI), 0.0, (16, 16))
+        _, coarse = solve_problem(problem, 12, 1e-8, 3)
+        _, warm = solve_problem(problem.refined(), 12, 1e-8, 3,
+                                start=prolongate(problem, coarse.vectors))
+        assert warm.iterations <= 3
+
+    def test_rejects_misshapen_start(self):
+        K = diag_csr(np.arange(1.0, 33.0))
+        M = identity_csr(32)
+        with pytest.raises(ValueError, match="start"):
+            smallest_eigenpairs(K, M, 4, start=np.ones((31, 2)))
+        with pytest.raises(ValueError, match="start"):
+            smallest_eigenpairs(K, M, 4, start=np.ones((32, 5)))
+        with pytest.raises(ValueError, match="start"):
+            smallest_eigenpairs(K, M, 4, start=np.ones(32))
 
 
 class CountingOperand:

@@ -8,6 +8,8 @@ it breaks ``perfbench/run.py --trace 1``.
 import importlib
 from pathlib import Path
 
+from dataclasses import replace
+
 from elastica import cap1d, eigensolve, harness
 from elastica.assembly import ElasticityProblem
 from elastica.cap1d import CapProblem
@@ -52,3 +54,19 @@ def test_instrument_wraps_and_restores(monkeypatch):
             "eigensolve.M_apply"} <= names
     # the cap pencils are scattered into bands, never built dense
     assert "sparse.from_dense" not in names
+
+
+def test_traced_richardson_report_unchanged(monkeypatch):
+    # the fine solve's start block passes through the tracer's
+    # solve_problem and smallest_eigenpairs wrappers as a keyword
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    cfg = replace(harness.RunConfig(mode="verify"), alpha=2.0, cells=(10, 10),
+                  m=6, k_max=5, seed=7, policy="richardson")
+    plain = harness.run_verify(cfg).to_json()
+    with tracer.instrument(tracer.Tracer()) as trace:
+        traced = harness.run_verify(cfg).to_json()
+    assert traced == plain
+    solves = [s for s in trace.spans
+              if s.name == "eigensolve.smallest_eigenpairs"]
+    assert [s.case for s in solves] == ["10x10.alpha2", "20x20.alpha2"]
