@@ -59,6 +59,10 @@ _GAUSS_W = np.array([0.2369268850561891, 0.4786286704993665,
 
 #: residual tolerance and starting seed of every mode's first-pair solve
 FIRST_PAIR_TOL, FIRST_PAIR_SEED = 1e-13, 0
+#: floor on the cell angle θ₀/cells: the stiffest pencil entries grow
+#: like (cells/θ₀)⁴ and the cap round-off budget like the eighth power,
+#: and both overflow double precision near θ₀/cells = 1e-40
+MIN_CELL_ANGLE = 1e-30
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,11 @@ class CapProblem:
             raise ValueError("mode_max must be >= 0")
         if self.radial_cells < 16:
             raise ValueError("need at least 16 radial cells")
+        cell = self.theta0 / self.radial_cells
+        if cell < MIN_CELL_ANGLE:
+            raise ValueError(f"theta0/cells = {cell:.3g} is below "
+                             f"{MIN_CELL_ANGLE:g}; the cap pencils would "
+                             f"overflow")
 
     @property
     def hemisphere(self):

@@ -13,11 +13,13 @@ factorisations of dense blocks):
   built and applied on dense 64×64 diagonal blocks with numpy's LAPACK
   (``np.linalg.cholesky`` and ``inv``), coupled through bandwidth² corners.
 
-Both carry every block of b columns together with its pencil images as one
-``(3, n, b)`` stack (Y, K·Y, M·Y), or (Y, A·Y, B·Y) for the banded pencil.
-A change of basis ``S @ C``, a concatenation along the last axis or a column
-scaling then moves all three at once, and :func:`_rayleigh_ritz` reads both
-Gram matrices from the stack without applying the pencil again.
+Both hold a basis with its pencil images as one row stack, a ``(3, b, n)``
+array (Y, K·Y, M·Y) or (Y, A·Y, B·Y) with one vector per contiguous row:
+``Cᵀ @ S`` changes the basis of all three, and :func:`_rayleigh_ritz` reads
+both Gram matrices from it without applying the pencil again.  LOBPCG keeps
+[X | P | W] in one persistent stack of 3b rows and a spare (3, b, n) block,
+written in place every iteration; K, M and the preconditioner keep their
+(n, b) operands and receive transposed views of rows.
 """
 
 from __future__ import annotations
@@ -70,15 +72,20 @@ class EigenResult:
     converged: np.ndarray
 
 
-def _stack(K, M, Y):
-    """The (3, n, b) stack (Y, K·Y, M·Y) of a column block."""
-    return np.stack((Y, K.matvec(Y), M.matvec(Y)))
+def _checked(result, what, tol):
+    """``result``; a ConvergenceError carrying it if a pair is unconverged."""
+    bad = np.flatnonzero(~result.converged)
+    if bad.size:
+        raise ConvergenceError(result, f"unconverged {what} {bad.tolist()} "
+                               f"after {result.iterations} iterations "
+                               f"(tol {tol:g})")
+    return result
 
 
 def _whiten(gram):
     """Return V with Vᵀ G V = I on the numerically independent subspace.
 
-    Callers pass column-normalised bases so the Gram is well scaled; tiny
+    Callers pass normalised bases so the Gram is well scaled; tiny
     negative eigenvalues are dependent directions and get dropped, while a
     clearly negative one witnesses an indefinite metric.
     """
@@ -95,16 +102,16 @@ def _whiten(gram):
 
 
 def _rayleigh_ritz(S):
-    """Ritz values θ (ascending) and coefficients C of a stacked block.
+    """Ritz values θ (ascending) and coefficients C of a row stack.
 
-    With S = (Y, K·Y, M·Y): Cᵀ(YᵀMY)C = I and Cᵀ(YᵀKY)C = diag θ on the
-    numerically independent part of span Y, so ``S @ C`` is the stack of
-    the Ritz vectors.
+    With S = (Y, K·Y, M·Y), one basis vector per row: Cᵀ(Y M Yᵀ)C = I and
+    Cᵀ(Y K Yᵀ)C = diag θ on the numerically independent part of span Y, so
+    ``Cᵀ @ S`` is the stack of the Ritz vectors.
     """
     Y, KY, MY = S
     try:
-        V = _whiten(Y.T @ MY)
-        H = V.T @ (Y.T @ KY) @ V
+        V = _whiten(Y @ MY.T)
+        H = V.T @ (Y @ KY.T) @ V
         theta, Q = np.linalg.eigh(0.5 * (H + H.T))
     except np.linalg.LinAlgError as err:
         raise BreakdownError(f"Rayleigh-Ritz projection failed: {err}") \
@@ -112,11 +119,11 @@ def _rayleigh_ritz(S):
     return theta, V @ Q
 
 
-def _residuals(KX, MX, theta):
-    """Residual block K X − M X θ and its relative column norms."""
-    R = KX - MX * theta
-    norms = np.linalg.norm(R, axis=0)
-    return R, norms / np.maximum(np.abs(theta), 1e-300)
+def _residuals(KY, MY, theta, scale, out=None):
+    """Residual rows K y − θ M y (into ``out``) and their norms / scale."""
+    R = np.multiply(MY, theta[:, None], out=out)
+    np.subtract(KY, R, out=R)
+    return R, np.linalg.norm(R, axis=1) / np.maximum(scale, 1e-300)
 
 
 def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
@@ -158,78 +165,84 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
             raise ValueError(f"start must be an ({n}, k) block with k <= "
                              f"m = {m}, got shape {start.shape}")
         X[:, :start.shape[1]] = start
-    X = _stack(K, M, X / np.linalg.norm(X, axis=0))
-    theta, C = _rayleigh_ritz(X)
-    X = X @ C
+    X /= np.linalg.norm(X, axis=0)
+    # the basis [X | P | W] and its K and M images, one vector per row, and
+    # a spare block for the residuals and the momentum combination
+    S = np.empty((3, 3 * bs, n))
+    spare = np.empty((3, bs, n))
+    S[:, :bs] = (X.T, K.matvec(X).T, M.matvec(X).T)
+    del X
 
-    P = None
-    it = 0
-    certified = False
-    R, res = _residuals(X[1], X[2], theta)
+    def project(nx, npr):
+        """Ritz-rotate the nx rows of X in place; P stays behind them."""
+        theta, C = _rayleigh_ritz(S[:, :nx])
+        k = C.shape[1]
+        S[:, :k] = np.matmul(C.T, S[:, :nx], out=spare[:, :k])
+        if k < nx:
+            S[:, k:k + npr] = S[:, nx:nx + npr]
+        return theta, k
+
+    def residuals(explicit):
+        """Residual rows and relative norms of X (K·X, M·X fresh or held)."""
+        X = S[0, :nx].T
+        KX, MX = (K.matvec(X).T, M.matvec(X).T) if explicit else S[1:, :nx]
+        return _residuals(KX, MX, theta, np.abs(theta), out=spare[0, :nx])
+
+    theta, nx = project(bs, 0)
+    npr = it = 0
+    R, res = residuals(False)
     while it < maxiter:
         if np.all(res[:m] <= tol):
             # rotations inside an eigenvalue cluster redistribute residual
             # norms, so convergence is decided on the re-projected block
-            theta, C = _rayleigh_ritz(X)
-            X = X @ C
-            _, res = _residuals(K.matvec(X[0]), M.matvec(X[0]), theta)
+            theta, nx = project(nx, npr)
+            res = residuals(True)[1]
             if np.all(res[:m] <= tol):
-                certified = True
                 break
-            R = X[1] - X[2] * theta
-        conv = res <= tol
+            R = residuals(False)[0]
         it += 1
-        active = ~conv
+        active = ~(res <= tol)
         if not np.any(active):
-            active = np.zeros_like(conv)
             active[:m] = True
-        W = R[:, active]
+        W = R[active].T
         if precond is not None:
             W = precond(W)
-        W = _stack(K, M, W)
-        W *= 1.0 / np.sqrt(np.maximum(np.einsum("ij,ij->j", W[0], W[2]),
-                                      1e-300))
+        W = (W, K.matvec(W), M.matvec(W))
+        scale = 1.0 / np.sqrt(np.maximum(np.einsum("ij,ij->j", W[0], W[2]),
+                                          1e-300))
+        top = nx + npr + scale.size
+        for i, block in enumerate(W):
+            np.multiply(block.T, scale[:, None], out=S[i, nx + npr:top])
 
-        S = np.concatenate([X, W] if P is None else [X, W, P], axis=2)
-        theta, C = _rayleigh_ritz(S)
+        theta, C = _rayleigh_ritz(S[:, :top])
         theta, C = theta[:bs], C[:, :bs]
-
-        # momentum block: the Ritz directions' W/P part alone, kept
-        # M-normalised column by column; the new X adds the X part to it
-        nx = X.shape[2]
-        P = S[:, :, nx:] @ C[nx:]
-        X = X @ C[:nx] + P
-        pnorm = np.sqrt(np.maximum(np.einsum("ij,ij->j", P[0], P[2]), 0.0))
+        k = C.shape[1]
+        # momentum block P: the Ritz directions' P/W part alone, kept
+        # M-normalised row by row; the new X adds the X part to it
+        np.matmul(C[nx:].T, S[:, nx:top], out=spare[:, :k])
+        np.matmul(C[:nx].T, S[:, :nx], out=S[:, nx:nx + k])
+        np.add(S[:, nx:nx + k], spare[:, :k], out=S[:, :k])
+        pnorm = np.sqrt(np.maximum(
+            np.einsum("ij,ij->i", spare[0, :k], spare[2, :k]), 0.0))
         keep = pnorm > 1e-12
-        P = P[:, :, keep] * (1.0 / pnorm[keep]) if np.any(keep) else None
-        # the basis stack is dead now; freeing it before the next
-        # iteration's applies and concatenation lowers the peak memory
-        del S
-        R, res = _residuals(X[1], X[2], theta)
-
-    # every exit but the certified break (the budget running out, even just
-    # after the implicit norms passed) re-projects and recomputes the
-    # residuals explicitly, so the partial result is M-orthonormal and its
-    # residuals are true ones
-    if not certified:
-        theta, C = _rayleigh_ritz(X)
-        X = X @ C
-        _, res = _residuals(K.matvec(X[0]), M.matvec(X[0]), theta)
+        P = spare[:, :k] if np.all(keep) else spare[:, :k][:, keep]
+        nx, npr = k, P.shape[1]
+        np.multiply(P, 1.0 / pnorm[keep, None], out=S[:, nx:nx + npr])
+        R, res = residuals(False)
+    else:
+        # the budget ran out, maybe just as the implicit norms passed: the
+        # partial result is re-projected, so it is M-orthonormal, and its
+        # residuals are recomputed explicitly
+        theta, nx = project(nx, 0)
+        res = residuals(True)[1]
     if theta.size < m:
         raise BreakdownError(
             f"iteration subspace degenerated to {theta.size} directions, "
             f"fewer than the {m} requested")
-    theta = theta[:m]
-    X = X[0, :, :m].copy()
     res = res[:m]
-    converged = res <= tol
-    result = EigenResult(theta.copy(), X, res, it, converged)
-    if not np.all(converged):
-        bad = np.flatnonzero(~converged)
-        raise ConvergenceError(result,
-                               f"unconverged eigenpairs at indices {bad.tolist()} "
-                               f"after {it} iterations (tol {tol:g})")
-    return result
+    # copies, so the result does not keep the basis stack alive
+    return _checked(EigenResult(theta[:m].copy(), S[0, :m].T.copy(), res, it,
+                                res <= tol), "eigenpairs at indices", tol)
 
 
 _BLOCK = 64
@@ -346,36 +359,23 @@ def banded_smallest(A, B, m=1, tol=1e-10, maxiter=300, seed=0):
 
     bs = min(n, max(m + 4, 6))
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, bs))
-    BX = B.matvec(X)
-    norm_a = A.norm1()
-    norm_b = B.norm1()
-
-    def backward_errors(vectors, values):
-        # scale-invariant residual: the pencil norms can be h^(-4) apart
-        R = A.matvec(vectors) - B.matvec(vectors) * values
-        scale = (norm_a + np.abs(values) * norm_b) \
-            * np.linalg.norm(vectors, axis=0)
-        return np.linalg.norm(R, axis=0) / np.maximum(scale, 1e-300)
+    BX = B.matvec(rng.standard_normal((n, bs))).T
+    norm_a, norm_b = A.norm1(), B.norm1()
 
     it = 0
     while True:
         it += 1
-        Y = factor.solve(BX)
+        Y = factor.solve(BX.T)
         Y /= np.maximum(np.linalg.norm(Y, axis=0), 1e-300)
-        S = _stack(A, B, Y)
+        S = np.stack((Y.T, A.matvec(Y).T, B.matvec(Y).T))
         theta, C = _rayleigh_ritz(S)
-        X, BX = S[::2] @ C
-        residuals = backward_errors(X[:, :m], theta[:m])
+        X, BX = C.T @ S[::2]
+        # scale-invariant residual: the pencil norms can be h^(-4) apart
+        values, x = theta[:m], X[:m].T
+        _, residuals = _residuals(
+            A.matvec(x).T, B.matvec(x).T, values,
+            (norm_a + np.abs(values) * norm_b) * np.linalg.norm(X[:m], axis=1))
         if np.all(residuals <= tol) or it >= maxiter:
             break
-    values = theta[:m]
-    vectors = X[:, :m]
-    converged = residuals <= tol
-    result = EigenResult(values.copy(), vectors, residuals, it, converged)
-    if not np.all(converged):
-        bad = np.flatnonzero(~converged)
-        raise ConvergenceError(result,
-                               f"unconverged banded eigenpairs {bad.tolist()} "
-                               f"after {it} iterations (tol {tol:g})")
-    return result
+    return _checked(EigenResult(values.copy(), x.copy(), residuals, it,
+                                residuals <= tol), "banded eigenpairs", tol)

@@ -144,9 +144,10 @@ class RunConfig:
             # the problem constructors re-validate edges, cells and angles
             if solves:
                 box = ElasticityProblem(self.edges, self.alpha, self.cells)
-            if self.mode == "cap":
-                CapProblem(self.theta0, "dirichlet_laplacian", self.mode_max,
-                           self.radial_cells)
+            if self.mode == "cap":  # Richardson solves at cells and 2·cells
+                for cells in (self.radial_cells, 2 * self.radial_cells):
+                    CapProblem(self.theta0, "dirichlet_laplacian",
+                               self.mode_max, cells)
         except ValueError as err:
             raise ConfigError(str(err)) from None
         if solves:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elastica import cli, harness
+from elastica import cap1d, cli, harness
 from elastica.assembly import reference_spectrum_alpha0
 from elastica.bounds import Spectrum
 from elastica.harness import (CONFIG_KEYS, ConfigError, RunConfig,
@@ -75,6 +75,21 @@ class TestConfigParsing:
         assert cfg.theta0 == pytest.approx(2 * PI / 3, rel=1e-15)
         cfg = apply_overrides(RunConfig(), ["cap.theta0=1.25"])
         assert cfg.theta0 == 1.25
+
+    def test_cap_cell_angle_floor(self):
+        # Richardson's 2·cells mesh must clear the floor as well
+        floor = cap1d.MIN_CELL_ANGLE
+        for cfg in (RunConfig(mode="cap"),
+                    apply_overrides(RunConfig(mode="cap"), [
+                        "cap.theta0=pi/2", "cap.cells=256", "cap.mode_max=8"]),
+                    replace(RunConfig(mode="cap"), theta0=32 * floor,
+                            radial_cells=16)):
+            assert cfg.validate() is cfg
+        with pytest.raises(ConfigError, match="below 1e-30"):
+            replace(RunConfig(mode="cap"), theta0=31 * floor,
+                    radial_cells=16).validate()
+        # runs that solve no cap only echo the angle
+        replace(RunConfig(mode="verify"), theta0=1e-77).validate()
 
     def test_edges_take_angle_forms(self):
         cfg = apply_overrides(RunConfig(), ["domain.edges=pi,pi/2"])
@@ -535,6 +550,10 @@ class TestCLI:
         (["solve", "--set", "domain.edges=inf,1"], "positive and finite"),
         (["solve", "--set", "domain.edges=nan,1"], "positive and finite"),
         (["cap", "--set", "cap.theta0=pi/0"], "zero denominator"),
+        # thinner cells overflow the cap pencils and their round-off budget
+        *[(["cap", "--set", f"cap.theta0={theta0}", "--set", "cap.cells=16",
+            "--set", "cap.mode_max=1"], "is below 1e-30")
+          for theta0 in ("1e-77", "1e-60", "1e-40")],
         # runs from a spectrum file solve nothing but still echo the domain
         (["bounds", "--set", "spectrum.path={spec}", "--set",
           "verify.k_max=2", "--set", "domain.alpha=nan", "--output",
@@ -551,6 +570,7 @@ class TestCLI:
     ], ids=["mesh_cells", "cap_cells", "negative_seed", "m_below_k_max",
             "spectrum_format", "solve_m_above_order", "verify_m_above_order",
             "nan_alpha", "infinite_edge", "nan_edge", "angle_over_zero",
+            "cap_angle_1e-77", "cap_angle_1e-60", "cap_angle_1e-40",
             "bounds_nan_alpha", "bounds_bad_edges",
             "verify_file_negative_alpha", "bounds_infinite_theta0"])
     def test_bad_config_exits_one(self, argv, message, capsys, tmp_path):
@@ -562,16 +582,24 @@ class TestCLI:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("theta0,message", [
-        ("1e-80", "subspace collapsed"),
-        ("1e-77", "Rayleigh-Ritz projection failed"),
+    @pytest.mark.parametrize("scale,message", [
+        (0.0, "subspace collapsed"),
+        (np.inf, "Rayleigh-Ritz projection failed"),
     ], ids=["collapsed_subspace", "non_finite_projection"])
-    def test_solver_breakdown_exits_one(self, theta0, message, capsys):
-        # caps this thin break the radial pencils down inside the banded
-        # solver; the breakdown is reported like an unconverged solve
+    def test_solver_breakdown_exits_one(self, scale, message, capsys,
+                                        monkeypatch):
+        # a zero or non-finite mass matrix breaks the radial pencils down
+        # inside the banded solver; the breakdown is reported like an
+        # unconverged solve
+        elements = cap1d._element_matrices
+
+        def scaled(*args):
+            forms = elements(*args)
+            return {**forms, "W": forms["W"] * scale}
+
+        monkeypatch.setattr(cap1d, "_element_matrices", scaled)
         with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main(["cap", "--set", f"cap.theta0={theta0}",
-                             "--set", "cap.cells=16",
+            code = cli.main(["cap", "--set", "cap.cells=16",
                              "--set", "cap.mode_max=1"])
         assert code == 1
         err = capsys.readouterr().err
