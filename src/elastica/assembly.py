@@ -13,16 +13,19 @@ form is discretised, never the strong operator, which keeps K(α) exactly
 symmetric.  Degrees of freedom are component-major; within a component,
 nodes are lexicographic with the last coordinate fastest.
 
-The eigensolver applies these Kronecker sums matrix-free, as 1D three-point
-stencils along each axis (:func:`box_operators`); :func:`assemble` builds
-the same terms as CSR for the Matrix Market export and the tests.  Its
-preconditioner has two layers: the exact inverse of K(0)
-(:func:`laplacian_inverse`), which takes the eigenvalues of the same 1D
-factors in the sine basis and transforms with dense sine matrices, and
-Chebyshev steps for K(α) on [1, 1+α] around it (:func:`chebyshev`).  One
-term table (:func:`_terms`, :func:`_stencils_1d`) feeds all of them.
-:func:`prolongate` carries a block of nodal vectors to the refined mesh,
-which gives the Richardson fine solve its starting block.
+One term table (:func:`_terms`, :func:`_stencils_1d`) feeds two forms of
+the pencil.  :func:`assemble` builds it as CSR in nodal coordinates, for
+the Matrix Market export and the tests.  The eigensolver works in sine
+coordinates (:func:`sine_transform`, an orthonormal sine matrix along
+every axis, its own inverse), where every symmetric 1D factor is diagonal
+(Lynch, Rice & Thomas, Numer. Math. 6, 1964): M and K(0) are one multiply
+by their symbols, and only the α-scaled grad-div couplings C ⊗ Cᵀ are
+dense, one matmul along each of two axes (:func:`box_operators`).  Its
+preconditioner has two layers: the exact inverse of K(0), a division by
+its symbol (:func:`laplacian_inverse`), and Chebyshev steps for K(α) on
+[1, 1+α] around it (:func:`chebyshev`).  :func:`prolongate` carries a
+block of nodal vectors to the refined mesh, which gives the Richardson
+fine solve its starting block.
 """
 
 from __future__ import annotations
@@ -184,92 +187,14 @@ def assemble(problem):
 
     K = K_lap + alpha*K_div and M are exactly symmetric; the generalized
     eigenvalues approximate the continuous ones at O(h²) for smooth
-    eigenfunctions.  The solver applies the same terms matrix-free (see
-    :func:`box_operators`); the CSR form serves the Matrix Market export
-    and the tests.
+    eigenfunctions.  The solver applies the same terms in sine coordinates
+    (see :func:`box_operators`); the CSR form serves the Matrix Market
+    export and the tests.
     """
     dof_map = _dof_map(problem)
     lap_terms, div_terms, mass_terms = _terms(problem)
     return (_csr(dof_map, lap_terms + div_terms), _csr(dof_map, mass_terms),
             dof_map)
-
-
-def _stencil(x, axis, lower, diag, upper):
-    """Apply the constant tridiagonal (lower, diag, upper) along ``axis``."""
-    lead = (slice(None),) * axis
-    head, tail = lead + (slice(None, -1),), lead + (slice(1, None),)
-    y = x * diag
-    y[tail] += lower * x[head]
-    y[head] += upper * x[tail]
-    return y
-
-
-class TensorProductOperator:
-    """Matrix-free sum of Kronecker products of 1D three-point stencils.
-
-    Operands are component-major stacks of ``dim`` scalar fields on the
-    ``shape`` grid (last axis fastest).  Each term is (row component,
-    column component, scale, (lower, diag, upper) per axis); ``matvec``
-    runs the stencils axis by axis and accumulates into the row component.
-    """
-
-    def __init__(self, dim, shape, terms):
-        self.dim = dim
-        self.shape = tuple(shape)
-        self.terms = tuple(terms)
-        self.order = dim * int(np.prod(self.shape))
-
-    def matvec(self, x):
-        """A @ x for a vector (n,) or a block of vectors (n, b)."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[:, None] if single else x
-        if xb.shape[0] != self.order:
-            raise ValueError("operand has wrong leading dimension")
-        work = xb.reshape((self.dim,) + self.shape + (xb.shape[1],))
-        out = np.zeros_like(work)
-        for row, col, scale, stencils in self.terms:
-            y = work[col]
-            for axis, coeffs in enumerate(stencils):
-                if axis == 0:
-                    coeffs = tuple(scale * c for c in coeffs)
-                y = _stencil(y, axis, *coeffs)
-            out[row] += y
-        out = out.reshape(xb.shape)
-        return out[:, 0] if single else out
-
-
-def _operator(dof_map, terms):
-    """TensorProductOperator of Kronecker terms, merging equal factors."""
-    stencils = [_stencils_1d(h) for h in dof_map.spacings]
-    merged = {}
-    for row, col, scale, kinds in terms:
-        key = (row, col, kinds)
-        merged[key] = merged.get(key, 0.0) + scale
-    return TensorProductOperator(
-        dof_map.dim, dof_map.interior,
-        [(row, col, scale, tuple(stencils[d][kind]
-                                 for d, kind in enumerate(kinds)))
-         for (row, col, kinds), scale in merged.items()])
-
-
-def box_operators(problem):
-    """Matrix-free (K, M) with the terms of :func:`assemble`.
-
-    K's Laplacian and α-diagonal terms share their factors and are applied
-    once, scaled by 1 + α.
-    """
-    dof_map = _dof_map(problem)
-    lap_terms, div_terms, mass_terms = _terms(problem)
-    return (_operator(dof_map, lap_terms + div_terms),
-            _operator(dof_map, mass_terms))
-
-
-def divergence_stiffness(problem):
-    """The divergence Gram matrix K_div alone (alpha-independent)."""
-    unit = ElasticityProblem(problem.edges, 1.0, problem.cells)
-    _, div_terms, _ = _terms(unit)
-    return _csr(_dof_map(unit), div_terms)
 
 
 def _sine_matrix(n):
@@ -281,42 +206,141 @@ def _sine_matrix(n):
     return math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
 
 
+def _sine_factor(S, lower, diag, upper):
+    """A 1D factor in the sine basis: S·A·S for A = (lower, diag, upper).
+
+    A symmetric factor becomes its symbol, the (n,) diagonal diag +
+    2·lower·cos(jπ/(n+1)) at frequency j (Lynch, Rice & Thomas, Numer.
+    Math. 6, 1964); any other factor the dense n×n matrix S·A·S.
+    """
+    n = len(S)
+    if lower == upper:
+        return diag + 2.0 * lower * np.cos(np.arange(1, n + 1) * np.pi
+                                           / (n + 1))
+    A = diag * np.eye(n) + lower * np.eye(n, k=-1) + upper * np.eye(n, k=1)
+    return S @ A @ S
+
+
+def _along(A, y, axis):
+    """A applied along ``axis`` of y, one matmul over the other axes."""
+    if axis == y.ndim - 1:
+        return (y.reshape(-1, y.shape[-1]) @ A.T).reshape(y.shape)
+    lead = math.prod(y.shape[:axis])
+    return (A @ y.reshape(lead, y.shape[axis], -1)).reshape(y.shape)
+
+
+class SineOperator:
+    """A sum of Kronecker terms in sine coordinates (see :func:`sine_transform`).
+
+    Terms with symmetric factors only are diagonal there and merge into
+    ``diagonal``.  Each other term is a coupling (row component, column
+    component, weight, dense): ``weight`` holds the symbols of its diagonal
+    axes (None if it has none) and ``dense`` the (axis, S·A·S) matrices,
+    the scale folded into the first.  ``matvec`` works on the operand's
+    rows, so the transposed row views LOBPCG passes need no copy.
+    """
+
+    def __init__(self, dim, shape, diagonal, couplings):
+        self.dim = dim
+        self.shape = tuple(shape)
+        self.diagonal = diagonal.ravel()
+        self.couplings = tuple(couplings)
+        self.order = self.diagonal.size
+
+    def matvec(self, x):
+        """A @ x for a vector (n,) or a block of vectors (n, b)."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[0] != self.order:
+            raise ValueError("operand has wrong leading dimension")
+        rows = np.atleast_2d(x.T)
+        out = np.multiply(rows, self.diagonal, out=np.empty(rows.shape))
+        grid = (len(rows), self.dim) + self.shape
+        xs, ys = rows.reshape(grid), out.reshape(grid)
+        for row, col, weight, dense in self.couplings:
+            y = xs[:, col] if weight is None else xs[:, col] * weight
+            for axis, A in dense:
+                y = _along(A, y, axis + 1)
+            ys[:, row] += y
+        return out.T.reshape(x.shape)
+
+
+def _operator(dof_map, terms):
+    """SineOperator of Kronecker terms (row comp, col comp, scale, kinds)."""
+    shape = dof_map.interior
+    factors = []
+    for n, h in zip(shape, dof_map.spacings):
+        S = _sine_matrix(n)
+        factors.append({kind: _sine_factor(S, *stencil)
+                        for kind, stencil in _stencils_1d(h).items()})
+    diagonal = np.zeros((dof_map.dim,) + shape)
+    couplings = []
+    for row, col, scale, kinds in terms:
+        fs = [factors[d][kind] for d, kind in enumerate(kinds)]
+        dense = [(d, f) for d, f in enumerate(fs) if f.ndim == 2]
+        weight = scale * math.prod(np.ix_(*[f if f.ndim == 1 else np.ones(1)
+                                            for f in fs]))
+        if not dense:  # symmetric factors only, so row == col
+            diagonal[row] += weight
+        elif weight.size == 1:  # no diagonal axis: scale the first matrix
+            (d, A), *rest = dense
+            couplings.append((row, col, None, ((d, weight.item() * A),
+                                               *rest)))
+        else:
+            couplings.append((row, col, weight, tuple(dense)))
+    return SineOperator(dof_map.dim, shape, diagonal, couplings)
+
+
+def box_operators(problem):
+    """(K̂, M̂): the terms of :func:`assemble` in sine coordinates.
+
+    With T = :func:`sine_transform`, K̂ = T·K·T and M̂ = T·M·T.  M̂ and
+    K(0)'s part of K̂ are diagonal; only the α-scaled grad-div couplings
+    C ⊗ Cᵀ stay dense, one matmul along each of their two axes.
+    """
+    dof_map = _dof_map(problem)
+    lap_terms, div_terms, mass_terms = _terms(problem)
+    return (_operator(dof_map, lap_terms + div_terms),
+            _operator(dof_map, mass_terms))
+
+
+def sine_transform(problem, x):
+    """T·x for an (n,) vector or (n, b) block on ``problem``'s mesh.
+
+    T applies the orthonormal sine matrix along every axis of each
+    component, one batched matmul per axis.  It is symmetric and its own
+    inverse: it maps nodal values to sine coordinates and back.
+    """
+    dof_map = _dof_map(problem)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[0] != dof_map.order:
+        raise ValueError(f"need {dof_map.order} rows, got shape {x.shape}")
+    shape = dof_map.interior
+    y = x
+    for axis, n in enumerate(shape):
+        batch = dof_map.dim * math.prod(shape[:axis])
+        y = _sine_matrix(n) @ y.reshape(batch, n, -1)
+    return y.reshape(x.shape)
+
+
+def divergence_stiffness(problem):
+    """The divergence Gram matrix K_div alone (alpha-independent)."""
+    unit = ElasticityProblem(problem.edges, 1.0, problem.cells)
+    _, div_terms, _ = _terms(unit)
+    return _csr(_dof_map(unit), div_terms)
+
+
 def laplacian_inverse(problem):
     """Exact inverse of the α = 0 stiffness K(0), the inner preconditioner.
 
-    The sine vectors diagonalise every symmetric constant tridiagonal
-    (lower, diag, lower), with eigenvalue diag + 2 lower cos(jπ/(n+1)) at
-    frequency j (Lynch, Rice & Thomas, Numer. Math. 6, 1964).  Each
-    Laplacian term is component-diagonal with symmetric factors, so its
-    symbol is the product of those eigenvalues over the axes, and the
-    inverse is a sine transform, a division by the summed symbols of the
-    component, and the transform back.  Each transform multiplies by one
-    dense orthonormal sine matrix per axis (a BLAS matmul on a reshaped
-    view of the block, with no padded copy as an FFT would need).  Returns
-    the apply callable, which takes a vector (n,) or a block (n, b).
+    In sine coordinates every Laplacian term is diagonal, so K(0)⁻¹ is a
+    division by the summed symbols of K(0)'s terms (fast diagonalisation).
+    Returns the apply callable, which takes a vector (n,) or a block
+    (n, b) in sine coordinates.
     """
-    dof_map = _dof_map(problem)
-    shape = dof_map.interior
-    symbols = np.zeros((dof_map.dim,) + shape)
-    lap = _operator(dof_map, _terms(problem)[0])
-    for row, _, scale, stencils in lap.terms:
-        factors = np.ix_(*[
-            diag + 2.0 * lower * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
-            for n, (lower, diag, _) in zip(shape, stencils)])
-        symbols[row] += scale * math.prod(factors)
-    sines = [_sine_matrix(n) for n in shape]
-    # the component axis leads every transform as a batch axis
-    batches = [dof_map.dim * math.prod(shape[:a]) for a in range(len(shape))]
-
-    def transform(y):
-        for S, batch in zip(sines, batches):
-            y = S @ y.reshape(batch, S.shape[0], -1)
-        return y
+    inverse = 1.0 / _operator(_dof_map(problem), _terms(problem)[0]).diagonal
 
     def apply(x):
-        x = np.asarray(x, dtype=np.float64)
-        y = transform(x).reshape(symbols.shape + (-1,)) / symbols[..., None]
-        return transform(y).reshape(x.shape)
+        return (np.asarray(x, dtype=np.float64).T * inverse).T
 
     return apply
 

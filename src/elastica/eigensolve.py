@@ -18,8 +18,9 @@ array (Y, K·Y, M·Y) or (Y, A·Y, B·Y) with one vector per contiguous row:
 ``Cᵀ @ S`` changes the basis of all three, and :func:`_rayleigh_ritz` reads
 both Gram matrices from it without applying the pencil again.  LOBPCG keeps
 [X | P | W] in one persistent stack of 3b rows and a spare (3, b, n) block,
-written in place every iteration; K, M and the preconditioner keep their
-(n, b) operands and receive transposed views of rows.
+written in place every iteration.  K, M and the preconditioner take (n, b)
+operands and receive transposed views of those rows; an optional
+orthogonal ``transform`` maps the starting block and the eigenvectors.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def _residuals(KY, MY, theta, scale, out=None):
 
 
 def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
-                        precond=None, start=None):
+                        precond=None, start=None, transform=None):
     """m algebraically smallest eigenpairs of K x = σ M x by blocked LOBPCG.
 
     K and M need only ``order`` and ``matvec`` (on (n,) and (n, b)
@@ -140,6 +141,12 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     guard columns past m stay random and can find an eigenvector that
     ``start`` misses.  Eigenvalues within a cluster are reported
     individually.
+
+    ``transform``, a symmetric orthogonal T (a callable on (n, b) blocks,
+    its own inverse), says K and M act on T·x: the starting block, random
+    columns and ``start`` alike, is mapped in and the eigenvectors of
+    every exit out.  A solve on T·K·T, T·M·T then follows the path of the
+    one on K, M up to rounding; its residuals are the transformed ones.
 
     Residuals are decided implicitly and reported explicitly: each
     iteration takes its residual norms from the K X and M X blocks it
@@ -165,6 +172,8 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
             raise ValueError(f"start must be an ({n}, k) block with k <= "
                              f"m = {m}, got shape {start.shape}")
         X[:, :start.shape[1]] = start
+    if transform is not None:
+        X = transform(X)
     X /= np.linalg.norm(X, axis=0)
     # the basis [X | P | W] and its K and M images, one vector per row, and
     # a spare block for the residuals and the momentum combination
@@ -241,8 +250,10 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
             f"fewer than the {m} requested")
     res = res[:m]
     # copies, so the result does not keep the basis stack alive
-    return _checked(EigenResult(theta[:m].copy(), S[0, :m].T.copy(), res, it,
-                                res <= tol), "eigenpairs at indices", tol)
+    X = S[0, :m].T
+    X = X.copy() if transform is None else transform(X)
+    return _checked(EigenResult(theta[:m].copy(), X, res, it, res <= tol),
+                    "eigenpairs at indices", tol)
 
 
 _BLOCK = 64

@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import (ElasticityProblem, assemble, box_operators,
-                       chebyshev, laplacian_inverse, prolongate)
+                       chebyshev, laplacian_inverse, prolongate,
+                       sine_transform)
 from .bounds import (DomainGeometry, Spectrum, VerifyTolerance, evaluate_all,
                      make_record)
 from .cap1d import CAP_KINDS, CapProblem, solve_cap
@@ -273,18 +274,22 @@ def read_spectrum(path):
 def solve_problem(problem, m, tol, seed, start=None):
     """Solve the box pencil; returns (Spectrum, EigenResult).
 
-    K(α) and M are applied matrix-free as tensor-product stencils
-    (:func:`box_operators`) and preconditioned by Chebyshev steps on
-    [1, 1+α] around the exact sine-transform inverse of the α = 0
-    stiffness; no CSR matrix is assembled.  ``start``, an (n, k) block
-    with k <= m, seeds the first k columns of LOBPCG's starting block
-    (see :func:`smallest_eigenpairs`); without it the block is random from
-    ``seed``.
+    LOBPCG runs in sine coordinates (:func:`box_operators`: M and K(0)
+    diagonal, K(α)'s grad-div couplings dense), preconditioned by
+    Chebyshev steps on [1, 1+α] around K(0)⁻¹, a division by its symbol;
+    no CSR matrix is assembled.  ``start``, a nodal (n, k) block with
+    k <= m, seeds the first k columns of the starting block (see
+    :func:`smallest_eigenpairs`), the rest random from ``seed``.
+    :func:`sine_transform` maps the starting block in and the eigenvectors
+    out, so the solve retraces the nodal one and its vectors are nodal.
+    Residuals are explicit in sine coordinates; T is orthogonal, so they
+    equal the nodal ones up to its rounding.
     """
     K, M = box_operators(problem)
     precond = chebyshev(K, laplacian_inverse(problem), problem.alpha)
-    result = smallest_eigenpairs(K, M, m, tol=tol, seed=seed, precond=precond,
-                                 start=start)
+    result = smallest_eigenpairs(
+        K, M, m, tol=tol, seed=seed, precond=precond, start=start,
+        transform=lambda x: sine_transform(problem, x))
     spectrum = Spectrum(problem.dim, problem.alpha, result.values,
                         source="computed", mesh=problem.mesh_label(),
                         residuals=result.residuals, solver_tol=tol)

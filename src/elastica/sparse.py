@@ -1,7 +1,7 @@
 """Symmetric sparse (CSR) and banded matrix containers.
 
 Assembly produces ``SparseSymMatrix`` for the Matrix Market export and as
-the test oracle of the matrix-free box operators that the iterative
+the test oracle of the sine-coordinate box operators that the iterative
 eigensolver applies; the radial cap problems work with ``BandedSymMatrix``.
 Matrix Market export/import is provided for external cross-checks.
 """

@@ -7,7 +7,7 @@ from elastica.assembly import (DofMap, ElasticityProblem, _chebyshev_steps,
                                assemble, box_operators, chebyshev,
                                divergence_stiffness, interpolate_field,
                                laplacian_inverse, prolongate,
-                               reference_spectrum_alpha0)
+                               reference_spectrum_alpha0, sine_transform)
 from conftest import dense_generalized_eigs
 
 PI = np.pi
@@ -121,40 +121,79 @@ OPERATOR_CASES = [((1.0, 2.5), (5, 7)), ((1.0, 1.5, 2.0), (3, 4, 5))]
 @pytest.mark.parametrize("edges,cells", OPERATOR_CASES,
                          ids=["2d", "3d"])
 class TestBoxOperators:
-    """The matrix-free stencil operators against the assembled CSR oracle."""
+    """The sine-coordinate operators, conjugated by the sine transform T,
+    against the assembled CSR oracle."""
 
     def _pair(self, edges, cells, alpha):
         problem = ElasticityProblem(edges, alpha, cells)
         K, M, _ = assemble(problem)
-        return (K, M), box_operators(problem)
+        return (K, M), box_operators(problem), problem
 
     def test_dense_form_matches_csr(self, edges, cells, alpha):
-        csr, ops = self._pair(edges, cells, alpha)
+        csr, ops, problem = self._pair(edges, cells, alpha)
+        T = sine_transform(problem, np.eye(csr[0].order))
         for mat, op in zip(csr, ops):
             dense = mat.to_dense()
             eye = np.eye(op.order)
             scale = np.abs(dense).max()
-            block = op.matvec(eye)
-            columns = np.column_stack([op.matvec(e) for e in eye])
+            block = T @ op.matvec(eye) @ T
+            columns = T @ np.column_stack([op.matvec(e) for e in eye]) @ T
             assert op.order == mat.order
             assert np.abs(block - dense).max() <= 1e-14 * scale
             assert np.abs(columns - dense).max() <= 1e-14 * scale
 
     def test_same_spectrum_as_csr(self, edges, cells, alpha):
-        (K, M), (Kop, Mop) = self._pair(edges, cells, alpha)
+        (K, M), (Kop, Mop), _ = self._pair(edges, cells, alpha)
         eye = np.eye(K.order)
         ref = dense_generalized_eigs(K, M)
         vals = dense_generalized_eigs(Kop.matvec(eye), Mop.matvec(eye))
         assert np.allclose(vals, ref, rtol=1e-12, atol=0)
 
     def test_vector_operand_keeps_shape(self, edges, cells, alpha, rng):
-        (K, M), ops = self._pair(edges, cells, alpha)
+        (K, M), ops, problem = self._pair(edges, cells, alpha)
         x = rng.standard_normal(K.order)
         for mat, op in zip((K, M), ops):
-            y = op.matvec(x)
+            y = op.matvec(sine_transform(problem, x))
             assert y.shape == (K.order,)
+            y = sine_transform(problem, y)
             ref = mat.matvec(x)
             assert np.abs(y - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+SINE_CASES = [((PI, 1.7), (9, 13)), ((PI, PI, 2.0), (4, 5, 6))]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 10.0])
+@pytest.mark.parametrize("edges,cells", SINE_CASES, ids=["2d", "3d"])
+class TestSineCoordinates:
+    """K̂ = T·K·T and M̂ = T·M·T, T the sine transform, against CSR."""
+
+    def test_conjugates_match_csr(self, edges, cells, alpha):
+        p = ElasticityProblem(edges, alpha, cells)
+        K, M, _ = assemble(p)
+        Kh, Mh = box_operators(p)
+        eye = np.eye(K.order)
+        T = sine_transform(p, eye)
+        assert np.abs(T @ T - eye).max() <= 1e-13
+        for mat, op in ((K, Kh), (M, Mh)):
+            dense = mat.to_dense()
+            got = T @ op.matvec(eye) @ T
+            assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    def test_diagonal_except_grad_div(self, edges, cells, alpha):
+        p = ElasticityProblem(edges, alpha, cells)
+        Kh, Mh = box_operators(p)
+        assert Mh.couplings == ()
+        # one C ⊗ Cᵀ coupling per ordered pair of components when α > 0
+        dim = len(edges)
+        assert len(Kh.couplings) == (dim * (dim - 1) if alpha > 0 else 0)
+
+    def test_symbol_inverse_of_alpha0_stiffness(self, edges, cells, alpha):
+        p = ElasticityProblem(edges, 0.0, cells)
+        K0, _ = box_operators(p)
+        eye = np.eye(K0.order)
+        assert np.abs(laplacian_inverse(p)(K0.matvec(eye)) - eye).max() \
+            <= 1e-13
 
 
 class TestFieldChecks:
@@ -250,14 +289,15 @@ class TestProlongate:
                                          ((PI, PI, 2.0), (4, 5, 6))],
                          ids=["2d", "3d"])
 class TestPreconditioner:
-    """The sine-transform inverse against the assembled CSR K(0)."""
+    """The symbol inverse, conjugated by the sine transform, against the
+    assembled CSR K(0)."""
 
     def test_exact_inverse(self, edges, cells, cols, rng):
         p = ElasticityProblem(edges, 0.0, cells)
         K, _, _ = assemble(p)
         T = laplacian_inverse(p)
         x = rng.standard_normal(K.order if cols is None else (K.order, cols))
-        y = T(K.matvec(x))
+        y = sine_transform(p, T(sine_transform(p, K.matvec(x))))
         assert y.shape == x.shape
         assert np.abs(y - x).max() < 1e-10
 
@@ -301,7 +341,9 @@ class TestChebyshev:
                 s_prev, s = s, 2.0 * (theta / delta) * s - s_prev
             expected = (eye - t / s) @ np.linalg.inv(A)
         K, _ = box_operators(p)
-        got = chebyshev(K, laplacian_inverse(p), alpha)(eye)
+        # the apply runs in sine coordinates: conjugate it by T
+        T = sine_transform(p, eye)
+        got = T @ chebyshev(K, laplacian_inverse(p), alpha)(eye) @ T
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("alpha", [2.0, 10.0, 100.0])

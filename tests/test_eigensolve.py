@@ -7,13 +7,15 @@ import pytest
 
 from elastica.assembly import (ElasticityProblem, _csr, _terms, assemble,
                                box_operators, chebyshev, laplacian_inverse,
-                               prolongate, reference_spectrum_alpha0)
+                               prolongate, reference_spectrum_alpha0,
+                               sine_transform)
 from elastica.eigensolve import (BandedCholesky, ConvergenceError,
                                  EigenResult, FactorizationError,
                                  IndefiniteMassError, banded_smallest,
                                  cholesky_banded, smallest_eigenpairs)
 from elastica.harness import solve_problem
 from elastica.sparse import BandedSymMatrix, SparseSymMatrix
+from conftest import dense_generalized_eigs
 
 PI = np.pi
 
@@ -40,6 +42,13 @@ def fd_laplacian_1d(n, h):
     vals = np.concatenate([np.full(n, 2.0), np.full(n - 1, -1.0),
                            np.full(n - 1, -1.0)]) / h ** 2
     return SparseSymMatrix.from_coo(n, rows, cols, vals)
+
+
+def nodal_inverse(problem):
+    """K(0)⁻¹ on nodal operands: the symbol inverse conjugated by the sine
+    transform, to precondition the assembled CSR pencil."""
+    inner = laplacian_inverse(problem)
+    return lambda x: sine_transform(problem, inner(sine_transform(problem, x)))
 
 
 class TestLOBPCG:
@@ -78,7 +87,7 @@ class TestLOBPCG:
         p = ElasticityProblem((PI, PI), 0.0, (24, 24))
         K, M, _ = assemble(p)
         res = smallest_eigenpairs(K, M, 12, tol=1e-9, seed=11,
-                                  precond=laplacian_inverse(p))
+                                  precond=nodal_inverse(p))
         ref = reference_spectrum_alpha0((PI, PI), 12)
         # 24^2 mesh: discretization error ~1.2% at sigma = 10
         assert np.allclose(res.values, ref, rtol=2e-2)
@@ -87,7 +96,7 @@ class TestLOBPCG:
         p = ElasticityProblem((PI, PI, PI), 0.0, (8, 8, 8))
         K, M, _ = assemble(p)
         res = smallest_eigenpairs(K, M, 3, tol=1e-9, seed=13,
-                                  precond=laplacian_inverse(p))
+                                  precond=nodal_inverse(p))
         assert np.allclose(res.values, [3.0, 3.0, 3.0], rtol=2e-2)
 
     def test_multiplicity_recovery(self):
@@ -95,7 +104,7 @@ class TestLOBPCG:
         p = ElasticityProblem((PI, PI), 0.0, (20, 20))
         K, M, _ = assemble(p)
         res = smallest_eigenpairs(K, M, 6, tol=1e-9, seed=2,
-                                  precond=laplacian_inverse(p))
+                                  precond=nodal_inverse(p))
         clusters = np.round(res.values).astype(int)
         assert list(clusters) == [2, 2, 5, 5, 5, 5]
         spread = np.ptp(res.values[:2])
@@ -106,7 +115,7 @@ class TestLOBPCG:
         K, M, _ = assemble(p)
         tol = 1e-9
         res = smallest_eigenpairs(K, M, 8, tol=tol, seed=4,
-                                  precond=laplacian_inverse(p))
+                                  precond=nodal_inverse(p))
         # explicit post-hoc matvec, independent of solver internals
         R = K.matvec(res.vectors) - M.matvec(res.vectors) * res.values
         fresh = np.linalg.norm(R, axis=0) / res.values
@@ -114,7 +123,7 @@ class TestLOBPCG:
         assert np.all(res.residuals <= tol)
 
     def test_operator_solve_rechecked_with_csr(self):
-        # the matrix-free solve behind solve_problem against the same LOBPCG
+        # the sine-coordinate solve behind solve_problem against the LOBPCG
         # run on the assembled CSR pencil, and its residuals recomputed by
         # CSR matvec
         p = ElasticityProblem((PI, PI), 2.0, (16, 16))
@@ -122,7 +131,7 @@ class TestLOBPCG:
         tol = 1e-8
         spectrum, res = solve_problem(p, 12, tol, 7)
         ref = smallest_eigenpairs(K, M, 12, tol=tol, seed=7,
-                                  precond=laplacian_inverse(p))
+                                  precond=nodal_inverse(p))
         assert np.all(np.abs(res.values - ref.values) <= 1e-10 * ref.values)
         assert np.array_equal(spectrum.values, res.values)
         R = K.matvec(res.vectors) - M.matvec(res.vectors) * res.values
@@ -134,14 +143,14 @@ class TestLOBPCG:
         K, M, _ = assemble(p)
         tol = 1e-9
         res = smallest_eigenpairs(K, M, 8, tol=tol, seed=4,
-                                  precond=laplacian_inverse(p))
+                                  precond=nodal_inverse(p))
         gram = res.vectors.T @ M.matvec(res.vectors)
         assert np.abs(gram - np.eye(8)).max() <= 100 * tol
 
     def test_determinism_bitwise(self):
         p = ElasticityProblem((PI, PI), 0.5, (12, 12))
         K, M, _ = assemble(p)
-        precond = laplacian_inverse(p)
+        precond = nodal_inverse(p)
         a = smallest_eigenpairs(K, M, 5, tol=1e-9, seed=42, precond=precond)
         b = smallest_eigenpairs(K, M, 5, tol=1e-9, seed=42, precond=precond)
         assert np.array_equal(a.values, b.values)
@@ -152,7 +161,7 @@ class TestLOBPCG:
         K, M, dof_map = assemble(p)
         lap_terms, div_terms, mass_terms = _terms(p)
         tol = 1e-9
-        precond = laplacian_inverse(p)
+        precond = nodal_inverse(p)
         base = smallest_eigenpairs(K, M, 6, tol=tol, seed=9, precond=precond)
         # K + M as one CSR matrix, summed from the terms
         shifted = smallest_eigenpairs(
@@ -203,7 +212,7 @@ class TestLOBPCG:
         # polish and recompute explicitly, as the converged break does
         p = ElasticityProblem((PI, PI), 2.0, (12, 12))
         K, M, _ = assemble(p)
-        precond = laplacian_inverse(p)
+        precond = nodal_inverse(p)
         full = smallest_eigenpairs(K, M, 6, tol=1e-10, seed=8,
                                    precond=precond)
         assert_certified(K, M, full)
@@ -222,6 +231,83 @@ class TestLOBPCG:
                 assert res.converged.all()
 
 
+def q1_alpha0_values(edges, cells, count):
+    """The discrete α = 0 spectrum of the box: sums Σ_d κ_d/μ_d.
+
+    κ_d/μ_d runs over the generalized eigenvalues of the 1D P1 stiffness
+    tridiag(−1, 2, −1)/h and mass tridiag(1, 4, 1)·h/6 of axis d, taken
+    densely; each sum is repeated once per vector component.
+    """
+    per_axis = []
+    for edge, c in zip(edges, cells):
+        n, h = c - 1, edge / c
+        stiff = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h
+        mass = (4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) * h / 6
+        per_axis.append(dense_generalized_eigs(stiff, mass))
+    sums = sum(np.ix_(*per_axis)).ravel()
+    return np.sort(np.repeat(sums, len(edges)))[:count]
+
+
+class TestSolveProblem:
+    """The production solve's nodal results against closed forms and CSR."""
+
+    @pytest.mark.parametrize("edges,cells,m", [
+        ((PI, 1.7), (12, 16), 12),
+        ((PI, PI, 2.0), (4, 5, 6), 9),
+    ], ids=["2d", "3d"])
+    def test_alpha0_discrete_closed_form(self, edges, cells, m):
+        # the discrete eigenvalues, not the continuum ones (2e-2 at best)
+        problem = ElasticityProblem(edges, 0.0, cells)
+        _, res = solve_problem(problem, m, 1e-8, 7)
+        ref = q1_alpha0_values(edges, cells, m)
+        assert np.all(np.abs(res.values - ref) <= 1e-10 * ref)
+
+    @pytest.mark.parametrize("maxiter", [500, 2], ids=["converged", "partial"])
+    def test_sine_solve_retraces_nodal_solve(self, maxiter):
+        # K̂ = T·K·T with the start block mapped in and the vectors out
+        # runs the nodal solve's iteration, an unconverged one included
+        p = ElasticityProblem((PI, 1.7), 2.0, (12, 10))
+        K, M, _ = assemble(p)
+        Kh, Mh = box_operators(p)
+        results = []
+        for args, kw in (((K, M), {"precond": nodal_inverse(p)}),
+                         ((Kh, Mh), {"precond": laplacian_inverse(p),
+                                     "transform": lambda x: sine_transform(
+                                         p, x)})):
+            try:
+                results.append(smallest_eigenpairs(
+                    *args, 6, tol=1e-9, seed=4, maxiter=maxiter, **kw))
+            except ConvergenceError as err:
+                assert maxiter == 2
+                results.append(err.result)
+        nodal, sine = results
+        assert sine.iterations == nodal.iterations <= maxiter
+        assert np.all(np.abs(sine.values - nodal.values)
+                      <= 1e-12 * nodal.values)
+        # the same vectors up to the sign eigh picks for each
+        signs = np.sign(np.einsum("ij,ij->j", sine.vectors, nodal.vectors))
+        assert np.abs(sine.vectors * signs - nodal.vectors).max() \
+            <= 1e-11 * np.abs(nodal.vectors).max()
+
+    @pytest.mark.parametrize("edges,alpha,cells", [
+        ((PI, PI), 10.0, (16, 16)),
+        ((PI, 2.0, 1.5), 2.0, (6, 5, 4)),
+        ((PI, PI, PI), 10.0, (5, 5, 5)),
+    ], ids=["2d-a10", "3d-a2", "3d-a10"])
+    def test_nodal_result_rechecked_with_csr(self, edges, alpha, cells):
+        # explicit CSR residuals and M-Gram of the returned nodal vectors
+        problem = ElasticityProblem(edges, alpha, cells)
+        K, M, _ = assemble(problem)
+        tol, m = 1e-8, 8
+        _, res = solve_problem(problem, m, tol, 7)
+        X = res.vectors
+        R = K.matvec(X) - M.matvec(X) * res.values
+        assert np.all(np.linalg.norm(R, axis=0) / res.values <= tol)
+        assert np.all(res.residuals <= tol)
+        gram = X.T @ M.matvec(X)
+        assert np.abs(gram - np.eye(m)).max() <= 100 * tol
+
+
 def warm_and_cold(problem, m, tol=1e-8, seed=5):
     """Cold and warm LOBPCG on the refined pencil, and the start block.
 
@@ -231,11 +317,8 @@ def warm_and_cold(problem, m, tol=1e-8, seed=5):
     _, coarse = solve_problem(problem, m, tol, seed)
     start = prolongate(problem, coarse.vectors)
     fine = problem.refined()
-    K, M = box_operators(fine)
-    precond = chebyshev(K, laplacian_inverse(fine), fine.alpha)
-    cold = smallest_eigenpairs(K, M, m, tol=tol, seed=seed, precond=precond)
-    warm = smallest_eigenpairs(K, M, m, tol=tol, seed=seed, precond=precond,
-                               start=start)
+    _, cold = solve_problem(fine, m, tol, seed)
+    _, warm = solve_problem(fine, m, tol, seed, start=start)
     return cold, warm, start
 
 
@@ -319,7 +402,7 @@ class TestApplyCounts:
         K, M, _ = assemble(p)
         K, M = CountingOperand(K), CountingOperand(M)
         res = smallest_eigenpairs(K, M, 6, tol=1e-9, seed=4,
-                                  precond=laplacian_inverse(p))
+                                  precond=nodal_inverse(p))
         bs = 6 + 8
         assert K.calls == M.calls
         assert len(K.calls) == res.iterations + 2
