@@ -16,21 +16,26 @@ nodes are lexicographic with the last coordinate fastest.
 One term table (:func:`_terms`, :func:`_stencils_1d`) feeds two forms of
 the pencil.  :func:`assemble` builds it as CSR in nodal coordinates, for
 the Matrix Market export and the tests.  The eigensolver works in sine
-coordinates (:func:`sine_transform`, an orthonormal sine matrix along
-every axis, its own inverse), where every symmetric 1D factor is diagonal
-(Lynch, Rice & Thomas, Numer. Math. 6, 1964): M and K(0) are one multiply
-by their symbols, and only the α-scaled grad-div couplings C ⊗ Cᵀ are
-dense, one matmul along each of two axes (:func:`box_operators`).  Its
-preconditioner has two layers: the exact inverse of K(0), a division by
-its symbol (:func:`laplacian_inverse`), and Chebyshev steps for K(α) on
-[1, 1+α] around it (:func:`chebyshev`).  :func:`prolongate` carries a
-block of nodal vectors to the refined mesh, which gives the Richardson
-fine solve its starting block.
+coordinates, an orthonormal sine matrix along every axis, where every
+symmetric 1D factor is diagonal (Lynch, Rice & Thomas, Numer. Math. 6,
+1964): M and K(0) are one multiply by their symbols, and only the
+α-scaled grad-div couplings C ⊗ Cᵀ are dense.  Those join only
+coefficients of one reflection-parity class (:func:`_parity_classes`; 4
+classes in 2D, 8 in 3D), so with the coefficients ordered class-major
+(:func:`sine_transform`) K̂ and M̂ are block-diagonal, and each coupling
+is, per class, one matmul with an off-parity sub-block of S·C·S along
+each of two axes (:func:`box_operators`).  Its preconditioner has two
+layers: the exact inverse of K(0), a division by its symbol
+(:func:`laplacian_inverse`), and Chebyshev steps for K(α) on [1, 1+α]
+around it (:func:`chebyshev`).  :func:`prolongate` carries a block of
+nodal vectors to the refined mesh, which gives the Richardson fine solve
+its starting block.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -224,43 +229,93 @@ def _sine_factor(S, lower, diag, upper):
 def _along(A, y, axis):
     """A applied along ``axis`` of y, one matmul over the other axes."""
     if axis == y.ndim - 1:
-        return (y.reshape(-1, y.shape[-1]) @ A.T).reshape(y.shape)
+        return (y.reshape(-1, y.shape[-1]) @ A.T).reshape(
+            y.shape[:-1] + (len(A),))
     lead = math.prod(y.shape[:axis])
-    return (A @ y.reshape(lead, y.shape[axis], -1)).reshape(y.shape)
+    return (A @ y.reshape(lead, y.shape[axis], -1)).reshape(
+        y.shape[:axis] + (len(A),) + y.shape[axis + 1:])
+
+
+def _parity(p):
+    """The frequencies j = p + 1, p + 3, … of one axis: its parity p."""
+    return slice(p, None, 2)
+
+
+def _parity_classes(dof_map):
+    """Class-major layout of the sine coordinates.
+
+    Component c's coefficient with frequency parities p (p_d = j_d − 1 mod
+    2 along axis d) belongs to class q = p XOR e_c.  The reflection
+    x_d ↦ L_d − x_d flips the sign of component d and multiplies the sine
+    of frequency j_d by (−1)^(j_d − 1), so class q is where every
+    reflection d acts as (−1)^(q_d).  K(α) and M commute with the
+    reflections, so they couple no two classes.  Returns (pieces,
+    blocks): one (class, component, parities, start, size) per non-empty
+    component grid, classes in lexicographic order, components within
+    them, each grid lexicographic from ``start``; and the non-empty class
+    sizes.
+    """
+    pieces, blocks, start = [], [], 0
+    for q in itertools.product((0, 1), repeat=dof_map.dim):
+        first = start
+        for c in range(dof_map.dim):
+            par = tuple(p ^ (d == c) for d, p in enumerate(q))
+            size = math.prod((n + 1 - p) // 2
+                             for n, p in zip(dof_map.interior, par))
+            if size:
+                pieces.append((q, c, par, start, size))
+                start += size
+        if start > first:
+            blocks.append(start - first)
+    return pieces, tuple(blocks)
+
+
+def _class_index(dof_map):
+    """Component-major sine coordinate at each class-major position."""
+    grid = np.arange(dof_map.order).reshape((dof_map.dim,)
+                                            + dof_map.interior)
+    pieces, _ = _parity_classes(dof_map)
+    return np.concatenate([grid[(c,) + tuple(map(_parity, par))].ravel()
+                           for _, c, par, _, _ in pieces])
 
 
 class SineOperator:
-    """A sum of Kronecker terms in sine coordinates (see :func:`sine_transform`).
+    """A sum of Kronecker terms in class-major sine coordinates.
 
     Terms with symmetric factors only are diagonal there and merge into
-    ``diagonal``.  Each other term is a coupling (row component, column
-    component, weight, dense): ``weight`` holds the symbols of its diagonal
-    axes (None if it has none) and ``dense`` the (axis, S·A·S) matrices,
-    the scale folded into the first.  ``matvec`` works on the operand's
-    rows, so the transposed row views LOBPCG passes need no copy.
+    ``diagonal``.  The others are grad-div couplings, which join only
+    coefficients of one parity class (:func:`_parity_classes`), so the
+    operator is block-diagonal with ``blocks`` as its block sizes.  A
+    coupling (source, target, shape, weight, dense) reads the coefficient
+    slice ``source`` as a grid of ``shape``, multiplies it by ``weight``
+    (the symbols of its diagonal axes, or None) and by the (axis, matrix)
+    factors in ``dense``, the off-parity sub-blocks of S·C·S, and adds it
+    to slice ``target``.  ``matvec`` works on the operand's rows, so the
+    transposed row views LOBPCG passes need no copy.
     """
 
-    def __init__(self, dim, shape, diagonal, couplings):
-        self.dim = dim
-        self.shape = tuple(shape)
-        self.diagonal = diagonal.ravel()
+    def __init__(self, diagonal, couplings, blocks):
+        self.diagonal = diagonal
         self.couplings = tuple(couplings)
-        self.order = self.diagonal.size
+        self.blocks = blocks
+        self.order = diagonal.size
 
     def matvec(self, x):
         """A @ x for a vector (n,) or a block of vectors (n, b)."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] != self.order:
             raise ValueError("operand has wrong leading dimension")
-        rows = np.atleast_2d(x.T)
+        # row-major, so the per-class grid views below reach BLAS
+        rows = np.ascontiguousarray(np.atleast_2d(x.T))
         out = np.multiply(rows, self.diagonal, out=np.empty(rows.shape))
-        grid = (len(rows), self.dim) + self.shape
-        xs, ys = rows.reshape(grid), out.reshape(grid)
-        for row, col, weight, dense in self.couplings:
-            y = xs[:, col] if weight is None else xs[:, col] * weight
+        b = len(rows)
+        for source, target, shape, weight, dense in self.couplings:
+            y = rows[:, source].reshape((b,) + shape)
+            if weight is not None:
+                y = y * weight
             for axis, A in dense:
                 y = _along(A, y, axis + 1)
-            ys[:, row] += y
+            out[:, target] += y.reshape(b, -1)
         return out.T.reshape(x.shape)
 
 
@@ -272,6 +327,9 @@ def _operator(dof_map, terms):
         S = _sine_matrix(n)
         factors.append({kind: _sine_factor(S, *stencil)
                         for kind, stencil in _stencils_1d(h).items()})
+    pieces, blocks = _parity_classes(dof_map)
+    grids = {(q, c): (par, slice(start, start + size))
+             for q, c, par, start, size in pieces}
     diagonal = np.zeros((dof_map.dim,) + shape)
     couplings = []
     for row, col, scale, kinds in terms:
@@ -281,21 +339,34 @@ def _operator(dof_map, terms):
                                             for f in fs]))
         if not dense:  # symmetric factors only, so row == col
             diagonal[row] += weight
-        elif weight.size == 1:  # no diagonal axis: scale the first matrix
+            continue
+        if weight.size == 1:  # no diagonal axis: scale the first matrix
             (d, A), *rest = dense
-            couplings.append((row, col, None, ((d, weight.item() * A),
-                                               *rest)))
-        else:
-            couplings.append((row, col, weight, tuple(dense)))
-    return SineOperator(dof_map.dim, shape, diagonal, couplings)
+            dense, weight = [(d, weight.item() * A), *rest], None
+        for q in itertools.product((0, 1), repeat=dof_map.dim):
+            if (q, col) not in grids or (q, row) not in grids:
+                continue
+            (src, source), (dst, target) = grids[q, col], grids[q, row]
+            # only the off-parity entries of S·C·S are nonzero
+            parts = tuple((d, np.ascontiguousarray(
+                A[_parity(dst[d]), _parity(src[d])])) for d, A in dense)
+            grid = tuple((n + 1 - p) // 2 for n, p in zip(shape, src))
+            w = None if weight is None else weight[tuple(
+                _parity(p) if f.ndim == 1 else slice(None)
+                for p, f in zip(src, fs))]
+            couplings.append((source, target, grid, w, parts))
+    return SineOperator(diagonal.ravel()[_class_index(dof_map)], couplings,
+                        blocks)
 
 
 def box_operators(problem):
-    """(K̂, M̂): the terms of :func:`assemble` in sine coordinates.
+    """(K̂, M̂): the terms of :func:`assemble` in class-major sine coordinates.
 
-    With T = :func:`sine_transform`, K̂ = T·K·T and M̂ = T·M·T.  M̂ and
-    K(0)'s part of K̂ are diagonal; only the α-scaled grad-div couplings
-    C ⊗ Cᵀ stay dense, one matmul along each of their two axes.
+    With Q = :func:`sine_transform`, K̂ = Q·K·Qᵀ and M̂ = Q·M·Qᵀ.  Both are
+    block-diagonal over the reflection-parity classes (``K̂.blocks``).  M̂
+    and K(0)'s part of K̂ are diagonal; only the α-scaled grad-div
+    couplings stay dense, per class one matmul with an off-parity
+    ⌈n/2⌉×⌊n/2⌋ sub-block of S·C·S along each of their two axes.
     """
     dof_map = _dof_map(problem)
     lap_terms, div_terms, mass_terms = _terms(problem)
@@ -303,23 +374,31 @@ def box_operators(problem):
             _operator(dof_map, mass_terms))
 
 
-def sine_transform(problem, x):
-    """T·x for an (n,) vector or (n, b) block on ``problem``'s mesh.
+def sine_transform(problem, x, inverse=False):
+    """Q·x, or Qᵀ·x if ``inverse``, for an (n,) vector or (n, b) block.
 
-    T applies the orthonormal sine matrix along every axis of each
-    component, one batched matmul per axis.  It is symmetric and its own
-    inverse: it maps nodal values to sine coordinates and back.
+    Q = P·T: T applies the orthonormal sine matrix along every axis of each
+    component, one batched matmul per axis, and is symmetric and its own
+    inverse; P orders the coefficients class-major
+    (:func:`_parity_classes`).  Q maps nodal values to class-major sine
+    coordinates, and Qᵀ = T·Pᵀ maps them back.
     """
     dof_map = _dof_map(problem)
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != dof_map.order:
         raise ValueError(f"need {dof_map.order} rows, got shape {x.shape}")
+    index = _class_index(dof_map)
+    if inverse:
+        y = np.empty_like(x)
+        y[index] = x
+    else:
+        y = x
     shape = dof_map.interior
-    y = x
     for axis, n in enumerate(shape):
         batch = dof_map.dim * math.prod(shape[:axis])
         y = _sine_matrix(n) @ y.reshape(batch, n, -1)
-    return y.reshape(x.shape)
+    y = y.reshape(x.shape)
+    return y if inverse else y[index]
 
 
 def divergence_stiffness(problem):
@@ -335,7 +414,7 @@ def laplacian_inverse(problem):
     In sine coordinates every Laplacian term is diagonal, so K(0)⁻¹ is a
     division by the summed symbols of K(0)'s terms (fast diagonalisation).
     Returns the apply callable, which takes a vector (n,) or a block
-    (n, b) in sine coordinates.
+    (n, b) in the class-major sine coordinates of :func:`box_operators`.
     """
     inverse = 1.0 / _operator(_dof_map(problem), _terms(problem)[0]).diagonal
 

@@ -37,6 +37,11 @@ SENSES = ("upper", "lower", "strict lower", "equality")
 #: relative gap below which σ_{k+1} and σ_k count as one eigenvalue
 DEGENERATE_GAP_RTOL = 1e-8
 
+#: gaps σ_{k+1} − σᵢ up to GAP_ROUNDING_ULPS·ε·σ_{k+1} are rounding of a
+#: degenerate pair (measured up to 16ε on box spectra, whose real gaps are
+#: >= 1e-3 relative), and count as exact zeros in ``cheng_yang_sum``
+GAP_ROUNDING_ULPS = 256
+
 #: conservative admissible constant in the index-growth bound (the true
 #: dimension-dependent constant is only known to be <= 4)
 INDEX_GROWTH_CONSTANT = 4.0
@@ -225,12 +230,17 @@ def cheng_yang_sum(spectrum, k):
     """Both sides of the Cheng–Yang inequality as (lhs, rhs).
 
     lhs = Σ(σ_{k+1}−σᵢ), rhs = (2√(n+α)/n)·{Σ(σ_{k+1}−σᵢ)^½ ·
-    Σ(σ_{k+1}−σᵢ)^½ σᵢ}^½.
+    Σ(σ_{k+1}−σᵢ)^½ σᵢ}^½.  Gaps at the rounding level of σ_{k+1}
+    (``GAP_ROUNDING_ULPS``) are a degenerate pair and count as exact zeros
+    on both sides: under the square root, a rounding gap would add √ε
+    noise to rhs.
     """
     _check_k(spectrum, k, need_next=True)
     n, alpha = spectrum.dim, spectrum.alpha
     sig = spectrum.values
     d = sig[k] - sig[:k]
+    d = np.where(d > GAP_ROUNDING_ULPS * np.finfo(float).eps * abs(sig[k]),
+                 d, 0.0)
     root = np.sqrt(d)
     rhs = (2.0 * math.sqrt(n + alpha) / n) * math.sqrt(
         float(np.sum(root)) * float(np.sum(root * sig[:k])))

@@ -7,7 +7,9 @@ factorisations of dense blocks):
 * :func:`smallest_eigenpairs`: preconditioned blocked LOBPCG iteration for
   large pencils (K, M) given as sparse or matrix-free operators,
   deterministic for a fixed seed.  The block is sized past the requested
-  count so clustered eigenvalues are recovered.
+  count so clustered eigenvalues are recovered.  A block-diagonal pencil
+  is solved per diagonal block in one iteration: every basis vector lives
+  in one block, and the blocks' Ritz values are merged by a stable sort.
 * :func:`banded_smallest`: banded Cholesky factorisation plus block inverse
   iteration for small banded pencils (orders up to ~1e4).  The factor is
   built and applied on dense 64×64 diagonal blocks with numpy's LAPACK
@@ -18,9 +20,11 @@ array (Y, K·Y, M·Y) or (Y, A·Y, B·Y) with one vector per contiguous row:
 ``Cᵀ @ S`` changes the basis of all three, and :func:`_rayleigh_ritz` reads
 both Gram matrices from it without applying the pencil again.  LOBPCG keeps
 [X | P | W] in one persistent stack of 3b rows and a spare (3, b, n) block,
-written in place every iteration.  K, M and the preconditioner take (n, b)
-operands and receive transposed views of those rows; an optional
-orthogonal ``transform`` maps the starting block and the eigenvectors.
+written in place every iteration; diagonal block q owns its segment of the
+columns and fills its own rows from the top.  K, M and the preconditioner
+take (n, b) operands, one per apply for all blocks, and receive transposed
+views of those rows; an optional orthogonal ``transform`` (Q, Qᵀ) maps the
+starting block in and the eigenvectors out.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ import numpy as np
 
 #: whitening drops Gram eigenvalues below DROP_REL times the largest
 DROP_REL = 1e-13
+#: a starting column contributes no vector to a block where its part is
+#: below PART_REL times its norm (transform rounding sits near 1e-15)
+PART_REL = 1e-12
 
 
 class BreakdownError(RuntimeError):
@@ -127,8 +134,18 @@ def _residuals(KY, MY, theta, scale, out=None):
     return R, np.linalg.norm(R, axis=1) / np.maximum(scale, 1e-300)
 
 
+def _merge(thetas):
+    """Positions of the per-block Ritz values in their concatenation, in
+    ascending order, and the block of each.  The sort is stable, so ties
+    between blocks fall the same way every run."""
+    order = np.argsort(np.concatenate(thetas), kind="stable")
+    owner = np.repeat(np.arange(len(thetas)), [t.size for t in thetas])
+    return order, owner[order]
+
+
 def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
-                        precond=None, start=None, transform=None):
+                        precond=None, start=None, transform=None,
+                        blocks=None):
     """m algebraically smallest eigenpairs of K x = σ M x by blocked LOBPCG.
 
     K and M need only ``order`` and ``matvec`` (on (n,) and (n, b)
@@ -142,11 +159,27 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     ``start`` misses.  Eigenvalues within a cluster are reported
     individually.
 
-    ``transform``, a symmetric orthogonal T (a callable on (n, b) blocks,
-    its own inverse), says K and M act on T·x: the starting block, random
-    columns and ``start`` alike, is mapped in and the eigenvectors of
-    every exit out.  A solve on T·K·T, T·M·T then follows the path of the
-    one on K, M up to rounding; its residuals are the transformed ones.
+    ``blocks``, sizes summing to the order, says K and M are block-diagonal
+    with consecutive diagonal blocks of those sizes (default: one block).
+    Every basis vector then lives in one block: each starting column
+    contributes its part in every block (none where the part is below
+    ``PART_REL`` of the column, the rounding a transform leaves), and
+    whitening, Rayleigh–Ritz, the updates and the residuals run per block.
+    After each Rayleigh–Ritz step the per-block Ritz values are merged by
+    a stable sort, and each block keeps its share of the m smallest plus
+    the 8 guard columns.  K, M and ``precond`` still take one (n, b)
+    operand per apply: column i holds every block's i-th vector on that
+    block's rows.  A block whose rows whitening finds dependent restarts:
+    Ritz combinations of dependent rows carry amplified rounding into the
+    implicit images, so it carries no momentum block P into the next step,
+    and its new X gets K·X and M·X applied afresh.
+
+    ``transform``, a pair (Q, Qᵀ) of callables on (n, b) blocks with Q
+    orthogonal, says K and M act on Q·x: the starting block, random
+    columns and ``start`` alike, is mapped in by Q and the eigenvectors of
+    every exit out by Qᵀ.  With one block, a solve on Q·K·Qᵀ, Q·M·Qᵀ
+    follows the path of the one on K, M up to rounding; its residuals are
+    the transformed ones.
 
     Residuals are decided implicitly and reported explicitly: each
     iteration takes its residual norms from the K X and M X blocks it
@@ -162,6 +195,12 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
         raise ValueError("m must be >= 1")
     if m > n // 4:
         raise ValueError(f"m={m} exceeds order/4 = {n // 4}")
+    sizes = (n,) if blocks is None else tuple(int(b) for b in blocks)
+    if sum(sizes) != n or min(sizes) < 1:
+        raise ValueError(f"blocks must be positive sizes summing to {n}, "
+                         f"got {sizes}")
+    stops = np.cumsum(sizes).tolist()
+    segs = [slice(stop - size, stop) for size, stop in zip(sizes, stops)]
     bs = min(m + 8, n)
 
     rng = np.random.default_rng(seed)
@@ -173,87 +212,154 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
                              f"m = {m}, got shape {start.shape}")
         X[:, :start.shape[1]] = start
     if transform is not None:
-        X = transform(X)
-    X /= np.linalg.norm(X, axis=0)
+        X = transform[0](X)
+    total = np.linalg.norm(X, axis=0)
+    for seg in segs:
+        part = np.linalg.norm(X[seg], axis=0)
+        # a part at the rounding level of its column is left by the
+        # transform, not a direction: it becomes 0, which whitening drops
+        X[seg] /= np.where(part > PART_REL * total, part, np.inf)
     # the basis [X | P | W] and its K and M images, one vector per row, and
-    # a spare block for the residuals and the momentum combination
-    S = np.empty((3, 3 * bs, n))
+    # a spare block for the residuals and the momentum combination; block
+    # q's rows are its segment of the columns, and the rows past its own
+    # count hold finite leftovers that the block-diagonal pencil keeps
+    # out of every other block
+    S = np.zeros((3, 3 * bs, n))
     spare = np.empty((3, bs, n))
     S[:, :bs] = (X.T, K.matvec(X).T, M.matvec(X).T)
     del X
+    nx, npr = [bs] * len(segs), [0] * len(segs)
 
-    def project(nx, npr):
-        """Ritz-rotate the nx rows of X in place; P stays behind them."""
-        theta, C = _rayleigh_ritz(S[:, :nx])
-        k = C.shape[1]
-        S[:, :k] = np.matmul(C.T, S[:, :nx], out=spare[:, :k])
-        if k < nx:
-            S[:, k:k + npr] = S[:, nx:nx + npr]
-        return theta, k
+    def ritz(tops):
+        """Rayleigh–Ritz on each block's rows :tops[q]: the pairs each block
+        keeps, its share of the m smallest Ritz values over all blocks, and
+        whether whitening found the block's rows dependent."""
+        pairs = [_rayleigh_ritz(S[:, :top, seg])
+                 for top, seg in zip(tops, segs)]
+        dependent = [C.shape[1] < top for (_, C), top in zip(pairs, tops)]
+        owner = _merge([theta for theta, _ in pairs])[1][:m]
+        share = np.bincount(owner, minlength=len(segs))
+        return [(theta[:k], C[:, :k]) for (theta, C), k
+                in zip(pairs, share + (bs - m))], share, dependent
+
+    def project():
+        """Ritz-rotate each block's X rows in place; P stays behind them."""
+        pairs, share, _ = ritz(nx)
+        for q, (seg, (_, C)) in enumerate(zip(segs, pairs)):
+            k = C.shape[1]
+            S[:, :k, seg] = np.matmul(C.T, S[:, :nx[q], seg],
+                                      out=spare[:, :k, seg])
+            if k < nx[q]:
+                S[:, k:k + npr[q], seg] = S[:, nx[q]:nx[q] + npr[q], seg]
+            nx[q] = k
+        return [theta for theta, _ in pairs], share
 
     def residuals(explicit):
-        """Residual rows and relative norms of X (K·X, M·X fresh or held)."""
-        X = S[0, :nx].T
-        KX, MX = (K.matvec(X).T, M.matvec(X).T) if explicit else S[1:, :nx]
-        return _residuals(KX, MX, theta, np.abs(theta), out=spare[0, :nx])
+        """Residual rows and relative norms of each block's X (K·X, M·X
+        fresh or held)."""
+        top = max(nx)
+        X = S[0, :top].T
+        KX, MX = (K.matvec(X).T, M.matvec(X).T) if explicit else S[1:, :top]
+        out = [_residuals(KX[:k, seg], MX[:k, seg], theta, np.abs(theta),
+                          out=spare[0, :k, seg])
+               for k, seg, theta in zip(nx, segs, thetas)]
+        return [R for R, _ in out], [res for _, res in out]
 
-    theta, nx = project(bs, 0)
-    npr = it = 0
+    def converged():
+        return all(np.all(r[:w] <= tol) for r, w in zip(res, share))
+
+    thetas, share = project()
+    it = 0
     R, res = residuals(False)
     while it < maxiter:
-        if np.all(res[:m] <= tol):
+        # not before the guards have had one step: in a block its start
+        # nearly spans, the starting Ritz pairs pass at once, while another
+        # block's guards may still sit above an eigenvalue they will find
+        if it and converged():
             # rotations inside an eigenvalue cluster redistribute residual
             # norms, so convergence is decided on the re-projected block
-            theta, nx = project(nx, npr)
+            thetas, share = project()
             res = residuals(True)[1]
-            if np.all(res[:m] <= tol):
+            if converged():
                 break
             R = residuals(False)[0]
         it += 1
-        active = ~(res <= tol)
-        if not np.any(active):
-            active[:m] = True
-        W = R[active].T
+        active = [~(r <= tol) for r in res]
+        if not any(a.any() for a in active):
+            for a, w in zip(active, share):
+                a[:w] = True
+        nw = [int(a.sum()) for a in active]
+        W = np.zeros((max(nw), n))
+        for seg, a, Rq, k in zip(segs, active, R, nw):
+            W[:k, seg] = Rq[a]
+        W = W.T
         if precond is not None:
             W = precond(W)
         W = (W, K.matvec(W), M.matvec(W))
-        scale = 1.0 / np.sqrt(np.maximum(np.einsum("ij,ij->j", W[0], W[2]),
-                                          1e-300))
-        top = nx + npr + scale.size
-        for i, block in enumerate(W):
-            np.multiply(block.T, scale[:, None], out=S[i, nx + npr:top])
+        tops = []
+        for q, seg in enumerate(segs):
+            w = [block[seg, :nw[q]] for block in W]
+            scale = 1.0 / np.sqrt(np.maximum(
+                np.einsum("ij,ij->j", w[0], w[2]), 1e-300))
+            low = nx[q] + npr[q]
+            tops.append(low + nw[q])
+            for i, block in enumerate(w):
+                np.multiply(block.T, scale[:, None],
+                            out=S[i, low:tops[q], seg])
 
-        theta, C = _rayleigh_ritz(S[:, :top])
-        theta, C = theta[:bs], C[:, :bs]
-        k = C.shape[1]
-        # momentum block P: the Ritz directions' P/W part alone, kept
-        # M-normalised row by row; the new X adds the X part to it
-        np.matmul(C[nx:].T, S[:, nx:top], out=spare[:, :k])
-        np.matmul(C[:nx].T, S[:, :nx], out=S[:, nx:nx + k])
-        np.add(S[:, nx:nx + k], spare[:, :k], out=S[:, :k])
-        pnorm = np.sqrt(np.maximum(
-            np.einsum("ij,ij->i", spare[0, :k], spare[2, :k]), 0.0))
-        keep = pnorm > 1e-12
-        P = spare[:, :k] if np.all(keep) else spare[:, :k][:, keep]
-        nx, npr = k, P.shape[1]
-        np.multiply(P, 1.0 / pnorm[keep, None], out=S[:, nx:nx + npr])
+        pairs, share, dependent = ritz(tops)
+        thetas = []
+        for q, (seg, (theta, C)) in enumerate(zip(segs, pairs)):
+            x, top, k = nx[q], tops[q], C.shape[1]
+            # momentum block P: the Ritz directions' P/W part alone, kept
+            # M-normalised row by row; the new X adds the X part to it
+            np.matmul(C[x:].T, S[:, x:top, seg], out=spare[:, :k, seg])
+            np.matmul(C[:x].T, S[:, :x, seg], out=S[:, x:x + k, seg])
+            np.add(S[:, x:x + k, seg], spare[:, :k, seg], out=S[:, :k, seg])
+            nx[q], npr[q] = k, 0
+            thetas.append(theta)
+            if dependent[q]:  # restart: no P, X images applied below
+                continue
+            pnorm = np.sqrt(np.maximum(np.einsum(
+                "ij,ij->i", spare[0, :k, seg], spare[2, :k, seg]), 0.0))
+            keep = pnorm > 1e-12
+            P = spare[:, :k, seg]
+            P = P if np.all(keep) else P[:, keep]
+            npr[q] = P.shape[1]
+            np.multiply(P, 1.0 / pnorm[keep, None],
+                        out=S[:, k:k + npr[q], seg])
+        if any(dependent):
+            X = S[0, :max(nx)].T
+            KX, MX = K.matvec(X).T, M.matvec(X).T
+            for q, seg in enumerate(segs):
+                if dependent[q]:
+                    S[1, :nx[q], seg] = KX[:nx[q], seg]
+                    S[2, :nx[q], seg] = MX[:nx[q], seg]
         R, res = residuals(False)
     else:
         # the budget ran out, maybe just as the implicit norms passed: the
         # partial result is re-projected, so it is M-orthonormal, and its
         # residuals are recomputed explicitly
-        theta, nx = project(nx, 0)
+        npr[:] = [0] * len(segs)
+        thetas, share = project()
         res = residuals(True)[1]
-    if theta.size < m:
+    count = sum(theta.size for theta in thetas)
+    if count < m:
         raise BreakdownError(
-            f"iteration subspace degenerated to {theta.size} directions, "
+            f"iteration subspace degenerated to {count} directions, "
             f"fewer than the {m} requested")
-    res = res[:m]
-    # copies, so the result does not keep the basis stack alive
-    X = S[0, :m].T
-    X = X.copy() if transform is None else transform(X)
-    return _checked(EigenResult(theta[:m].copy(), X, res, it, res <= tol),
-                    "eigenpairs at indices", tol)
+    # the m smallest over all blocks, each block's leading rows; copies, so
+    # the result does not keep the basis stack alive
+    order, owner = (a[:m] for a in _merge(thetas))
+    X = np.zeros((n, m))
+    for q, seg in enumerate(segs):
+        cols = np.flatnonzero(owner == q)
+        X[seg, cols] = S[0, :cols.size, seg].T
+    if transform is not None:
+        X = transform[1](X)
+    res = np.concatenate(res)[order]
+    return _checked(EigenResult(np.concatenate(thetas)[order], X, res, it,
+                                res <= tol), "eigenpairs at indices", tol)
 
 
 _BLOCK = 64

@@ -274,22 +274,26 @@ def read_spectrum(path):
 def solve_problem(problem, m, tol, seed, start=None):
     """Solve the box pencil; returns (Spectrum, EigenResult).
 
-    LOBPCG runs in sine coordinates (:func:`box_operators`: M and K(0)
-    diagonal, K(α)'s grad-div couplings dense), preconditioned by
-    Chebyshev steps on [1, 1+α] around K(0)⁻¹, a division by its symbol;
-    no CSR matrix is assembled.  ``start``, a nodal (n, k) block with
-    k <= m, seeds the first k columns of the starting block (see
-    :func:`smallest_eigenpairs`), the rest random from ``seed``.
-    :func:`sine_transform` maps the starting block in and the eigenvectors
-    out, so the solve retraces the nodal one and its vectors are nodal.
-    Residuals are explicit in sine coordinates; T is orthogonal, so they
-    equal the nodal ones up to its rounding.
+    LOBPCG runs in class-major sine coordinates (:func:`box_operators`: M
+    and K(0) diagonal, K(α)'s grad-div couplings dense), one block per
+    reflection-parity class, preconditioned by Chebyshev steps on
+    [1, 1+α] around K(0)⁻¹, a division by its symbol; no CSR matrix is
+    assembled.  ``start``, a nodal (n, k) block with k <= m, seeds the
+    first k columns of the starting block (see :func:`smallest_eigenpairs`),
+    the rest random from ``seed``.  :func:`sine_transform` maps the
+    starting block in and the eigenvectors out, so the vectors are nodal.
+    The blocks make the path differ from a nodal solve's, not the
+    eigenpairs it converges to.  Residuals are explicit in sine
+    coordinates; the transform is orthogonal, so they equal the nodal ones
+    up to its rounding.
     """
     K, M = box_operators(problem)
     precond = chebyshev(K, laplacian_inverse(problem), problem.alpha)
     result = smallest_eigenpairs(
         K, M, m, tol=tol, seed=seed, precond=precond, start=start,
-        transform=lambda x: sine_transform(problem, x))
+        transform=(lambda x: sine_transform(problem, x),
+                   lambda x: sine_transform(problem, x, inverse=True)),
+        blocks=K.blocks)
     spectrum = Spectrum(problem.dim, problem.alpha, result.values,
                         source="computed", mesh=problem.mesh_label(),
                         residuals=result.residuals, solver_tol=tol)

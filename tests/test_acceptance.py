@@ -208,7 +208,7 @@ def test_criterion_9_eigensolver_contracts():
     tol = 1e-8
     result = smallest_eigenpairs(Kop, Mop, 12, tol=tol, seed=2024,
                                  precond=precond)
-    vectors = sine_transform(problem, result.vectors)
+    vectors = sine_transform(problem, result.vectors, inverse=True)
     # residual contract, rechecked by explicit sparse matvec
     R = K.matvec(vectors) - M.matvec(vectors) * result.values
     fresh = np.linalg.norm(R, axis=0) / result.values
@@ -225,7 +225,8 @@ def test_criterion_9_eigensolver_contracts():
                                   precond=precond)
     assert np.all(np.abs(shifted.values - result.values - 1.0)
                   <= 20 * tol * shifted.values)
-    shifted_vectors = sine_transform(problem, shifted.vectors)
+    shifted_vectors = sine_transform(problem, shifted.vectors,
+                                     inverse=True)
     Mv = M.matvec(shifted_vectors)
     R = K.matvec(shifted_vectors) + Mv - Mv * shifted.values
     assert np.all(np.linalg.norm(R, axis=0) / shifted.values <= tol)

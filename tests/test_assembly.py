@@ -121,7 +121,7 @@ OPERATOR_CASES = [((1.0, 2.5), (5, 7)), ((1.0, 1.5, 2.0), (3, 4, 5))]
 @pytest.mark.parametrize("edges,cells", OPERATOR_CASES,
                          ids=["2d", "3d"])
 class TestBoxOperators:
-    """The sine-coordinate operators, conjugated by the sine transform T,
+    """The sine-coordinate operators, conjugated by the sine transform Q,
     against the assembled CSR oracle."""
 
     def _pair(self, edges, cells, alpha):
@@ -131,13 +131,13 @@ class TestBoxOperators:
 
     def test_dense_form_matches_csr(self, edges, cells, alpha):
         csr, ops, problem = self._pair(edges, cells, alpha)
-        T = sine_transform(problem, np.eye(csr[0].order))
+        Q = sine_transform(problem, np.eye(csr[0].order))
         for mat, op in zip(csr, ops):
             dense = mat.to_dense()
             eye = np.eye(op.order)
             scale = np.abs(dense).max()
-            block = T @ op.matvec(eye) @ T
-            columns = T @ np.column_stack([op.matvec(e) for e in eye]) @ T
+            block = Q.T @ op.matvec(eye) @ Q
+            columns = Q.T @ np.column_stack([op.matvec(e) for e in eye]) @ Q
             assert op.order == mat.order
             assert np.abs(block - dense).max() <= 1e-14 * scale
             assert np.abs(columns - dense).max() <= 1e-14 * scale
@@ -155,7 +155,7 @@ class TestBoxOperators:
         for mat, op in zip((K, M), ops):
             y = op.matvec(sine_transform(problem, x))
             assert y.shape == (K.order,)
-            y = sine_transform(problem, y)
+            y = sine_transform(problem, y, inverse=True)
             ref = mat.matvec(x)
             assert np.abs(y - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -166,33 +166,90 @@ SINE_CASES = [((PI, 1.7), (9, 13)), ((PI, PI, 2.0), (4, 5, 6))]
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 10.0])
 @pytest.mark.parametrize("edges,cells", SINE_CASES, ids=["2d", "3d"])
 class TestSineCoordinates:
-    """K̂ = T·K·T and M̂ = T·M·T, T the sine transform, against CSR."""
+    """K̂ = Q·K·Qᵀ and M̂ = Q·M·Qᵀ, Q the sine transform, against CSR."""
 
     def test_conjugates_match_csr(self, edges, cells, alpha):
         p = ElasticityProblem(edges, alpha, cells)
         K, M, _ = assemble(p)
         Kh, Mh = box_operators(p)
         eye = np.eye(K.order)
-        T = sine_transform(p, eye)
-        assert np.abs(T @ T - eye).max() <= 1e-13
+        Q = sine_transform(p, eye)
+        assert np.abs(sine_transform(p, Q, inverse=True) - eye).max() \
+            <= 1e-13
         for mat, op in ((K, Kh), (M, Mh)):
             dense = mat.to_dense()
-            got = T @ op.matvec(eye) @ T
+            got = Q.T @ op.matvec(eye) @ Q
             assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max()
 
     def test_diagonal_except_grad_div(self, edges, cells, alpha):
         p = ElasticityProblem(edges, alpha, cells)
         Kh, Mh = box_operators(p)
         assert Mh.couplings == ()
-        # one C ⊗ Cᵀ coupling per ordered pair of components when α > 0
+        # one C ⊗ Cᵀ coupling per parity class and ordered pair of
+        # components when α > 0
         dim = len(edges)
-        assert len(Kh.couplings) == (dim * (dim - 1) if alpha > 0 else 0)
+        assert len(Kh.couplings) == \
+            (2 ** dim * dim * (dim - 1) if alpha > 0 else 0)
 
     def test_symbol_inverse_of_alpha0_stiffness(self, edges, cells, alpha):
         p = ElasticityProblem(edges, 0.0, cells)
         K0, _ = box_operators(p)
         eye = np.eye(K0.order)
         assert np.abs(laplacian_inverse(p)(K0.matvec(eye)) - eye).max() \
+            <= 1e-13
+
+
+CLASS_CASES = [((PI, 1.7), (10, 8)), ((PI, 1.7), (9, 11)),
+               ((PI, 0.3), (16, 4)), ((PI, PI, 2.0), (4, 5, 6)),
+               ((1.0, 1.5, 2.0), (2, 2, 9))]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2.0])
+@pytest.mark.parametrize("edges,cells", CLASS_CASES,
+                         ids=["2d-odd", "2d-even", "strip", "3d", "3d-thin"])
+class TestParityClasses:
+    """Class-major sine coordinates against the assembled CSR matrices:
+    Q·K·Qᵀ and Q·M·Qᵀ split into the reflection-parity blocks."""
+
+    def _conjugates(self, edges, cells, alpha):
+        p = ElasticityProblem(edges, alpha, cells)
+        K, M, _ = assemble(p)
+        Q = sine_transform(p, np.eye(K.order))
+        return p, Q, [(Q @ mat.to_dense() @ Q.T, op)
+                      for mat, op in zip((K, M), box_operators(p))]
+
+    def test_operators_equal_conjugated_csr(self, edges, cells, alpha):
+        _, _, pairs = self._conjugates(edges, cells, alpha)
+        for dense, op in pairs:
+            got = op.matvec(np.eye(op.order))
+            assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    def test_no_coupling_between_classes(self, edges, cells, alpha):
+        _, _, pairs = self._conjugates(edges, cells, alpha)
+        for dense, op in pairs:
+            # one block per class; with one interior node on an axis, the
+            # classes of even frequency there are empty and left out
+            blocks = op.blocks
+            assert len(blocks) == (2 ** len(edges) if min(cells) > 2 else 6)
+            assert min(blocks) > 0 and sum(blocks) == op.order
+            inside = np.zeros(dense.shape, dtype=bool)
+            for stop, size in zip(np.cumsum(blocks), blocks):
+                inside[stop - size:stop, stop - size:stop] = True
+            assert np.abs(dense[~inside]).max() \
+                <= 1e-14 * np.abs(dense).max()
+            # and the operator itself has exact zeros there
+            assert not np.any(op.matvec(np.eye(op.order))[~inside])
+
+    def test_inverse_round_trips(self, edges, cells, alpha, rng):
+        p, Q, _ = self._conjugates(edges, cells, alpha)
+        x = rng.standard_normal((len(Q), 3))
+        for y in (sine_transform(p, sine_transform(p, x), inverse=True),
+                  sine_transform(p, sine_transform(p, x, inverse=True))):
+            assert np.abs(y - x).max() <= 1e-13
+        assert np.abs(Q @ Q.T - np.eye(len(Q))).max() <= 1e-13
+        v = sine_transform(p, x[:, 0])
+        assert v.shape == (len(Q),)
+        assert np.abs(sine_transform(p, v, inverse=True) - x[:, 0]).max() \
             <= 1e-13
 
 
@@ -289,7 +346,7 @@ class TestProlongate:
                                          ((PI, PI, 2.0), (4, 5, 6))],
                          ids=["2d", "3d"])
 class TestPreconditioner:
-    """The symbol inverse, conjugated by the sine transform, against the
+    """The symbol inverse, conjugated by the sine transform Q, against the
     assembled CSR K(0)."""
 
     def test_exact_inverse(self, edges, cells, cols, rng):
@@ -297,7 +354,8 @@ class TestPreconditioner:
         K, _, _ = assemble(p)
         T = laplacian_inverse(p)
         x = rng.standard_normal(K.order if cols is None else (K.order, cols))
-        y = sine_transform(p, T(sine_transform(p, K.matvec(x))))
+        y = sine_transform(p, T(sine_transform(p, K.matvec(x))),
+                           inverse=True)
         assert y.shape == x.shape
         assert np.abs(y - x).max() < 1e-10
 
@@ -341,9 +399,9 @@ class TestChebyshev:
                 s_prev, s = s, 2.0 * (theta / delta) * s - s_prev
             expected = (eye - t / s) @ np.linalg.inv(A)
         K, _ = box_operators(p)
-        # the apply runs in sine coordinates: conjugate it by T
-        T = sine_transform(p, eye)
-        got = T @ chebyshev(K, laplacian_inverse(p), alpha)(eye) @ T
+        # the apply runs in sine coordinates: conjugate it by Q
+        Q = sine_transform(p, eye)
+        got = Q.T @ chebyshev(K, laplacian_inverse(p), alpha)(eye) @ Q
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("alpha", [2.0, 10.0, 100.0])

@@ -255,6 +255,36 @@ class TestChebyshevSum:
         assert lhs <= rhs + 1e-12 * max(rhs, 1.0)
 
 
+class TestChengYangRounding:
+    """Rounding-level gaps of a degenerate pair count as exact zeros."""
+
+    def test_bounds_reproducible_across_degenerate_pair_rounding(self):
+        # the α = 0 square spectrum 2, 2, 5, 5, 5, 5, 8, 8, …, and a copy
+        # whose last 5 sits 8e-15 higher, as two solves may round it
+        from elastica.assembly import reference_spectrum_alpha0
+        exact = reference_spectrum_alpha0((math.pi, math.pi), 16)
+        rounded = exact.copy()
+        rounded[5] *= 1.0 + 8e-15
+        for k in range(1, 16):
+            a = cheng_yang_sum(spectrum(exact), k)[1]
+            b = cheng_yang_sum(spectrum(rounded), k)[1]
+            assert abs(a - b) <= 1e-12 * a, k
+
+    def test_real_gaps_keep_their_roots(self):
+        # a gap of 1e-3 relative is no rounding, so rhs keeps its √ term
+        lhs, rhs = cheng_yang_sum(spectrum([1.0, 1.001]), 1)
+        assert lhs == pytest.approx(1e-3, rel=1e-9)
+        assert rhs == pytest.approx(math.sqrt(2.0) * math.sqrt(1e-3),
+                                    rel=1e-9)
+
+    def test_rounding_gap_is_a_tie_on_both_sides(self):
+        # σ₂ − σ₁ at 4e-15 relative reads as the exact tie σ₁ = σ₂, so the
+        # record compares 0 with 0 rather than 2e-15 with a √ε bound
+        values = [2.0, 2.0 * (1.0 + 4e-15), 5.0]
+        assert cheng_yang_sum(spectrum(values), 1) == (0.0, 0.0)
+        assert cheng_yang_sum(spectrum([2.0, 2.0, 5.0]), 1) == (0.0, 0.0)
+
+
 class TestSpectrumValidation:
     def test_rejects_unsorted_and_nonpositive(self):
         with pytest.raises(SpectrumError):

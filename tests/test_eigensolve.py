@@ -1,6 +1,7 @@
 """Eigensolver contract tests: closed-form oracles, determinism, residuals."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from elastica.eigensolve import (BandedCholesky, ConvergenceError,
                                  EigenResult, FactorizationError,
                                  IndefiniteMassError, banded_smallest,
                                  cholesky_banded, smallest_eigenpairs)
-from elastica.harness import solve_problem
+from elastica.harness import RunConfig, run_verify, solve_problem
 from elastica.sparse import BandedSymMatrix, SparseSymMatrix
 from conftest import dense_generalized_eigs
 
@@ -46,9 +47,10 @@ def fd_laplacian_1d(n, h):
 
 def nodal_inverse(problem):
     """K(0)⁻¹ on nodal operands: the symbol inverse conjugated by the sine
-    transform, to precondition the assembled CSR pencil."""
+    transform Q, to precondition the assembled CSR pencil."""
     inner = laplacian_inverse(problem)
-    return lambda x: sine_transform(problem, inner(sine_transform(problem, x)))
+    return lambda x: sine_transform(
+        problem, inner(sine_transform(problem, x)), inverse=True)
 
 
 class TestLOBPCG:
@@ -264,16 +266,16 @@ class TestSolveProblem:
 
     @pytest.mark.parametrize("maxiter", [500, 2], ids=["converged", "partial"])
     def test_sine_solve_retraces_nodal_solve(self, maxiter):
-        # K̂ = T·K·T with the start block mapped in and the vectors out
-        # runs the nodal solve's iteration, an unconverged one included
+        # K̂ = Q·K·Qᵀ, solved as one block with the start block mapped in
+        # and the vectors out, runs the nodal solve's iteration, an
+        # unconverged one included
         p = ElasticityProblem((PI, 1.7), 2.0, (12, 10))
         K, M, _ = assemble(p)
         Kh, Mh = box_operators(p)
         results = []
         for args, kw in (((K, M), {"precond": nodal_inverse(p)}),
                          ((Kh, Mh), {"precond": laplacian_inverse(p),
-                                     "transform": lambda x: sine_transform(
-                                         p, x)})):
+                                     "transform": class_major(p)})):
             try:
                 results.append(smallest_eigenpairs(
                     *args, 6, tol=1e-9, seed=4, maxiter=maxiter, **kw))
@@ -306,6 +308,92 @@ class TestSolveProblem:
         assert np.all(res.residuals <= tol)
         gram = X.T @ M.matvec(X)
         assert np.abs(gram - np.eye(m)).max() <= 100 * tol
+
+
+def class_major(problem):
+    """(Q, Qᵀ) of the class-major sine coordinates, as the solver takes it."""
+    return (lambda x: sine_transform(problem, x),
+            lambda x: sine_transform(problem, x, inverse=True))
+
+
+class TestParityBlocks:
+    """LOBPCG run per reflection-parity class (``blocks``)."""
+
+    def test_start_confined_to_one_class_starves_no_block(self):
+        # the m start columns live in class 0 only, so every other class
+        # starts from its 8 random guard columns, which must find its
+        # eigenvalues: the closed-form α = 0 spectrum comes back whole
+        edges, cells, m = (PI, 1.7), (12, 16), 12
+        p = ElasticityProblem(edges, 0.0, cells)
+        K, M = box_operators(p)
+        start = np.zeros((K.order, m))
+        start[:m] = np.eye(m)
+        res = smallest_eigenpairs(K, M, m, tol=1e-8, seed=7,
+                                  precond=laplacian_inverse(p), start=start,
+                                  blocks=K.blocks)
+        ref = q1_alpha0_values(edges, cells, m)
+        assert np.all(np.abs(res.values - ref) <= 1e-10 * ref)
+        # each vector lives in one class, and not all in class 0
+        stops = np.cumsum(K.blocks)
+        owner = [np.searchsorted(stops, np.flatnonzero(v)[0], side="right")
+                 for v in res.vectors.T]
+        assert len(set(owner)) > 1
+        for v, q in zip(res.vectors.T, owner):
+            assert not np.any(np.delete(v, np.arange(stops[q] - K.blocks[q],
+                                                     stops[q])))
+
+    @pytest.mark.parametrize("edges,alpha,cells,m", [
+        ((PI, 1.7), 2.0, (12, 10), 8),
+        ((PI, PI), 10.0, (16, 16), 12),
+        ((PI, 2.0, 1.5), 10.0, (6, 5, 4), 8),
+    ], ids=["2d-a2", "2d-a10", "3d-a10"])
+    def test_blocks_agree_with_one_block(self, edges, alpha, cells, m):
+        p = ElasticityProblem(edges, alpha, cells)
+        K, M = box_operators(p)
+        Kc, Mc, _ = assemble(p)
+        tol = 1e-9
+        precond = chebyshev(K, laplacian_inverse(p), alpha)
+        one, split = (smallest_eigenpairs(K, M, m, tol=tol, seed=4,
+                                          precond=precond,
+                                          transform=class_major(p),
+                                          blocks=blocks)
+                      for blocks in (None, K.blocks))
+        assert np.all(np.abs(split.values - one.values) <= 1e-10 * one.values)
+        for res in (one, split):
+            X = res.vectors
+            R = Kc.matvec(X) - Mc.matvec(X) * res.values
+            assert np.all(np.linalg.norm(R, axis=0) / res.values <= tol)
+            assert np.abs(X.T @ Mc.matvec(X) - np.eye(m)).max() <= 1e-10
+
+    def test_no_eigenvalue_missed_in_tiny_classes(self):
+        # classes of order 9..13 and m + 8 = 9 starting columns: the class
+        # whose start spans it passes tol at once, and stopping there
+        # returned 118.70 while the smallest eigenvalue is 111.87
+        p = ElasticityProblem((1.7169907867073457, 3.083303969675236,
+                               0.320069536799156), 2.0, (4, 6, 3))
+        K, M, _ = assemble(p)
+        _, res = solve_problem(p, 1, 1e-8, 199)
+        ref = dense_generalized_eigs(K, M)[0]
+        assert abs(res.values[0] - ref) <= 1e-10 * ref
+
+    def test_rejects_blocks_not_covering_the_order(self):
+        K = diag_csr(np.arange(1.0, 33.0))
+        M = identity_csr(32)
+        for blocks in ((16, 15), (16, 17), (32, 0)):
+            with pytest.raises(ValueError, match="blocks"):
+                smallest_eigenpairs(K, M, 4, blocks=blocks)
+
+    def test_cross_class_ties_give_byte_identical_reports(self, tmp_path):
+        # at α = 0 every eigenvalue is shared by components in different
+        # classes; the stable merge orders such ties the same every run
+        cfg = replace(RunConfig(mode="verify"), alpha=0.0, cells=(12, 12),
+                      m=10, k_max=9, seed=3)
+        path = tmp_path / "report.json"
+        reports = []
+        for _ in range(2):
+            run_verify(replace(cfg, output_path=str(path)))
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
 
 
 def warm_and_cold(problem, m, tol=1e-8, seed=5):
