@@ -27,9 +27,9 @@ is, per class, one matmul with an off-parity sub-block of S·C·S along
 each of two axes (:func:`box_operators`).  Its preconditioner has two
 layers: the exact inverse of K(0), a division by its symbol
 (:func:`laplacian_inverse`), and Chebyshev steps for K(α) on [1, 1+α]
-around it (:func:`chebyshev`).  :func:`prolongate` carries a block of
-nodal vectors to the refined mesh, which gives the Richardson fine solve
-its starting block.
+around it (:func:`chebyshev`).  Every box solve starts from
+:func:`galerkin_start`: per class, the Ritz vectors of K̂ restricted to the
+class's lowest sine modes (:meth:`SineOperator.restrict`).
 """
 
 from __future__ import annotations
@@ -318,6 +318,38 @@ class SineOperator:
             out[:, target] += y.reshape(b, -1)
         return out.T.reshape(x.shape)
 
+    def restrict(self, index):
+        """The dense restriction A[index][:, index], entry by entry.
+
+        A coupling's entry joining target grid point t and source point s
+        is its weight at s times, per axis, the dense factor's (t_d, s_d)
+        entry, or δ(t_d, s_d) on an axis without one; no operand is
+        applied, so this costs len(index)² per coupling, not an order-n
+        apply per column.
+        """
+        index = np.asarray(index)
+        out = np.diag(self.diagonal[index])
+        for source, target, shape, weight, dense in self.couplings:
+            rows = np.flatnonzero((index >= target.start)
+                                  & (index < target.stop))
+            cols = np.flatnonzero((index >= source.start)
+                                  & (index < source.stop))
+            if not (rows.size and cols.size):
+                continue
+            factors = dict(dense)
+            t = np.unravel_index(index[rows] - target.start, tuple(
+                len(factors[d]) if d in factors else n
+                for d, n in enumerate(shape)))
+            s = np.unravel_index(index[cols] - source.start, shape)
+            entry = np.ones((rows.size, cols.size))
+            if weight is not None:
+                entry *= np.broadcast_to(weight, shape)[s]
+            for d, (td, sd) in enumerate(zip(t, s)):
+                entry *= (factors[d][np.ix_(td, sd)] if d in factors
+                          else np.equal.outer(td, sd))
+            out[np.ix_(rows, cols)] += entry
+        return out
+
 
 def _operator(dof_map, terms):
     """SineOperator of Kronecker terms (row comp, col comp, scale, kinds)."""
@@ -372,6 +404,32 @@ def box_operators(problem):
     lap_terms, div_terms, mass_terms = _terms(problem)
     return (_operator(dof_map, lap_terms + div_terms),
             _operator(dof_map, mass_terms))
+
+
+def galerkin_start(K, M, m):
+    """An (n, m) starting block from each class's lowest sine modes.
+
+    (K, M) is :func:`box_operators`' pair, so M̂ is diagonal.  Each parity
+    class takes its L = min(2m, class size) modes of smallest
+    K̂.diagonal / M̂.diagonal (ties by position), restricts K̂ to them
+    (:meth:`SineOperator.restrict`), whitens by M̂^(-1/2) and takes the
+    Ritz vectors of the L×L pencil by ``eigh``.  Column i holds every
+    class's i-th Ritz vector on that class's rows, M̂-normalised, in
+    class-major sine coordinates.  At α = 0 K̂ is diagonal, so these are
+    the exact lowest eigenvectors of every class.
+    """
+    X = np.zeros((K.order, m))
+    ratio = K.diagonal / M.diagonal
+    stop = 0
+    for size in K.blocks:
+        first, stop = stop, stop + size
+        modes = first + np.argsort(ratio[first:stop],
+                                   kind="stable")[:min(2 * m, size)]
+        scale = 1.0 / np.sqrt(M.diagonal[modes])
+        _, V = np.linalg.eigh(scale[:, None] * K.restrict(modes) * scale)
+        k = min(m, len(modes))
+        X[modes, :k] = scale[:, None] * V[:, :k]
+    return X
 
 
 def sine_transform(problem, x, inverse=False):
@@ -471,32 +529,6 @@ def chebyshev(K, inner, alpha):
         return z
 
     return apply
-
-
-def prolongate(problem, x):
-    """Interpolate an (n, b) block from ``problem``'s mesh to its refinement.
-
-    Per component this is the Kronecker product of the 1D linear
-    interpolations onto the halved grid: fine node 2i+1 takes coarse node
-    i, and each midpoint takes the mean of its two neighbours, with the
-    zero Dirichlet value beyond the ends.  It runs axis by axis on the
-    ``(dim, n₁, …, n_d, b)`` view, so no matrix is built.  Returns the
-    (n_fine, b) block on ``problem.refined()``'s interior nodes.
-    """
-    dof_map = _dof_map(problem)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != dof_map.order:
-        raise ValueError(f"need an ({dof_map.order}, b) block, "
-                         f"got shape {x.shape}")
-    y = x.reshape((dof_map.dim,) + dof_map.interior + (x.shape[1],))
-    for axis in range(1, dof_map.dim + 1):
-        coarse = np.moveaxis(y, axis, 0)
-        fine = np.zeros((2 * len(coarse) + 1,) + coarse.shape[1:])
-        fine[1::2] = coarse
-        fine[:-1:2] += 0.5 * coarse
-        fine[2::2] += 0.5 * coarse
-        y = np.moveaxis(fine, 0, axis)
-    return y.reshape(-1, x.shape[1])
 
 
 def interpolate_field(problem, components):

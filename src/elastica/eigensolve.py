@@ -19,12 +19,13 @@ Both hold a basis with its pencil images as one row stack, a ``(3, b, n)``
 array (Y, K·Y, M·Y) or (Y, A·Y, B·Y) with one vector per contiguous row:
 ``Cᵀ @ S`` changes the basis of all three, and :func:`_rayleigh_ritz` reads
 both Gram matrices from it without applying the pencil again.  LOBPCG keeps
-[X | P | W] in one persistent stack of 3b rows and a spare (3, b, n) block,
-written in place every iteration; diagonal block q owns its segment of the
-columns and fills its own rows from the top.  K, M and the preconditioner
-take (n, b) operands, one per apply for all blocks, and receive transposed
-views of those rows; an optional orthogonal ``transform`` (Q, Qᵀ) maps the
-starting block in and the eigenvectors out.
+[X | P | W] in one persistent stack of 3k rows and a spare (3, k, n) block,
+k = m + GUARDS the vectors it keeps, written in place every iteration;
+diagonal block q owns its segment of the columns and fills its own rows
+from the top.  K, M and the preconditioner take (n, b) operands, one per
+apply for all blocks, and receive transposed views of those rows; an
+optional orthogonal ``transform`` (Q, Qᵀ) maps the starting block in and
+the eigenvectors out.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ import numpy as np
 
 #: whitening drops Gram eigenvalues below DROP_REL times the largest
 DROP_REL = 1e-13
+#: random columns of the starting block past the m a caller may set
+SEEDED = 8
+#: Ritz pairs each block keeps past its share of the m smallest
+GUARDS = 4
+#: an M-Gram of M-normalised rows more asymmetric than DRIFT_ABS says the
+#: implicit M images have drifted (rounding leaves ~1e-15); it stays far
+#: below the −1e-10 that whitening reads as an indefinite metric
+DRIFT_ABS = 1e-12
 #: a starting column contributes no vector to a block where its part is
 #: below PART_REL times its norm (transform rounding sits near 1e-15)
 PART_REL = 1e-12
@@ -110,21 +119,24 @@ def _whiten(gram):
 
 
 def _rayleigh_ritz(S):
-    """Ritz values θ (ascending) and coefficients C of a row stack.
+    """Ritz values θ (ascending), coefficients C and drift of a row stack.
 
     With S = (Y, K·Y, M·Y), one basis vector per row: Cᵀ(Y M Yᵀ)C = I and
     Cᵀ(Y K Yᵀ)C = diag θ on the numerically independent part of span Y, so
-    ``Cᵀ @ S`` is the stack of the Ritz vectors.
+    ``Cᵀ @ S`` is the stack of the Ritz vectors.  The drift is
+    max |G − Gᵀ| of the M-Gram G = Y·(M·Y)ᵀ, which is symmetric up to
+    rounding while the M·Y rows are M applied to the Y rows.
     """
     Y, KY, MY = S
     try:
-        V = _whiten(Y @ MY.T)
+        gram = Y @ MY.T
+        V = _whiten(gram)
         H = V.T @ (Y @ KY.T) @ V
         theta, Q = np.linalg.eigh(0.5 * (H + H.T))
     except np.linalg.LinAlgError as err:
         raise BreakdownError(f"Rayleigh-Ritz projection failed: {err}") \
             from None
-    return theta, V @ Q
+    return theta, V @ Q, np.abs(gram - gram.T).max()
 
 
 def _residuals(KY, MY, theta, scale, out=None):
@@ -151,13 +163,14 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     K and M need only ``order`` and ``matvec`` (on (n,) and (n, b)
     operands): a CSR matrix or a matrix-free operator.  K must be
     symmetric, M symmetric positive definite, m <= order/4.  The
-    starting block of m + 8 columns is pseudo-random from ``seed``, and the
-    whole iteration is deterministic.  An (n, k) ``start`` block with
-    k <= m, such as eigenvector approximations from a coarser mesh,
-    replaces its first k columns; ``seed`` still draws the others, so the
-    guard columns past m stay random and can find an eigenvector that
-    ``start`` misses.  Eigenvalues within a cluster are reported
-    individually.
+    starting block of m + ``SEEDED`` (8) columns is pseudo-random from
+    ``seed``, and the whole iteration is deterministic.  An (n, k)
+    ``start`` block with k <= m, such as Ritz vectors of a small Galerkin
+    problem, replaces its first k columns; ``seed`` still draws the
+    others, so the columns past m stay random and can find an eigenvector
+    that ``start`` misses.  From the first Rayleigh–Ritz step on, the
+    basis keeps m + ``GUARDS`` (4) Ritz vectors, and its stack is sized
+    for those.  Eigenvalues within a cluster are reported individually.
 
     ``blocks``, sizes summing to the order, says K and M are block-diagonal
     with consecutive diagonal blocks of those sizes (default: one block).
@@ -167,12 +180,16 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     whitening, Rayleigh–Ritz, the updates and the residuals run per block.
     After each Rayleigh–Ritz step the per-block Ritz values are merged by
     a stable sort, and each block keeps its share of the m smallest plus
-    the 8 guard columns.  K, M and ``precond`` still take one (n, b)
+    ``GUARDS`` more.  K, M and ``precond`` still take one (n, b)
     operand per apply: column i holds every block's i-th vector on that
     block's rows.  A block whose rows whitening finds dependent restarts:
     Ritz combinations of dependent rows carry amplified rounding into the
     implicit images, so it carries no momentum block P into the next step,
-    and its new X gets K·X and M·X applied afresh.
+    and its new X gets K·X and M·X applied afresh.  So does a block whose
+    M-Gram has drifted from symmetric by more than ``DRIFT_ABS``: P rows
+    normalised from tiny momentum parts amplify rounding the same way, a
+    little more each step, until whitening would read the drift as an
+    indefinite metric.
 
     ``transform``, a pair (Q, Qᵀ) of callables on (n, b) blocks with Q
     orthogonal, says K and M act on Q·x: the starting block, random
@@ -201,7 +218,7 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
                          f"got {sizes}")
     stops = np.cumsum(sizes).tolist()
     segs = [slice(stop - size, stop) for size, stop in zip(sizes, stops)]
-    bs = min(m + 8, n)
+    bs, kept = min(m + SEEDED, n), min(m + GUARDS, n)
 
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, bs))
@@ -220,12 +237,13 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
         # transform, not a direction: it becomes 0, which whitening drops
         X[seg] /= np.where(part > PART_REL * total, part, np.inf)
     # the basis [X | P | W] and its K and M images, one vector per row, and
-    # a spare block for the residuals and the momentum combination; block
+    # a spare block for the residuals and the momentum combination, each
+    # part at most the kept count after the first projection; block
     # q's rows are its segment of the columns, and the rows past its own
     # count hold finite leftovers that the block-diagonal pencil keeps
     # out of every other block
-    S = np.zeros((3, 3 * bs, n))
-    spare = np.empty((3, bs, n))
+    S = np.zeros((3, 3 * kept, n))
+    spare = np.empty((3, kept, n))
     S[:, :bs] = (X.T, K.matvec(X).T, M.matvec(X).T)
     del X
     nx, npr = [bs] * len(segs), [0] * len(segs)
@@ -233,14 +251,16 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     def ritz(tops):
         """Rayleigh–Ritz on each block's rows :tops[q]: the pairs each block
         keeps, its share of the m smallest Ritz values over all blocks, and
-        whether whitening found the block's rows dependent."""
+        whether the block must restart (dependent rows or drifted
+        images)."""
         pairs = [_rayleigh_ritz(S[:, :top, seg])
                  for top, seg in zip(tops, segs)]
-        dependent = [C.shape[1] < top for (_, C), top in zip(pairs, tops)]
-        owner = _merge([theta for theta, _ in pairs])[1][:m]
+        dependent = [C.shape[1] < top or drift > DRIFT_ABS
+                     for (_, C, drift), top in zip(pairs, tops)]
+        owner = _merge([theta for theta, _, _ in pairs])[1][:m]
         share = np.bincount(owner, minlength=len(segs))
-        return [(theta[:k], C[:, :k]) for (theta, C), k
-                in zip(pairs, share + (bs - m))], share, dependent
+        return [(theta[:k], C[:, :k]) for (theta, C, _), k
+                in zip(pairs, share + GUARDS)], share, dependent
 
     def project():
         """Ritz-rotate each block's X rows in place; P stays behind them."""
@@ -485,7 +505,7 @@ def banded_smallest(A, B, m=1, tol=1e-10, maxiter=300, seed=0):
         Y = factor.solve(BX.T)
         Y /= np.maximum(np.linalg.norm(Y, axis=0), 1e-300)
         S = np.stack((Y.T, A.matvec(Y).T, B.matvec(Y).T))
-        theta, C = _rayleigh_ritz(S)
+        theta, C, _ = _rayleigh_ritz(S)
         X, BX = C.T @ S[::2]
         # scale-invariant residual: the pencil norms can be h^(-4) apart
         values, x = theta[:m], X[:m].T

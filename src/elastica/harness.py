@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import (ElasticityProblem, assemble, box_operators,
-                       chebyshev, laplacian_inverse, prolongate,
+                       chebyshev, galerkin_start, laplacian_inverse,
                        sine_transform)
 from .bounds import (DomainGeometry, Spectrum, VerifyTolerance, evaluate_all,
                      make_record)
@@ -271,26 +271,28 @@ def read_spectrum(path):
 # ---------------------------------------------------------------------------
 # runs
 
-def solve_problem(problem, m, tol, seed, start=None):
+def solve_problem(problem, m, tol, seed):
     """Solve the box pencil; returns (Spectrum, EigenResult).
 
     LOBPCG runs in class-major sine coordinates (:func:`box_operators`: M
     and K(0) diagonal, K(α)'s grad-div couplings dense), one block per
     reflection-parity class, preconditioned by Chebyshev steps on
     [1, 1+α] around K(0)⁻¹, a division by its symbol; no CSR matrix is
-    assembled.  ``start``, a nodal (n, k) block with k <= m, seeds the
-    first k columns of the starting block (see :func:`smallest_eigenpairs`),
-    the rest random from ``seed``.  :func:`sine_transform` maps the
-    starting block in and the eigenvectors out, so the vectors are nodal.
-    The blocks make the path differ from a nodal solve's, not the
-    eigenpairs it converges to.  Residuals are explicit in sine
-    coordinates; the transform is orthogonal, so they equal the nodal ones
-    up to its rounding.
+    assembled.  The first m columns of the starting block are the
+    per-class Ritz vectors of :func:`galerkin_start`, the rest random
+    from ``seed`` (see :func:`smallest_eigenpairs`).
+    :func:`sine_transform` maps the starting block in and the
+    eigenvectors out, so the vectors are nodal.  The blocks make the path
+    differ from a nodal solve's, not the eigenpairs it converges to.
+    Residuals are explicit in sine coordinates; the transform is
+    orthogonal, so they equal the nodal ones up to its rounding.
     """
     K, M = box_operators(problem)
     precond = chebyshev(K, laplacian_inverse(problem), problem.alpha)
     result = smallest_eigenpairs(
-        K, M, m, tol=tol, seed=seed, precond=precond, start=start,
+        K, M, m, tol=tol, seed=seed, precond=precond,
+        start=sine_transform(problem, galerkin_start(K, M, m),
+                             inverse=True),
         transform=(lambda x: sine_transform(problem, x),
                    lambda x: sine_transform(problem, x, inverse=True)),
         blocks=K.blocks)
@@ -326,14 +328,10 @@ def _extrapolate(coarse, fine):
 
 
 def _richardson(cfg):
-    """Solve at N and 2N, extrapolate, and derive per-index budgets.
-
-    The 2N solve starts from the prolongated N eigenvectors.
-    """
+    """Solve at N and 2N, extrapolate, and derive per-index budgets."""
     problem = ElasticityProblem(cfg.edges, cfg.alpha, cfg.cells)
-    coarse, result = solve_problem(problem, cfg.m, cfg.tol, cfg.seed)
-    fine, _ = solve_problem(problem.refined(), cfg.m, cfg.tol, cfg.seed,
-                            start=prolongate(problem, result.vectors))
+    coarse, _ = solve_problem(problem, cfg.m, cfg.tol, cfg.seed)
+    fine, _ = solve_problem(problem.refined(), cfg.m, cfg.tol, cfg.seed)
     extrap, budget = _extrapolate(coarse.values, fine.values)
     order = np.argsort(extrap, kind="stable")
     extrap, budget = extrap[order], budget[order]

@@ -5,8 +5,8 @@ import pytest
 
 from elastica.assembly import (DofMap, ElasticityProblem, _chebyshev_steps,
                                assemble, box_operators, chebyshev,
-                               divergence_stiffness, interpolate_field,
-                               laplacian_inverse, prolongate,
+                               divergence_stiffness, galerkin_start,
+                               interpolate_field, laplacian_inverse,
                                reference_spectrum_alpha0, sine_transform)
 from conftest import dense_generalized_eigs
 
@@ -252,6 +252,69 @@ class TestParityClasses:
         assert np.abs(sine_transform(p, v, inverse=True) - x[:, 0]).max() \
             <= 1e-13
 
+    def test_restriction_equals_dense_submatrix(self, edges, cells, alpha,
+                                                rng):
+        _, _, pairs = self._conjugates(edges, cells, alpha)
+        for dense, op in pairs:
+            # a subset across classes, in no particular order
+            index = rng.permutation(op.order)[:max(2, op.order // 3)]
+            got = op.restrict(index)
+            assert np.abs(got - dense[np.ix_(index, index)]).max() \
+                <= 1e-14 * np.abs(dense).max()
+
+
+class TestGalerkinStart:
+    """Per-class Ritz vectors on the lowest sine modes, the solve's start."""
+
+    @pytest.mark.parametrize("edges,cells,alpha,m", [
+        ((PI, 1.7), (9, 13), 2.0, 6),
+        ((PI, 2.0, 1.5), (4, 5, 3), 10.0, 5),
+        ((1.0, 1.0), (3, 3), 1.0, 2),
+    ], ids=["2d", "3d", "tiny-classes"])
+    def test_ritz_vectors_of_each_class(self, edges, cells, alpha, m):
+        p = ElasticityProblem(edges, alpha, cells)
+        K, M = box_operators(p)
+        X = galerkin_start(K, M, m)
+        assert X.shape == (K.order, m)
+        Kd = K.matvec(np.eye(K.order))
+        stop = 0
+        for size in K.blocks:
+            first, stop = stop, stop + size
+            Xq = X[first:stop]
+            live = np.flatnonzero(np.abs(Xq).sum(axis=0))
+            # min(m, L) vectors, M-orthonormal, K-orthogonal: Ritz vectors
+            # of the class's restricted pencil, ascending
+            assert list(live) == list(range(min(m, size)))
+            Xq = Xq[:, live]
+            gram = Xq.T @ (M.diagonal[first:stop, None] * Xq)
+            assert np.abs(gram - np.eye(live.size)).max() <= 1e-12
+            H = Xq.T @ Kd[first:stop, first:stop] @ Xq
+            theta = np.diag(H)
+            assert np.abs(H - np.diag(theta)).max() <= 1e-12 * theta.max()
+            assert np.all(np.diff(theta) >= 0)
+            # Ritz values lie above the class's exact eigenvalues
+            exact = np.linalg.eigvalsh(
+                Kd[first:stop, first:stop]
+                / np.sqrt(np.outer(M.diagonal[first:stop],
+                                   M.diagonal[first:stop])))
+            assert np.all(theta >= exact[:live.size] * (1 - 1e-12))
+
+    def test_exact_at_alpha0(self):
+        # K̂(0) is diagonal, so each class's vectors are its lowest modes
+        p = ElasticityProblem((PI, 1.7), 0.0, (12, 16))
+        K, M = box_operators(p)
+        m = 8
+        X = galerkin_start(K, M, m)
+        ratio = K.diagonal / M.diagonal
+        stop = 0
+        for size in K.blocks:
+            first, stop = stop, stop + size
+            # one mode per column, the i-th lowest in column i
+            cols, rows = np.nonzero(X[first:stop].T)
+            assert list(cols) == list(range(m))
+            assert np.array_equal(ratio[first:stop][rows],
+                                  np.sort(ratio[first:stop])[:m])
+
 
 class TestFieldChecks:
     def test_divergence_free_field_quotient_vanishes(self):
@@ -282,63 +345,6 @@ class TestFieldChecks:
                 lambda x, y: np.sin(x) * np.cos(y)])
             quotient = (u @ Kd.matvec(u)) / (u @ M.matvec(u))
             assert quotient > 1.0
-
-
-def interpolation_1d(cells):
-    """Dense linear interpolation from cells − 1 to 2·cells − 1 interior
-    nodes, entry by entry: fine node 2i+1 is coarse node i, and each fine
-    node between two coarse ones (or a coarse one and the boundary) takes
-    half of each neighbour."""
-    P = np.zeros((2 * cells - 1, cells - 1))
-    for i in range(cells - 1):
-        P[2 * i + 1, i] = 1.0
-        P[2 * i, i] = 0.5
-        P[2 * i + 2, i] = 0.5
-    return P
-
-
-class TestProlongate:
-    @pytest.mark.parametrize("cells", [(4, 4), (5, 3), (3, 4, 5), (2, 2, 2)])
-    def test_matches_dense_kronecker(self, cells, rng):
-        p = ElasticityProblem((PI,) * len(cells), 1.0, cells)
-        P = np.eye(1)
-        for c in cells:
-            P = np.kron(P, interpolation_1d(c))
-        P = np.kron(np.eye(len(cells)), P)  # component-major
-        x = rng.standard_normal((P.shape[1], 3))
-        y = prolongate(p, x)
-        assert y.shape == (P.shape[0], 3)
-        assert np.abs(y - P @ x).max() <= 1e-14 * np.abs(x).max()
-
-    @pytest.mark.parametrize("cells", [(5, 3), (3, 4, 5)])
-    def test_injects_coarse_nodes(self, cells, rng):
-        p = ElasticityProblem((1.0,) * len(cells), 0.0, cells)
-        x = rng.standard_normal((p.dim * int(np.prod([c - 1 for c in cells])),
-                                 2))
-        y = prolongate(p, x).reshape(
-            (p.dim,) + tuple(2 * c - 1 for c in cells) + (2,))
-        odd = (slice(None),) + (slice(1, None, 2),) * len(cells)
-        assert np.array_equal(y[odd].reshape(x.shape), x)
-
-    def test_error_second_order(self):
-        # sine products that vanish on the (π × 1.7π) box's boundary
-        fields = [lambda x, y: np.sin(x) * np.sin(2 * y / 1.7),
-                  lambda x, y: np.sin(3 * x) * np.sin(y / 1.7)]
-        errors = []
-        for cells in (8, 16, 32):
-            p = ElasticityProblem((PI, 1.7 * PI), 0.5, (cells, cells))
-            coarse = interpolate_field(p, fields)[:, None]
-            exact = interpolate_field(p.refined(), fields)
-            errors.append(np.abs(prolongate(p, coarse)[:, 0] - exact).max())
-        rates = np.array(errors[:-1]) / np.array(errors[1:])
-        assert np.all((3.5 <= rates) & (rates <= 4.5))
-
-    def test_rejects_wrong_shape(self):
-        p = ElasticityProblem((PI, PI), 0.0, (4, 4))
-        with pytest.raises(ValueError, match="block"):
-            prolongate(p, np.ones((17, 2)))
-        with pytest.raises(ValueError, match="block"):
-            prolongate(p, np.ones(18))
 
 
 @pytest.mark.parametrize("cols", [None, 4], ids=["vector", "block"])
