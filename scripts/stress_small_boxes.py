@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Stress check of the box eigensolver on random small boxes.
 
-Each box is drawn from one generator seed: 2D or 3D, edges in [0.3, 3.5],
+Each box is drawn from one generator seed by the test suite's
+``random_small_box`` (tests/conftest.py): 2D or 3D, edges in [0.3, 3.5],
 2-13 cells per axis, alpha in {0, 0.5, 2, 10, 100}, m from 1 to
-min(order/4, 16) and a solver seed.  Boxes whose 2N order exceeds
---max-order are drawn again, so every solve has a dense oracle.  Both
-Richardson meshes, N and 2N, are solved with ``solve_problem`` and checked:
+min(order/4, 16) and a solver seed, redrawn until its 2N order is at most
+1600 so every solve has a dense oracle.  Both Richardson meshes, N and 2N,
+are solved with ``solve_problem`` and checked:
 
 * miss: an eigenvalue off the m smallest dense eigenvalues of the
-  assembled CSR pencil (Cholesky reduction, ``eigvalsh``) by more than
-  --rel relative;
+  assembled CSR pencil (the suite's ``dense_generalized_eigs``) by more
+  than 1e-7 relative;
 * residual: a pair whose residual, recomputed on the CSR pencil, exceeds
   the solver tolerance;
 * breakdown: the solver raised (breakdown or no convergence).
@@ -26,49 +27,32 @@ import sys
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-from elastica.assembly import ElasticityProblem, assemble  # noqa: E402
+from conftest import dense_generalized_eigs, random_small_box  # noqa: E402
+from elastica.assembly import assemble  # noqa: E402
 from elastica.eigensolve import BreakdownError, ConvergenceError  # noqa: E402
 from elastica.harness import solve_problem  # noqa: E402
 
-ALPHAS = (0.0, 0.5, 2.0, 10.0, 100.0)
+MAX_CELLS = 13
 TOL = 1e-8
+#: relative eigenvalue error that counts as a miss
+REL = 1e-7
 
 
-def draw_box(rng, max_order):
-    """(problem, m, seed) of one random box whose 2N order fits."""
-    while True:
-        dim = int(rng.integers(2, 4))
-        cells = tuple(int(c) for c in rng.integers(2, 14, dim))
-        edges = tuple(float(e) for e in rng.uniform(0.3, 3.5, dim))
-        alpha = float(rng.choice(ALPHAS))
-        order = dim * int(np.prod([c - 1 for c in cells]))
-        fine = dim * int(np.prod([2 * c - 1 for c in cells]))
-        if order >= 4 and fine <= max_order:
-            m = int(rng.integers(1, min(order // 4, 16) + 1))
-            return (ElasticityProblem(edges, alpha, cells), m,
-                    int(rng.integers(2 ** 31)))
-
-
-def dense_eigenvalues(K, M):
-    """All eigenvalues of the CSR pencil, ascending, by Cholesky reduction."""
-    L = np.linalg.cholesky(M.to_dense())
-    B = np.linalg.solve(L, np.linalg.solve(L, K.to_dense()).T).T
-    return np.linalg.eigvalsh(0.5 * (B + B.T))
-
-
-def check(problem, m, seed, rel):
+def check(problem, m, seed):
     """The failures of one solve: a list of (kind, detail)."""
     try:
         _, result = solve_problem(problem, m, TOL, seed)
     except (BreakdownError, ConvergenceError) as err:
         return [("breakdown", f"{type(err).__name__}: {err}")]
     K, M, _ = assemble(problem)
-    ref = dense_eigenvalues(K, M)[:m]
+    ref = dense_generalized_eigs(K, M)[:m]
     failures = []
     off = np.abs(result.values - ref) / ref
-    if np.any(off > rel):
+    if np.any(off > REL):
         i = int(np.argmax(off))
         failures.append(("miss", f"index {i}: {result.values[i]:.12g} "
                                  f"against {ref[i]:.12g}"))
@@ -88,18 +72,14 @@ def main():
     ap.add_argument("--boxes", type=int, default=1500)
     ap.add_argument("--seed", type=int, default=1,
                     help="generator seed of the boxes")
-    ap.add_argument("--max-order", type=int, default=1600,
-                    help="largest 2N order drawn (dense oracle size)")
-    ap.add_argument("--rel", type=float, default=1e-7,
-                    help="relative eigenvalue tolerance of a miss")
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
     counts = {"miss": 0, "residual": 0, "breakdown": 0}
     for box in range(args.boxes):
-        problem, m, seed = draw_box(rng, args.max_order)
+        problem, m, seed = random_small_box(rng, MAX_CELLS)
         for mesh in (problem, problem.refined()):
-            for kind, detail in check(mesh, m, seed, args.rel):
+            for kind, detail in check(mesh, m, seed):
                 counts[kind] += 1
                 print(f"box {box}: {kind} edges={mesh.edges} "
                       f"alpha={mesh.alpha:g} cells={mesh.cells} m={m} "

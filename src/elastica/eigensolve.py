@@ -24,8 +24,8 @@ k = m + GUARDS the vectors it keeps, written in place every iteration;
 diagonal block q owns its segment of the columns and fills its own rows
 from the top.  K, M and the preconditioner take (n, b) operands, one per
 apply for all blocks, and receive transposed views of those rows; an
-optional orthogonal ``transform`` (Q, Qᵀ) maps the starting block in and
-the eigenvectors out.
+optional orthogonal ``transform`` (Q, Qᵀ) maps the random starting
+columns in and the eigenvectors out.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ GUARDS = 4
 #: implicit M images have drifted (rounding leaves ~1e-15); it stays far
 #: below the −1e-10 that whitening reads as an indefinite metric
 DRIFT_ABS = 1e-12
-#: a starting column contributes no vector to a block where its part is
-#: below PART_REL times its norm (transform rounding sits near 1e-15)
-PART_REL = 1e-12
 
 
 class BreakdownError(RuntimeError):
@@ -130,13 +127,18 @@ def _rayleigh_ritz(S):
     Y, KY, MY = S
     try:
         gram = Y @ MY.T
+        # one b×b temporary, freed with the Gram before K is projected
+        skew = gram - gram.T
+        drift = np.abs(skew, out=skew).max()
+        del skew
         V = _whiten(gram)
+        del gram
         H = V.T @ (Y @ KY.T) @ V
         theta, Q = np.linalg.eigh(0.5 * (H + H.T))
     except np.linalg.LinAlgError as err:
         raise BreakdownError(f"Rayleigh-Ritz projection failed: {err}") \
             from None
-    return theta, V @ Q, np.abs(gram - gram.T).max()
+    return theta, V @ Q, drift
 
 
 def _residuals(KY, MY, theta, scale, out=None):
@@ -175,8 +177,7 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     ``blocks``, sizes summing to the order, says K and M are block-diagonal
     with consecutive diagonal blocks of those sizes (default: one block).
     Every basis vector then lives in one block: each starting column
-    contributes its part in every block (none where the part is below
-    ``PART_REL`` of the column, the rounding a transform leaves), and
+    contributes its part in every block (none where the part is zero), and
     whitening, Rayleigh–Ritz, the updates and the residuals run per block.
     After each Rayleigh–Ritz step the per-block Ritz values are merged by
     a stable sort, and each block keeps its share of the m smallest plus
@@ -192,9 +193,9 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     indefinite metric.
 
     ``transform``, a pair (Q, Qᵀ) of callables on (n, b) blocks with Q
-    orthogonal, says K and M act on Q·x: the starting block, random
-    columns and ``start`` alike, is mapped in by Q and the eigenvectors of
-    every exit out by Qᵀ.  With one block, a solve on Q·K·Qᵀ, Q·M·Qᵀ
+    orthogonal, says K and M act on Q·x: the random columns of the
+    starting block are mapped in by Q and the eigenvectors of every exit
+    out by Qᵀ.  ``start`` is given in the coordinates K and M act on.  With one block, a solve on Q·K·Qᵀ, Q·M·Qᵀ
     follows the path of the one on K, M up to rounding; its residuals are
     the transformed ones.
 
@@ -222,20 +223,20 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
 
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, bs))
-    if start is not None:
-        start = np.asarray(start, dtype=np.float64)
-        if start.ndim != 2 or start.shape[0] != n or start.shape[1] > m:
-            raise ValueError(f"start must be an ({n}, k) block with k <= "
-                             f"m = {m}, got shape {start.shape}")
-        X[:, :start.shape[1]] = start
+    start = np.empty((n, 0)) if start is None else np.asarray(
+        start, dtype=np.float64)
+    if start.ndim != 2 or start.shape[0] != n or start.shape[1] > m:
+        raise ValueError(f"start must be an ({n}, k) block with k <= "
+                         f"m = {m}, got shape {start.shape}")
+    k = start.shape[1]
     if transform is not None:
-        X = transform[0](X)
-    total = np.linalg.norm(X, axis=0)
+        X[:, k:] = transform[0](X[:, k:])
+    X[:, :k] = start
     for seg in segs:
         part = np.linalg.norm(X[seg], axis=0)
-        # a part at the rounding level of its column is left by the
-        # transform, not a direction: it becomes 0, which whitening drops
-        X[seg] /= np.where(part > PART_REL * total, part, np.inf)
+        # a column with no part in this block gives it a zero row, which
+        # whitening drops
+        X[seg] /= np.where(part > 0, part, np.inf)
     # the basis [X | P | W] and its K and M images, one vector per row, and
     # a spare block for the residuals and the momentum combination, each
     # part at most the kept count after the first projection; block

@@ -281,7 +281,7 @@ def solve_problem(problem, m, tol, seed):
     assembled.  The first m columns of the starting block are the
     per-class Ritz vectors of :func:`galerkin_start`, the rest random
     from ``seed`` (see :func:`smallest_eigenpairs`).
-    :func:`sine_transform` maps the starting block in and the
+    :func:`sine_transform` maps the random columns in and the
     eigenvectors out, so the vectors are nodal.  The blocks make the path
     differ from a nodal solve's, not the eigenpairs it converges to.
     Residuals are explicit in sine coordinates; the transform is
@@ -291,8 +291,7 @@ def solve_problem(problem, m, tol, seed):
     precond = chebyshev(K, laplacian_inverse(problem), problem.alpha)
     result = smallest_eigenpairs(
         K, M, m, tol=tol, seed=seed, precond=precond,
-        start=sine_transform(problem, galerkin_start(K, M, m),
-                             inverse=True),
+        start=galerkin_start(K, M, m),
         transform=(lambda x: sine_transform(problem, x),
                    lambda x: sine_transform(problem, x, inverse=True)),
         blocks=K.blocks)

@@ -15,7 +15,7 @@ from elastica.eigensolve import (BandedCholesky, ConvergenceError,
                                  cholesky_banded, smallest_eigenpairs)
 from elastica.harness import RunConfig, run_verify, solve_problem
 from elastica.sparse import BandedSymMatrix, SparseSymMatrix
-from conftest import dense_generalized_eigs
+from conftest import dense_generalized_eigs, random_small_box
 
 PI = np.pi
 
@@ -377,11 +377,10 @@ class TestParityBlocks:
 
     def test_drifted_images_restart(self):
         # classes of order 27 and 28, nearly spanned by the start: momentum
-        # rows normalised from tiny parts carried growing rounding into
-        # their implicit M images (M-Gram asymmetry 7e-9, then 1e-3 seven
-        # steps later) until whitening read an eigenvalue of −4.1e-6
-        # (IndefiniteMassError); a class whose M-Gram has drifted from
-        # symmetric restarts with fresh images instead
+        # rows normalised from tiny parts carry growing rounding into their
+        # implicit M images, and the drift rule restarts such a class four
+        # times here (M-Gram asymmetry up to 4e-11), long before whitening
+        # would read the drift as an indefinite metric
         p = ElasticityProblem((0.8761857591217734, 0.6656203012345956),
                               100.0, (12, 6))
         K, M, _ = assemble(p)
@@ -409,26 +408,11 @@ class TestParityBlocks:
         assert reports[0] == reports[1]
 
 
-def random_small_box(draw):
-    """A seeded random small box problem, its m and its solver seed."""
-    rng = np.random.default_rng(draw)
-    while True:
-        dim = int(rng.integers(2, 4))
-        cells = tuple(int(c) for c in rng.integers(2, 9, dim))
-        problem = ElasticityProblem(tuple(rng.uniform(0.3, 3.5, dim)),
-                                    float(rng.choice([0.0, 2.0, 100.0])),
-                                    cells)
-        order = dim * int(np.prod([c - 1 for c in cells]))
-        if order >= 4:
-            m = int(rng.integers(1, min(order // 4, 16) + 1))
-            return problem, m, int(rng.integers(1000))
-
-
 @pytest.mark.parametrize("draw", range(40))
 def test_no_eigenvalue_missed_on_random_small_boxes(draw):
     # each class keeps its share plus 4 guards: too few, and a class whose
     # lowest modes the start block misses loses an eigenvalue
-    problem, m, seed = random_small_box(draw)
+    problem, m, seed = random_small_box(np.random.default_rng(draw), 8)
     _, res = solve_problem(problem, m, 1e-8, seed)
     K, M, _ = assemble(problem)
     ref = dense_generalized_eigs(K, M)[:m]

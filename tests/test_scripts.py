@@ -55,6 +55,12 @@ def test_cap_suite_runs(tmp_path):
     assert proc.returncode == exit_code(reports), proc.stderr
 
 
+def test_stress_small_boxes_runs():
+    proc = _run_script("stress_small_boxes.py", "--boxes", "3", "--seed", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "3 boxes, 6 solves: 0 miss, 0 residual, 0 breakdown" in proc.stdout
+
+
 def test_convergence_study_runs():
     # 32 radial cells give cap pencils of order 63 and 64: one padded and
     # one whole 64-row Cholesky block
