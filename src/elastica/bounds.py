@@ -39,7 +39,7 @@ DEGENERATE_GAP_RTOL = 1e-8
 
 #: gaps σ_{k+1} − σᵢ up to GAP_ROUNDING_ULPS·ε·σ_{k+1} are rounding of a
 #: degenerate pair (measured up to 16ε on box spectra, whose real gaps are
-#: >= 1e-3 relative), and count as exact zeros in ``cheng_yang_sum``
+#: >= 1e-3 relative), and count as exact zeros (:func:`_next_gaps`)
 GAP_ROUNDING_ULPS = 256
 
 #: conservative admissible constant in the index-growth bound (the true
@@ -217,11 +217,24 @@ def _check_k(spectrum, k, need_next=False):
         raise ValueError(f"need {needed} eigenvalues, spectrum has {len(spectrum)}")
 
 
-def yang_type_quadratic(spectrum, k):
-    """Both sides of Σ(σ_{k+1}−σᵢ)² ≤ C·Σ(σ_{k+1}−σᵢ)σᵢ as (lhs, rhs)."""
+def _next_gaps(spectrum, k):
+    """Gaps σ_{k+1} − σᵢ, i ≤ k, with those at the rounding level of
+    σ_{k+1} (``GAP_ROUNDING_ULPS``) set to exact zeros: they are a
+    degenerate pair, and their rounding would otherwise reach the record."""
     _check_k(spectrum, k, need_next=True)
     sig = spectrum.values
     d = sig[k] - sig[:k]
+    return np.where(d > GAP_ROUNDING_ULPS * np.finfo(float).eps * abs(sig[k]),
+                    d, 0.0)
+
+
+def yang_type_quadratic(spectrum, k):
+    """Both sides of Σ(σ_{k+1}−σᵢ)² ≤ C·Σ(σ_{k+1}−σᵢ)σᵢ as (lhs, rhs).
+
+    Rounding-level gaps count as exact zeros (:func:`_next_gaps`).
+    """
+    d = _next_gaps(spectrum, k)
+    sig = spectrum.values
     c = yang_coefficient(spectrum.dim, spectrum.alpha)
     return float(np.sum(d ** 2)), float(c * np.sum(d * sig[:k]))
 
@@ -230,17 +243,13 @@ def cheng_yang_sum(spectrum, k):
     """Both sides of the Cheng–Yang inequality as (lhs, rhs).
 
     lhs = Σ(σ_{k+1}−σᵢ), rhs = (2√(n+α)/n)·{Σ(σ_{k+1}−σᵢ)^½ ·
-    Σ(σ_{k+1}−σᵢ)^½ σᵢ}^½.  Gaps at the rounding level of σ_{k+1}
-    (``GAP_ROUNDING_ULPS``) are a degenerate pair and count as exact zeros
-    on both sides: under the square root, a rounding gap would add √ε
-    noise to rhs.
+    Σ(σ_{k+1}−σᵢ)^½ σᵢ}^½.  Rounding-level gaps count as exact zeros on
+    both sides (:func:`_next_gaps`): under the square root, a rounding gap
+    would add √ε noise to rhs.
     """
-    _check_k(spectrum, k, need_next=True)
+    d = _next_gaps(spectrum, k)
     n, alpha = spectrum.dim, spectrum.alpha
     sig = spectrum.values
-    d = sig[k] - sig[:k]
-    d = np.where(d > GAP_ROUNDING_ULPS * np.finfo(float).eps * abs(sig[k]),
-                 d, 0.0)
     root = np.sqrt(d)
     rhs = (2.0 * math.sqrt(n + alpha) / n) * math.sqrt(
         float(np.sum(root)) * float(np.sum(root * sig[:k])))

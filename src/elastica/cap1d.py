@@ -28,12 +28,21 @@ of the boundary circle), and u'(θ₀) is an explicit Hermite degree of
 freedom.  Pole regularity is essential per mode: u'(0)=0 for m=0, u(0)=0
 for m=1, both for m>=2, matching the θ^m behaviour of regular solutions.
 
+Each mode's pencil is solved by banded inverse iteration
+(:func:`~elastica.eigensolve.banded_smallest`), and its value is the
+quotient of the computed vector evaluated as sums of squares at the Gauss
+points (:func:`rayleigh_quotient`), not the Ritz value xᵀS x / xᵀW x,
+whose h⁻⁴ cancellation puts it up to ~1e-7 below the exact value at 512
+cells.  A solve at 2·cells can start from the eigenvectors at cells
+(``solve_cap(…, start=…)``): the Hermite cubics are nested, so
+:func:`prolongate` carries each vector over exactly.
+
 Reported first eigenvalues are minima over modes m = 0..mode_max.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,6 +118,11 @@ class ModeOperator:
     removed: tuple[int, ...]
     ndof_full: int
 
+    @property
+    def keep(self):
+        """Full DOF index of each row of the constrained pencil."""
+        return np.setdiff1d(np.arange(self.ndof_full), self.removed)
+
 
 def _hermite_tables(h):
     """Value/first/second derivative of the four shapes at the Gauss points.
@@ -138,36 +152,78 @@ def _hermite_tables(h):
     return val, d1, d2
 
 
-def _element_matrices(theta0, cells, m):
-    """Per-element (cells, 4, 4) W, A, S; element e couples DOFs 2e..2e+3."""
+def _gauss_points(theta0, cells):
+    """Cell width h and, per cell and Gauss point, cotθ, 1/sin²θ and the
+    quadrature weight times sinθ, each (cells, 5)."""
     h = theta0 / cells
-    val, d1, d2 = _hermite_tables(h)
     left = h * np.arange(cells)
     theta = left[:, None] + h * 0.5 * (1.0 + _GAUSS_X)[None, :]
     s = np.sin(theta)
-    cot = np.cos(theta) / s
-    inv2 = 1.0 / s ** 2
-    wq = (0.5 * h) * _GAUSS_W[None, :] * s        # quadrature * weight sinθ
-
-    lphi = d2[None, :, :] + cot[:, None, :] * d1[None, :, :] \
-        - (m * m) * inv2[:, None, :] * val[None, :, :]
-    mass_e = np.einsum("ag,bg,eg->eab", val, val, wq)
-    grad_e = np.einsum("ag,bg,eg->eab", d1, d1, wq) \
-        + (m * m) * np.einsum("ag,bg,eg->eab", val, val, wq * inv2)
-    bilap_e = np.einsum("eag,ebg,eg->eab", lphi, lphi, wq)
-    return {"W": mass_e, "A": grad_e, "S": bilap_e}
+    return h, np.cos(theta) / s, 1.0 / s ** 2, \
+        (0.5 * h) * _GAUSS_W[None, :] * s
 
 
-def _scatter_bands(elem, index, order):
-    """Sum element matrices, in element order, into lower band storage.
+#: the ten DOF pairs a <= b of a 4×4 element matrix, and the pair of each
+#: entry (a, b), so (a, b) and (b, a) read one value
+_PAIRS = np.triu_indices(4)
+_PAIR_OF = np.zeros((4, 4), dtype=int)
+_PAIR_OF[_PAIRS] = _PAIR_OF[_PAIRS[::-1]] = np.arange(len(_PAIRS[0]))
 
-    ``index`` maps each full DOF to its kept position, −1 if constrained.
+
+def _pair_table(x, y):
+    """(5, pairs) table of x_a y_b + y_a x_b (x_a x_b if x is y) at the
+    Gauss points, for shape tables x, y."""
+    a, b = _PAIRS
+    table = x[a] * y[b] if x is y else x[a] * y[b] + y[a] * x[b]
+    return table.T
+
+
+def _element_matrices(theta0, cells, m):
+    """Per-element (cells, 4, 4) W, A, S; element e couples DOFs 2e..2e+3.
+
+    Each form is one matmul of per-element Gauss weights with pair tables
+    (:func:`_pair_table`); S expands (L_m φ_a)(L_m φ_b) with
+    L_m φ = φ'' + cotθ φ' − μ φ, μ = m²/sin²θ, into its six products.
+    Every element matrix is symmetric bit for bit.
     """
-    dofs = index[2 * np.arange(len(elem))[:, None] + np.arange(4)[None, :]]
-    rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
-    lower = (cols >= 0) & (rows >= cols)
+    h, cot, inv2, wq = _gauss_points(theta0, cells)
+    val, d1, d2 = _hermite_tables(h)
+    mu = (m * m) * inv2
+    vv, gg = _pair_table(val, val), _pair_table(d1, d1)
+
+    def form(weights, tables):
+        return (np.concatenate(weights, axis=1)
+                @ np.concatenate(tables))[:, _PAIR_OF]
+
+    return {
+        "W": form([wq], [vv]),
+        "A": form([wq, wq * mu], [gg, vv]),
+        "S": form([wq, wq * cot, wq * cot ** 2, -wq * mu, -wq * cot * mu,
+                   wq * mu ** 2],
+                  [_pair_table(d2, d2), _pair_table(d2, d1), gg,
+                   _pair_table(d2, val), _pair_table(d1, val), vv]),
+    }
+
+
+def _scatter_bands(elem, keep):
+    """Sum element matrices into lower band storage over the DOFs ``keep``.
+
+    A full band entry gets at most two element terms, from the elements
+    sharing a node, so its sum does not depend on their order.  Band d of
+    the kept pencil at column j is the full entry (keep[j + d], keep[j]),
+    zero where those DOFs lie more than the bandwidth apart.
+    """
+    cells = len(elem)
+    full = np.zeros((4, 2 * cells + 2))
+    for a, b in zip(*np.tril_indices(4)):
+        full[a - b, b:b + 2 * cells:2] += elem[:, a, b]
+    order = keep.size
     bands = np.zeros((4, order))
-    np.add.at(bands, ((rows - cols)[lower], cols[lower]), elem[lower])
+    for d in range(4):
+        col = keep[:order - d]
+        off = keep[d:] - col
+        near = off <= 3
+        bands[d, :order - d][near] = full[off[near], col[near]]
     return BandedSymMatrix(order, 3, bands)
 
 
@@ -196,48 +252,114 @@ def build_mode_operator(theta0, cells, m, kind):
         # rim slope is local DOF 3 of the last element only
         elem["S"][-1, 3, 3] -= np.cos(theta0)
     removed = tuple(sorted(removed))
-
     keep = np.setdiff1d(np.arange(ndof), removed)
-    index = np.full(ndof, -1)
-    index[keep] = np.arange(keep.size)
-    return ModeOperator(m, kind,
-                        _scatter_bands(elem[numerator], index, keep.size),
-                        _scatter_bands(elem[metric], index, keep.size),
-                        removed, ndof)
+    return ModeOperator(m, kind, _scatter_bands(elem[numerator], keep),
+                        _scatter_bands(elem[metric], keep), removed, ndof)
 
 
-def _first_pair(op):
-    """Smallest eigenpair of the mode pencil."""
-    res = banded_smallest(op.numerator, op.metric, m=1, tol=FIRST_PAIR_TOL,
-                          seed=FIRST_PAIR_SEED)
-    return float(res.values[0]), res.vectors[:, 0]
+def rayleigh_quotient(theta0, cells, m, kind, full):
+    """The kind's quotient of one mode's forms at a full DOF vector.
+
+    u, u' and L_m u are evaluated at the Gauss points, so W, A and S are
+    sums of squares, free of the h⁻⁴ cancellation in xᵀ S x; the p/q
+    numerators then lose cosθ₀·u'(θ₀)².  Each cell's cubic is written in
+    its slopes and its mean slope g = (u₁ − u₀)/h, so u'' =
+    ((6t−4)(u'₀−g) + (6t−2)(u'₁−g))/h rounds like ε/h, not like the
+    ε/h² of the nodal shape sums.  For a vector meeting the kind's
+    constraints the value is a conforming upper bound on the mode's first
+    eigenvalue, whatever solve produced the vector.
+    """
+    numerator, metric, _, rim_corrected = _KIND_TABLE[kind]
+    h, cot, inv2, wq = _gauss_points(theta0, cells)
+    t = 0.5 * (1.0 + _GAUSS_X)
+    u0, s0 = full[0:-2:2, None], full[1:-2:2, None]
+    u1, s1 = full[2::2, None], full[3::2, None]
+    g = (u1 - u0) / h
+    u = u0 + h * (g * (3 - 2 * t) * t ** 2 + s0 * t * (1 - t) ** 2
+                  + s1 * (t - 1) * t ** 2)
+    du = g * 6 * t * (1 - t) + s0 * (1 - 4 * t + 3 * t ** 2) \
+        + s1 * (3 * t - 2) * t
+    d2u = ((6 * t - 4) * (s0 - g) + (6 * t - 2) * (s1 - g)) / h
+    mu = (m * m) * inv2
+    forms = {"W": np.sum(wq * u ** 2),
+             "A": np.sum(wq * (du ** 2 + mu * u ** 2)),
+             "S": np.sum(wq * (d2u + cot * du - mu * u) ** 2)}
+    top = forms[numerator]
+    if rim_corrected:
+        top -= np.cos(theta0) * full[-1] ** 2
+    return float(top / forms[metric])
 
 
-def mode_eigenfunction(theta0, cells, m, kind):
-    """(eigenvalue, full DOF vector) with constrained entries re-inserted."""
+def prolongate(full, theta0):
+    """A full DOF vector on the cells of [0, θ₀], carried to cells half as
+    wide.
+
+    Hermite cubics on the halved cells contain those on the whole ones, so
+    the carried vector is the same function: old nodes keep their (u, u'),
+    and each midpoint takes the value and slope of its cell's cubic there.
+    The pole and the rim stay old nodes, so their constraints still hold.
+    """
+    cells = full.size // 2 - 1
+    h = theta0 / cells
+    u, du = full[0::2], full[1::2]
+    fine = np.empty(4 * cells + 2)
+    fine[0::4], fine[1::4] = u, du
+    fine[2::4] = 0.5 * (u[:-1] + u[1:]) + 0.125 * h * (du[:-1] - du[1:])
+    fine[3::4] = 1.5 * (u[1:] - u[:-1]) / h - 0.25 * (du[:-1] + du[1:])
+    return fine
+
+
+def mode_eigenfunction(theta0, cells, m, kind, start=None):
+    """(eigenvalue, full DOF vector) of one mode's first pair.
+
+    The vector has its constrained entries re-inserted as zeros, and the
+    eigenvalue is its :func:`rayleigh_quotient`.  ``start``, a full DOF
+    vector on the same cells, replaces the first random column of the
+    banded solve.
+    """
     op = build_mode_operator(theta0, cells, m, kind)
-    value, vec = _first_pair(op)
+    keep = op.keep
+    res = banded_smallest(op.numerator, op.metric, m=1, tol=FIRST_PAIR_TOL,
+                          seed=FIRST_PAIR_SEED,
+                          start=None if start is None else start[keep, None])
     full = np.zeros(op.ndof_full)
-    keep = np.setdiff1d(np.arange(op.ndof_full), op.removed)
-    full[keep] = vec
-    return value, full
+    full[keep] = res.vectors[:, 0]
+    return rayleigh_quotient(theta0, cells, m, kind, full), full
 
 
 @dataclass(frozen=True)
 class CapResult:
-    """Minimum over azimuthal modes of the first per-mode eigenvalue."""
+    """Minimum over azimuthal modes of the first per-mode eigenvalue.
+
+    ``vectors[m]`` is mode m's full DOF vector (:func:`mode_eigenfunction`).
+    """
 
     problem: CapProblem
     value: float
     minimizing_mode: int
     per_mode: np.ndarray
+    vectors: np.ndarray
 
 
-def solve_cap(problem):
-    per_mode = np.empty(problem.mode_max + 1)
-    for m in range(problem.mode_max + 1):
-        op = build_mode_operator(problem.theta0, problem.radial_cells, m,
-                                 problem.kind)
-        per_mode[m], _ = _first_pair(op)
+def solve_cap(problem, start=None):
+    """First eigenvalue of every mode 0..mode_max, and their minimum.
+
+    ``start``, the CapResult of the same problem at half the radial cells,
+    starts each mode's solve from its eigenvector there, prolongated to
+    these cells (:func:`prolongate`).
+    """
+    if start is not None and replace(
+            start.problem,
+            radial_cells=2 * start.problem.radial_cells) != problem:
+        raise ValueError("start must solve the same cap problem at half "
+                         "the radial cells")
+    modes = problem.mode_max + 1
+    per_mode = np.empty(modes)
+    vectors = np.empty((modes, 2 * (problem.radial_cells + 1)))
+    for m in range(modes):
+        warm = None if start is None else prolongate(start.vectors[m],
+                                                     problem.theta0)
+        per_mode[m], vectors[m] = mode_eigenfunction(
+            problem.theta0, problem.radial_cells, m, problem.kind, warm)
     best = int(np.argmin(per_mode))
-    return CapResult(problem, float(per_mode[best]), best, per_mode)
+    return CapResult(problem, float(per_mode[best]), best, per_mode, vectors)

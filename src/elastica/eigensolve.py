@@ -11,9 +11,11 @@ factorisations of dense blocks):
   is solved per diagonal block in one iteration: every basis vector lives
   in one block, and the blocks' Ritz values are merged by a stable sort.
 * :func:`banded_smallest`: banded Cholesky factorisation plus block inverse
-  iteration for small banded pencils (orders up to ~1e4).  The factor is
-  built and applied on dense 64×64 diagonal blocks with numpy's LAPACK
-  (``np.linalg.cholesky`` and ``inv``), coupled through bandwidth² corners.
+  iteration for small banded pencils (orders up to ~1e4), optionally
+  started from given columns.  The factor is built on dense 64×64
+  diagonal blocks with numpy's LAPACK (``np.linalg.cholesky``), coupled
+  through bandwidth² corners, and applied through the blocks' inverses,
+  which :func:`_lower_inverse` forms by halving each triangle.
 
 Both hold a basis with its pencil images as one row stack, a ``(3, b, n)``
 array (Y, K·Y, M·Y) or (Y, A·Y, B·Y) with one vector per contiguous row:
@@ -157,6 +159,17 @@ def _merge(thetas):
     return order, owner[order]
 
 
+def _start_block(start, n, m):
+    """A caller's start columns as an (n, k) array, k <= m (k = 0 for
+    None)."""
+    start = np.empty((n, 0)) if start is None else np.asarray(
+        start, dtype=np.float64)
+    if start.ndim != 2 or start.shape[0] != n or start.shape[1] > m:
+        raise ValueError(f"start must be an ({n}, k) block with k <= "
+                         f"m = {m}, got shape {start.shape}")
+    return start
+
+
 def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
                         precond=None, start=None, transform=None,
                         blocks=None):
@@ -223,11 +236,7 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
 
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, bs))
-    start = np.empty((n, 0)) if start is None else np.asarray(
-        start, dtype=np.float64)
-    if start.ndim != 2 or start.shape[0] != n or start.shape[1] > m:
-        raise ValueError(f"start must be an ({n}, k) block with k <= "
-                         f"m = {m}, got shape {start.shape}")
+    start = _start_block(start, n, m)
     k = start.shape[1]
     if transform is not None:
         X[:, k:] = transform[0](X[:, k:])
@@ -440,14 +449,39 @@ def _first_bad_pivot(block):
     return k, pivots[k]
 
 
+def _lower_inverse(L, bw):
+    """Invert, in place, lower-triangular factors of bandwidth ``bw``
+    stacked along any leading axes, each s×s with s a power of two.
+
+    Each block [[P, 0], [C, Q]] is halved: its inverse is
+    [[P⁻¹, 0], [−Q⁻¹ C P⁻¹, Q⁻¹]], and C is nonzero only in its bw×bw
+    top-right corner.  P and Q of every block are inverted together, as one
+    strided view with a new leading axis, down to 1×1 reciprocals.
+    """
+    size = L.shape[-1]
+    if size == 1:
+        np.reciprocal(L, out=L)
+        return
+    half = size // 2
+    k = min(bw, half)
+    corner = L[..., half:half + k, half - k:half].copy()
+    step = L.strides[-2] * half + L.strides[-1] * half
+    _lower_inverse(np.lib.stride_tricks.as_strided(
+        L, (2,) + L.shape[:-2] + (half, half), (step,) + L.strides), bw)
+    L[..., half:, :half] = -(L[..., half:, half:half + k] @ corner) \
+        @ L[..., half - k:half, :half]
+
+
 def cholesky_banded(A):
     """Banded Cholesky of a BandedSymMatrix; fails loudly on bad pivots.
 
     Factors dense diagonal blocks in order; block j's top-left corner first
     loses c cᵀ, where c = A_{j,j−1} corner · (trailing corner of L_{j−1})⁻ᵀ.
+    Blocks are at least ``_BLOCK`` rows and a power of two, so
+    :func:`_lower_inverse` can halve them.
     """
     n, bw = A.order, A.bandwidth
-    size = max(_BLOCK, bw)
+    size = max(_BLOCK, 1 << (bw - 1).bit_length())
     nblk = -(-n // size)
     diag = np.zeros((nblk, size, size))  # cholesky reads the lower triangle
     corner = np.zeros((nblk, bw, bw))
@@ -472,14 +506,19 @@ def cholesky_banded(A):
         except np.linalg.LinAlgError:
             k, value = _first_bad_pivot(diag[j])
             raise FactorizationError(j * size + k, value) from None
-    return BandedCholesky(n, bw, np.linalg.inv(diag), corner)
+    _lower_inverse(diag, bw)
+    return BandedCholesky(n, bw, diag, corner)
 
 
-def banded_smallest(A, B, m=1, tol=1e-10, maxiter=300, seed=0):
+def banded_smallest(A, B, m=1, tol=1e-10, maxiter=300, seed=0, start=None):
     """m smallest eigenpairs of banded A x = λ B x by inverse block iteration.
 
     A and B must be positive definite.  Intended for orders up to ~1e4
-    where the banded factorisation is cheap.  Each iteration solves with
+    where the banded factorisation is cheap.  The starting block of
+    max(m + 4, 6) columns is pseudo-random from ``seed``; an (n, k)
+    ``start`` block with k <= m, such as eigenvectors of a coarser pencil
+    carried to this one, replaces its first k columns, and the others stay
+    as drawn, as in :func:`smallest_eigenpairs`.  Each iteration solves with
     the factor of A on B·X, applies A and B once to the new block Y, and
     takes the next B·X from the Ritz combination of the (Y, A·Y, B·Y)
     stack.  Because the two pencil norms may differ by the full h^(-4)
@@ -493,11 +532,14 @@ def banded_smallest(A, B, m=1, tol=1e-10, maxiter=300, seed=0):
         raise ValueError("A and B must have equal order")
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= order")
+    start = _start_block(start, n, m)
     factor = cholesky_banded(A)
 
     bs = min(n, max(m + 4, 6))
-    rng = np.random.default_rng(seed)
-    BX = B.matvec(rng.standard_normal((n, bs))).T
+    X = np.random.default_rng(seed).standard_normal((n, bs))
+    X[:, :start.shape[1]] = start
+    BX = B.matvec(X).T
+    del X
     norm_a, norm_b = A.norm1(), B.norm1()
 
     it = 0

@@ -413,10 +413,12 @@ def run_cap(cfg):
     values, bands = {}, {}
     for kind in kinds:
         coarse = solve_cap(CapProblem(cfg.theta0, kind, cfg.mode_max,
-                                      cfg.radial_cells)).value
-        fine = solve_cap(CapProblem(cfg.theta0, kind, cfg.mode_max,
-                                    2 * cfg.radial_cells)).value
-        values[kind], budget = _extrapolate(coarse, fine)
+                                      cfg.radial_cells))
+        # each fine mode solve starts from its coarse eigenvector
+        fine = solve_cap(replace(coarse.problem,
+                                 radial_cells=2 * cfg.radial_cells),
+                         start=coarse)
+        values[kind], budget = _extrapolate(coarse.value, fine.value)
         floor = eps if kind == "dirichlet_laplacian" else \
             _cap_roundoff(cfg.theta0, 2 * cfg.radial_cells, values[kind])
         bands[kind] = max(eps, budget, floor)

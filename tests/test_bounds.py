@@ -284,6 +284,12 @@ class TestChengYangRounding:
         assert cheng_yang_sum(spectrum(values), 1) == (0.0, 0.0)
         assert cheng_yang_sum(spectrum([2.0, 2.0, 5.0]), 1) == (0.0, 0.0)
 
+    def test_yang_quadratic_reads_rounding_gap_as_tie(self):
+        # σ₂ = σ₁(1 + ε) is the exact tie σ₁ = σ₂ to the quadratic form too
+        eps = np.finfo(float).eps
+        assert yang_type_quadratic(spectrum([2.0, 2.0 * (1.0 + eps), 5.0]),
+                                   1) == (0.0, 0.0)
+
 
 class TestSpectrumValidation:
     def test_rejects_unsorted_and_nonpositive(self):

@@ -12,7 +12,9 @@ import pytest
 
 from elastica.cap1d import (_KIND_TABLE, CAP_KINDS, CapProblem,
                             _element_matrices, build_mode_operator,
-                            mode_eigenfunction, solve_cap)
+                            mode_eigenfunction, prolongate, rayleigh_quotient,
+                            solve_cap)
+from elastica.eigensolve import banded_smallest
 
 PI = np.pi
 HEMI = PI / 2
@@ -238,3 +240,101 @@ class TestModeCutoff:
             more = solve_cap(CapProblem(HEMI, kind, mode_max=8,
                                         radial_cells=64)).value
             assert more == pytest.approx(few, rel=1e-9)
+
+
+class TestGramQuotient:
+    @pytest.mark.parametrize("theta0", [HEMI, 1.0, 2.2])
+    def test_matches_the_assembled_pencil(self, theta0):
+        # oracle: xᵀ N x / xᵀ M x with the banded pencil, on random vectors
+        # that meet each kind's constraints (coarse cells keep the pencil's
+        # own rounding near 1e-12)
+        rng = np.random.default_rng(3)
+        for kind in CAP_KINDS:
+            for m in range(4):
+                op = build_mode_operator(theta0, 16, m, kind)
+                x = rng.standard_normal(op.keep.size)
+                full = np.zeros(op.ndof_full)
+                full[op.keep] = x
+                ref = (x @ op.numerator.matvec(x)) / (x @ op.metric.matvec(x))
+                got = rayleigh_quotient(theta0, 16, m, kind, full)
+                assert got == pytest.approx(ref, rel=1e-10), (kind, m)
+
+
+# hemisphere first eigenvalues: λ₁, p₁, q₁ and the buckling value Λ₁
+HEMISPHERE_EXACT = {"dirichlet_laplacian": 2.0, "p_problem": 4.0,
+                    "q_problem": 2.0, "buckling": 6.0}
+
+
+@pytest.fixture(scope="module")
+def hemisphere_ladder():
+    """(cold, warm) CapResult per (kind, cells) at 32..512 cells; each warm
+    solve starts from the warm one at half the cells, as run_cap does."""
+    out = {}
+    for kind in HEMISPHERE_EXACT:
+        warm = None
+        for cells in (32, 64, 128, 256, 512):
+            problem = CapProblem(HEMI, kind, mode_max=1, radial_cells=cells)
+            cold = solve_cap(problem)
+            warm = cold if warm is None else solve_cap(problem, start=warm)
+            out[kind, cells] = cold, warm
+    return out
+
+
+class TestUpperBounds:
+    def test_hemisphere_values_bound_from_above(self, hemisphere_ladder):
+        # conforming Ritz values: the Gram quotient stays above the exact
+        # value up to rounding, also at 256/512 cells where xᵀ S x / xᵀ W x
+        # read up to 1e-7 below it
+        eps = np.finfo(float).eps
+        for (kind, cells), results in hemisphere_ladder.items():
+            exact = HEMISPHERE_EXACT[kind]
+            for res in results:
+                assert res.value >= exact * (1 - 8 * eps), (kind, cells)
+
+    def test_warm_start_changes_only_the_path(self, hemisphere_ladder):
+        for (kind, cells), (cold, warm) in hemisphere_ladder.items():
+            assert np.allclose(warm.per_mode, cold.per_mode, rtol=1e-8), \
+                (kind, cells)
+
+
+class TestWarmStart:
+    def test_prolongation_reproduces_a_cubic(self):
+        theta0, cells = 1.3, 16
+        coef = np.array([0.7, -1.1, 0.4, 0.25])   # u = Σ coef_k θ^k
+
+        def dofs(n):
+            theta = np.linspace(0.0, theta0, n + 1)
+            full = np.empty(2 * (n + 1))
+            full[0::2] = np.polyval(coef[::-1], theta)
+            full[1::2] = np.polyval(np.polyder(coef[::-1]), theta)
+            return full
+
+        fine = prolongate(dofs(cells), theta0)
+        assert fine.shape == (2 * (2 * cells + 1),)
+        assert np.allclose(fine, dofs(2 * cells), rtol=0, atol=1e-14)
+
+    def test_prolongation_keeps_the_constraints(self):
+        _, full = mode_eigenfunction(1.0, 16, 2, "clamped")
+        fine = prolongate(full, 1.0)
+        op = build_mode_operator(1.0, 32, 2, "clamped")
+        assert np.all(fine[list(op.removed)] == 0.0)
+
+    @pytest.mark.parametrize("kind,m", [("q_problem", 0), ("buckling", 1)])
+    def test_fewer_iterations(self, kind, m):
+        # the values agree with a cold start (TestUpperBounds)
+        _, coarse = mode_eigenfunction(HEMI, 128, m, kind)
+        op = build_mode_operator(HEMI, 256, m, kind)
+        cold, warm = (banded_smallest(op.numerator, op.metric, m=1, tol=1e-13,
+                                      start=start).iterations
+                      for start in (None, prolongate(coarse, HEMI)[op.keep,
+                                                                   None]))
+        assert warm < cold
+
+    def test_start_must_be_the_half_resolution_problem(self):
+        coarse = solve_cap(CapProblem(HEMI, "q_problem", 1, 16))
+        for problem in (CapProblem(HEMI, "q_problem", 1, 48),
+                        CapProblem(HEMI, "p_problem", 1, 32),
+                        CapProblem(1.0, "q_problem", 1, 32),
+                        CapProblem(HEMI, "q_problem", 2, 32)):
+            with pytest.raises(ValueError, match="half"):
+                solve_cap(problem, start=coarse)

@@ -11,8 +11,9 @@ from elastica.assembly import (ElasticityProblem, _csr, _terms, assemble,
                                reference_spectrum_alpha0, sine_transform)
 from elastica.eigensolve import (BandedCholesky, ConvergenceError,
                                  EigenResult, FactorizationError,
-                                 IndefiniteMassError, banded_smallest,
-                                 cholesky_banded, smallest_eigenpairs)
+                                 IndefiniteMassError, _lower_inverse,
+                                 banded_smallest, cholesky_banded,
+                                 smallest_eigenpairs)
 from elastica.harness import RunConfig, run_verify, solve_problem
 from elastica.sparse import BandedSymMatrix, SparseSymMatrix
 from conftest import dense_generalized_eigs, random_small_box
@@ -662,6 +663,17 @@ class TestBandedCholesky:
         assert err.value.pivot == 64
         assert err.value.value == pytest.approx(value, rel=1e-12)
 
+    @pytest.mark.parametrize("bw", [0, 1, 3, 40, 64])
+    def test_lower_inverse_matches_dense_inverse(self, rng, bw):
+        # oracle: numpy's LU inverse of Cholesky factors of banded blocks
+        L = np.linalg.cholesky(np.stack([banded_dominant(rng, 64, bw)
+                                         for _ in range(5)]))
+        ref = np.linalg.inv(L)
+        inv = L.copy()
+        _lower_inverse(inv, bw)
+        assert np.array_equal(inv, np.tril(inv))
+        assert np.abs(inv - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_solve_rejects_wrong_length(self):
         factor = cholesky_banded(
             BandedSymMatrix.from_dense(np.diag([4.0, 4.0, 4.0, 4.0])))
@@ -670,6 +682,22 @@ class TestBandedCholesky:
 
 
 class TestBandedSmallest:
+    def test_start_columns_replace_the_first_random_ones(self):
+        # an exact eigenvector as the first column: the pair is found at
+        # once, and the other columns are the seed's draw, as without it
+        n = 60
+        dense = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
+                 + np.diag(np.full(n - 1, -1.0), -1))
+        A, B = BandedSymMatrix.from_dense(dense), identity_banded(n)
+        exact = np.sin(np.arange(1, n + 1) * PI / (n + 1))[:, None]
+        warm = banded_smallest(A, B, m=1, tol=1e-12, start=exact)
+        cold = banded_smallest(A, B, m=1, tol=1e-12)
+        assert warm.iterations == 1 < cold.iterations
+        assert warm.values[0] == pytest.approx(cold.values[0], rel=1e-12)
+        for bad in (np.ones((n, 2)), np.ones((n - 1, 1)), np.ones(n)):
+            with pytest.raises(ValueError, match="start"):
+                banded_smallest(A, B, m=1, start=bad)
+
     def test_toeplitz_closed_form(self):
         n = 60
         dense = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)

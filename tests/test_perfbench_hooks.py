@@ -70,3 +70,18 @@ def test_traced_richardson_report_unchanged(monkeypatch):
     solves = [s for s in trace.spans
               if s.name == "eigensolve.smallest_eigenpairs"]
     assert [s.case for s in solves] == ["10x10.alpha2", "20x20.alpha2"]
+
+
+def test_traced_cap_report_unchanged(monkeypatch):
+    # each fine mode solve's start column passes through the tracer's
+    # banded_smallest wrapper as a keyword
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    cfg = replace(harness.RunConfig(mode="cap"), radial_cells=16, mode_max=2)
+    plain = harness.run_cap(cfg).to_json()
+    with tracer.instrument(tracer.Tracer()) as trace:
+        traced = harness.run_cap(cfg).to_json()
+    assert traced == plain
+    solves = [s for s in trace.spans
+              if s.name == "eigensolve.banded_smallest"]
+    assert len(solves) == len(cap1d.CAP_KINDS) * 2 * 3
