@@ -5,8 +5,13 @@ Each box is drawn from one generator seed by the test suite's
 ``random_small_box`` (tests/conftest.py): 2D or 3D, edges in [0.3, 3.5],
 2-13 cells per axis, alpha in {0, 0.5, 2, 10, 100}, m from 1 to
 min(order/4, 16) and a solver seed, redrawn until its 2N order is at most
-1600 so every solve has a dense oracle.  Both Richardson meshes, N and 2N,
-are solved with ``solve_problem`` and checked:
+1600 so every solve has a dense oracle.  Its edges come from a continuous
+distribution, so no box has equal axes; each box therefore also has a
+symmetric twin, axis 0's edge and cells copied onto every axis (a square
+or a cube, whose solve runs on one parity class per orbit of the axis
+permutations), with m cut to its order/4, skipped if its 2N order exceeds
+1600.  Both Richardson meshes, N and 2N, of box and twin are solved with
+``solve_problem`` and checked:
 
 * miss: an eigenvalue off the m smallest dense eigenvalues of the
   assembled CSR pencil (the suite's ``dense_generalized_eigs``) by more
@@ -15,7 +20,8 @@ are solved with ``solve_problem`` and checked:
   the solver tolerance;
 * breakdown: the solver raised (breakdown or no convergence).
 
-Every failure is printed with its box; the exit status is 1 if any
+Every failure is printed with its box, and the counts per group (boxes,
+symmetric twins) close the run; the exit status is 1 if any failure
 occurred, else 0.
 
     python3 scripts/stress_small_boxes.py --boxes 1500 --seed 1
@@ -31,8 +37,9 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-from conftest import dense_generalized_eigs, random_small_box  # noqa: E402
-from elastica.assembly import assemble  # noqa: E402
+from conftest import (BOX_MAX_ORDER, dense_generalized_eigs,  # noqa: E402
+                      random_small_box)
+from elastica.assembly import ElasticityProblem, assemble  # noqa: E402
 from elastica.eigensolve import BreakdownError, ConvergenceError  # noqa: E402
 from elastica.harness import solve_problem  # noqa: E402
 
@@ -64,6 +71,18 @@ def check(problem, m, seed):
     return failures
 
 
+def symmetric_twin(problem, m):
+    """(twin, m) of a box: axis 0's edge and cells on every axis, m cut to
+    the twin's order/4; None if that leaves m = 0 or the 2N order exceeds
+    BOX_MAX_ORDER."""
+    dim, cells = problem.dim, problem.cells[0]
+    m = min(m, dim * (cells - 1) ** dim // 4)
+    if m < 1 or dim * (2 * cells - 1) ** dim > BOX_MAX_ORDER:
+        return None
+    return ElasticityProblem((problem.edges[0],) * dim, problem.alpha,
+                             (cells,) * dim), m
+
+
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
@@ -75,18 +94,27 @@ def main():
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    counts = {"miss": 0, "residual": 0, "breakdown": 0}
+    counts = {group: {"miss": 0, "residual": 0, "breakdown": 0}
+              for group in ("boxes", "symmetric twins")}
+    solved = dict.fromkeys(counts, 0)
     for box in range(args.boxes):
         problem, m, seed = random_small_box(rng, MAX_CELLS)
-        for mesh in (problem, problem.refined()):
-            for kind, detail in check(mesh, m, seed):
-                counts[kind] += 1
-                print(f"box {box}: {kind} edges={mesh.edges} "
-                      f"alpha={mesh.alpha:g} cells={mesh.cells} m={m} "
-                      f"seed={seed}: {detail}", flush=True)
-    print(f"{args.boxes} boxes, {2 * args.boxes} solves: "
-          + ", ".join(f"{n} {kind}" for kind, n in counts.items()))
-    return 1 if any(counts.values()) else 0
+        runs = [("boxes", problem, m)]
+        twin = symmetric_twin(problem, m)
+        if twin is not None:
+            runs.append(("symmetric twins", *twin))
+        for group, base, k in runs:
+            solved[group] += 1
+            for mesh in (base, base.refined()):
+                for kind, detail in check(mesh, k, seed):
+                    counts[group][kind] += 1
+                    print(f"box {box}: {kind} edges={mesh.edges} "
+                          f"alpha={mesh.alpha:g} cells={mesh.cells} m={k} "
+                          f"seed={seed}: {detail}", flush=True)
+    for group, n in solved.items():
+        print(f"{n} {group}, {2 * n} solves: " + ", ".join(
+            f"{c} {kind}" for kind, c in counts[group].items()))
+    return 1 if any(any(c.values()) for c in counts.values()) else 0
 
 
 if __name__ == "__main__":

@@ -20,11 +20,15 @@ coordinates, an orthonormal sine matrix along every axis, where every
 symmetric 1D factor is diagonal (Lynch, Rice & Thomas, Numer. Math. 6,
 1964): M and K(0) are one multiply by their symbols, and only the
 α-scaled grad-div couplings C ⊗ Cᵀ are dense.  Those join only
-coefficients of one reflection-parity class (:func:`_parity_classes`; 4
-classes in 2D, 8 in 3D), so with the coefficients ordered class-major
-(:func:`sine_transform`) K̂ and M̂ are block-diagonal, and each coupling
-is, per class, one matmul with an off-parity sub-block of S·C·S along
-each of two axes (:func:`box_operators`).  Its preconditioner has two
+coefficients of one reflection-parity class (:func:`_parity_classes`; up
+to 4 classes in 2D, 8 in 3D), so with the coefficients ordered
+class-major (:func:`sine_transform`) K̂ and M̂ are block-diagonal, and
+each coupling is, per class, one matmul with an off-parity sub-block of
+S·C·S along each of two axes (:func:`box_operators`).  Axes with equal
+edges and cells make some classes images of others under a permutation
+of axes and components, with the same spectrum (:func:`class_orbits`:
+orbits of 2 on a square, of 3 on a cube), so the solver takes one class
+per orbit (:meth:`SineOperator.select`).  Its preconditioner has two
 layers: the exact inverse of K(0), a division by its symbol
 (:func:`laplacian_inverse`), and Chebyshev steps for K(α) on [1, 1+α]
 around it (:func:`chebyshev`).  Every box solve starts from
@@ -34,6 +38,7 @@ class's lowest sine modes (:meth:`SineOperator.restrict`).
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -318,6 +323,28 @@ class SineOperator:
             out[:, target] += y.reshape(b, -1)
         return out.T.reshape(x.shape)
 
+    def select(self, blocks):
+        """The operator on its diagonal blocks ``blocks`` alone (ascending
+        block numbers), their coordinates concatenated in that order."""
+        if len(blocks) == len(self.blocks):
+            return self
+        stops = np.cumsum(self.blocks).tolist()
+        shift, kept, size = {}, [], 0
+        for b in blocks:
+            start = stops[b] - self.blocks[b]
+            shift[b] = size - start
+            kept.append(self.diagonal[start:stops[b]])
+            size += self.blocks[b]
+        couplings = []
+        for source, target, shape, weight, dense in self.couplings:
+            s = shift.get(bisect.bisect_right(stops, source.start))
+            if s is not None:  # a coupling joins one block to itself
+                couplings.append((slice(source.start + s, source.stop + s),
+                                  slice(target.start + s, target.stop + s),
+                                  shape, weight, dense))
+        return SineOperator(np.concatenate(kept), couplings,
+                            tuple(self.blocks[b] for b in blocks))
+
     def restrict(self, index):
         """The dense restriction A[index][:, index], entry by entry.
 
@@ -406,6 +433,96 @@ def box_operators(problem):
             _operator(dof_map, mass_terms))
 
 
+@dataclass(frozen=True)
+class ClassOrbits:
+    """The parity classes of a box grouped by its axis symmetries.
+
+    ``classes`` lists per orbit the numbers of its non-empty classes (class
+    q is number Σ_d q_d·2^(dim−1−d), its place in lexicographic order), its
+    representative, the lowest, first.  The representatives are in
+    class-major order, so they are the diagonal blocks of the reduced
+    coordinates: ``blocks`` are their positions among the non-empty
+    classes (:attr:`SineOperator.blocks`) and ``index`` the class-major
+    positions of their coordinates.  ``images[g]`` is (rows, positions):
+    the reduced rows of class g's representative and the class-major
+    positions that carry them onto class g.  ``order`` is the full order.
+    """
+
+    classes: tuple[tuple[int, ...], ...]
+    blocks: tuple[int, ...]
+    index: np.ndarray
+    images: dict
+    order: int
+
+    def restrict(self, y):
+        """The representatives' rows of class-major sine coordinates y."""
+        return y if self.index.size == self.order else y[self.index]
+
+    def expand(self, x, classes):
+        """Class-major sine coordinates of the reduced (n, b) block x, its
+        column i, a vector of class classes[i]'s representative, carried
+        onto class classes[i]."""
+        if self.index.size == self.order:
+            return x
+        y = np.zeros((self.order,) + x.shape[1:])
+        for g in np.unique(classes):
+            cols = np.flatnonzero(classes == g)
+            rows, positions = self.images[g]
+            y[np.ix_(positions, cols)] = x[rows, cols]
+        return y
+
+
+def class_orbits(problem):
+    """The orbits of the parity classes under the box's axis permutations.
+
+    A permutation π of the axes that keeps every (edge, cells) pair maps
+    the mesh onto itself.  Permuting the components with the axes, u ↦
+    P_π·u∘P_π⁻¹, then keeps K(α) and M, and carries component c's sine
+    mode of frequencies j onto component π(c)'s mode of frequencies j′,
+    j′_π(d) = j_d, with no sign: class q goes to q′, q′_π(d) = q_d, and the
+    two classes share their spectrum.  Squares give the orbit
+    {(0,1), (1,0)}, cubes {001, 010, 100} and {011, 101, 110}, boxes with
+    two equal axes two orbits of two, and other boxes none.
+    """
+    dof_map = _dof_map(problem)
+    dim = dof_map.dim
+    ranges = {}  # class -> class-major (start, stop); its pieces are adjacent
+    for q, _, _, start, size in _parity_classes(dof_map)[0]:
+        ranges[q] = (ranges[q][0] if q in ranges else start, start + size)
+    axes = tuple(zip(problem.edges, problem.cells))
+    perms = [p for p in itertools.permutations(range(dim))
+             if all(axes[p[d]] == axes[d] for d in range(dim))]
+    # class-major position of the image of each class-major coordinate
+    cm = _class_index(dof_map)
+    position = np.empty_like(cm)
+    position[cm] = np.arange(cm.size)
+    grid = np.arange(dof_map.order).reshape((dim,) + dof_map.interior)
+    moved = [position[grid[list(p)].transpose(
+        (0,) + tuple(1 + d for d in p)).ravel()[cm]] for p in perms]
+
+    def number(q):
+        return int("".join(map(str, q)), 2)
+
+    classes, blocks, index, images, done = [], [], [], {}, set()
+    size = 0
+    for b, (q, (lo, hi)) in enumerate(ranges.items()):
+        if q in done:
+            continue
+        rows = slice(size, size + hi - lo)
+        size += hi - lo
+        orbit = {}
+        for p, image in zip(perms, moved):
+            orbit.setdefault(tuple(q[p.index(e)] for e in range(dim)),
+                             image[lo:hi])
+        done.update(orbit)
+        classes.append(tuple(number(g) for g in sorted(orbit)))
+        images.update((number(g), (rows, orbit[g])) for g in orbit)
+        blocks.append(b)
+        index.append(np.arange(lo, hi))
+    return ClassOrbits(tuple(classes), tuple(blocks), np.concatenate(index),
+                       images, dof_map.order)
+
+
 def galerkin_start(K, M, m):
     """An (n, m) starting block from each class's lowest sine modes.
 
@@ -466,15 +583,19 @@ def divergence_stiffness(problem):
     return _csr(_dof_map(unit), div_terms)
 
 
-def laplacian_inverse(problem):
+def laplacian_inverse(problem, orbits=None):
     """Exact inverse of the α = 0 stiffness K(0), the inner preconditioner.
 
     In sine coordinates every Laplacian term is diagonal, so K(0)⁻¹ is a
     division by the summed symbols of K(0)'s terms (fast diagonalisation).
     Returns the apply callable, which takes a vector (n,) or a block
-    (n, b) in the class-major sine coordinates of :func:`box_operators`.
+    (n, b) in the class-major sine coordinates of :func:`box_operators`,
+    or, given ``orbits`` (:func:`class_orbits`), in those of its
+    representative classes alone.
     """
     inverse = 1.0 / _operator(_dof_map(problem), _terms(problem)[0]).diagonal
+    if orbits is not None:
+        inverse = orbits.restrict(inverse)
 
     def apply(x):
         return (np.asarray(x, dtype=np.float64).T * inverse).T

@@ -10,6 +10,8 @@ factorisations of dense blocks):
   count so clustered eigenvalues are recovered.  A block-diagonal pencil
   is solved per diagonal block in one iteration: every basis vector lives
   in one block, and the blocks' Ritz values are merged by a stable sort.
+  A block may stand for copies of itself, blocks with the same spectrum
+  that are never iterated: the merge counts its values once per copy.
 * :func:`banded_smallest`: banded Cholesky factorisation plus block inverse
   iteration for small banded pencils (orders up to ~1e4), optionally
   started from given columns.  The factor is built on dense 64×64
@@ -26,8 +28,8 @@ k = m + GUARDS the vectors it keeps, written in place every iteration;
 diagonal block q owns its segment of the columns and fills its own rows
 from the top.  K, M and the preconditioner take (n, b) operands, one per
 apply for all blocks, and receive transposed views of those rows; an
-optional orthogonal ``transform`` (Q, Qᵀ) maps the random starting
-columns in and the eigenvectors out.
+optional ``transform`` (Q, Qᵀ) maps the random starting columns in from
+the full pencil's order and the eigenvectors, copies placed, out to it.
 """
 
 from __future__ import annotations
@@ -78,7 +80,9 @@ class EigenResult:
     """Smallest eigenpairs with per-pair convergence evidence.
 
     ``residuals`` are relative: ||K x − σ M x||₂ / (σ ||x||_M); eigenvectors
-    are M-orthonormal.
+    are M-orthonormal.  ``classes`` labels each pair with the class it
+    lives in (the ``classes`` of :func:`smallest_eigenpairs`; 0 for a
+    pencil solved as one block).
     """
 
     values: np.ndarray
@@ -86,6 +90,7 @@ class EigenResult:
     residuals: np.ndarray
     iterations: int
     converged: np.ndarray
+    classes: np.ndarray
 
 
 def _checked(result, what, tol):
@@ -150,13 +155,17 @@ def _residuals(KY, MY, theta, scale, out=None):
     return R, np.linalg.norm(R, axis=1) / np.maximum(scale, 1e-300)
 
 
-def _merge(thetas):
-    """Positions of the per-block Ritz values in their concatenation, in
-    ascending order, and the block of each.  The sort is stable, so ties
-    between blocks fall the same way every run."""
-    order = np.argsort(np.concatenate(thetas), kind="stable")
-    owner = np.repeat(np.arange(len(thetas)), [t.size for t in thetas])
-    return order, owner[order]
+def _merge(thetas, copies):
+    """The per-block Ritz values in ascending order, block q's counted
+    copies[q] times: for each entry its block, its index in the block and
+    its copy.  The sort is stable, so ties between blocks fall the same way
+    every run and the copies of a value stay together."""
+    counts = [t.size * c for t, c in zip(thetas, copies)]
+    order = np.argsort(np.concatenate(
+        [np.repeat(t, c) for t, c in zip(thetas, copies)]), kind="stable")
+    owner = np.repeat(np.arange(len(thetas)), counts)[order]
+    local = order - np.repeat(np.cumsum(counts) - counts, counts)[order]
+    return owner, *np.divmod(local, np.asarray(copies)[owner])
 
 
 def _start_block(start, n, m):
@@ -172,14 +181,15 @@ def _start_block(start, n, m):
 
 def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
                         precond=None, start=None, transform=None,
-                        blocks=None):
+                        blocks=None, classes=None):
     """m algebraically smallest eigenpairs of K x = σ M x by blocked LOBPCG.
 
     K and M need only ``order`` and ``matvec`` (on (n,) and (n, b)
     operands): a CSR matrix or a matrix-free operator.  K must be
-    symmetric, M symmetric positive definite, m <= order/4.  The
-    starting block of m + ``SEEDED`` (8) columns is pseudo-random from
-    ``seed``, and the whole iteration is deterministic.  An (n, k)
+    symmetric, M symmetric positive definite, m <= order/4 of the full
+    pencil (copies counted: see ``classes``).  The starting block of
+    m + ``SEEDED`` (8) columns is pseudo-random from ``seed``, and the
+    whole iteration is deterministic.  An (n, k)
     ``start`` block with k <= m, such as Ritz vectors of a small Galerkin
     problem, replaces its first k columns; ``seed`` still draws the
     others, so the columns past m stay random and can find an eigenvector
@@ -205,12 +215,25 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     little more each step, until whitening would read the drift as an
     indefinite metric.
 
-    ``transform``, a pair (Q, Qᵀ) of callables on (n, b) blocks with Q
-    orthogonal, says K and M act on Q·x: the random columns of the
-    starting block are mapped in by Q and the eigenvectors of every exit
-    out by Qᵀ.  ``start`` is given in the coordinates K and M act on.  With one block, a solve on Q·K·Qᵀ, Q·M·Qᵀ
-    follows the path of the one on K, M up to rounding; its residuals are
-    the transformed ones.
+    ``classes`` labels the blocks: per block the labels of the classes of
+    the full pencil it stands for, its own first (default: block q is
+    class q alone).  A block with c labels has c − 1 copies, blocks of the
+    full pencil with the same spectrum that are not solved: the merge
+    counts each of its Ritz values c times, when it picks each block's
+    share of the m smallest (⌈count / c⌉) and the m pairs it returns, and
+    a copy's pair is its block's, carried to the copy by ``transform``.
+    With every count 1 the iteration is the one on the blocks alone.
+    ``EigenResult.classes`` holds the label of each returned pair.
+
+    ``transform``, a pair (Q, Qᵀ) of callables, says K and M act on Q·x,
+    for x of the full order N (the sum of every block's size times its
+    label count): the random columns of the starting block are drawn with
+    N rows and mapped in by Q, (N, b) to (n, b); Qᵀ takes the (n, m) block
+    of each exit's eigenvectors, each on its block's rows, and their
+    labels, and returns them with N rows.  Copies need a transform.
+    ``start`` is given in the coordinates K and M act on.  With one block
+    and Q orthogonal, a solve on Q·K·Qᵀ, Q·M·Qᵀ follows the path of the
+    one on K, M up to rounding; its residuals are the transformed ones.
 
     Residuals are decided implicitly and reported explicitly: each
     iteration takes its residual norms from the K X and M X blocks it
@@ -224,22 +247,33 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     n = K.order
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > n // 4:
-        raise ValueError(f"m={m} exceeds order/4 = {n // 4}")
     sizes = (n,) if blocks is None else tuple(int(b) for b in blocks)
     if sum(sizes) != n or min(sizes) < 1:
         raise ValueError(f"blocks must be positive sizes summing to {n}, "
                          f"got {sizes}")
+    labels = tuple((q,) for q in range(len(sizes))) if classes is None \
+        else tuple(tuple(c) for c in classes)
+    if len(labels) != len(sizes) or min(map(len, labels)) < 1:
+        raise ValueError(f"classes must label each of the {len(sizes)} "
+                         f"blocks at least once, got {labels}")
+    copies = np.array([len(c) for c in labels])
+    if copies.max() > 1 and transform is None:
+        raise ValueError("the copies of a block need a transform")
+    # the order of the full pencil, every copy counted
+    full = int(np.dot(sizes, copies))
+    if m > full // 4:
+        raise ValueError(f"m={m} exceeds order/4 = {full // 4}")
     stops = np.cumsum(sizes).tolist()
     segs = [slice(stop - size, stop) for size, stop in zip(sizes, stops)]
-    bs, kept = min(m + SEEDED, n), min(m + GUARDS, n)
+    bs, kept = min(m + SEEDED, full), min(m + GUARDS, full)
 
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, bs))
+    X = rng.standard_normal((full, bs))
     start = _start_block(start, n, m)
     k = start.shape[1]
     if transform is not None:
-        X[:, k:] = transform[0](X[:, k:])
+        X[:n, k:] = transform[0](X[:, k:])
+        X = X[:n]
     X[:, :k] = start
     for seg in segs:
         part = np.linalg.norm(X[seg], axis=0)
@@ -267,8 +301,8 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
                  for top, seg in zip(tops, segs)]
         dependent = [C.shape[1] < top or drift > DRIFT_ABS
                      for (_, C, drift), top in zip(pairs, tops)]
-        owner = _merge([theta for theta, _, _ in pairs])[1][:m]
-        share = np.bincount(owner, minlength=len(segs))
+        owner = _merge([theta for theta, _, _ in pairs], copies)[0][:m]
+        share = -(-np.bincount(owner, minlength=len(segs)) // copies)
         return [(theta[:k], C[:, :k]) for (theta, C, _), k
                 in zip(pairs, share + GUARDS)], share, dependent
 
@@ -373,23 +407,26 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
         npr[:] = [0] * len(segs)
         thetas, share = project()
         res = residuals(True)[1]
-    count = sum(theta.size for theta in thetas)
+    count = int(np.dot([theta.size for theta in thetas], copies))
     if count < m:
         raise BreakdownError(
             f"iteration subspace degenerated to {count} directions, "
             f"fewer than the {m} requested")
-    # the m smallest over all blocks, each block's leading rows; copies, so
-    # the result does not keep the basis stack alive
-    order, owner = (a[:m] for a in _merge(thetas))
+    # the m smallest over all blocks and copies, each block's leading rows;
+    # copies, so the result does not keep the basis stack alive
+    owner, index, copy = (a[:m] for a in _merge(thetas, copies))
     X = np.zeros((n, m))
     for q, seg in enumerate(segs):
         cols = np.flatnonzero(owner == q)
-        X[seg, cols] = S[0, :cols.size, seg].T
+        X[seg, cols] = S[0, index[cols], seg].T
+    found = np.array([labels[q][c] for q, c in zip(owner, copy)])
     if transform is not None:
-        X = transform[1](X)
-    res = np.concatenate(res)[order]
-    return _checked(EigenResult(np.concatenate(thetas)[order], X, res, it,
-                                res <= tol), "eigenpairs at indices", tol)
+        X = transform[1](X, found)
+    pick = np.cumsum([0] + [t.size for t in thetas[:-1]])[owner] + index
+    res = np.concatenate(res)[pick]
+    return _checked(EigenResult(np.concatenate(thetas)[pick], X, res, it,
+                                res <= tol, found),
+                    "eigenpairs at indices", tol)
 
 
 _BLOCK = 64
@@ -558,4 +595,5 @@ def banded_smallest(A, B, m=1, tol=1e-10, maxiter=300, seed=0, start=None):
         if np.all(residuals <= tol) or it >= maxiter:
             break
     return _checked(EigenResult(values.copy(), x.copy(), residuals, it,
-                                residuals <= tol), "banded eigenpairs", tol)
+                                residuals <= tol, np.zeros(m, dtype=int)),
+                    "banded eigenpairs", tol)

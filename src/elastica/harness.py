@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import (ElasticityProblem, assemble, box_operators,
-                       chebyshev, galerkin_start, laplacian_inverse,
-                       sine_transform)
+                       chebyshev, class_orbits, galerkin_start,
+                       laplacian_inverse, sine_transform)
 from .bounds import (DomainGeometry, Spectrum, VerifyTolerance, evaluate_all,
                      make_record)
 from .cap1d import CAP_KINDS, CapProblem, solve_cap
@@ -278,23 +278,31 @@ def solve_problem(problem, m, tol, seed):
     and K(0) diagonal, K(α)'s grad-div couplings dense), one block per
     reflection-parity class, preconditioned by Chebyshev steps on
     [1, 1+α] around K(0)⁻¹, a division by its symbol; no CSR matrix is
-    assembled.  The first m columns of the starting block are the
-    per-class Ritz vectors of :func:`galerkin_start`, the rest random
-    from ``seed`` (see :func:`smallest_eigenpairs`).
-    :func:`sine_transform` maps the random columns in and the
-    eigenvectors out, so the vectors are nodal.  The blocks make the path
-    differ from a nodal solve's, not the eigenpairs it converges to.
-    Residuals are explicit in sine coordinates; the transform is
-    orthogonal, so they equal the nodal ones up to its rounding.
+    assembled.  Of each orbit of classes under the box's axis
+    permutations (:func:`class_orbits`) only the representative is
+    solved, its images counted as its copies: K̂, M̂, K(0)⁻¹, the
+    Chebyshev steps and the start are restricted to the representatives.
+    The first m columns of the starting block are the per-class Ritz
+    vectors of :func:`galerkin_start`, the rest random from ``seed`` (see
+    :func:`smallest_eigenpairs`).  The random columns are drawn at the
+    full order and mapped in by :func:`sine_transform` and restricted;
+    the eigenvectors are carried onto their classes and mapped out, so
+    the vectors are nodal and ``EigenResult.classes`` gives each pair's
+    parity class by number.  The blocks make the path differ from a nodal
+    solve's, not the eigenpairs it converges to.  Residuals are explicit
+    in sine coordinates; the transform is orthogonal, so they equal the
+    nodal ones up to its rounding.
     """
-    K, M = box_operators(problem)
-    precond = chebyshev(K, laplacian_inverse(problem), problem.alpha)
+    orbits = class_orbits(problem)
+    K, M = (op.select(orbits.blocks) for op in box_operators(problem))
+    precond = chebyshev(K, laplacian_inverse(problem, orbits), problem.alpha)
     result = smallest_eigenpairs(
         K, M, m, tol=tol, seed=seed, precond=precond,
         start=galerkin_start(K, M, m),
-        transform=(lambda x: sine_transform(problem, x),
-                   lambda x: sine_transform(problem, x, inverse=True)),
-        blocks=K.blocks)
+        transform=(lambda x: orbits.restrict(sine_transform(problem, x)),
+                   lambda x, classes: sine_transform(
+                       problem, orbits.expand(x, classes), inverse=True)),
+        blocks=K.blocks, classes=orbits.classes)
     spectrum = Spectrum(problem.dim, problem.alpha, result.values,
                         source="computed", mesh=problem.mesh_label(),
                         residuals=result.residuals, solver_tol=tol)

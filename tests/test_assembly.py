@@ -1,11 +1,14 @@
 """Assembly tests against the separable oracle and structural invariants."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from elastica.assembly import (DofMap, ElasticityProblem, _chebyshev_steps,
                                assemble, box_operators, chebyshev,
-                               divergence_stiffness, galerkin_start,
+                               class_orbits, divergence_stiffness,
+                               galerkin_start,
                                interpolate_field, laplacian_inverse,
                                reference_spectrum_alpha0, sine_transform)
 from conftest import dense_generalized_eigs
@@ -444,3 +447,84 @@ class TestConvergence:
             errors[cells] = abs(dense_generalized_eigs(K, M)[0] - 2.0)
         rate = np.log2(errors[16] / errors[32])
         assert 1.8 <= rate <= 2.2
+
+
+def permute_axes(problem, x, perm):
+    """Nodal (n, b) fields x carried by the axis permutation ``perm``:
+    component c to perm[c], and axis d to axis perm[d]."""
+    dim, interior = problem.dim, tuple(c - 1 for c in problem.cells)
+    u = x.reshape((dim,) + interior + (-1,))
+    inverse = np.argsort(perm)
+    u = u.transpose((0,) + tuple(1 + int(d) for d in inverse) + (dim + 1,))
+    out = np.empty_like(u)
+    out[list(perm)] = u
+    return out.reshape(x.shape)
+
+
+class TestClassOrbits:
+    """Parity classes grouped by the axis permutations that keep the box."""
+
+    @pytest.mark.parametrize("edges,cells,classes", [
+        ((PI, PI), (6, 6), ((0,), (1, 2), (3,))),
+        ((PI, PI, PI), (5, 5, 5), ((0,), (1, 2, 4), (3, 5, 6), (7,))),
+        ((PI, PI, 2.0), (5, 5, 4), ((0,), (1,), (2, 4), (3, 5), (6,), (7,))),
+        ((1.0, 1.0), (9, 8), ((0,), (1,), (2,), (3,))),
+        ((PI, 0.3 * PI), (32, 8), ((0,), (1,), (2,), (3,))),
+    ], ids=["square", "cube", "two-equal", "equal-edges", "strip"])
+    def test_orbit_table(self, edges, cells, classes):
+        problem = ElasticityProblem(edges, 1.0, cells)
+        orbits = class_orbits(problem)
+        assert orbits.classes == classes
+        K, _ = box_operators(problem)
+        reduced = K.select(orbits.blocks)
+        assert reduced.order == orbits.index.size == sum(
+            K.blocks[b] for b in orbits.blocks)
+        assert orbits.order == K.order
+        if len(classes) == len(K.blocks):
+            assert reduced is K and orbits.index.size == K.order
+
+    def test_empty_classes_are_dropped(self):
+        # one interior node per axis: classes (0,0) and (1,1) are empty
+        orbits = class_orbits(ElasticityProblem((1.0, 1.0), 1.0, (2, 2)))
+        assert orbits.classes == ((1, 2),) and orbits.blocks == (0,)
+
+    @pytest.mark.parametrize("edges,cells", [
+        ((PI, PI), (6, 6)),
+        ((PI, PI, PI), (4, 4, 4)),
+        ((PI, PI, 2.0), (5, 5, 4)),
+    ], ids=["square", "cube", "two-equal"])
+    def test_images_are_permuted_nodal_fields(self, edges, cells):
+        # every sine mode of a representative, carried onto an image class
+        # and mapped to nodal values, is the representative's nodal field
+        # with axes and components permuted together, with no sign
+        problem = ElasticityProblem(edges, 2.0, cells)
+        orbits = class_orbits(problem)
+        keep = [p for p in itertools.permutations(range(problem.dim))
+                if all(edges[p[d]] == edges[d] and cells[p[d]] == cells[d]
+                       for d in range(problem.dim))]
+        for orbit in orbits.classes:
+            rows, _ = orbits.images[orbit[0]]
+            x = np.zeros((orbits.index.size, rows.stop - rows.start))
+            x[rows] = np.eye(rows.stop - rows.start)
+            fields = {g: sine_transform(problem, orbits.expand(
+                x, np.full(x.shape[1], g)), inverse=True) for g in orbit}
+            for g in orbit[1:]:
+                assert min(np.abs(permute_axes(problem, fields[orbit[0]], p)
+                                  - fields[g]).max() for p in keep) <= 1e-14
+
+    def test_reduced_operators_are_the_representative_blocks(self):
+        # K̂ and M̂ on the representatives, and K(0)⁻¹ restricted with them,
+        # act as the full operators do on the representatives' rows
+        problem = ElasticityProblem((PI, PI, PI), 10.0, (4, 4, 4))
+        orbits = class_orbits(problem)
+        x = np.random.default_rng(3).standard_normal((orbits.index.size, 3))
+        full = np.zeros((orbits.order, 3))
+        full[orbits.index] = x
+        for op in box_operators(problem):
+            got = op.select(orbits.blocks).matvec(x)
+            want = op.matvec(full)
+            assert np.abs(got - want[orbits.index]).max() \
+                <= 1e-13 * np.abs(want).max()
+        got = laplacian_inverse(problem, orbits)(x)
+        assert np.array_equal(got, laplacian_inverse(problem)(full)[
+            orbits.index])

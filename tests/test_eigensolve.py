@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from elastica.assembly import (ElasticityProblem, _csr, _terms, assemble,
-                               box_operators, chebyshev, laplacian_inverse,
+                               box_operators, chebyshev, class_orbits,
+                               laplacian_inverse,
                                reference_spectrum_alpha0, sine_transform)
 from elastica.eigensolve import (BandedCholesky, ConvergenceError,
                                  EigenResult, FactorizationError,
@@ -311,9 +312,10 @@ class TestSolveProblem:
 
 
 def class_major(problem):
-    """(Q, Qᵀ) of the class-major sine coordinates, as the solver takes it."""
+    """(Q, Qᵀ) of the class-major sine coordinates, as the solver takes it;
+    every class solved, so Qᵀ has no copies to place."""
     return (lambda x: sine_transform(problem, x),
-            lambda x: sine_transform(problem, x, inverse=True))
+            lambda x, _: sine_transform(problem, x, inverse=True))
 
 
 class TestParityBlocks:
@@ -407,6 +409,79 @@ class TestParityBlocks:
             run_verify(replace(cfg, output_path=str(path)))
             reports.append(path.read_bytes())
         assert reports[0] == reports[1]
+
+
+class TestSymmetricBoxes:
+    """Boxes with equal axes solve one class per orbit (``class_orbits``)."""
+
+    @pytest.mark.parametrize("edges,alpha,cells,m", [
+        ((PI, PI), 0.0, (12, 12), 12),
+        ((PI, PI), 2.0, (12, 12), 12),
+        ((PI, PI), 100.0, (12, 12), 12),
+        ((PI, PI, PI), 0.0, (5, 5, 5), 12),
+        ((PI, PI, PI), 10.0, (5, 5, 5), 12),
+        ((PI, PI, 2.0), 2.0, (5, 5, 4), 10),
+    ], ids=["square-a0", "square-a2", "square-a100", "cube-a0", "cube-a10",
+            "two-equal"])
+    def test_copies_against_the_csr_pencil(self, edges, alpha, cells, m):
+        problem = ElasticityProblem(edges, alpha, cells)
+        orbits = class_orbits(problem)
+        assert any(len(orbit) > 1 for orbit in orbits.classes)
+        K, M, _ = assemble(problem)
+        tol = 1e-8
+        _, res = solve_problem(problem, m, tol, 7)
+        ref = dense_generalized_eigs(K, M)[:m]
+        assert np.all(np.abs(res.values - ref) <= 1e-7 * ref)
+        X = res.vectors
+        R = K.matvec(X) - M.matvec(X) * res.values
+        assert np.all(np.linalg.norm(R, axis=0) / res.values <= tol)
+        assert np.abs(X.T @ M.matvec(X) - np.eye(m)).max() <= 1e-10
+        # a copy's value is its representative's, to the bit, and each
+        # class's values are a prefix of its representative's
+        for orbit in orbits.classes:
+            mine = res.values[res.classes == orbit[0]]
+            for g in orbit[1:]:
+                theirs = res.values[res.classes == g]
+                assert theirs.size <= mine.size
+                assert np.array_equal(mine[:theirs.size], theirs)
+        # and some pairs are copies, not representatives
+        assert set(res.classes.tolist()) - {o[0] for o in orbits.classes}
+
+    @pytest.mark.parametrize("edges,alpha,cells", [
+        ((PI, PI), 10.0, (12, 12)),
+        ((PI, PI, 2.0), 2.0, (5, 5, 4)),
+        ((PI, 2.0, 1.5), 2.0, (6, 5, 4)),
+    ], ids=["square", "two-equal", "no-symmetry"])
+    def test_vectors_have_their_class_parities(self, edges, alpha, cells):
+        # under x_d ↦ L_d − x_d, with component d's sign flipped, a vector
+        # of class q is multiplied by (−1)^(q_d)
+        problem = ElasticityProblem(edges, alpha, cells)
+        dim = problem.dim
+        _, res = solve_problem(problem, 10, 1e-8, 7)
+        fields = res.vectors.reshape(
+            (dim,) + tuple(c - 1 for c in cells) + (-1,))
+        for d in range(dim):
+            reflected = np.flip(fields, axis=1 + d).copy()
+            reflected[d] *= -1.0
+            sign = 1.0 - 2.0 * ((res.classes >> (dim - 1 - d)) & 1)
+            assert np.abs(reflected - sign * fields).max() <= 1e-12
+
+    def test_m_limit_counts_copies(self):
+        # the 4x4-cell square has order 18 and 13 on its representatives:
+        # m = 4 is within order/4 of the full pencil, m = 5 is not
+        problem = ElasticityProblem((PI, PI), 1.0, (4, 4))
+        _, res = solve_problem(problem, 4, 1e-8, 7)
+        K, M, _ = assemble(problem)
+        ref = dense_generalized_eigs(K, M)[:4]
+        assert np.all(np.abs(res.values - ref) <= 1e-10 * ref)
+        with pytest.raises(ValueError, match="order/4 = 4"):
+            solve_problem(problem, 5, 1e-8, 7)
+
+    def test_copies_need_a_transform(self):
+        K = diag_csr(np.arange(1.0, 33.0))
+        with pytest.raises(ValueError, match="transform"):
+            smallest_eigenpairs(K, identity_csr(32), 4, blocks=(16, 16),
+                                classes=((0,), (1, 2)))
 
 
 @pytest.mark.parametrize("draw", range(40))

@@ -630,6 +630,21 @@ class TestCLI:
                          "--set", "verify.k_max=1"])
         assert code == 1
 
+    def test_solve_at_the_m_limit_of_a_symmetric_box(self, tmp_path):
+        # solver.m = 4 is order/4 of the 4x4-cell square (order 18), which
+        # the solve reduces to order 13 on one class of each orbit
+        from elastica.assembly import ElasticityProblem, assemble
+        from conftest import dense_generalized_eigs
+        path = tmp_path / "s.spec"
+        code = cli.main(["solve", "--set", "mesh.cells=4,4", "--set",
+                         "solver.m=4", "--set", "domain.alpha=1",
+                         "--output", str(path)])
+        assert code == 0
+        K, M, _ = assemble(ElasticityProblem((PI, PI), 1.0, (4, 4)))
+        ref = dense_generalized_eigs(K, M)[:4]
+        values = read_spectrum(path).values
+        assert np.all(np.abs(values - ref) <= 1e-10 * ref)
+
     def test_dump_matrices_round_trip(self, tmp_path):
         dump = tmp_path / "mats"
         code = cli.main(["solve", "--set", "mesh.cells=8,8",
