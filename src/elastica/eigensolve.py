@@ -22,14 +22,17 @@ factorisations of dense blocks):
 Both hold a basis with its pencil images as one row stack, a ``(3, b, n)``
 array (Y, K·Y, M·Y) or (Y, A·Y, B·Y) with one vector per contiguous row:
 ``Cᵀ @ S`` changes the basis of all three, and :func:`_rayleigh_ritz` reads
-both Gram matrices from it without applying the pencil again.  LOBPCG keeps
-[X | P | W] in one persistent stack of 3k rows and a spare (3, k, n) block,
-k = m + GUARDS the vectors it keeps, written in place every iteration;
-diagonal block q owns its segment of the columns and fills its own rows
-from the top.  K, M and the preconditioner take (n, b) operands, one per
-apply for all blocks, and receive transposed views of those rows; an
-optional ``transform`` (Q, Qᵀ) maps the random starting columns in from
-the full pencil's order and the eigenvectors, copies placed, out to it.
+both Gram matrices from it without applying the pencil again.  LOBPCG holds
+its starting block in a stack of its own until the first projection, then
+keeps [X | P | W] in a stack of 3k rows and a spare (3, k, n) block, k the
+most vectors any diagonal block keeps (its share of the m smallest plus
+GUARDS), written in place every iteration and reallocated, occupied rows
+copied, only when a block's share grows; diagonal block q owns its segment
+of the columns and fills its own rows from the top.  K, M and the
+preconditioner take (n, b) operands, one per apply for all blocks, and
+receive transposed views of those rows; an optional ``transform`` (Q, Qᵀ)
+maps the random starting columns in from the full pencil's order and the
+eigenvectors, copies placed, out to it, after the stack is released.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ GUARDS = 4
 #: implicit M images have drifted (rounding leaves ~1e-15); it stays far
 #: below the −1e-10 that whitening reads as an indefinite metric
 DRIFT_ABS = 1e-12
+#: rows per chunk of the random starting draw
+_DRAW_ROWS = 4096
 
 
 class BreakdownError(RuntimeError):
@@ -179,6 +184,35 @@ def _start_block(start, n, m):
     return start
 
 
+def _normal_columns(rng, rows, cols, skip):
+    """Columns skip: of ``rng.standard_normal((rows, cols))``, drawn in row
+    chunks of the same stream, so the skipped columns are never held
+    whole."""
+    out = np.empty((rows, cols - skip))
+    for top in range(0, rows, _DRAW_ROWS):
+        chunk = min(_DRAW_ROWS, rows - top)
+        out[top:top + chunk] = rng.standard_normal((chunk, cols))[:, skip:]
+    return out
+
+
+def _basis_stack(rows, n, occupied=None):
+    """LOBPCG's basis stack for blocks that keep at most ``rows`` vectors,
+    and its spare block.
+
+    The (3, 3·rows, n) stack holds each block's [X | P | W] rows and their
+    K and M images, ``occupied`` (the leading rows of a smaller stack)
+    copied in front; the (3, rows, n) spare takes the residual rows and
+    the momentum combination.  The stack is zero past ``occupied``: K and M
+    are applied to every row up to the longest block's count, so the rows
+    past a block's own count must be finite, and the block-diagonal pencil
+    keeps them out of every other block.
+    """
+    S = np.zeros((3, 3 * rows, n))
+    if occupied is not None:
+        S[:, :occupied.shape[1]] = occupied
+    return S, np.empty((3, rows, n))
+
+
 def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
                         precond=None, start=None, transform=None,
                         blocks=None, classes=None):
@@ -194,8 +228,9 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     problem, replaces its first k columns; ``seed`` still draws the
     others, so the columns past m stay random and can find an eigenvector
     that ``start`` misses.  From the first Rayleigh–Ritz step on, the
-    basis keeps m + ``GUARDS`` (4) Ritz vectors, and its stack is sized
-    for those.  Eigenvalues within a cluster are reported individually.
+    basis keeps m + ``GUARDS`` (4) Ritz vectors, and its stack holds three
+    rows per kept vector.  Eigenvalues within a cluster are reported
+    individually.
 
     ``blocks``, sizes summing to the order, says K and M are block-diagonal
     with consecutive diagonal blocks of those sizes (default: one block).
@@ -204,16 +239,18 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     whitening, Rayleigh–Ritz, the updates and the residuals run per block.
     After each Rayleigh–Ritz step the per-block Ritz values are merged by
     a stable sort, and each block keeps its share of the m smallest plus
-    ``GUARDS`` more.  K, M and ``precond`` still take one (n, b)
-    operand per apply: column i holds every block's i-th vector on that
-    block's rows.  A block whose rows whitening finds dependent restarts:
-    Ritz combinations of dependent rows carry amplified rounding into the
-    implicit images, so it carries no momentum block P into the next step,
-    and its new X gets K·X and M·X applied afresh.  So does a block whose
-    M-Gram has drifted from symmetric by more than ``DRIFT_ABS``: P rows
-    normalised from tiny momentum parts amplify rounding the same way, a
-    little more each step, until whitening would read the drift as an
-    indefinite metric.
+    ``GUARDS`` more; the stack then holds three rows per vector of the
+    block that keeps most, and is reallocated at the new size, occupied
+    rows copied, when a later step keeps more.  K, M and ``precond`` still
+    take one (n, b) operand per apply: column i holds every block's i-th
+    vector on that block's rows.  A block whose rows whitening finds
+    dependent restarts: Ritz combinations of dependent rows carry amplified
+    rounding into the implicit images, so it carries no momentum block P
+    into the next step, and its new X gets K·X and M·X applied afresh.  So
+    does a block whose M-Gram has drifted from symmetric by more than
+    ``DRIFT_ABS``: P rows normalised from tiny momentum parts amplify
+    rounding the same way, a little more each step, until whitening would
+    read the drift as an indefinite metric.
 
     ``classes`` labels the blocks: per block the labels of the classes of
     the full pencil it stands for, its own first (default: block q is
@@ -265,39 +302,36 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
         raise ValueError(f"m={m} exceeds order/4 = {full // 4}")
     stops = np.cumsum(sizes).tolist()
     segs = [slice(stop - size, stop) for size, stop in zip(sizes, stops)]
-    bs, kept = min(m + SEEDED, full), min(m + GUARDS, full)
+    bs = min(m + SEEDED, full)
 
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((full, bs))
     start = _start_block(start, n, m)
     k = start.shape[1]
-    if transform is not None:
-        X[:n, k:] = transform[0](X[:, k:])
-        X = X[:n]
+    X = np.empty((n, bs))
     X[:, :k] = start
+    drawn = _normal_columns(np.random.default_rng(seed), full, bs, k)
+    X[:, k:] = drawn if transform is None else transform[0](drawn)
+    del drawn
     for seg in segs:
         part = np.linalg.norm(X[seg], axis=0)
         # a column with no part in this block gives it a zero row, which
         # whitening drops
         X[seg] /= np.where(part > 0, part, np.inf)
-    # the basis [X | P | W] and its K and M images, one vector per row, and
-    # a spare block for the residuals and the momentum combination, each
-    # part at most the kept count after the first projection; block
-    # q's rows are its segment of the columns, and the rows past its own
-    # count hold finite leftovers that the block-diagonal pencil keeps
-    # out of every other block
-    S = np.zeros((3, 3 * kept, n))
-    spare = np.empty((3, kept, n))
-    S[:, :bs] = (X.T, K.matvec(X).T, M.matvec(X).T)
+    # the starting block and its K and M images, one vector per row; it
+    # lives until the first projection has written the kept Ritz vectors
+    # into the basis stack
+    first = np.empty((3, bs, n))
+    first[0] = X.T
+    first[1] = K.matvec(X).T
+    first[2] = M.matvec(X).T
     del X
     nx, npr = [bs] * len(segs), [0] * len(segs)
 
-    def ritz(tops):
-        """Rayleigh–Ritz on each block's rows :tops[q]: the pairs each block
-        keeps, its share of the m smallest Ritz values over all blocks, and
-        whether the block must restart (dependent rows or drifted
-        images)."""
-        pairs = [_rayleigh_ritz(S[:, :top, seg])
+    def ritz(stack, tops):
+        """Rayleigh–Ritz on each block's rows :tops[q] of ``stack``: the
+        pairs each block keeps, its share of the m smallest Ritz values over
+        all blocks, and whether the block must restart (dependent rows or
+        drifted images)."""
+        pairs = [_rayleigh_ritz(stack[:, :top, seg])
                  for top, seg in zip(tops, segs)]
         dependent = [C.shape[1] < top or drift > DRIFT_ABS
                      for (_, C, drift), top in zip(pairs, tops)]
@@ -308,7 +342,7 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
 
     def project():
         """Ritz-rotate each block's X rows in place; P stays behind them."""
-        pairs, share, _ = ritz(nx)
+        pairs, share, _ = ritz(S, nx)
         for q, (seg, (_, C)) in enumerate(zip(segs, pairs)):
             k = C.shape[1]
             S[:, :k, seg] = np.matmul(C.T, S[:, :nx[q], seg],
@@ -332,22 +366,10 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     def converged():
         return all(np.all(r[:w] <= tol) for r, w in zip(res, share))
 
-    thetas, share = project()
-    it = 0
-    R, res = residuals(False)
-    while it < maxiter:
-        # not before the guards have had one step: in a block its start
-        # nearly spans, the starting Ritz pairs pass at once, while another
-        # block's guards may still sit above an eigenvalue they will find
-        if it and converged():
-            # rotations inside an eigenvalue cluster redistribute residual
-            # norms, so convergence is decided on the re-projected block
-            thetas, share = project()
-            res = residuals(True)[1]
-            if converged():
-                break
-            R = residuals(False)[0]
-        it += 1
+    def widen():
+        """Write each block's preconditioned residual rows W, M-normalised,
+        with their images behind its X and P rows; the rows each block then
+        fills."""
         active = [~(r <= tol) for r in res]
         if not any(a.any() for a in active):
             for a, w in zip(active, share):
@@ -370,10 +392,12 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
             for i, block in enumerate(w):
                 np.multiply(block.T, scale[:, None],
                             out=S[i, low:tops[q], seg])
+        return tops
 
-        pairs, share, dependent = ritz(tops)
-        thetas = []
-        for q, (seg, (theta, C)) in enumerate(zip(segs, pairs)):
+    def advance(pairs, tops, dependent):
+        """Write each block's new X and momentum block P from its Ritz
+        coefficients; a restarting block gets K·X and M·X applied afresh."""
+        for q, (seg, (_, C)) in enumerate(zip(segs, pairs)):
             x, top, k = nx[q], tops[q], C.shape[1]
             # momentum block P: the Ritz directions' P/W part alone, kept
             # M-normalised row by row; the new X adds the X part to it
@@ -381,7 +405,6 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
             np.matmul(C[:x].T, S[:, :x, seg], out=S[:, x:x + k, seg])
             np.add(S[:, x:x + k, seg], spare[:, :k, seg], out=S[:, :k, seg])
             nx[q], npr[q] = k, 0
-            thetas.append(theta)
             if dependent[q]:  # restart: no P, X images applied below
                 continue
             pnorm = np.sqrt(np.maximum(np.einsum(
@@ -399,6 +422,40 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
                 if dependent[q]:
                     S[1, :nx[q], seg] = KX[:nx[q], seg]
                     S[2, :nx[q], seg] = MX[:nx[q], seg]
+
+    # the first projection writes each block's kept Ritz vectors straight
+    # into a basis stack sized for the most that any block keeps
+    pairs, share, _ = ritz(first, nx)
+    S, spare = _basis_stack(max(C.shape[1] for _, C in pairs), n)
+    for q, (seg, (_, C)) in enumerate(zip(segs, pairs)):
+        nx[q] = C.shape[1]
+        np.matmul(C.T, first[:, :bs, seg], out=S[:, :nx[q], seg])
+    del first
+    thetas = [theta for theta, _ in pairs]
+    it = 0
+    R, res = residuals(False)
+    while it < maxiter:
+        # not before the guards have had one step: in a block its start
+        # nearly spans, the starting Ritz pairs pass at once, while another
+        # block's guards may still sit above an eigenvalue they will find
+        if it and converged():
+            # rotations inside an eigenvalue cluster redistribute residual
+            # norms, so convergence is decided on the re-projected block
+            thetas, share = project()
+            res = residuals(True)[1]
+            if converged():
+                break
+            R = residuals(False)[0]
+        it += 1
+        tops = widen()
+        pairs, share, dependent = ritz(S, tops)
+        rows = max(C.shape[1] for _, C in pairs)
+        if rows > spare.shape[1]:
+            # a block's share grew past the stack: the same allocation at
+            # the new size, with every block's occupied rows
+            S, spare = _basis_stack(rows, n, S[:, :max(tops)])
+        advance(pairs, tops, dependent)
+        thetas = [theta for theta, _ in pairs]
         R, res = residuals(False)
     else:
         # the budget ran out, maybe just as the implicit norms passed: the
@@ -412,13 +469,15 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
         raise BreakdownError(
             f"iteration subspace degenerated to {count} directions, "
             f"fewer than the {m} requested")
-    # the m smallest over all blocks and copies, each block's leading rows;
-    # copies, so the result does not keep the basis stack alive
+    # the m smallest over all blocks and copies, each block's leading rows,
+    # copied out; the basis is released before they are mapped out (W, P
+    # and the restart images live only inside widen and advance)
     owner, index, copy = (a[:m] for a in _merge(thetas, copies))
     X = np.zeros((n, m))
     for q, seg in enumerate(segs):
         cols = np.flatnonzero(owner == q)
         X[seg, cols] = S[0, index[cols], seg].T
+    del S, spare, R
     found = np.array([labels[q][c] for q, c in zip(owner, copy)])
     if transform is not None:
         X = transform[1](X, found)

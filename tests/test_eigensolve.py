@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from elastica import eigensolve
 from elastica.assembly import (ElasticityProblem, _csr, _terms, assemble,
                                box_operators, chebyshev, class_orbits,
                                laplacian_inverse,
@@ -477,6 +478,40 @@ class TestSymmetricBoxes:
         with pytest.raises(ValueError, match="order/4 = 4"):
             solve_problem(problem, 5, 1e-8, 7)
 
+    def test_stack_grows_when_a_class_share_grows(self, monkeypatch):
+        # at α = 100 a class's share of the 16 smallest grows after the
+        # first projection (27 → 30 stack rows here), so the basis stack is
+        # reallocated with every class's occupied X, P and W rows copied:
+        # the solve is the one whose stack never grows, to the bit
+        problem = ElasticityProblem((PI, PI), 100.0, (17, 17))
+        m, tol = 16, 1e-8
+        basis_stack = eigensolve._basis_stack
+        rows = []
+
+        def counting(size, n, occupied=None):
+            rows.append(3 * size)
+            return basis_stack(size, n, occupied)
+
+        monkeypatch.setattr(eigensolve, "_basis_stack", counting)
+        _, res = solve_problem(problem, m, tol, 7)
+        assert len(rows) > 1 and rows == sorted(set(rows))
+        assert rows[-1] <= 3 * (m + 4)
+        monkeypatch.setattr(eigensolve, "_basis_stack",
+                            lambda size, n, occupied=None:
+                            basis_stack(m + 4, n, occupied))
+        _, whole = solve_problem(problem, m, tol, 7)
+        assert whole.iterations == res.iterations
+        for field in ("values", "vectors", "residuals", "classes"):
+            assert np.array_equal(getattr(whole, field), getattr(res, field))
+        K, M, _ = assemble(problem)
+        assert K.order == 512
+        ref = dense_generalized_eigs(K, M)[:m]
+        assert np.all(np.abs(res.values - ref) <= 1e-7 * ref)
+        X = res.vectors
+        R = K.matvec(X) - M.matvec(X) * res.values
+        assert np.all(np.linalg.norm(R, axis=0) / res.values <= tol)
+        assert np.abs(X.T @ M.matvec(X) - np.eye(m)).max() <= 1e-10
+
     def test_copies_need_a_transform(self):
         K = diag_csr(np.arange(1.0, 33.0))
         with pytest.raises(ValueError, match="transform"):
@@ -629,13 +664,15 @@ class TestResultMemory:
             assert vectors.flags.c_contiguous and vectors.flags.owndata
 
     def test_peak_memory_of_one_solve(self):
-        # a 32² α = 2 solve peaks at 17.6 blocks of n·(m + 8) doubles: the
-        # (3, 3k, n) basis stack and the (3, k, n) spare block, k = m + 4
-        # kept columns, are 10 of them; sized for all m + 8 starting
-        # columns they peaked at 21.1, and a stack concatenated afresh
-        # every iteration at 25.2.  The first solve in a process also
-        # imports numpy submodules (about 2 blocks here), so a warm-up
-        # solve runs untraced
+        # a 32² α = 2 solve as one block peaks at 15.1 blocks of
+        # n·(m + 8) doubles: the (3, 3k, n) basis stack and the (3, k, n)
+        # spare block, k = m + 4 kept columns, are 10 of them, next to the
+        # (3, m + 8, n) starting stack they are projected from; with the
+        # starting block written into the basis stack through a temporary
+        # it peaked at 17.6, sized for all m + 8 starting columns at 21.1,
+        # and a stack concatenated afresh every iteration at 25.2.  The
+        # first solve in a process also imports numpy submodules (about 2
+        # blocks here), so a warm-up solve runs untraced
         p = ElasticityProblem((PI, PI), 2.0, (32, 32))
         K, M = box_operators(p)
         precond = chebyshev(K, laplacian_inverse(p), p.alpha)
@@ -648,6 +685,23 @@ class TestResultMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 19 * K.order * (m + 8) * 8
+
+    def test_peak_memory_of_one_box_solve(self):
+        # one 64² α = 2 solve_problem peaks at 6.4 blocks of N·(m + 8)
+        # doubles, N the full order: the basis stack holds 3 × 9 rows, what
+        # the class that keeps most keeps, and is released before the
+        # eigenvectors are mapped out.  Sized for m + 4 kept vectors per
+        # class and alive through the map it peaked at 11.5 blocks
+        p = ElasticityProblem((PI, PI), 2.0, (64, 64))
+        m = 16
+        solve_problem(p, m, 1e-8, 7)
+        tracemalloc.start()
+        try:
+            _, res = solve_problem(p, m, 1e-8, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * res.vectors.shape[0] * (m + 8) * 8
 
 
 def assert_certified(K, M, result):

@@ -227,6 +227,25 @@ class TestVerifyFlows:
             rhs = 4.0 * np.sum(d * np.array(vals)[:k])  # C(1, 0.5) = 4
             assert lhs <= rhs
 
+    def test_file_spectrum_has_no_domain_record(self, tmp_path):
+        # a spectrum file carries no domain: the run from it leaves out
+        # levine_protter_sum, which the same spectrum computed on its box
+        # gets, though both reports echo domain.edges
+        cfg = replace(RunConfig(mode="verify"), cells=(8, 8), m=5, k_max=4,
+                      policy="fixed")
+        computed = run_verify(cfg)
+        path = tmp_path / "box.spec"
+        write_spectrum(path, Spectrum(2, 0.0, np.array(
+            computed.spectrum["values"])))
+        loaded = run_verify(replace(cfg, mode="bounds",
+                                    spectrum_path=str(path)))
+        assert loaded.config["domain.edges"] == \
+            computed.config["domain.edges"]
+        names = {r.name for r in computed.records}
+        assert "levine_protter_sum" in names
+        assert {r.name for r in loaded.records} == \
+            names - {"levine_protter_sum"}
+
     def test_corrupted_spectrum_fails_and_exits_nonzero(self, tmp_path):
         path = tmp_path / "bad.spec"
         write_spectrum(path, Spectrum(2, 0.0, np.array([1.0, 10.0])))
