@@ -16,8 +16,9 @@ permutations), with m cut to its order/4, skipped if its 2N order exceeds
 * miss: an eigenvalue off the m smallest dense eigenvalues of the
   assembled CSR pencil (the suite's ``dense_generalized_eigs``) by more
   than 1e-7 relative;
-* residual: a pair whose residual, recomputed on the CSR pencil, exceeds
-  the solver tolerance;
+* residual: a pair whose residual, recomputed on the CSR pencil from its
+  nodal vector (the suite's ``nodal_vectors``), exceeds the solver
+  tolerance;
 * breakdown: the solver raised (breakdown or no convergence).
 
 Every failure is printed with its box, and the counts per group (boxes,
@@ -38,7 +39,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from conftest import (BOX_MAX_ORDER, dense_generalized_eigs,  # noqa: E402
-                      random_small_box)
+                      nodal_vectors, random_small_box)
 from elastica.assembly import ElasticityProblem, assemble  # noqa: E402
 from elastica.eigensolve import BreakdownError, ConvergenceError  # noqa: E402
 from elastica.harness import solve_problem  # noqa: E402
@@ -63,7 +64,7 @@ def check(problem, m, seed):
         i = int(np.argmax(off))
         failures.append(("miss", f"index {i}: {result.values[i]:.12g} "
                                  f"against {ref[i]:.12g}"))
-    X = result.vectors
+    X = nodal_vectors(problem, result)
     R = K.matvec(X) - M.matvec(X) * result.values
     res = np.linalg.norm(R, axis=0) / np.abs(result.values)
     if np.any(res > TOL):

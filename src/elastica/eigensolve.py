@@ -30,9 +30,7 @@ GUARDS), written in place every iteration and reallocated, occupied rows
 copied, only when a block's share grows; diagonal block q owns its segment
 of the columns and fills its own rows from the top.  K, M and the
 preconditioner take (n, b) operands, one per apply for all blocks, and
-receive transposed views of those rows; an optional ``transform`` (Q, Qᵀ)
-maps the random starting columns in from the full pencil's order and the
-eigenvectors, copies placed, out to it, after the stack is released.
+receive transposed views of those rows.
 """
 
 from __future__ import annotations
@@ -51,8 +49,6 @@ GUARDS = 4
 #: implicit M images have drifted (rounding leaves ~1e-15); it stays far
 #: below the −1e-10 that whitening reads as an indefinite metric
 DRIFT_ABS = 1e-12
-#: rows per chunk of the random starting draw
-_DRAW_ROWS = 4096
 
 
 class BreakdownError(RuntimeError):
@@ -84,10 +80,13 @@ class ConvergenceError(RuntimeError):
 class EigenResult:
     """Smallest eigenpairs with per-pair convergence evidence.
 
-    ``residuals`` are relative: ||K x − σ M x||₂ / (σ ||x||_M); eigenvectors
-    are M-orthonormal.  ``classes`` labels each pair with the class it
-    lives in (the ``classes`` of :func:`smallest_eigenpairs`; 0 for a
-    pencil solved as one block).
+    ``residuals`` are relative: ||K x − σ M x||₂ / (σ ||x||_M).
+    ``vectors`` holds one column per pair in the coordinates K and M act
+    on.  ``classes`` labels each pair with the class it lives in (the
+    ``classes`` of :func:`smallest_eigenpairs`; 0 for a pencil solved as
+    one block).  A copy's column repeats its block's vector, so the
+    columns are M-orthonormal once each is carried onto its class; with
+    no copies they are M-orthonormal as they stand.
     """
 
     values: np.ndarray
@@ -184,17 +183,6 @@ def _start_block(start, n, m):
     return start
 
 
-def _normal_columns(rng, rows, cols, skip):
-    """Columns skip: of ``rng.standard_normal((rows, cols))``, drawn in row
-    chunks of the same stream, so the skipped columns are never held
-    whole."""
-    out = np.empty((rows, cols - skip))
-    for top in range(0, rows, _DRAW_ROWS):
-        chunk = min(_DRAW_ROWS, rows - top)
-        out[top:top + chunk] = rng.standard_normal((chunk, cols))[:, skip:]
-    return out
-
-
 def _basis_stack(rows, n, occupied=None):
     """LOBPCG's basis stack for blocks that keep at most ``rows`` vectors,
     and its spare block.
@@ -214,23 +202,23 @@ def _basis_stack(rows, n, occupied=None):
 
 
 def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
-                        precond=None, start=None, transform=None,
-                        blocks=None, classes=None):
+                        precond=None, start=None, blocks=None,
+                        classes=None):
     """m algebraically smallest eigenpairs of K x = σ M x by blocked LOBPCG.
 
     K and M need only ``order`` and ``matvec`` (on (n,) and (n, b)
     operands): a CSR matrix or a matrix-free operator.  K must be
     symmetric, M symmetric positive definite, m <= order/4 of the full
-    pencil (copies counted: see ``classes``).  The starting block of
-    m + ``SEEDED`` (8) columns is pseudo-random from ``seed``, and the
-    whole iteration is deterministic.  An (n, k)
-    ``start`` block with k <= m, such as Ritz vectors of a small Galerkin
-    problem, replaces its first k columns; ``seed`` still draws the
-    others, so the columns past m stay random and can find an eigenvector
-    that ``start`` misses.  From the first Rayleigh–Ritz step on, the
-    basis keeps m + ``GUARDS`` (4) Ritz vectors, and its stack holds three
-    rows per kept vector.  Eigenvalues within a cluster are reported
-    individually.
+    pencil (copies counted: see ``classes``).  The starting block has
+    m + ``SEEDED`` (8) columns, standard normal from ``seed`` in the
+    coordinates K and M act on, and the whole iteration is deterministic.
+    An (n, k) ``start`` block with k <= m, such as Ritz vectors of a small
+    Galerkin problem, takes the place of its first k columns; ``seed``
+    draws only the others, so the columns past m stay random and can find
+    an eigenvector that ``start`` misses.  From the first Rayleigh–Ritz
+    step on, the basis keeps m + ``GUARDS`` (4) Ritz vectors, and its
+    stack holds three rows per kept vector.  Eigenvalues within a cluster
+    are reported individually.
 
     ``blocks``, sizes summing to the order, says K and M are block-diagonal
     with consecutive diagonal blocks of those sizes (default: one block).
@@ -258,19 +246,10 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     full pencil with the same spectrum that are not solved: the merge
     counts each of its Ritz values c times, when it picks each block's
     share of the m smallest (⌈count / c⌉) and the m pairs it returns, and
-    a copy's pair is its block's, carried to the copy by ``transform``.
-    With every count 1 the iteration is the one on the blocks alone.
-    ``EigenResult.classes`` holds the label of each returned pair.
-
-    ``transform``, a pair (Q, Qᵀ) of callables, says K and M act on Q·x,
-    for x of the full order N (the sum of every block's size times its
-    label count): the random columns of the starting block are drawn with
-    N rows and mapped in by Q, (N, b) to (n, b); Qᵀ takes the (n, m) block
-    of each exit's eigenvectors, each on its block's rows, and their
-    labels, and returns them with N rows.  Copies need a transform.
-    ``start`` is given in the coordinates K and M act on.  With one block
-    and Q orthogonal, a solve on Q·K·Qᵀ, Q·M·Qᵀ follows the path of the
-    one on K, M up to rounding; its residuals are the transformed ones.
+    a copy's pair is its block's: its column of ``EigenResult.vectors``
+    repeats the block's vector, and ``EigenResult.classes`` holds the
+    label it stands for.  With every count 1 the iteration is the one on
+    the blocks alone.
 
     Residuals are decided implicitly and reported explicitly: each
     iteration takes its residual norms from the K X and M X blocks it
@@ -294,8 +273,6 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
         raise ValueError(f"classes must label each of the {len(sizes)} "
                          f"blocks at least once, got {labels}")
     copies = np.array([len(c) for c in labels])
-    if copies.max() > 1 and transform is None:
-        raise ValueError("the copies of a block need a transform")
     # the order of the full pencil, every copy counted
     full = int(np.dot(sizes, copies))
     if m > full // 4:
@@ -308,9 +285,7 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     k = start.shape[1]
     X = np.empty((n, bs))
     X[:, :k] = start
-    drawn = _normal_columns(np.random.default_rng(seed), full, bs, k)
-    X[:, k:] = drawn if transform is None else transform[0](drawn)
-    del drawn
+    X[:, k:] = np.random.default_rng(seed).standard_normal((n, bs - k))
     for seg in segs:
         part = np.linalg.norm(X[seg], axis=0)
         # a column with no part in this block gives it a zero row, which
@@ -470,8 +445,9 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
             f"iteration subspace degenerated to {count} directions, "
             f"fewer than the {m} requested")
     # the m smallest over all blocks and copies, each block's leading rows,
-    # copied out; the basis is released before they are mapped out (W, P
-    # and the restart images live only inside widen and advance)
+    # copied out; the basis is released before the result is returned, so
+    # a ConvergenceError's traceback does not hold it (W, P and the restart
+    # images live only inside widen and advance)
     owner, index, copy = (a[:m] for a in _merge(thetas, copies))
     X = np.zeros((n, m))
     for q, seg in enumerate(segs):
@@ -479,8 +455,6 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
         X[seg, cols] = S[0, index[cols], seg].T
     del S, spare, R
     found = np.array([labels[q][c] for q, c in zip(owner, copy)])
-    if transform is not None:
-        X = transform[1](X, found)
     pick = np.cumsum([0] + [t.size for t in thetas[:-1]])[owner] + index
     res = np.concatenate(res)[pick]
     return _checked(EigenResult(np.concatenate(thetas)[pick], X, res, it,

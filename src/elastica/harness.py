@@ -22,7 +22,7 @@ import numpy as np
 
 from .assembly import (ElasticityProblem, assemble, box_operators,
                        chebyshev, class_orbits, galerkin_start,
-                       laplacian_inverse, sine_transform)
+                       laplacian_inverse)
 from .bounds import (DomainGeometry, Spectrum, VerifyTolerance, evaluate_all,
                      make_record)
 from .cap1d import CAP_KINDS, CapProblem, solve_cap
@@ -284,25 +284,22 @@ def solve_problem(problem, m, tol, seed):
     Chebyshev steps and the start are restricted to the representatives.
     The first m columns of the starting block are the per-class Ritz
     vectors of :func:`galerkin_start`, the rest random from ``seed`` (see
-    :func:`smallest_eigenpairs`).  The random columns are drawn at the
-    full order and mapped in by :func:`sine_transform` and restricted;
-    the eigenvectors are carried onto their classes and mapped out, so
-    the vectors are nodal and ``EigenResult.classes`` gives each pair's
-    parity class by number.  The blocks make the path differ from a nodal
-    solve's, not the eigenpairs it converges to.  Residuals are explicit
-    in sine coordinates; the transform is orthogonal, so they equal the
-    nodal ones up to its rounding.
+    :func:`smallest_eigenpairs`).  The vectors stay in the reduced
+    class-major sine coordinates, column i a vector of its class's
+    representative; ``EigenResult.classes`` gives each pair's parity class
+    by number, and :meth:`ClassOrbits.expand` and the inverse sine
+    transform carry them to nodal values.  The blocks make the path differ
+    from a nodal solve's, not the eigenpairs it converges to.  Residuals
+    are explicit in sine coordinates; the transform is orthogonal, so they
+    equal the nodal ones up to its rounding.
     """
     orbits = class_orbits(problem)
     K, M = (op.select(orbits.blocks) for op in box_operators(problem))
     precond = chebyshev(K, laplacian_inverse(problem, orbits), problem.alpha)
     result = smallest_eigenpairs(
         K, M, m, tol=tol, seed=seed, precond=precond,
-        start=galerkin_start(K, M, m),
-        transform=(lambda x: orbits.restrict(sine_transform(problem, x)),
-                   lambda x, classes: sine_transform(
-                       problem, orbits.expand(x, classes), inverse=True)),
-        blocks=K.blocks, classes=orbits.classes)
+        start=galerkin_start(K, M, m), blocks=K.blocks,
+        classes=orbits.classes)
     spectrum = Spectrum(problem.dim, problem.alpha, result.values,
                         source="computed", mesh=problem.mesh_label(),
                         residuals=result.residuals, solver_tol=tol)

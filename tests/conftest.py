@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from elastica.assembly import ElasticityProblem
+from elastica.assembly import ElasticityProblem, class_orbits, sine_transform
 
 #: α values of the random small boxes
 BOX_ALPHAS = (0.0, 0.5, 2.0, 10.0, 100.0)
@@ -23,6 +23,13 @@ def dense_generalized_eigs(K, M):
     Y = np.linalg.solve(L, K)
     B = np.linalg.solve(L, Y.T).T
     return np.linalg.eigvalsh(0.5 * (B + B.T))
+
+
+def nodal_vectors(problem, result):
+    """The nodal eigenvectors of a ``solve_problem`` result: each column
+    carried onto its class, then out of class-major sine coordinates."""
+    X = class_orbits(problem).expand(result.vectors, result.classes)
+    return sine_transform(problem, X, inverse=True)
 
 
 def random_small_box(rng, max_cells):

@@ -18,7 +18,7 @@ from elastica.eigensolve import (BandedCholesky, ConvergenceError,
                                  smallest_eigenpairs)
 from elastica.harness import RunConfig, run_verify, solve_problem
 from elastica.sparse import BandedSymMatrix, SparseSymMatrix
-from conftest import dense_generalized_eigs, random_small_box
+from conftest import dense_generalized_eigs, nodal_vectors, random_small_box
 
 PI = np.pi
 
@@ -138,7 +138,8 @@ class TestLOBPCG:
                                   precond=nodal_inverse(p))
         assert np.all(np.abs(res.values - ref.values) <= 1e-10 * ref.values)
         assert np.array_equal(spectrum.values, res.values)
-        R = K.matvec(res.vectors) - M.matvec(res.vectors) * res.values
+        X = nodal_vectors(p, res)
+        R = K.matvec(X) - M.matvec(X) * res.values
         fresh = np.linalg.norm(R, axis=0) / res.values
         assert np.all(fresh <= tol)
 
@@ -266,32 +267,56 @@ class TestSolveProblem:
         ref = q1_alpha0_values(edges, cells, m)
         assert np.all(np.abs(res.values - ref) <= 1e-10 * ref)
 
-    @pytest.mark.parametrize("maxiter", [500, 2], ids=["converged", "partial"])
-    def test_sine_solve_retraces_nodal_solve(self, maxiter):
-        # K̂ = Q·K·Qᵀ, solved as one block with the start block mapped in
-        # and the vectors out, runs the nodal solve's iteration, an
-        # unconverged one included
+    def test_sine_solve_matches_nodal_solve(self):
+        # K̂ = Q·K·Qᵀ solved as one block from its own random start follows
+        # another path than the nodal solve, to the same eigenpairs; a
+        # vector's error is of the order of its residual, so both solve to
+        # 1e-12 for their vectors to agree to 1e-11
         p = ElasticityProblem((PI, 1.7), 2.0, (12, 10))
         K, M, _ = assemble(p)
         Kh, Mh = box_operators(p)
-        results = []
-        for args, kw in (((K, M), {"precond": nodal_inverse(p)}),
-                         ((Kh, Mh), {"precond": laplacian_inverse(p),
-                                     "transform": class_major(p)})):
-            try:
-                results.append(smallest_eigenpairs(
-                    *args, 6, tol=1e-9, seed=4, maxiter=maxiter, **kw))
-            except ConvergenceError as err:
-                assert maxiter == 2
-                results.append(err.result)
-        nodal, sine = results
-        assert sine.iterations == nodal.iterations <= maxiter
+        nodal = smallest_eigenpairs(K, M, 6, tol=1e-12, seed=4,
+                                    precond=nodal_inverse(p))
+        sine = smallest_eigenpairs(Kh, Mh, 6, tol=1e-12, seed=4,
+                                   precond=laplacian_inverse(p))
         assert np.all(np.abs(sine.values - nodal.values)
                       <= 1e-12 * nodal.values)
         # the same vectors up to the sign eigh picks for each
-        signs = np.sign(np.einsum("ij,ij->j", sine.vectors, nodal.vectors))
-        assert np.abs(sine.vectors * signs - nodal.vectors).max() \
+        X = sine_transform(p, sine.vectors, inverse=True)
+        signs = np.sign(np.einsum("ij,ij->j", X, nodal.vectors))
+        assert np.abs(X * signs - nodal.vectors).max() \
             <= 1e-11 * np.abs(nodal.vectors).max()
+
+    def test_unconverged_sine_solve_is_certified_nodally(self):
+        # the partial result of a sine solve stopped after 2 iterations,
+        # mapped out, is M-orthonormal on the CSR pencil and carries its
+        # explicit CSR residuals
+        p = ElasticityProblem((PI, 1.7), 2.0, (12, 10))
+        K, M, _ = assemble(p)
+        Kh, Mh = box_operators(p)
+        with pytest.raises(ConvergenceError) as info:
+            smallest_eigenpairs(Kh, Mh, 6, tol=1e-9, seed=4, maxiter=2,
+                                precond=laplacian_inverse(p))
+        partial = info.value.result
+        assert partial.iterations == 2
+        assert_certified(K, M, replace(partial, vectors=sine_transform(
+            p, partial.vectors, inverse=True)))
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0, 100.0])
+    @pytest.mark.parametrize("edges,cells,m", [
+        ((PI, PI), (12, 12), 12),
+        ((PI, 0.3 * PI), (32, 6), 12),
+        ((PI, 2.0, 1.5), (6, 5, 4), 9),
+    ], ids=["square", "strip", "3d"])
+    def test_alpha_sandwich(self, edges, cells, m, alpha):
+        # ∫|∇u|² = ∫(div u)² + ∫|curl u|² on H¹₀, so K(0) ≤ K(α) ≤
+        # (1+α)·K(0) as forms on the conforming Q1 space, with the same M:
+        # index by index σ_i(0) ≤ σ_i(α) ≤ (1+α)·σ_i(0), up to rounding
+        problem = ElasticityProblem(edges, alpha, cells)
+        _, res = solve_problem(problem, m, 1e-8, 7)
+        low = q1_alpha0_values(edges, cells, m)
+        assert np.all(res.values >= low * (1 - 1e-12))
+        assert np.all(res.values <= (1 + alpha) * low * (1 + 1e-12))
 
     @pytest.mark.parametrize("edges,alpha,cells", [
         ((PI, PI), 10.0, (16, 16)),
@@ -304,19 +329,12 @@ class TestSolveProblem:
         K, M, _ = assemble(problem)
         tol, m = 1e-8, 8
         _, res = solve_problem(problem, m, tol, 7)
-        X = res.vectors
+        X = nodal_vectors(problem, res)
         R = K.matvec(X) - M.matvec(X) * res.values
         assert np.all(np.linalg.norm(R, axis=0) / res.values <= tol)
         assert np.all(res.residuals <= tol)
         gram = X.T @ M.matvec(X)
         assert np.abs(gram - np.eye(m)).max() <= 100 * tol
-
-
-def class_major(problem):
-    """(Q, Qᵀ) of the class-major sine coordinates, as the solver takes it;
-    every class solved, so Qᵀ has no copies to place."""
-    return (lambda x: sine_transform(problem, x),
-            lambda x, _: sine_transform(problem, x, inverse=True))
 
 
 class TestParityBlocks:
@@ -357,13 +375,11 @@ class TestParityBlocks:
         tol = 1e-9
         precond = chebyshev(K, laplacian_inverse(p), alpha)
         one, split = (smallest_eigenpairs(K, M, m, tol=tol, seed=4,
-                                          precond=precond,
-                                          transform=class_major(p),
-                                          blocks=blocks)
+                                          precond=precond, blocks=blocks)
                       for blocks in (None, K.blocks))
         assert np.all(np.abs(split.values - one.values) <= 1e-10 * one.values)
         for res in (one, split):
-            X = res.vectors
+            X = sine_transform(p, res.vectors, inverse=True)
             R = Kc.matvec(X) - Mc.matvec(X) * res.values
             assert np.all(np.linalg.norm(R, axis=0) / res.values <= tol)
             assert np.abs(X.T @ Mc.matvec(X) - np.eye(m)).max() <= 1e-10
@@ -433,7 +449,7 @@ class TestSymmetricBoxes:
         _, res = solve_problem(problem, m, tol, 7)
         ref = dense_generalized_eigs(K, M)[:m]
         assert np.all(np.abs(res.values - ref) <= 1e-7 * ref)
-        X = res.vectors
+        X = nodal_vectors(problem, res)
         R = K.matvec(X) - M.matvec(X) * res.values
         assert np.all(np.linalg.norm(R, axis=0) / res.values <= tol)
         assert np.abs(X.T @ M.matvec(X) - np.eye(m)).max() <= 1e-10
@@ -459,7 +475,7 @@ class TestSymmetricBoxes:
         problem = ElasticityProblem(edges, alpha, cells)
         dim = problem.dim
         _, res = solve_problem(problem, 10, 1e-8, 7)
-        fields = res.vectors.reshape(
+        fields = nodal_vectors(problem, res).reshape(
             (dim,) + tuple(c - 1 for c in cells) + (-1,))
         for d in range(dim):
             reflected = np.flip(fields, axis=1 + d).copy()
@@ -507,16 +523,10 @@ class TestSymmetricBoxes:
         assert K.order == 512
         ref = dense_generalized_eigs(K, M)[:m]
         assert np.all(np.abs(res.values - ref) <= 1e-7 * ref)
-        X = res.vectors
+        X = nodal_vectors(problem, res)
         R = K.matvec(X) - M.matvec(X) * res.values
         assert np.all(np.linalg.norm(R, axis=0) / res.values <= tol)
         assert np.abs(X.T @ M.matvec(X) - np.eye(m)).max() <= 1e-10
-
-    def test_copies_need_a_transform(self):
-        K = diag_csr(np.arange(1.0, 33.0))
-        with pytest.raises(ValueError, match="transform"):
-            smallest_eigenpairs(K, identity_csr(32), 4, blocks=(16, 16),
-                                classes=((0,), (1, 2)))
 
 
 @pytest.mark.parametrize("draw", range(40))
@@ -537,7 +547,7 @@ def random_start(problem, m, tol=1e-8, seed=5):
     return smallest_eigenpairs(
         K, M, m, tol=tol, seed=seed,
         precond=chebyshev(K, laplacian_inverse(problem), problem.alpha),
-        transform=class_major(problem), blocks=K.blocks)
+        blocks=K.blocks)
 
 
 class TestWarmStart:
@@ -563,7 +573,8 @@ class TestWarmStart:
         assert warm.iterations <= cold.iterations
         # residuals recomputed on the assembled CSR pencil
         K, M, _ = assemble(problem)
-        R = K.matvec(warm.vectors) - M.matvec(warm.vectors) * warm.values
+        X = nodal_vectors(problem, warm)
+        R = K.matvec(X) - M.matvec(X) * warm.values
         assert np.all(np.linalg.norm(R, axis=0) / warm.values <= tol)
         assert np.all(warm.residuals <= tol) and np.all(cold.residuals <= tol)
 
@@ -689,11 +700,12 @@ class TestResultMemory:
     def test_peak_memory_of_one_box_solve(self):
         # one 64² α = 2 solve_problem peaks at 6.4 blocks of N·(m + 8)
         # doubles, N the full order: the basis stack holds 3 × 9 rows, what
-        # the class that keeps most keeps, and is released before the
-        # eigenvectors are mapped out.  Sized for m + 4 kept vectors per
-        # class and alive through the map it peaked at 11.5 blocks
+        # the class that keeps most keeps.  Sized for m + 4 kept vectors per
+        # class and alive while the eigenvectors were mapped out to nodal
+        # values it peaked at 11.5 blocks
         p = ElasticityProblem((PI, PI), 2.0, (64, 64))
         m = 16
+        orbits = class_orbits(p)
         solve_problem(p, m, 1e-8, 7)
         tracemalloc.start()
         try:
@@ -701,7 +713,8 @@ class TestResultMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * res.vectors.shape[0] * (m + 8) * 8
+        assert res.vectors.shape == (orbits.index.size, m)
+        assert peak <= 8 * orbits.order * (m + 8) * 8
 
 
 def assert_certified(K, M, result):
