@@ -28,7 +28,8 @@ S·C·S along each of two axes (:func:`box_operators`).  Axes with equal
 edges and cells make some classes images of others under a permutation
 of axes and components, with the same spectrum (:func:`class_orbits`:
 orbits of 2 on a square, of 3 on a cube), so the solver takes one class
-per orbit (:meth:`SineOperator.select`).  Its preconditioner has two
+per orbit, and K̂, M̂ and K(0)'s symbol are laid out on those classes
+alone (:func:`_operator`).  Its preconditioner has two
 layers: the exact inverse of K(0), a division by its symbol
 (:func:`laplacian_inverse`), and Chebyshev steps for K(α) on [1, 1+α]
 around it (:func:`chebyshev`).  Every box solve starts from
@@ -38,7 +39,6 @@ class's lowest sine modes (:meth:`SineOperator.restrict`).
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -254,15 +254,13 @@ def _parity_classes(dof_map):
     x_d ↦ L_d − x_d flips the sign of component d and multiplies the sine
     of frequency j_d by (−1)^(j_d − 1), so class q is where every
     reflection d acts as (−1)^(q_d).  K(α) and M commute with the
-    reflections, so they couple no two classes.  Returns (pieces,
-    blocks): one (class, component, parities, start, size) per non-empty
-    component grid, classes in lexicographic order, components within
-    them, each grid lexicographic from ``start``; and the non-empty class
-    sizes.
+    reflections, so they couple no two classes.  Returns the pieces: one
+    (class, component, parities, start, size) per non-empty component
+    grid, classes in lexicographic order, components within them, each
+    grid lexicographic from ``start``.
     """
-    pieces, blocks, start = [], [], 0
+    pieces, start = [], 0
     for q in itertools.product((0, 1), repeat=dof_map.dim):
-        first = start
         for c in range(dof_map.dim):
             par = tuple(p ^ (d == c) for d, p in enumerate(q))
             size = math.prod((n + 1 - p) // 2
@@ -270,16 +268,12 @@ def _parity_classes(dof_map):
             if size:
                 pieces.append((q, c, par, start, size))
                 start += size
-        if start > first:
-            blocks.append(start - first)
-    return pieces, tuple(blocks)
+    return pieces
 
 
-def _class_index(dof_map):
-    """Component-major sine coordinate at each class-major position."""
-    grid = np.arange(dof_map.order).reshape((dof_map.dim,)
-                                            + dof_map.interior)
-    pieces, _ = _parity_classes(dof_map)
+def _gather(grid, pieces):
+    """The entries of a component-major (dim,) + interior array at the
+    coordinates of ``pieces``, in their order."""
     return np.concatenate([grid[(c,) + tuple(map(_parity, par))].ravel()
                            for _, c, par, _, _ in pieces])
 
@@ -323,28 +317,6 @@ class SineOperator:
             out[:, target] += y.reshape(b, -1)
         return out.T.reshape(x.shape)
 
-    def select(self, blocks):
-        """The operator on its diagonal blocks ``blocks`` alone (ascending
-        block numbers), their coordinates concatenated in that order."""
-        if len(blocks) == len(self.blocks):
-            return self
-        stops = np.cumsum(self.blocks).tolist()
-        shift, kept, size = {}, [], 0
-        for b in blocks:
-            start = stops[b] - self.blocks[b]
-            shift[b] = size - start
-            kept.append(self.diagonal[start:stops[b]])
-            size += self.blocks[b]
-        couplings = []
-        for source, target, shape, weight, dense in self.couplings:
-            s = shift.get(bisect.bisect_right(stops, source.start))
-            if s is not None:  # a coupling joins one block to itself
-                couplings.append((slice(source.start + s, source.stop + s),
-                                  slice(target.start + s, target.stop + s),
-                                  shape, weight, dense))
-        return SineOperator(np.concatenate(kept), couplings,
-                            tuple(self.blocks[b] for b in blocks))
-
     def restrict(self, index):
         """The dense restriction A[index][:, index], entry by entry.
 
@@ -378,17 +350,20 @@ class SineOperator:
         return out
 
 
-def _operator(dof_map, terms):
-    """SineOperator of Kronecker terms (row comp, col comp, scale, kinds)."""
+def _operator(dof_map, terms, pieces):
+    """SineOperator of Kronecker terms (row comp, col comp, scale, kinds)
+    laid out on ``pieces``: for the solver, those :func:`class_orbits`
+    keeps."""
     shape = dof_map.interior
     factors = []
     for n, h in zip(shape, dof_map.spacings):
         S = _sine_matrix(n)
         factors.append({kind: _sine_factor(S, *stencil)
                         for kind, stencil in _stencils_1d(h).items()})
-    pieces, blocks = _parity_classes(dof_map)
-    grids = {(q, c): (par, slice(start, start + size))
-             for q, c, par, start, size in pieces}
+    grids, blocks = {}, {}
+    for q, c, par, start, size in pieces:
+        grids[q, c] = (par, slice(start, start + size))
+        blocks[q] = blocks.get(q, 0) + size
     diagonal = np.zeros((dof_map.dim,) + shape)
     couplings = []
     for row, col, scale, kinds in terms:
@@ -402,7 +377,7 @@ def _operator(dof_map, terms):
         if weight.size == 1:  # no diagonal axis: scale the first matrix
             (d, A), *rest = dense
             dense, weight = [(d, weight.item() * A), *rest], None
-        for q in itertools.product((0, 1), repeat=dof_map.dim):
+        for q in blocks:
             if (q, col) not in grids or (q, row) not in grids:
                 continue
             (src, source), (dst, target) = grids[q, col], grids[q, row]
@@ -414,23 +389,26 @@ def _operator(dof_map, terms):
                 _parity(p) if f.ndim == 1 else slice(None)
                 for p, f in zip(src, fs))]
             couplings.append((source, target, grid, w, parts))
-    return SineOperator(diagonal.ravel()[_class_index(dof_map)], couplings,
-                        blocks)
+    return SineOperator(_gather(diagonal, pieces), couplings,
+                        tuple(blocks.values()))
 
 
 def box_operators(problem):
-    """(K̂, M̂): the terms of :func:`assemble` in class-major sine coordinates.
+    """(K̂, M̂): the pencil the solver iterates, on the classes it keeps.
 
-    With Q = :func:`sine_transform`, K̂ = Q·K·Qᵀ and M̂ = Q·M·Qᵀ.  Both are
-    block-diagonal over the reflection-parity classes (``K̂.blocks``).  M̂
-    and K(0)'s part of K̂ are diagonal; only the α-scaled grad-div
-    couplings stay dense, per class one matmul with an off-parity
-    ⌈n/2⌉×⌊n/2⌋ sub-block of S·C·S along each of their two axes.
+    K̂ = Q·K·Qᵀ and M̂ = Q·M·Qᵀ, Q = :func:`sine_transform` and K, M the
+    terms of :func:`assemble`, on the rows and columns of the classes
+    :func:`class_orbits` keeps (all of them on a box without equal axes),
+    block-diagonal over those classes (``K̂.blocks``).  M̂ and K(0)'s part
+    of K̂ are diagonal; only the α-scaled grad-div couplings stay dense,
+    per class one matmul with an off-parity ⌈n/2⌉×⌊n/2⌋ sub-block of
+    S·C·S along each of their two axes.
     """
     dof_map = _dof_map(problem)
+    pieces = class_orbits(problem).pieces
     lap_terms, div_terms, mass_terms = _terms(problem)
-    return (_operator(dof_map, lap_terms + div_terms),
-            _operator(dof_map, mass_terms))
+    return (_operator(dof_map, lap_terms + div_terms, pieces),
+            _operator(dof_map, mass_terms, pieces))
 
 
 @dataclass(frozen=True)
@@ -439,36 +417,56 @@ class ClassOrbits:
 
     ``classes`` lists per orbit the numbers of its non-empty classes (class
     q is number Σ_d q_d·2^(dim−1−d), its place in lexicographic order), its
-    representative, the lowest, first.  The representatives are in
-    class-major order, so they are the diagonal blocks of the reduced
-    coordinates: ``blocks`` are their positions among the non-empty
-    classes (:attr:`SineOperator.blocks`) and ``index`` the class-major
-    positions of their coordinates.  ``images[g]`` is (rows, positions):
-    the reduced rows of class g's representative and the class-major
-    positions that carry them onto class g.  ``order`` is the full order.
+    representative, the lowest, first.  The solver iterates the
+    representatives alone: ``pieces`` are their component grids as
+    :func:`_parity_classes` lists them, with each ``start`` in these
+    reduced coordinates, the representatives' class-major sine
+    coordinates concatenated in class-major order.  ``images[g]`` is
+    (rows, perm): the reduced rows of class g's representative and the
+    axis permutation that carries it onto class g.  ``dof_map`` is the
+    full layout.
     """
 
     classes: tuple[tuple[int, ...], ...]
-    blocks: tuple[int, ...]
-    index: np.ndarray
+    pieces: tuple[tuple, ...]
     images: dict
-    order: int
+    dof_map: DofMap
 
-    def restrict(self, y):
-        """The representatives' rows of class-major sine coordinates y."""
-        return y if self.index.size == self.order else y[self.index]
+    @property
+    def index(self):
+        """The class-major positions of the reduced coordinates."""
+        *_, (_, _, _, start, size) = self.pieces
+        return self._positions(slice(0, start + size),
+                               tuple(range(self.dof_map.dim)))
+
+    def _positions(self, rows, perm):
+        """Class-major positions of the representative coordinates
+        ``rows`` moved by the axis permutation ``perm``: component c's grid
+        goes to component perm[c]'s, its axis d to axis perm[d]."""
+        full = {(q, c): start
+                for q, c, _, start, _ in _parity_classes(self.dof_map)}
+        out = []
+        for q, c, par, start, size in self.pieces:
+            if not rows.start <= start < rows.stop:
+                continue
+            image = tuple(q[perm.index(e)] for e in range(len(q)))
+            grid = tuple((n + 1 - par[perm.index(e)]) // 2
+                         for e, n in enumerate(self.dof_map.interior))
+            out.append(full[image, perm[c]] + np.arange(size).reshape(
+                grid).transpose(perm).ravel())
+        return np.concatenate(out)
 
     def expand(self, x, classes):
         """Class-major sine coordinates of the reduced (n, b) block x, its
         column i, a vector of class classes[i]'s representative, carried
         onto class classes[i]."""
-        if self.index.size == self.order:
+        if len(x) == self.dof_map.order:
             return x
-        y = np.zeros((self.order,) + x.shape[1:])
+        y = np.zeros((self.dof_map.order,) + x.shape[1:])
         for g in np.unique(classes):
             cols = np.flatnonzero(classes == g)
-            rows, positions = self.images[g]
-            y[np.ix_(positions, cols)] = x[rows, cols]
+            rows, perm = self.images[g]
+            y[np.ix_(self._positions(rows, perm), cols)] = x[rows, cols]
         return y
 
 
@@ -482,45 +480,32 @@ def class_orbits(problem):
     j′_π(d) = j_d, with no sign: class q goes to q′, q′_π(d) = q_d, and the
     two classes share their spectrum.  Squares give the orbit
     {(0,1), (1,0)}, cubes {001, 010, 100} and {011, 101, 110}, boxes with
-    two equal axes two orbits of two, and other boxes none.
+    two equal axes two orbits of two, and other boxes none.  The orbits
+    come from the classes' parity tuples alone; no coordinate is moved.
     """
     dof_map = _dof_map(problem)
-    dim = dof_map.dim
-    ranges = {}  # class -> class-major (start, stop); its pieces are adjacent
-    for q, _, _, start, size in _parity_classes(dof_map)[0]:
-        ranges[q] = (ranges[q][0] if q in ranges else start, start + size)
+    dim, pieces = dof_map.dim, _parity_classes(dof_map)
     axes = tuple(zip(problem.edges, problem.cells))
     perms = [p for p in itertools.permutations(range(dim))
              if all(axes[p[d]] == axes[d] for d in range(dim))]
-    # class-major position of the image of each class-major coordinate
-    cm = _class_index(dof_map)
-    position = np.empty_like(cm)
-    position[cm] = np.arange(cm.size)
-    grid = np.arange(dof_map.order).reshape((dim,) + dof_map.interior)
-    moved = [position[grid[list(p)].transpose(
-        (0,) + tuple(1 + d for d in p)).ravel()[cm]] for p in perms]
-
-    def number(q):
-        return int("".join(map(str, q)), 2)
-
-    classes, blocks, index, images, done = [], [], [], {}, set()
-    size = 0
-    for b, (q, (lo, hi)) in enumerate(ranges.items()):
-        if q in done:
-            continue
-        rows = slice(size, size + hi - lo)
-        size += hi - lo
-        orbit = {}
-        for p, image in zip(perms, moved):
-            orbit.setdefault(tuple(q[p.index(e)] for e in range(dim)),
-                             image[lo:hi])
-        done.update(orbit)
-        classes.append(tuple(number(g) for g in sorted(orbit)))
-        images.update((number(g), (rows, orbit[g])) for g in orbit)
-        blocks.append(b)
-        index.append(np.arange(lo, hi))
-    return ClassOrbits(tuple(classes), tuple(blocks), np.concatenate(index),
-                       images, dof_map.order)
+    orbits = {}  # representative -> {class: the permutation carrying it}
+    for q, *_ in pieces:
+        if all(q not in orbit for orbit in orbits.values()):
+            orbit = orbits[q] = {}
+            for p in perms:
+                orbit.setdefault(tuple(q[p.index(e)] for e in range(dim)), p)
+    reduced, rows, stop = [], {}, 0
+    for q, c, par, _, size in pieces:
+        if q in orbits:
+            reduced.append((q, c, par, stop, size))
+            rows[q] = slice(rows[q].start if q in rows else stop, stop + size)
+            stop += size
+    number = {q: int("".join(map(str, q)), 2) for q, *_ in pieces}
+    return ClassOrbits(
+        tuple(tuple(number[g] for g in sorted(orbit))
+              for orbit in orbits.values()), tuple(reduced),
+        {number[g]: (rows[q], p) for q, orbit in orbits.items()
+         for g, p in orbit.items()}, dof_map)
 
 
 def galerkin_start(K, M, m):
@@ -562,7 +547,8 @@ def sine_transform(problem, x, inverse=False):
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != dof_map.order:
         raise ValueError(f"need {dof_map.order} rows, got shape {x.shape}")
-    index = _class_index(dof_map)
+    index = _gather(np.arange(dof_map.order).reshape(
+        (dof_map.dim,) + dof_map.interior), _parity_classes(dof_map))
     if inverse:
         y = np.empty_like(x)
         y[index] = x
@@ -583,19 +569,17 @@ def divergence_stiffness(problem):
     return _csr(_dof_map(unit), div_terms)
 
 
-def laplacian_inverse(problem, orbits=None):
+def laplacian_inverse(problem):
     """Exact inverse of the α = 0 stiffness K(0), the inner preconditioner.
 
     In sine coordinates every Laplacian term is diagonal, so K(0)⁻¹ is a
-    division by the summed symbols of K(0)'s terms (fast diagonalisation).
-    Returns the apply callable, which takes a vector (n,) or a block
-    (n, b) in the class-major sine coordinates of :func:`box_operators`,
-    or, given ``orbits`` (:func:`class_orbits`), in those of its
-    representative classes alone.
+    division by the summed symbols of K(0)'s terms (fast diagonalisation),
+    laid out on the classes :func:`class_orbits` keeps.  Returns the apply
+    callable, which takes a vector (n,) or a block (n, b) in the
+    coordinates of :func:`box_operators`.
     """
-    inverse = 1.0 / _operator(_dof_map(problem), _terms(problem)[0]).diagonal
-    if orbits is not None:
-        inverse = orbits.restrict(inverse)
+    inverse = 1.0 / _operator(_dof_map(problem), _terms(problem)[0],
+                              class_orbits(problem).pieces).diagonal
 
     def apply(x):
         return (np.asarray(x, dtype=np.float64).T * inverse).T

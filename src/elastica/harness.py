@@ -83,6 +83,10 @@ CONFIG_KEYS = {
 
 _POLICY_RE = re.compile(r"fixed(?::([0-9.eE+-]+))?$|richardson$")
 OUTPUT_FORMATS = ("json", "csv")
+#: largest box mesh: cells per axis, and unknowns dim·Π(cells − 1)
+MESH_MAX_CELLS, MESH_MAX_ORDER = 1024, 2 ** 21
+#: largest cap run: radial cells (the coarse mesh) and azimuthal mode
+CAP_MAX_CELLS, CAP_MAX_MODE = 4096, 1024
 CAP_RUN_KINDS = ("all",) + CAP_KINDS
 
 
@@ -141,6 +145,12 @@ class RunConfig:
                 f"{self.k_max}; need solver.m >= {self.k_max + 1}")
         solves = self.mode == "solve" or (
             self.mode in ("verify", "bounds") and self.spectrum_path is None)
+        # upper limits, checked before any array is sized from them
+        for key, value, top in (
+                ("cap.mode_max", self.mode_max, CAP_MAX_MODE),
+                ("cap.cells", self.radial_cells, CAP_MAX_CELLS)):
+            if self.mode == "cap" and value > top:
+                raise ConfigError(f"{key} out of range: at most {top}")
         try:
             # the problem constructors re-validate edges, cells and angles
             if solves:
@@ -154,6 +164,11 @@ class RunConfig:
         if solves:
             # LOBPCG needs m <= order/4; Richardson's coarse mesh is the limit
             order = box.dim * math.prod(c - 1 for c in box.cells)
+            if max(box.cells) > MESH_MAX_CELLS or order > MESH_MAX_ORDER:
+                raise ConfigError(
+                    f"mesh.cells out of range: at most {MESH_MAX_CELLS} "
+                    f"per axis and {MESH_MAX_ORDER} unknowns, got "
+                    f"{box.mesh_label()}")
             if self.m > order // 4:
                 raise ConfigError(
                     f"solver.m = {self.m} exceeds order/4 = {order // 4} "
@@ -280,12 +295,12 @@ def solve_problem(problem, m, tol, seed):
     [1, 1+α] around K(0)⁻¹, a division by its symbol; no CSR matrix is
     assembled.  Of each orbit of classes under the box's axis
     permutations (:func:`class_orbits`) only the representative is
-    solved, its images counted as its copies: K̂, M̂, K(0)⁻¹, the
-    Chebyshev steps and the start are restricted to the representatives.
-    The first m columns of the starting block are the per-class Ritz
-    vectors of :func:`galerkin_start`, the rest random from ``seed`` (see
-    :func:`smallest_eigenpairs`).  The vectors stay in the reduced
-    class-major sine coordinates, column i a vector of its class's
+    solved, its images counted as its copies: K̂, M̂ and K(0)⁻¹ are built
+    on the representatives' coordinates alone, so the Chebyshev steps and
+    the start live there too.  The first m columns of the starting block
+    are the per-class Ritz vectors of :func:`galerkin_start`, the rest
+    random from ``seed`` (see :func:`smallest_eigenpairs`).  The vectors
+    stay in these reduced coordinates, column i a vector of its class's
     representative; ``EigenResult.classes`` gives each pair's parity class
     by number, and :meth:`ClassOrbits.expand` and the inverse sine
     transform carry them to nodal values.  The blocks make the path differ
@@ -293,13 +308,12 @@ def solve_problem(problem, m, tol, seed):
     are explicit in sine coordinates; the transform is orthogonal, so they
     equal the nodal ones up to its rounding.
     """
-    orbits = class_orbits(problem)
-    K, M = (op.select(orbits.blocks) for op in box_operators(problem))
-    precond = chebyshev(K, laplacian_inverse(problem, orbits), problem.alpha)
+    K, M = box_operators(problem)
+    precond = chebyshev(K, laplacian_inverse(problem), problem.alpha)
     result = smallest_eigenpairs(
         K, M, m, tol=tol, seed=seed, precond=precond,
         start=galerkin_start(K, M, m), blocks=K.blocks,
-        classes=orbits.classes)
+        classes=class_orbits(problem).classes)
     spectrum = Spectrum(problem.dim, problem.alpha, result.values,
                         source="computed", mesh=problem.mesh_label(),
                         residuals=result.residuals, solver_tol=tol)

@@ -17,7 +17,8 @@ from elastica.bounds import (Spectrum, chebyshev_sum_check,
                              yang_coefficient)
 from elastica.assembly import (ElasticityProblem, _operator, _terms,
                                assemble, box_operators, chebyshev,
-                               laplacian_inverse, sine_transform)
+                               class_orbits, laplacian_inverse,
+                               sine_transform)
 from elastica.eigensolve import smallest_eigenpairs
 from elastica.harness import RunConfig, run_cap, run_verify, solve_problem
 from elastica.report import render_csv
@@ -196,19 +197,32 @@ def test_criterion_8_strict_inequalities(hemisphere_run):
 
 
 def test_criterion_9_eigensolver_contracts():
-    # the solve runs on the sine-coordinate operators with the production
-    # preconditioner; every check is an explicit CSR matvec on assemble's
-    # matrices, applied to the vectors transformed back to nodal values
+    # the solve runs on the sine-coordinate operators, one block per class
+    # of each orbit's representative, with the production preconditioner;
+    # every check is an explicit CSR matvec on assemble's matrices, applied
+    # to the vectors carried onto their classes and back to nodal values
     problem = ElasticityProblem(SQUARE, 1.0, (64, 64))
     K, M, dof_map = assemble(problem)
     Kop, Mop = box_operators(problem)
+    orbits = class_orbits(problem)
     lap_terms, div_terms, mass_terms = _terms(problem)
-    shifted_op = _operator(dof_map, lap_terms + div_terms + mass_terms)
+    shifted_op = _operator(dof_map, lap_terms + div_terms + mass_terms,
+                           orbits.pieces)
     precond = chebyshev(Kop, laplacian_inverse(problem), problem.alpha)
     tol = 1e-8
-    result = smallest_eigenpairs(Kop, Mop, 12, tol=tol, seed=2024,
-                                 precond=precond)
-    vectors = sine_transform(problem, result.vectors, inverse=True)
+
+    def solve(op):
+        return smallest_eigenpairs(op, Mop, 12, tol=tol, seed=2024,
+                                   precond=precond, blocks=Kop.blocks,
+                                   classes=orbits.classes)
+
+    def nodal(res):
+        return sine_transform(problem, orbits.expand(res.vectors,
+                                                     res.classes),
+                              inverse=True)
+
+    result = solve(Kop)
+    vectors = nodal(result)
     # residual contract, rechecked by explicit sparse matvec
     R = K.matvec(vectors) - M.matvec(vectors) * result.values
     fresh = np.linalg.norm(R, axis=0) / result.values
@@ -217,16 +231,13 @@ def test_criterion_9_eigensolver_contracts():
     gram = vectors.T @ M.matvec(vectors)
     assert np.abs(gram - np.eye(12)).max() <= 100 * tol
     # determinism
-    again = smallest_eigenpairs(Kop, Mop, 12, tol=tol, seed=2024,
-                                precond=precond)
+    again = solve(Kop)
     assert np.array_equal(result.values, again.values)
     # shift invariance
-    shifted = smallest_eigenpairs(shifted_op, Mop, 12, tol=tol, seed=2024,
-                                  precond=precond)
+    shifted = solve(shifted_op)
     assert np.all(np.abs(shifted.values - result.values - 1.0)
                   <= 20 * tol * shifted.values)
-    shifted_vectors = sine_transform(problem, shifted.vectors,
-                                     inverse=True)
+    shifted_vectors = nodal(shifted)
     Mv = M.matvec(shifted_vectors)
     R = K.matvec(shifted_vectors) + Mv - Mv * shifted.values
     assert np.all(np.linalg.norm(R, axis=0) / shifted.values <= tol)

@@ -475,18 +475,23 @@ class TestClassOrbits:
         problem = ElasticityProblem(edges, 1.0, cells)
         orbits = class_orbits(problem)
         assert orbits.classes == classes
-        K, _ = box_operators(problem)
-        reduced = K.select(orbits.blocks)
-        assert reduced.order == orbits.index.size == sum(
-            K.blocks[b] for b in orbits.blocks)
-        assert orbits.order == K.order
-        if len(classes) == len(K.blocks):
-            assert reduced is K and orbits.index.size == K.order
+        # the pencil is laid out on the representatives' classes alone,
+        # one block each, their pieces consecutive from 0
+        K, M = box_operators(problem)
+        assert len(K.blocks) == len(classes) and M.blocks == K.blocks
+        assert K.order == M.order == sum(K.blocks) == orbits.index.size
+        stops = np.cumsum([size for *_, size in orbits.pieces])
+        assert [start for *_, start, _ in orbits.pieces] == \
+            [0, *stops[:-1].tolist()]
+        assert orbits.dof_map.order == assemble(problem)[2].order
+        if all(len(orbit) == 1 for orbit in classes):
+            assert K.order == orbits.dof_map.order
 
     def test_empty_classes_are_dropped(self):
         # one interior node per axis: classes (0,0) and (1,1) are empty
         orbits = class_orbits(ElasticityProblem((1.0, 1.0), 1.0, (2, 2)))
-        assert orbits.classes == ((1, 2),) and orbits.blocks == (0,)
+        assert orbits.classes == ((1, 2),)
+        assert orbits.pieces == (((0, 1), 1, (0, 0), 0, 1),)
 
     @pytest.mark.parametrize("edges,cells", [
         ((PI, PI), (6, 6)),
@@ -513,18 +518,28 @@ class TestClassOrbits:
                                   - fields[g]).max() for p in keep) <= 1e-14
 
     def test_reduced_operators_are_the_representative_blocks(self):
-        # K̂ and M̂ on the representatives, and K(0)⁻¹ restricted with them,
-        # act as the full operators do on the representatives' rows
-        problem = ElasticityProblem((PI, PI, PI), 10.0, (4, 4, 4))
-        orbits = class_orbits(problem)
-        x = np.random.default_rng(3).standard_normal((orbits.index.size, 3))
-        full = np.zeros((orbits.order, 3))
-        full[orbits.index] = x
-        for op in box_operators(problem):
-            got = op.select(orbits.blocks).matvec(x)
-            want = op.matvec(full)
-            assert np.abs(got - want[orbits.index]).max() \
-                <= 1e-13 * np.abs(want).max()
-        got = laplacian_inverse(problem, orbits)(x)
-        assert np.array_equal(got, laplacian_inverse(problem)(full)[
-            orbits.index])
+        # K̂, M̂ and K(0)⁻¹ are laid out on the representatives alone: each
+        # representative's unit coordinates, carried onto any class of its
+        # orbit and out through Qᵀ, see the assembled CSR K, M and K(0)
+        # act as K̂, M̂ and the inverse of K(0)'s symbol do on them
+        for edges, cells in (((PI, PI), (6, 6)), ((PI, PI, PI), (4, 4, 4)),
+                             ((PI, PI, 2.0), (5, 5, 4))):
+            problem = ElasticityProblem(edges, 10.0, cells)
+            orbits = class_orbits(problem)
+            K, M, _ = assemble(problem)
+            K0, _, _ = assemble(ElasticityProblem(edges, 0.0, cells))
+            ops = box_operators(problem)
+            inverse = laplacian_inverse(problem)
+            for orbit in orbits.classes:
+                rows, _ = orbits.images[orbit[0]]
+                x = np.zeros((ops[0].order, rows.stop - rows.start))
+                x[rows] = np.eye(rows.stop - rows.start)
+                for g in orbit:
+                    V = sine_transform(problem, orbits.expand(
+                        x, np.full(x.shape[1], g)), inverse=True)
+                    for mat, op in zip((K, M), ops):
+                        dense = V.T @ mat.matvec(V)
+                        assert np.abs(op.matvec(x)[rows] - dense).max() \
+                            <= 1e-13 * np.abs(dense).max()
+                    K0_block = x @ (V.T @ K0.matvec(V))
+                    assert np.abs(inverse(K0_block) - x).max() <= 1e-13

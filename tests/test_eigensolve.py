@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from elastica import eigensolve
-from elastica.assembly import (ElasticityProblem, _csr, _terms, assemble,
+from elastica.assembly import (ElasticityProblem, _csr, _dof_map, _operator,
+                               _parity_classes, _terms, assemble,
                                box_operators, chebyshev, class_orbits,
-                               laplacian_inverse,
+                               galerkin_start, laplacian_inverse,
                                reference_spectrum_alpha0, sine_transform)
 from elastica.eigensolve import (BandedCholesky, ConvergenceError,
                                  EigenResult, FactorizationError,
@@ -47,10 +48,23 @@ def fd_laplacian_1d(n, h):
     return SparseSymMatrix.from_coo(n, rows, cols, vals)
 
 
+def full_operator(problem, terms):
+    """The sine-coordinate operator of ``terms`` on every parity class,
+    as :func:`box_operators` lays it out on boxes without equal axes."""
+    dof_map = _dof_map(problem)
+    return _operator(dof_map, terms, _parity_classes(dof_map))
+
+
+def full_inverse(problem):
+    """K(0)⁻¹ on every parity class: a division by K(0)'s symbol."""
+    inverse = 1.0 / full_operator(problem, _terms(problem)[0]).diagonal
+    return lambda x: (x.T * inverse).T
+
+
 def nodal_inverse(problem):
     """K(0)⁻¹ on nodal operands: the symbol inverse conjugated by the sine
     transform Q, to precondition the assembled CSR pencil."""
-    inner = laplacian_inverse(problem)
+    inner = full_inverse(problem)
     return lambda x: sine_transform(
         problem, inner(sine_transform(problem, x)), inverse=True)
 
@@ -369,17 +383,25 @@ class TestParityBlocks:
         ((PI, 2.0, 1.5), 10.0, (6, 5, 4), 8),
     ], ids=["2d-a2", "2d-a10", "3d-a10"])
     def test_blocks_agree_with_one_block(self, edges, alpha, cells, m):
+        # the production pencil, per class with copies on the square,
+        # against every class's pencil solved as one block
         p = ElasticityProblem(edges, alpha, cells)
         K, M = box_operators(p)
+        lap_terms, div_terms, mass_terms = _terms(p)
+        Kf = full_operator(p, lap_terms + div_terms)
+        Mf = full_operator(p, mass_terms)
         Kc, Mc, _ = assemble(p)
         tol = 1e-9
-        precond = chebyshev(K, laplacian_inverse(p), alpha)
-        one, split = (smallest_eigenpairs(K, M, m, tol=tol, seed=4,
-                                          precond=precond, blocks=blocks)
-                      for blocks in (None, K.blocks))
+        one = smallest_eigenpairs(
+            Kf, Mf, m, tol=tol, seed=4,
+            precond=chebyshev(Kf, full_inverse(p), alpha))
+        split = smallest_eigenpairs(
+            K, M, m, tol=tol, seed=4,
+            precond=chebyshev(K, laplacian_inverse(p), alpha),
+            blocks=K.blocks, classes=class_orbits(p).classes)
         assert np.all(np.abs(split.values - one.values) <= 1e-10 * one.values)
-        for res in (one, split):
-            X = sine_transform(p, res.vectors, inverse=True)
+        for res, X in ((one, sine_transform(p, one.vectors, inverse=True)),
+                       (split, nodal_vectors(p, split))):
             R = Kc.matvec(X) - Mc.matvec(X) * res.values
             assert np.all(np.linalg.norm(R, axis=0) / res.values <= tol)
             assert np.abs(X.T @ Mc.matvec(X) - np.eye(m)).max() <= 1e-10
@@ -395,18 +417,40 @@ class TestParityBlocks:
         ref = dense_generalized_eigs(K, M)[0]
         assert abs(res.values[0] - ref) <= 1e-10 * ref
 
-    def test_drifted_images_restart(self):
+    def test_drifted_images_restart(self, monkeypatch):
         # classes of order 27 and 28, nearly spanned by the start: momentum
         # rows normalised from tiny parts carry growing rounding into their
-        # implicit M images, and the drift rule restarts such a class four
-        # times here (M-Gram asymmetry up to 4e-11), long before whitening
-        # would read the drift as an indefinite metric
+        # implicit M images, and the drift rule restarts such a class, with
+        # K·X and M·X applied afresh, long before whitening would read the
+        # drift as an indefinite metric.  Here the solve takes 8 iterations
+        # and 7 fresh applies; with the rule off, 24 and 9
         p = ElasticityProblem((0.8761857591217734, 0.6656203012345956),
                               100.0, (12, 6))
-        K, M, _ = assemble(p)
-        _, res = solve_problem(p, 13, 1e-8, 1392900418)
-        ref = dense_generalized_eigs(K, M)[:13]
-        assert np.all(np.abs(res.values - ref) <= 1e-10 * ref)
+        m, tol, seed = 13, 1e-8, 1392900418
+        K, M = box_operators(p)
+        ref = dense_generalized_eigs(*assemble(p)[:2])[:m]
+
+        def solve():
+            Kc, Mc = CountingOperand(K), CountingOperand(M)
+            res = smallest_eigenpairs(
+                Kc, Mc, m, tol=tol, seed=seed,
+                precond=chebyshev(K, laplacian_inverse(p), p.alpha),
+                start=galerkin_start(K, M, m), blocks=K.blocks,
+                classes=class_orbits(p).classes)
+            assert np.all(np.abs(res.values - ref) <= 1e-10 * ref)
+            assert Kc.calls == Mc.calls
+            # past the start's, one per iteration on W and the polished
+            # block's: the applies to restarting blocks' X
+            return res, len(Kc.calls) - res.iterations - 2
+
+        res, fresh = solve()
+        _, production = solve_problem(p, m, tol, seed)
+        assert np.array_equal(res.values, production.values)
+        monkeypatch.setattr(eigensolve, "DRIFT_ABS", np.inf)
+        off, fresh_off = solve()
+        assert fresh > 0
+        assert res.iterations < off.iterations
+        assert fresh / res.iterations > fresh_off / off.iterations
 
     def test_rejects_blocks_not_covering_the_order(self):
         K = diag_csr(np.arange(1.0, 33.0))
@@ -547,7 +591,7 @@ def random_start(problem, m, tol=1e-8, seed=5):
     return smallest_eigenpairs(
         K, M, m, tol=tol, seed=seed,
         precond=chebyshev(K, laplacian_inverse(problem), problem.alpha),
-        blocks=K.blocks)
+        blocks=K.blocks, classes=class_orbits(problem).classes)
 
 
 class TestWarmStart:
@@ -656,12 +700,11 @@ class TestResultMemory:
     def test_vectors_are_owned_c_contiguous_blocks(self):
         p = ElasticityProblem((PI, PI), 2.0, (12, 12))
         K, M = box_operators(p)
-        precond = laplacian_inverse(p)
-        converged = smallest_eigenpairs(K, M, 6, tol=1e-9, seed=4,
-                                        precond=precond)
+        solve = dict(seed=4, precond=laplacian_inverse(p), blocks=K.blocks,
+                     classes=class_orbits(p).classes)
+        converged = smallest_eigenpairs(K, M, 6, tol=1e-9, **solve)
         with pytest.raises(ConvergenceError) as info:
-            smallest_eigenpairs(K, M, 6, tol=1e-12, seed=4, precond=precond,
-                                maxiter=2)
+            smallest_eigenpairs(K, M, 6, tol=1e-12, maxiter=2, **solve)
         n = 40
         string = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
                   + np.diag(np.full(n - 1, -1.0), -1))
@@ -685,8 +728,10 @@ class TestResultMemory:
         # first solve in a process also imports numpy submodules (about 2
         # blocks here), so a warm-up solve runs untraced
         p = ElasticityProblem((PI, PI), 2.0, (32, 32))
-        K, M = box_operators(p)
-        precond = chebyshev(K, laplacian_inverse(p), p.alpha)
+        lap_terms, div_terms, mass_terms = _terms(p)
+        K = full_operator(p, lap_terms + div_terms)
+        M = full_operator(p, mass_terms)
+        precond = chebyshev(K, full_inverse(p), p.alpha)
         m = 16
         smallest_eigenpairs(K, M, m, tol=1e-8, seed=7, precond=precond)
         tracemalloc.start()
@@ -714,7 +759,7 @@ class TestResultMemory:
         finally:
             tracemalloc.stop()
         assert res.vectors.shape == (orbits.index.size, m)
-        assert peak <= 8 * orbits.order * (m + 8) * 8
+        assert peak <= 8 * orbits.dof_map.order * (m + 8) * 8
 
 
 def assert_certified(K, M, result):

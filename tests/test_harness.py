@@ -555,6 +555,20 @@ class TestCLI:
     @pytest.mark.parametrize("argv,message", [
         (["verify", "--set", "mesh.cells=1,1"], "at least 2 cells"),
         (["cap", "--set", "cap.cells=8"], "16 radial cells"),
+        # sizes past the limits are refused before anything is allocated
+        (["cap", "--set", "cap.mode_max=1000000000000", "--set",
+          "cap.cells=16"], "cap.mode_max out of range: at most 1024"),
+        (["cap", "--set", "cap.mode_max=1025"], "cap.mode_max out of range"),
+        (["cap", "--set", "cap.cells=100000000000"],
+         "cap.cells out of range: at most 4096"),
+        (["cap", "--set", "cap.cells=4097"], "cap.cells out of range"),
+        (["solve", "--set", "mesh.cells=4,100000000000", "--set",
+          "solver.m=2"], "mesh.cells out of range"),
+        (["verify", "--set", "mesh.cells=1025,2"],
+         "at most 1024 per axis"),
+        (["solve", "--set", "domain.edges=1,1,1", "--set",
+          "mesh.cells=129,129,129"],
+         "and 2097152 unknowns, got 129x129x129"),
         (["solve", "--set", "solver.seed=-1"], "solver.seed"),
         (["verify", "--set", "solver.m=4", "--set", "verify.k_max=10"],
          "solver.m >= 11"),
@@ -586,7 +600,10 @@ class TestCLI:
         (["bounds", "--set", "spectrum.path={spec}", "--set",
           "verify.k_max=2", "--set", "cap.theta0=inf", "--output",
           "{out}"], "cap.theta0 must be finite"),
-    ], ids=["mesh_cells", "cap_cells", "negative_seed", "m_below_k_max",
+    ], ids=["mesh_cells", "cap_cells", "cap_mode_max_huge",
+            "cap_mode_max_limit", "cap_cells_huge", "cap_cells_limit",
+            "mesh_cells_huge", "mesh_axis_limit", "mesh_order_limit",
+            "negative_seed", "m_below_k_max",
             "spectrum_format", "solve_m_above_order", "verify_m_above_order",
             "nan_alpha", "infinite_edge", "nan_edge", "angle_over_zero",
             "cap_angle_1e-77", "cap_angle_1e-60", "cap_angle_1e-40",
