@@ -28,13 +28,14 @@ S·C·S along each of two axes (:func:`box_operators`).  Axes with equal
 edges and cells make some classes images of others under a permutation
 of axes and components, with the same spectrum (:func:`class_orbits`:
 orbits of 2 on a square, of 3 on a cube), so the solver takes one class
-per orbit, and K̂, M̂ and K(0)'s symbol are laid out on those classes
-alone (:func:`_operator`).  Its preconditioner has two
-layers: the exact inverse of K(0), a division by its symbol
-(:func:`laplacian_inverse`), and Chebyshev steps for K(α) on [1, 1+α]
-around it (:func:`chebyshev`).  Every box solve starts from
-:func:`galerkin_start`: per class, the Ritz vectors of K̂ restricted to the
-class's lowest sine modes (:meth:`SineOperator.restrict`).
+per orbit.  :func:`box_operators` builds each axis's 1D sine factors once
+and lays K̂, M̂ and K̂₀ = K(0) out on those classes alone from that one
+table (:func:`_operator`).  The preconditioner has two layers: the exact
+inverse of K(0), a division by K̂₀'s symbol (:func:`laplacian_inverse`),
+and Chebyshev steps for K(α) on [1, 1+α] around it (:func:`chebyshev`).
+Every box solve starts from :func:`galerkin_start`: per class, the Ritz
+vectors of K̂ restricted to the class's lowest sine modes
+(:meth:`SineOperator.restrict`).
 """
 
 from __future__ import annotations
@@ -350,21 +351,17 @@ class SineOperator:
         return out
 
 
-def _operator(dof_map, terms, pieces):
+def _operator(factors, terms, pieces):
     """SineOperator of Kronecker terms (row comp, col comp, scale, kinds)
     laid out on ``pieces``: for the solver, those :func:`class_orbits`
-    keeps."""
-    shape = dof_map.interior
-    factors = []
-    for n, h in zip(shape, dof_map.spacings):
-        S = _sine_matrix(n)
-        factors.append({kind: _sine_factor(S, *stencil)
-                        for kind, stencil in _stencils_1d(h).items()})
+    keeps.  ``factors[d][kind]`` is axis d's 1D factor in the sine basis
+    (:func:`_sine_factor`), the table :func:`box_operators` builds."""
+    shape = tuple(len(f["M"]) for f in factors)
     grids, blocks = {}, {}
     for q, c, par, start, size in pieces:
         grids[q, c] = (par, slice(start, start + size))
         blocks[q] = blocks.get(q, 0) + size
-    diagonal = np.zeros((dof_map.dim,) + shape)
+    diagonal = np.zeros((len(factors),) + shape)
     couplings = []
     for row, col, scale, kinds in terms:
         fs = [factors[d][kind] for d, kind in enumerate(kinds)]
@@ -394,21 +391,28 @@ def _operator(dof_map, terms, pieces):
 
 
 def box_operators(problem):
-    """(K̂, M̂): the pencil the solver iterates, on the classes it keeps.
+    """(K̂, M̂, K̂₀): the pencil the solver iterates, and K(0), on the
+    classes it keeps, all three from one table of 1D sine factors per axis.
 
-    K̂ = Q·K·Qᵀ and M̂ = Q·M·Qᵀ, Q = :func:`sine_transform` and K, M the
-    terms of :func:`assemble`, on the rows and columns of the classes
-    :func:`class_orbits` keeps (all of them on a box without equal axes),
-    block-diagonal over those classes (``K̂.blocks``).  M̂ and K(0)'s part
-    of K̂ are diagonal; only the α-scaled grad-div couplings stay dense,
-    per class one matmul with an off-parity ⌈n/2⌉×⌊n/2⌋ sub-block of
-    S·C·S along each of their two axes.
+    K̂ = Q·K·Qᵀ, M̂ = Q·M·Qᵀ and K̂₀ = Q·K(0)·Qᵀ, Q = :func:`sine_transform`
+    and K, M, K(0) the terms of :func:`assemble`, on the rows and columns of
+    the classes :func:`class_orbits` keeps (all of them on a box without
+    equal axes), block-diagonal over those classes (``K̂.blocks``).  M̂ and
+    K̂₀ are diagonal; only K̂'s α-scaled grad-div couplings stay dense, per
+    class one matmul with an off-parity ⌈n/2⌉×⌊n/2⌋ sub-block of S·C·S
+    along each of their two axes.
     """
     dof_map = _dof_map(problem)
+    factors = []
+    for n, h in zip(dof_map.interior, dof_map.spacings):
+        S = _sine_matrix(n)
+        factors.append({kind: _sine_factor(S, *stencil)
+                        for kind, stencil in _stencils_1d(h).items()})
     pieces = class_orbits(problem).pieces
     lap_terms, div_terms, mass_terms = _terms(problem)
-    return (_operator(dof_map, lap_terms + div_terms, pieces),
-            _operator(dof_map, mass_terms, pieces))
+    return (_operator(factors, lap_terms + div_terms, pieces),
+            _operator(factors, mass_terms, pieces),
+            _operator(factors, lap_terms, pieces))
 
 
 @dataclass(frozen=True)
@@ -431,13 +435,6 @@ class ClassOrbits:
     pieces: tuple[tuple, ...]
     images: dict
     dof_map: DofMap
-
-    @property
-    def index(self):
-        """The class-major positions of the reduced coordinates."""
-        *_, (_, _, _, start, size) = self.pieces
-        return self._positions(slice(0, start + size),
-                               tuple(range(self.dof_map.dim)))
 
     def _positions(self, rows, perm):
         """Class-major positions of the representative coordinates
@@ -569,22 +566,17 @@ def divergence_stiffness(problem):
     return _csr(_dof_map(unit), div_terms)
 
 
-def laplacian_inverse(problem):
+def laplacian_inverse(K0):
     """Exact inverse of the α = 0 stiffness K(0), the inner preconditioner.
 
-    In sine coordinates every Laplacian term is diagonal, so K(0)⁻¹ is a
-    division by the summed symbols of K(0)'s terms (fast diagonalisation),
-    laid out on the classes :func:`class_orbits` keeps.  Returns the apply
-    callable, which takes a vector (n,) or a block (n, b) in the
-    coordinates of :func:`box_operators`.
+    ``K0`` is :func:`box_operators`' K̂₀: in sine coordinates every
+    Laplacian term is diagonal, so K(0)⁻¹ is a division by ``K0.diagonal``,
+    the summed symbols of K(0)'s terms (fast diagonalisation); nothing is
+    built here.  Returns the apply callable, which takes a vector (n,) or a
+    block (n, b) in the coordinates of :func:`box_operators`.
     """
-    inverse = 1.0 / _operator(_dof_map(problem), _terms(problem)[0],
-                              class_orbits(problem).pieces).diagonal
-
-    def apply(x):
-        return (np.asarray(x, dtype=np.float64).T * inverse).T
-
-    return apply
+    inverse = 1.0 / K0.diagonal
+    return lambda x: (np.asarray(x, dtype=np.float64).T * inverse).T
 
 
 def _chebyshev_steps(alpha):

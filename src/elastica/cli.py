@@ -66,9 +66,7 @@ def _config_from_args(args, mode):
     cfg = RunConfig(mode=mode)
     if args.config:
         cfg = load_config(args.config, base=cfg)
-        cfg = replace(cfg, mode=mode)
-    if args.overrides:
-        cfg = apply_overrides(cfg, args.overrides)
+    cfg = apply_overrides(cfg, args.overrides)
     if args.output:
         cfg = replace(cfg, output_path=args.output)
     if mode == "solve" and getattr(args, "dump_matrices", None):

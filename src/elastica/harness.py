@@ -81,7 +81,9 @@ CONFIG_KEYS = {
     "output.format": ("output_format", str),
 }
 
-_POLICY_RE = re.compile(r"fixed(?::([0-9.eE+-]+))?$|richardson$")
+#: ``fixed:eps`` takes an unsigned decimal eps: only overflow makes it inf
+_POLICY_RE = re.compile(
+    r"fixed(?::((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?))?$|richardson$")
 OUTPUT_FORMATS = ("json", "csv")
 #: largest box mesh: cells per axis, and unknowns dim·Π(cells − 1)
 MESH_MAX_CELLS, MESH_MAX_ORDER = 1024, 2 ** 21
@@ -115,10 +117,11 @@ class RunConfig:
     def validate(self):
         if self.mode not in ("solve", "bounds", "verify", "cap"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if not _POLICY_RE.fullmatch(self.policy):
+        if not _POLICY_RE.fullmatch(self.policy) \
+                or self.fixed_tolerance() == math.inf:
             raise ConfigError(
-                f"verify.policy must be 'richardson' or 'fixed[:eps]', "
-                f"got {self.policy!r}")
+                f"verify.policy must be 'richardson' or 'fixed[:eps]' with "
+                f"a finite eps >= 0, got {self.policy!r}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(f"output.format must be one of {OUTPUT_FORMATS}")
         if self.cap_kind not in CAP_RUN_KINDS:
@@ -221,12 +224,10 @@ def load_config(path, base=None):
 
 def apply_overrides(cfg, pairs):
     """Apply repeatable ``--set key=value`` overrides."""
-    lines = []
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"override must be key=value, got {pair!r}")
-        lines.append(pair)
-    return parse_config_text("\n".join(lines), base=cfg, source="--set")
+    return parse_config_text("\n".join(pairs), base=cfg, source="--set")
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +237,9 @@ def write_spectrum(path, spectrum):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{spectrum.dim} {spectrum.alpha:.17g} {len(spectrum)}\n")
         for i, v in enumerate(spectrum.values, 1):
-            if spectrum.residuals is not None:
-                fh.write(f"{i} {v:.17g} {spectrum.residuals[i - 1]:.17g}\n")
-            else:
-                fh.write(f"{i} {v:.17g}\n")
+            residual = "" if spectrum.residuals is None \
+                else f" {spectrum.residuals[i - 1]:.17g}"
+            fh.write(f"{i} {v:.17g}{residual}\n")
 
 
 def read_spectrum(path):
@@ -295,9 +295,10 @@ def solve_problem(problem, m, tol, seed):
     [1, 1+α] around K(0)⁻¹, a division by its symbol; no CSR matrix is
     assembled.  Of each orbit of classes under the box's axis
     permutations (:func:`class_orbits`) only the representative is
-    solved, its images counted as its copies: K̂, M̂ and K(0)⁻¹ are built
-    on the representatives' coordinates alone, so the Chebyshev steps and
-    the start live there too.  The first m columns of the starting block
+    solved, its images counted as its copies: :func:`box_operators` builds
+    K̂, M̂ and K̂₀ = K(0) on the representatives' coordinates alone, from
+    one table of 1D sine factors, so K(0)⁻¹, the Chebyshev steps and the
+    start live there too.  The first m columns of the starting block
     are the per-class Ritz vectors of :func:`galerkin_start`, the rest
     random from ``seed`` (see :func:`smallest_eigenpairs`).  The vectors
     stay in these reduced coordinates, column i a vector of its class's
@@ -308,8 +309,8 @@ def solve_problem(problem, m, tol, seed):
     are explicit in sine coordinates; the transform is orthogonal, so they
     equal the nodal ones up to its rounding.
     """
-    K, M = box_operators(problem)
-    precond = chebyshev(K, laplacian_inverse(problem), problem.alpha)
+    K, M, K0 = box_operators(problem)
+    precond = chebyshev(K, laplacian_inverse(K0), problem.alpha)
     result = smallest_eigenpairs(
         K, M, m, tol=tol, seed=seed, precond=precond,
         start=galerkin_start(K, M, m), blocks=K.blocks,

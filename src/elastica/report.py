@@ -17,6 +17,9 @@ from .bounds import VERDICTS, BoundRecord
 
 CSV_HEADER = "name,k,bound,measured,slack,verdict"
 _VALUE_FIELDS = ("bound_value", "measured_value", "slack")
+# field -> the types a loaded record may hold there (JSON's, bool excluded)
+_FIELD_TYPES = {"name": (str,), "kind": (str,), "k": (int,), "note": (str,),
+                **dict.fromkeys(_VALUE_FIELDS, (int, float))}
 
 
 class ReportFormatError(ValueError):
@@ -86,12 +89,20 @@ class VerificationReport:
                 raise ReportFormatError(f"report is missing field {key!r}")
         records = []
         for raw in payload["records"]:
+            if not isinstance(raw, dict):
+                raise ReportFormatError(f"bad record entry: {raw!r}")
             try:
-                records.append(BoundRecord(**{
+                rec = BoundRecord(**{
                     key: np.nan if v is None and key in _VALUE_FIELDS else v
-                    for key, v in raw.items()}))
+                    for key, v in raw.items()})
             except TypeError as err:
                 raise ReportFormatError(f"bad record entry: {err}") from None
+            bad = [key for key, types in _FIELD_TYPES.items()
+                   if type(getattr(rec, key)) not in types]
+            if bad or rec.verdict not in VERDICTS:
+                raise ReportFormatError(
+                    f"bad {', '.join(bad) or 'verdict'} in record {raw}")
+            records.append(rec)
         report = cls(payload["config"], records,
                      spectrum=payload.get("spectrum"),
                      provenance=payload["provenance"])

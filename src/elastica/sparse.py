@@ -122,10 +122,8 @@ class BandedSymMatrix:
             raise MatrixFormatError("dense input must be square")
         if not np.array_equal(dense, dense.T):
             raise MatrixFormatError("dense input must be symmetric")
-        bandwidth = 0
-        nz = np.nonzero(dense)
-        if nz[0].size:
-            bandwidth = int(np.max(np.abs(nz[0] - nz[1])))
+        rows, cols = np.nonzero(dense)
+        bandwidth = int(np.max(np.abs(rows - cols), initial=0))
         bands = np.zeros((bandwidth + 1, n))
         for d in range(bandwidth + 1):
             bands[d, :n - d] = np.diagonal(dense, -d)

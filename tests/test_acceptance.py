@@ -22,6 +22,7 @@ from elastica.assembly import (ElasticityProblem, _operator, _terms,
 from elastica.eigensolve import smallest_eigenpairs
 from elastica.harness import RunConfig, run_cap, run_verify, solve_problem
 from elastica.report import render_csv
+from conftest import sine_factors
 
 PI = math.pi
 SQUARE = (PI, PI)
@@ -202,13 +203,13 @@ def test_criterion_9_eigensolver_contracts():
     # every check is an explicit CSR matvec on assemble's matrices, applied
     # to the vectors carried onto their classes and back to nodal values
     problem = ElasticityProblem(SQUARE, 1.0, (64, 64))
-    K, M, dof_map = assemble(problem)
-    Kop, Mop = box_operators(problem)
+    K, M, _ = assemble(problem)
+    Kop, Mop, K0op = box_operators(problem)
     orbits = class_orbits(problem)
     lap_terms, div_terms, mass_terms = _terms(problem)
-    shifted_op = _operator(dof_map, lap_terms + div_terms + mass_terms,
-                           orbits.pieces)
-    precond = chebyshev(Kop, laplacian_inverse(problem), problem.alpha)
+    shifted_op = _operator(sine_factors(problem),
+                           lap_terms + div_terms + mass_terms, orbits.pieces)
+    precond = chebyshev(Kop, laplacian_inverse(K0op), problem.alpha)
     tol = 1e-8
 
     def solve(op):

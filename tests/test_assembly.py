@@ -5,12 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
+from elastica import assembly, harness
 from elastica.assembly import (DofMap, ElasticityProblem, _chebyshev_steps,
                                assemble, box_operators, chebyshev,
                                class_orbits, divergence_stiffness,
                                galerkin_start,
                                interpolate_field, laplacian_inverse,
                                reference_spectrum_alpha0, sine_transform)
+from elastica.harness import solve_problem
 from conftest import dense_generalized_eigs
 
 PI = np.pi
@@ -146,7 +148,7 @@ class TestBoxOperators:
             assert np.abs(columns - dense).max() <= 1e-14 * scale
 
     def test_same_spectrum_as_csr(self, edges, cells, alpha):
-        (K, M), (Kop, Mop), _ = self._pair(edges, cells, alpha)
+        (K, M), (Kop, Mop, _), _ = self._pair(edges, cells, alpha)
         eye = np.eye(K.order)
         ref = dense_generalized_eigs(K, M)
         vals = dense_generalized_eigs(Kop.matvec(eye), Mop.matvec(eye))
@@ -174,7 +176,7 @@ class TestSineCoordinates:
     def test_conjugates_match_csr(self, edges, cells, alpha):
         p = ElasticityProblem(edges, alpha, cells)
         K, M, _ = assemble(p)
-        Kh, Mh = box_operators(p)
+        Kh, Mh, _ = box_operators(p)
         eye = np.eye(K.order)
         Q = sine_transform(p, eye)
         assert np.abs(sine_transform(p, Q, inverse=True) - eye).max() \
@@ -186,7 +188,7 @@ class TestSineCoordinates:
 
     def test_diagonal_except_grad_div(self, edges, cells, alpha):
         p = ElasticityProblem(edges, alpha, cells)
-        Kh, Mh = box_operators(p)
+        Kh, Mh, _ = box_operators(p)
         assert Mh.couplings == ()
         # one C ⊗ Cᵀ coupling per parity class and ordered pair of
         # components when α > 0
@@ -196,9 +198,9 @@ class TestSineCoordinates:
 
     def test_symbol_inverse_of_alpha0_stiffness(self, edges, cells, alpha):
         p = ElasticityProblem(edges, 0.0, cells)
-        K0, _ = box_operators(p)
-        eye = np.eye(K0.order)
-        assert np.abs(laplacian_inverse(p)(K0.matvec(eye)) - eye).max() \
+        K, _, K0 = box_operators(p)
+        eye = np.eye(K.order)
+        assert np.abs(laplacian_inverse(K0)(K.matvec(eye)) - eye).max() \
             <= 1e-13
 
 
@@ -276,7 +278,7 @@ class TestGalerkinStart:
     ], ids=["2d", "3d", "tiny-classes"])
     def test_ritz_vectors_of_each_class(self, edges, cells, alpha, m):
         p = ElasticityProblem(edges, alpha, cells)
-        K, M = box_operators(p)
+        K, M, _ = box_operators(p)
         X = galerkin_start(K, M, m)
         assert X.shape == (K.order, m)
         Kd = K.matvec(np.eye(K.order))
@@ -305,7 +307,7 @@ class TestGalerkinStart:
     def test_exact_at_alpha0(self):
         # K̂(0) is diagonal, so each class's vectors are its lowest modes
         p = ElasticityProblem((PI, 1.7), 0.0, (12, 16))
-        K, M = box_operators(p)
+        K, M, _ = box_operators(p)
         m = 8
         X = galerkin_start(K, M, m)
         ratio = K.diagonal / M.diagonal
@@ -361,12 +363,36 @@ class TestPreconditioner:
     def test_exact_inverse(self, edges, cells, cols, rng):
         p = ElasticityProblem(edges, 0.0, cells)
         K, _, _ = assemble(p)
-        T = laplacian_inverse(p)
+        T = laplacian_inverse(box_operators(p)[2])
         x = rng.standard_normal(K.order if cols is None else (K.order, cols))
         y = sine_transform(p, T(sine_transform(p, K.matvec(x))),
                            inverse=True)
         assert y.shape == x.shape
         assert np.abs(y - x).max() < 1e-10
+
+
+@pytest.mark.parametrize("edges,cells", [((PI, 1.7), (9, 13)),
+                                         ((PI, PI, PI), (4, 4, 4))],
+                         ids=["2d", "3d"])
+def test_one_factor_table_per_solve(edges, cells, monkeypatch):
+    # box_operators builds each axis's sine matrix once and shares it
+    # between K̂, M̂ and K̂₀; laplacian_inverse builds nothing, so a solve
+    # lays out the classes once for the operators and once for the labels
+    calls = {"sine": 0, "orbits": 0}
+    sine_matrix, orbits = assembly._sine_matrix, assembly.class_orbits
+
+    def counted(key, build):
+        def wrapper(*args):
+            calls[key] += 1
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(assembly, "_sine_matrix",
+                        counted("sine", sine_matrix))
+    for module in (assembly, harness):
+        monkeypatch.setattr(module, "class_orbits", counted("orbits", orbits))
+    solve_problem(ElasticityProblem(edges, 2.0, cells), 4, 1e-8, 7)
+    assert calls == {"sine": len(edges), "orbits": 2}
 
 
 CHEBYSHEV_CASES = [((PI, 1.7), (6, 7)), ((PI, PI, 2.0), (3, 4, 5))]
@@ -407,17 +433,17 @@ class TestChebyshev:
                 t_prev, t = t, 2.0 * E @ t - t_prev
                 s_prev, s = s, 2.0 * (theta / delta) * s - s_prev
             expected = (eye - t / s) @ np.linalg.inv(A)
-        K, _ = box_operators(p)
+        K, _, K0 = box_operators(p)
         # the apply runs in sine coordinates: conjugate it by Q
         Q = sine_transform(p, eye)
-        got = Q.T @ chebyshev(K, laplacian_inverse(p), alpha)(eye) @ Q
+        got = Q.T @ chebyshev(K, laplacian_inverse(K0), alpha)(eye) @ Q
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("alpha", [2.0, 10.0, 100.0])
     def test_symmetric_positive_definite(self, edges, cells, alpha, rng):
         p = ElasticityProblem(edges, alpha, cells)
-        K, _ = box_operators(p)
-        P = chebyshev(K, laplacian_inverse(p), alpha)
+        K, _, K0 = box_operators(p)
+        P = chebyshev(K, laplacian_inverse(K0), alpha)
         x, y = rng.standard_normal((2, K.order))
         xPy, yPx = x @ P(y), y @ P(x)
         assert abs(xPy - yPx) <= 1e-12 * abs(xPy)
@@ -427,8 +453,8 @@ class TestChebyshev:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_one_step_is_the_inner_inverse(self, edges, cells, alpha, rng):
         p = ElasticityProblem(edges, alpha, cells)
-        K, _ = box_operators(p)
-        inner = laplacian_inverse(p)
+        K, _, K0 = box_operators(p)
+        inner = laplacian_inverse(K0)
         x = rng.standard_normal((K.order, 3))
         assert np.array_equal(chebyshev(K, inner, alpha)(x), inner(x))
 
@@ -477,10 +503,10 @@ class TestClassOrbits:
         assert orbits.classes == classes
         # the pencil is laid out on the representatives' classes alone,
         # one block each, their pieces consecutive from 0
-        K, M = box_operators(problem)
+        K, M, _ = box_operators(problem)
         assert len(K.blocks) == len(classes) and M.blocks == K.blocks
-        assert K.order == M.order == sum(K.blocks) == orbits.index.size
         stops = np.cumsum([size for *_, size in orbits.pieces])
+        assert K.order == M.order == sum(K.blocks) == stops[-1]
         assert [start for *_, start, _ in orbits.pieces] == \
             [0, *stops[:-1].tolist()]
         assert orbits.dof_map.order == assemble(problem)[2].order
@@ -504,12 +530,13 @@ class TestClassOrbits:
         # with axes and components permuted together, with no sign
         problem = ElasticityProblem(edges, 2.0, cells)
         orbits = class_orbits(problem)
+        order = sum(size for *_, size in orbits.pieces)  # the reduced order
         keep = [p for p in itertools.permutations(range(problem.dim))
                 if all(edges[p[d]] == edges[d] and cells[p[d]] == cells[d]
                        for d in range(problem.dim))]
         for orbit in orbits.classes:
             rows, _ = orbits.images[orbit[0]]
-            x = np.zeros((orbits.index.size, rows.stop - rows.start))
+            x = np.zeros((order, rows.stop - rows.start))
             x[rows] = np.eye(rows.stop - rows.start)
             fields = {g: sine_transform(problem, orbits.expand(
                 x, np.full(x.shape[1], g)), inverse=True) for g in orbit}
@@ -518,10 +545,10 @@ class TestClassOrbits:
                                   - fields[g]).max() for p in keep) <= 1e-14
 
     def test_reduced_operators_are_the_representative_blocks(self):
-        # K̂, M̂ and K(0)⁻¹ are laid out on the representatives alone: each
-        # representative's unit coordinates, carried onto any class of its
-        # orbit and out through Qᵀ, see the assembled CSR K, M and K(0)
-        # act as K̂, M̂ and the inverse of K(0)'s symbol do on them
+        # K̂, M̂, K̂₀ and K(0)⁻¹ are laid out on the representatives alone:
+        # each representative's unit coordinates, carried onto any class of
+        # its orbit and out through Qᵀ, see the assembled CSR K, M and K(0)
+        # act as K̂, M̂, K̂₀ and the inverse of K̂₀'s symbol do on them
         for edges, cells in (((PI, PI), (6, 6)), ((PI, PI, PI), (4, 4, 4)),
                              ((PI, PI, 2.0), (5, 5, 4))):
             problem = ElasticityProblem(edges, 10.0, cells)
@@ -529,7 +556,7 @@ class TestClassOrbits:
             K, M, _ = assemble(problem)
             K0, _, _ = assemble(ElasticityProblem(edges, 0.0, cells))
             ops = box_operators(problem)
-            inverse = laplacian_inverse(problem)
+            inverse = laplacian_inverse(ops[2])
             for orbit in orbits.classes:
                 rows, _ = orbits.images[orbit[0]]
                 x = np.zeros((ops[0].order, rows.stop - rows.start))
@@ -537,7 +564,7 @@ class TestClassOrbits:
                 for g in orbit:
                     V = sine_transform(problem, orbits.expand(
                         x, np.full(x.shape[1], g)), inverse=True)
-                    for mat, op in zip((K, M), ops):
+                    for mat, op in zip((K, M, K0), ops):
                         dense = V.T @ mat.matvec(V)
                         assert np.abs(op.matvec(x)[rows] - dense).max() \
                             <= 1e-13 * np.abs(dense).max()

@@ -19,7 +19,8 @@ from elastica.eigensolve import (BandedCholesky, ConvergenceError,
                                  smallest_eigenpairs)
 from elastica.harness import RunConfig, run_verify, solve_problem
 from elastica.sparse import BandedSymMatrix, SparseSymMatrix
-from conftest import dense_generalized_eigs, nodal_vectors, random_small_box
+from conftest import (dense_generalized_eigs, nodal_vectors,
+                      random_small_box, sine_factors)
 
 PI = np.pi
 
@@ -51,8 +52,8 @@ def fd_laplacian_1d(n, h):
 def full_operator(problem, terms):
     """The sine-coordinate operator of ``terms`` on every parity class,
     as :func:`box_operators` lays it out on boxes without equal axes."""
-    dof_map = _dof_map(problem)
-    return _operator(dof_map, terms, _parity_classes(dof_map))
+    return _operator(sine_factors(problem), terms,
+                     _parity_classes(_dof_map(problem)))
 
 
 def full_inverse(problem):
@@ -288,11 +289,11 @@ class TestSolveProblem:
         # 1e-12 for their vectors to agree to 1e-11
         p = ElasticityProblem((PI, 1.7), 2.0, (12, 10))
         K, M, _ = assemble(p)
-        Kh, Mh = box_operators(p)
+        Kh, Mh, K0 = box_operators(p)
         nodal = smallest_eigenpairs(K, M, 6, tol=1e-12, seed=4,
                                     precond=nodal_inverse(p))
         sine = smallest_eigenpairs(Kh, Mh, 6, tol=1e-12, seed=4,
-                                   precond=laplacian_inverse(p))
+                                   precond=laplacian_inverse(K0))
         assert np.all(np.abs(sine.values - nodal.values)
                       <= 1e-12 * nodal.values)
         # the same vectors up to the sign eigh picks for each
@@ -307,10 +308,10 @@ class TestSolveProblem:
         # explicit CSR residuals
         p = ElasticityProblem((PI, 1.7), 2.0, (12, 10))
         K, M, _ = assemble(p)
-        Kh, Mh = box_operators(p)
+        Kh, Mh, K0 = box_operators(p)
         with pytest.raises(ConvergenceError) as info:
             smallest_eigenpairs(Kh, Mh, 6, tol=1e-9, seed=4, maxiter=2,
-                                precond=laplacian_inverse(p))
+                                precond=laplacian_inverse(K0))
         partial = info.value.result
         assert partial.iterations == 2
         assert_certified(K, M, replace(partial, vectors=sine_transform(
@@ -360,11 +361,11 @@ class TestParityBlocks:
         # its eigenvalues: the closed-form α = 0 spectrum comes back whole
         edges, cells, m = (PI, 1.7), (12, 16), 12
         p = ElasticityProblem(edges, 0.0, cells)
-        K, M = box_operators(p)
+        K, M, K0 = box_operators(p)
         start = np.zeros((K.order, m))
         start[:m] = np.eye(m)
         res = smallest_eigenpairs(K, M, m, tol=1e-8, seed=7,
-                                  precond=laplacian_inverse(p), start=start,
+                                  precond=laplacian_inverse(K0), start=start,
                                   blocks=K.blocks)
         ref = q1_alpha0_values(edges, cells, m)
         assert np.all(np.abs(res.values - ref) <= 1e-10 * ref)
@@ -386,7 +387,7 @@ class TestParityBlocks:
         # the production pencil, per class with copies on the square,
         # against every class's pencil solved as one block
         p = ElasticityProblem(edges, alpha, cells)
-        K, M = box_operators(p)
+        K, M, K0 = box_operators(p)
         lap_terms, div_terms, mass_terms = _terms(p)
         Kf = full_operator(p, lap_terms + div_terms)
         Mf = full_operator(p, mass_terms)
@@ -397,7 +398,7 @@ class TestParityBlocks:
             precond=chebyshev(Kf, full_inverse(p), alpha))
         split = smallest_eigenpairs(
             K, M, m, tol=tol, seed=4,
-            precond=chebyshev(K, laplacian_inverse(p), alpha),
+            precond=chebyshev(K, laplacian_inverse(K0), alpha),
             blocks=K.blocks, classes=class_orbits(p).classes)
         assert np.all(np.abs(split.values - one.values) <= 1e-10 * one.values)
         for res, X in ((one, sine_transform(p, one.vectors, inverse=True)),
@@ -427,14 +428,14 @@ class TestParityBlocks:
         p = ElasticityProblem((0.8761857591217734, 0.6656203012345956),
                               100.0, (12, 6))
         m, tol, seed = 13, 1e-8, 1392900418
-        K, M = box_operators(p)
+        K, M, K0 = box_operators(p)
         ref = dense_generalized_eigs(*assemble(p)[:2])[:m]
 
         def solve():
             Kc, Mc = CountingOperand(K), CountingOperand(M)
             res = smallest_eigenpairs(
                 Kc, Mc, m, tol=tol, seed=seed,
-                precond=chebyshev(K, laplacian_inverse(p), p.alpha),
+                precond=chebyshev(K, laplacian_inverse(K0), p.alpha),
                 start=galerkin_start(K, M, m), blocks=K.blocks,
                 classes=class_orbits(p).classes)
             assert np.all(np.abs(res.values - ref) <= 1e-10 * ref)
@@ -587,10 +588,10 @@ def test_no_eigenvalue_missed_on_random_small_boxes(draw):
 def random_start(problem, m, tol=1e-8, seed=5):
     """The production solve's pencil, preconditioner and classes, started
     from a seeded random block instead of :func:`galerkin_start`."""
-    K, M = box_operators(problem)
+    K, M, K0 = box_operators(problem)
     return smallest_eigenpairs(
         K, M, m, tol=tol, seed=seed,
-        precond=chebyshev(K, laplacian_inverse(problem), problem.alpha),
+        precond=chebyshev(K, laplacian_inverse(K0), problem.alpha),
         blocks=K.blocks, classes=class_orbits(problem).classes)
 
 
@@ -699,8 +700,8 @@ class TestResultMemory:
 
     def test_vectors_are_owned_c_contiguous_blocks(self):
         p = ElasticityProblem((PI, PI), 2.0, (12, 12))
-        K, M = box_operators(p)
-        solve = dict(seed=4, precond=laplacian_inverse(p), blocks=K.blocks,
+        K, M, K0 = box_operators(p)
+        solve = dict(seed=4, precond=laplacian_inverse(K0), blocks=K.blocks,
                      classes=class_orbits(p).classes)
         converged = smallest_eigenpairs(K, M, 6, tol=1e-9, **solve)
         with pytest.raises(ConvergenceError) as info:
@@ -758,7 +759,8 @@ class TestResultMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.vectors.shape == (orbits.index.size, m)
+        assert res.vectors.shape == (
+            sum(size for *_, size in orbits.pieces), m)
         assert peak <= 8 * orbits.dof_map.order * (m + 8) * 8
 
 

@@ -102,6 +102,8 @@ class TestConfigParsing:
             .fixed_tolerance() == 1e-7
         assert tiny_verify_config(policy="fixed").validate() \
             .fixed_tolerance() == 1e-9
+        assert tiny_verify_config(policy="fixed:0").validate() \
+            .fixed_tolerance() == 0.0
         with pytest.raises(ConfigError):
             tiny_verify_config(policy="adaptive").validate()
 
@@ -431,6 +433,30 @@ class TestReports:
         with pytest.raises(ReportFormatError, match="record"):
             load_report(path)
 
+    @pytest.mark.parametrize("change", [
+        None, {"verdict": "bogus"}, {"name": 3}, {"kind": None},
+        {"note": ["x"]}, {"k": 1.5}, {"k": True}, {"slack": "abc"},
+        {"measured_value": False}, {"bound_value": [1.0]},
+    ], ids=["not_an_object", "unknown_verdict", "numeric_name", "null_kind",
+            "list_note", "float_k", "bool_k", "string_slack", "bool_value",
+            "list_value"])
+    def test_malformed_record_exits_one(self, change, capsys, tmp_path):
+        record = {"name": "x", "kind": "gap", "k": 1, "bound_value": 2.0,
+                  "measured_value": 1, "slack": 1.0, "verdict": "pass",
+                  "note": ""}
+        payload = {"config": {}, "records": [record], "provenance": {},
+                   "summary": {"pass": 1, "marginal": 0, "fail": 0,
+                               "skip": 0}}
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["report", str(path)]) == 0  # well formed as written
+        payload["records"] = [1, 2] if change is None else [{**record,
+                                                             **change}]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["report", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_csv_shape(self):
         report = run_verify(tiny_verify_config())
         csv = render_csv(report.records)
@@ -600,6 +626,17 @@ class TestCLI:
         (["bounds", "--set", "spectrum.path={spec}", "--set",
           "verify.k_max=2", "--set", "cap.theta0=inf", "--output",
           "{out}"], "cap.theta0 must be finite"),
+        # every report echoes the policy, so its eps is checked in every
+        # mode: it must parse, be finite and be non-negative
+        (["verify", "--set", "mesh.cells=6,6", "--set", "solver.m=5",
+          "--set", "verify.k_max=4", "--set", "verify.policy=fixed:1e"],
+         "verify.policy"),
+        (["bounds", "--set", "spectrum.path={spec}", "--set",
+          "verify.k_max=2", "--set", "verify.policy=fixed:1e400",
+          "--output", "{out}"], "verify.policy"),
+        (["bounds", "--set", "spectrum.path={spec}", "--set",
+          "verify.k_max=2", "--set", "verify.policy=fixed:-1", "--output",
+          "{out}"], "verify.policy"),
     ], ids=["mesh_cells", "cap_cells", "cap_mode_max_huge",
             "cap_mode_max_limit", "cap_cells_huge", "cap_cells_limit",
             "mesh_cells_huge", "mesh_axis_limit", "mesh_order_limit",
@@ -608,7 +645,9 @@ class TestCLI:
             "nan_alpha", "infinite_edge", "nan_edge", "angle_over_zero",
             "cap_angle_1e-77", "cap_angle_1e-60", "cap_angle_1e-40",
             "bounds_nan_alpha", "bounds_bad_edges",
-            "verify_file_negative_alpha", "bounds_infinite_theta0"])
+            "verify_file_negative_alpha", "bounds_infinite_theta0",
+            "policy_eps_not_a_number", "policy_eps_infinite",
+            "policy_eps_negative"])
     def test_bad_config_exits_one(self, argv, message, capsys, tmp_path):
         spec, out = tmp_path / "ok.spec", tmp_path / "r.json"
         write_spectrum(spec, Spectrum(2, 0.0, np.array([2.0, 5.0, 8.0])))
