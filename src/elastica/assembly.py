@@ -604,7 +604,10 @@ def chebyshev(K, inner, alpha):
     *Iterative Methods for Sparse Linear Systems*, Alg. 12.1).  It is a
     fixed polynomial in K(0)⁻¹K times K(0)⁻¹: symmetric, positive definite
     and deterministic.  k comes from α alone (:func:`_chebyshev_steps`);
-    with k = 1 ``inner`` itself is returned.
+    with k = 1 ``inner`` itself is returned.  The apply leaves its operand
+    unchanged and holds four blocks of its shape, z, d, r and one
+    ``inner(r)``, updated in place: the same bits as the recurrence that
+    allocates every step, in the layout ``inner`` returns.
     """
     steps = _chebyshev_steps(alpha)
     if steps == 1:
@@ -615,14 +618,22 @@ def chebyshev(K, inner, alpha):
 
     def apply(r):
         rho = 1.0 / sigma
-        d = inner(r) / theta
-        z = d
+        d = inner(r)
+        d /= theta
+        # in the layout inner gives, which the caller's reductions see
+        z = d.copy(order="K")
         for _ in range(steps - 1):
-            r = r - K.matvec(d)
+            # into K·d's block, so the operand is never written
+            Kd = K.matvec(d)
+            r = np.subtract(r, Kd, out=Kd)
             rho_next = 1.0 / (2.0 * sigma - rho)
-            d = (rho_next * rho) * d + (2.0 * rho_next / delta) * inner(r)
+            d *= rho_next * rho
+            step = inner(r)
+            step *= 2.0 * rho_next / delta
+            d += step
+            del step
             rho = rho_next
-            z = z + d
+            z += d
         return z
 
     return apply

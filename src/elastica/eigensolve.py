@@ -22,15 +22,19 @@ factorisations of dense blocks):
 Both hold a basis with its pencil images as one row stack, a ``(3, b, n)``
 array (Y, K·Y, M·Y) or (Y, A·Y, B·Y) with one vector per contiguous row:
 ``Cᵀ @ S`` changes the basis of all three, and :func:`_rayleigh_ritz` reads
-both Gram matrices from it without applying the pencil again.  LOBPCG holds
-its starting block in a stack of its own until the first projection, then
-keeps [X | P | W] in a stack of 3k rows and a spare (3, k, n) block, k the
-most vectors any diagonal block keeps (its share of the m smallest plus
-GUARDS), written in place every iteration and reallocated, occupied rows
-copied, only when a block's share grows; diagonal block q owns its segment
-of the columns and fills its own rows from the top.  K, M and the
-preconditioner take (n, b) operands, one per apply for all blocks, and
-receive transposed views of those rows.
+both Gram matrices from it without applying the pencil again.  LOBPCG
+never holds its starting stack next to its basis stack.  The starting
+block lives in a stack of its own until the first projection has taken
+the kept Ritz rows out of it into a (3, k, n) block, k the most vectors
+any diagonal block keeps (its share of the m smallest plus GUARDS); only
+then is the stack of 3k rows that keeps [X | P | W] allocated around those
+rows, and the block becomes its spare.  Both are written in place every
+iteration and reallocated, occupied rows copied, only when a block's share
+grows; diagonal block q owns its segment of the columns and fills its own
+rows from the top.  K, M and the preconditioner take (n, b) operands, one
+per apply for all blocks, and receive transposed views of those rows; the
+residual rows W are gathered into the spare, which is free until the
+momentum step.
 """
 
 from __future__ import annotations
@@ -183,22 +187,25 @@ def _start_block(start, n, m):
     return start
 
 
-def _basis_stack(rows, n, occupied=None):
+def _basis_stack(rows, n, occupied):
     """LOBPCG's basis stack for blocks that keep at most ``rows`` vectors,
     and its spare block.
 
     The (3, 3·rows, n) stack holds each block's [X | P | W] rows and their
-    K and M images, ``occupied`` (the leading rows of a smaller stack)
-    copied in front; the (3, rows, n) spare takes the residual rows and
-    the momentum combination.  The stack is zero past ``occupied``: K and M
-    are applied to every row up to the longest block's count, so the rows
-    past a block's own count must be finite, and the block-diagonal pencil
-    keeps them out of every other block.
+    K and M images, ``occupied`` (the first projection's kept rows, or the
+    leading rows of a smaller stack) copied in front; the (3, rows, n)
+    spare takes the residual rows, W and the momentum combination.  The
+    kept rows, a (3, rows, n) block of their own, are free once copied and
+    become the spare; a view of an outgrown stack is not reused.  The stack
+    is zero past ``occupied``: K and M are applied to every row up to the
+    longest block's count, so the rows past a block's own count must be
+    finite, and the block-diagonal pencil keeps them out of every other
+    block.
     """
     S = np.zeros((3, 3 * rows, n))
-    if occupied is not None:
-        S[:, :occupied.shape[1]] = occupied
-    return S, np.empty((3, rows, n))
+    S[:, :occupied.shape[1]] = occupied
+    own = occupied.flags.owndata and occupied.shape == (3, rows, n)
+    return S, occupied if own else np.empty((3, rows, n))
 
 
 def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
@@ -219,6 +226,14 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     step on, the basis keeps m + ``GUARDS`` (4) Ritz vectors, and its
     stack holds three rows per kept vector.  Eigenvalues within a cluster
     are reported individually.
+
+    The starting block and its K and M images form a (3, m + 8, n) stack,
+    freed once the first projection has written the kept Ritz rows into a
+    (3, k, n) block; the basis stack is allocated only after that, around
+    those rows, and the block becomes its spare, which holds the residual
+    rows, then W until the preconditioner and the pencil are applied to
+    it, then the momentum rows.  So the starting stack and the basis stack
+    are never alive together.
 
     ``blocks``, sizes summing to the order, says K and M are block-diagonal
     with consecutive diagonal blocks of those sizes (default: one block).
@@ -292,13 +307,13 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
         # whitening drops
         X[seg] /= np.where(part > 0, part, np.inf)
     # the starting block and its K and M images, one vector per row; it
-    # lives until the first projection has written the kept Ritz vectors
-    # into the basis stack
+    # lives until the first projection has taken the kept Ritz rows out of
+    # it.  K and M get its own rows, transposed, so they copy nothing
     first = np.empty((3, bs, n))
     first[0] = X.T
-    first[1] = K.matvec(X).T
-    first[2] = M.matvec(X).T
     del X
+    first[1] = K.matvec(first[0].T).T
+    first[2] = M.matvec(first[0].T).T
     nx, npr = [bs] * len(segs), [0] * len(segs)
 
     def ritz(stack, tops):
@@ -350,9 +365,12 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
             for a, w in zip(active, share):
                 a[:w] = True
         nw = [int(a.sum()) for a in active]
-        W = np.zeros((max(nw), n))
+        # gathered into the spare's K plane, which nothing holds until
+        # advance; zero past each block's own rows, as in the basis stack
+        W = spare[1, :max(nw)]
         for seg, a, Rq, k in zip(segs, active, R, nw):
             W[:k, seg] = Rq[a]
+            W[k:, seg] = 0.0
         W = W.T
         if precond is not None:
             W = precond(W)
@@ -398,14 +416,17 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
                     S[1, :nx[q], seg] = KX[:nx[q], seg]
                     S[2, :nx[q], seg] = MX[:nx[q], seg]
 
-    # the first projection writes each block's kept Ritz vectors straight
-    # into a basis stack sized for the most that any block keeps
+    # the first projection takes each block's kept Ritz rows out of the
+    # starting stack, which is freed before the basis stack, sized for the
+    # most that any block keeps, is allocated around them
     pairs, share, _ = ritz(first, nx)
-    S, spare = _basis_stack(max(C.shape[1] for _, C in pairs), n)
+    kept = np.zeros((3, max(C.shape[1] for _, C in pairs), n))
     for q, (seg, (_, C)) in enumerate(zip(segs, pairs)):
         nx[q] = C.shape[1]
-        np.matmul(C.T, first[:, :bs, seg], out=S[:, :nx[q], seg])
+        np.matmul(C.T, first[:, :bs, seg], out=kept[:, :nx[q], seg])
     del first
+    S, spare = _basis_stack(kept.shape[1], n, kept)
+    del kept
     thetas = [theta for theta, _ in pairs]
     it = 0
     R, res = residuals(False)

@@ -20,6 +20,10 @@ _VALUE_FIELDS = ("bound_value", "measured_value", "slack")
 # field -> the types a loaded record may hold there (JSON's, bool excluded)
 _FIELD_TYPES = {"name": (str,), "kind": (str,), "k": (int,), "note": (str,),
                 **dict.fromkeys(_VALUE_FIELDS, (int, float))}
+# (section, field) -> the types ``label`` may find there, when present
+_LABEL_TYPES = {("spectrum", "alpha"): (int, float),
+                ("provenance", "theta0"): (int, float),
+                ("provenance", "mesh"): (str,)}
 
 
 class ReportFormatError(ValueError):
@@ -103,9 +107,17 @@ class VerificationReport:
                 raise ReportFormatError(
                     f"bad {', '.join(bad) or 'verdict'} in record {raw}")
             records.append(rec)
-        report = cls(payload["config"], records,
-                     spectrum=payload.get("spectrum"),
-                     provenance=payload["provenance"])
+        sections = {"spectrum": payload.get("spectrum"),
+                    "provenance": payload["provenance"]}
+        if type(sections["provenance"]) is not dict or \
+                type(sections["spectrum"]) not in (dict, type(None)):
+            raise ReportFormatError("spectrum and provenance must be objects")
+        for (section, key), types in _LABEL_TYPES.items():
+            fields = sections[section] or {}
+            if key in fields and type(fields[key]) not in types:
+                raise ReportFormatError(
+                    f"bad {section}.{key}: {fields[key]!r}")
+        report = cls(payload["config"], records, **sections)
         if report.summary != payload["summary"]:
             raise ReportFormatError("summary does not match the record tally")
         return report

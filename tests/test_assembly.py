@@ -398,6 +398,24 @@ def test_one_factor_table_per_solve(edges, cells, monkeypatch):
 CHEBYSHEV_CASES = [((PI, 1.7), (6, 7)), ((PI, PI, 2.0), (3, 4, 5))]
 
 
+def chebyshev_recurrence(K, inner, alpha, r):
+    """Saad's Alg. 12.1 out of place, every step a fresh array: the
+    recurrence :func:`chebyshev` runs in place."""
+    delta = 0.5 * alpha
+    theta = 1.0 + delta
+    sigma = theta / delta
+    rho = 1.0 / sigma
+    d = inner(r) / theta
+    z = d
+    for _ in range(_chebyshev_steps(alpha) - 1):
+        r = r - K.matvec(d)
+        rho_next = 1.0 / (2.0 * sigma - rho)
+        d = (rho_next * rho) * d + (2.0 * rho_next / delta) * inner(r)
+        rho = rho_next
+        z = z + d
+    return z
+
+
 @pytest.mark.parametrize("edges,cells", CHEBYSHEV_CASES, ids=["2d", "3d"])
 class TestChebyshev:
     """The Chebyshev preconditioner on [1, 1+α] against dense oracles."""
@@ -449,6 +467,22 @@ class TestChebyshev:
         assert abs(xPy - yPx) <= 1e-12 * abs(xPy)
         dense = P(np.eye(K.order))
         assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("alpha", [2.0, 10.0, 100.0])
+    def test_in_place_apply_is_the_recurrence(self, edges, cells, alpha,
+                                              order, rng):
+        # the apply keeps z, d, r and one inner(r) block, updated in place:
+        # the same bits as the recurrence that allocates every step, and
+        # the operand is left as it was
+        p = ElasticityProblem(edges, alpha, cells)
+        K, _, K0 = box_operators(p)
+        inner = laplacian_inverse(K0)
+        x = np.asarray(rng.standard_normal((K.order, 5)), order=order)
+        before = x.copy()
+        got = chebyshev(K, inner, alpha)(x)
+        assert np.array_equal(x, before)
+        assert np.array_equal(got, chebyshev_recurrence(K, inner, alpha, x))
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_one_step_is_the_inner_inverse(self, edges, cells, alpha, rng):

@@ -719,15 +719,17 @@ class TestResultMemory:
             assert vectors.flags.c_contiguous and vectors.flags.owndata
 
     def test_peak_memory_of_one_solve(self):
-        # a 32² α = 2 solve as one block peaks at 15.1 blocks of
+        # a 32² α = 2 solve as one block peaks at 13.6 blocks of
         # n·(m + 8) doubles: the (3, 3k, n) basis stack and the (3, k, n)
         # spare block, k = m + 4 kept columns, are 10 of them, next to the
-        # (3, m + 8, n) starting stack they are projected from; with the
-        # starting block written into the basis stack through a temporary
-        # it peaked at 17.6, sized for all m + 8 starting columns at 21.1,
-        # and a stack concatenated afresh every iteration at 25.2.  The
-        # first solve in a process also imports numpy submodules (about 2
-        # blocks here), so a warm-up solve runs untraced
+        # Chebyshev apply's z, d, r and inner(r) on the W rows.  The
+        # starting stack is freed before the basis stack is allocated;
+        # alive next to it the solve peaked at 15.1, with the starting
+        # block written into the basis stack through a temporary at 17.6,
+        # sized for all m + 8 starting columns at 21.1, and a stack
+        # concatenated afresh every iteration at 25.2.  The first solve in
+        # a process also imports numpy submodules (about 2 blocks here), so
+        # a warm-up solve runs untraced
         p = ElasticityProblem((PI, PI), 2.0, (32, 32))
         lap_terms, div_terms, mass_terms = _terms(p)
         K = full_operator(p, lap_terms + div_terms)
@@ -741,14 +743,16 @@ class TestResultMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 19 * K.order * (m + 8) * 8
+        assert peak <= 14 * K.order * (m + 8) * 8
 
     def test_peak_memory_of_one_box_solve(self):
-        # one 64² α = 2 solve_problem peaks at 6.4 blocks of N·(m + 8)
-        # doubles, N the full order: the basis stack holds 3 × 9 rows, what
-        # the class that keeps most keeps.  Sized for m + 4 kept vectors per
-        # class and alive while the eigenvectors were mapped out to nodal
-        # values it peaked at 11.5 blocks
+        # one 64² α = 2 solve_problem peaks at 5.2 blocks of N·(m + 8)
+        # doubles, N the full order, in the Chebyshev apply: the basis
+        # stack holds 3 × 9 rows, what the class that keeps most keeps, and
+        # the apply four blocks of W rows.  With the starting stack alive
+        # next to the new basis stack and spare it peaked at 6.3 blocks;
+        # sized for m + 4 kept vectors per class and alive while the
+        # eigenvectors were mapped out to nodal values, at 11.5
         p = ElasticityProblem((PI, PI), 2.0, (64, 64))
         m = 16
         orbits = class_orbits(p)
@@ -761,7 +765,7 @@ class TestResultMemory:
             tracemalloc.stop()
         assert res.vectors.shape == (
             sum(size for *_, size in orbits.pieces), m)
-        assert peak <= 8 * orbits.dof_map.order * (m + 8) * 8
+        assert peak <= 5.5 * orbits.dof_map.order * (m + 8) * 8
 
 
 def assert_certified(K, M, result):

@@ -457,6 +457,30 @@ class TestReports:
         assert cli.main(["report", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("section,change", [
+        ("spectrum", {"alpha": "abc"}), ("provenance", {"theta0": [1.0]}),
+        ("provenance", {"mesh": 32}), ("provenance", None),
+        ("spectrum", [1.0])], ids=["string_alpha", "list_theta0",
+                                   "numeric_mesh", "null_provenance",
+                                   "list_spectrum"])
+    def test_malformed_label_field_exits_one(self, section, change, capsys,
+                                             tmp_path):
+        # the table labels each report by these fields; a loaded report
+        # that cannot be labelled is refused before anything is rendered
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        save_report(VerificationReport(
+            {}, [], spectrum={"alpha": 2.0},
+            provenance={"theta0": 1.0, "mesh": "32x32"}), good)
+        payload = json.loads(good.read_text())
+        payload[section] = change if not isinstance(change, dict) \
+            else {**payload[section], **change}
+        bad.write_text(json.dumps(payload))
+        table = ["--table", str(tmp_path / "t.txt")]
+        assert cli.main(["report", str(good), str(good), *table]) == 0
+        capsys.readouterr()
+        assert cli.main(["report", str(bad), str(good), *table]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_csv_shape(self):
         report = run_verify(tiny_verify_config())
         csv = render_csv(report.records)
