@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 
 from .eigensolve import BreakdownError, ConvergenceError
@@ -55,7 +56,8 @@ def build_parser():
                                 "round-trip checked)")
     rep = sub.add_parser("report", help="render saved reports")
     rep.add_argument("reports", nargs="+", help="report JSON files")
-    rep.add_argument("--csv", help="write merged CSV here")
+    rep.add_argument("--csv", help="write merged CSV here (with a leading "
+                                   "run column when several reports merge)")
     rep.add_argument("--table", help="write the aligned table here "
                                      "(default: stdout)")
     rep.add_argument("--svg-dir", help="write per-inequality SVG charts here")
@@ -76,12 +78,27 @@ def _config_from_args(args, mode):
     return cfg.validate()
 
 
+def _chart_stems(reports):
+    """File-name stem of each report's charts: its label, and where several
+    reports share a label, that label with the report's number among them
+    (``-1``, ``-2``, ...), so no report overwrites another's charts."""
+    labels = [rep.label().replace(" ", "_").replace("=", "")
+              for rep in reports]
+    total, seen, stems = Counter(labels), Counter(), []
+    for label in labels:
+        seen[label] += 1
+        stems.append(f"{label}-{seen[label]}" if total[label] > 1 else label)
+    return stems
+
+
 def _run_report(args):
     reports = [load_report(p) for p in args.reports]
     if args.csv:
-        rows = [rec for rep in reports for rec in rep.records]
+        records = [rec for rep in reports for rec in rep.records]
+        runs = [rep.label() for rep in reports for _ in rep.records] \
+            if len(reports) > 1 else None
         with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(render_csv(rows))
+            fh.write(render_csv(records, runs))
     table = render_table(reports)
     if args.table:
         with open(args.table, "w", encoding="ascii") as fh:
@@ -90,11 +107,10 @@ def _run_report(args):
         sys.stdout.write(table)
     if args.svg_dir:
         os.makedirs(args.svg_dir, exist_ok=True)
-        for rep in reports:
-            label = rep.label().replace(" ", "_").replace("=", "")
+        for rep, stem in zip(reports, _chart_stems(reports)):
             for name in dict.fromkeys(r.name for r in rep.records):
                 series = svg_series_for(rep, name)
-                path = os.path.join(args.svg_dir, f"{label}_{name}.svg")
+                path = os.path.join(args.svg_dir, f"{stem}_{name}.svg")
                 with open(path, "w", encoding="ascii") as fh:
                     fh.write(render_svg(f"{name} ({rep.label()})", series))
     return exit_code(reports)

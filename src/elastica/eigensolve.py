@@ -19,22 +19,26 @@ factorisations of dense blocks):
   through bandwidth² corners, and applied through the blocks' inverses,
   which :func:`_lower_inverse` forms by halving each triangle.
 
-Both hold a basis with its pencil images as one row stack, a ``(3, b, n)``
-array (Y, K·Y, M·Y) or (Y, A·Y, B·Y) with one vector per contiguous row:
-``Cᵀ @ S`` changes the basis of all three, and :func:`_rayleigh_ritz` reads
-both Gram matrices from it without applying the pencil again.  LOBPCG
-never holds its starting stack next to its basis stack.  The starting
-block lives in a stack of its own until the first projection has taken
-the kept Ritz rows out of it into a (3, k, n) block, k the most vectors
-any diagonal block keeps (its share of the m smallest plus GUARDS); only
-then is the stack of 3k rows that keeps [X | P | W] allocated around those
+Both hold a basis with its pencil images as a row stack, one vector per
+contiguous row: LOBPCG a ``(2, b, n)`` array (Y, K·Y), the banded solver a
+``(3, b, n)`` array (Y, A·Y, B·Y).  ``Cᵀ @ S`` changes the basis of every
+plane, and :func:`_rayleigh_ritz` forms the Grams from the planes it is
+given without applying the operators again.  LOBPCG applies M afresh
+wherever it needs an M product (the M-Gram of each projection, the
+residual rows, the M-norms of new rows): M is the cheap operand (diagonal
+in the box's sine coordinates), and implicit M images drift.  It never
+holds its starting stack next to its basis stack.  The starting block
+lives in a stack of its own until the first projection has taken the kept
+Ritz rows out of it into a (2, k, n) block, k the most vectors any
+diagonal block keeps (its share of the m smallest plus GUARDS); only then
+is the stack of 3k rows that keeps [X | P | W] allocated around those
 rows, and the block becomes its spare.  Both are written in place every
-iteration and reallocated, occupied rows copied, only when a block's share
-grows; diagonal block q owns its segment of the columns and fills its own
-rows from the top.  K, M and the preconditioner take (n, b) operands, one
-per apply for all blocks, and receive transposed views of those rows; the
-residual rows W are gathered into the spare, which is free until the
-momentum step.
+iteration and reallocated, occupied rows copied, only when a block's
+share grows; diagonal block q owns its segment of the columns and fills
+its own rows from the top.  K, M and the preconditioner take (n, b)
+operands, one per apply for all blocks, and receive transposed views of
+those rows; the residual rows W are gathered into the spare, which is
+free until the momentum step.
 """
 
 from __future__ import annotations
@@ -49,10 +53,6 @@ DROP_REL = 1e-13
 SEEDED = 8
 #: Ritz pairs each block keeps past its share of the m smallest
 GUARDS = 4
-#: an M-Gram of M-normalised rows more asymmetric than DRIFT_ABS says the
-#: implicit M images have drifted (rounding leaves ~1e-15); it stays far
-#: below the −1e-10 that whitening reads as an indefinite metric
-DRIFT_ABS = 1e-12
 
 
 class BreakdownError(RuntimeError):
@@ -130,30 +130,21 @@ def _whiten(gram):
     return evecs[:, keep] / np.sqrt(evals[keep])
 
 
-def _rayleigh_ritz(S):
-    """Ritz values θ (ascending), coefficients C and drift of a row stack.
+def _rayleigh_ritz(Y, KY, MY):
+    """Ritz values θ (ascending) and coefficients C of a basis given by rows.
 
-    With S = (Y, K·Y, M·Y), one basis vector per row: Cᵀ(Y M Yᵀ)C = I and
+    With K·Y and M·Y the pencil applied to the Y rows: Cᵀ(Y M Yᵀ)C = I and
     Cᵀ(Y K Yᵀ)C = diag θ on the numerically independent part of span Y, so
-    ``Cᵀ @ S`` is the stack of the Ritz vectors.  The drift is
-    max |G − Gᵀ| of the M-Gram G = Y·(M·Y)ᵀ, which is symmetric up to
-    rounding while the M·Y rows are M applied to the Y rows.
+    ``Cᵀ @ Y`` holds the Ritz vectors and ``Cᵀ @ KY`` their K images.
     """
-    Y, KY, MY = S
     try:
-        gram = Y @ MY.T
-        # one b×b temporary, freed with the Gram before K is projected
-        skew = gram - gram.T
-        drift = np.abs(skew, out=skew).max()
-        del skew
-        V = _whiten(gram)
-        del gram
+        V = _whiten(Y @ MY.T)
         H = V.T @ (Y @ KY.T) @ V
         theta, Q = np.linalg.eigh(0.5 * (H + H.T))
     except np.linalg.LinAlgError as err:
         raise BreakdownError(f"Rayleigh-Ritz projection failed: {err}") \
             from None
-    return theta, V @ Q, drift
+    return theta, V @ Q
 
 
 def _residuals(KY, MY, theta, scale, out=None):
@@ -191,21 +182,21 @@ def _basis_stack(rows, n, occupied):
     """LOBPCG's basis stack for blocks that keep at most ``rows`` vectors,
     and its spare block.
 
-    The (3, 3·rows, n) stack holds each block's [X | P | W] rows and their
-    K and M images, ``occupied`` (the first projection's kept rows, or the
-    leading rows of a smaller stack) copied in front; the (3, rows, n)
+    The (2, 3·rows, n) stack holds each block's [X | P | W] rows and their
+    K images, ``occupied`` (the first projection's kept rows, or the
+    leading rows of a smaller stack) copied in front; the (2, rows, n)
     spare takes the residual rows, W and the momentum combination.  The
-    kept rows, a (3, rows, n) block of their own, are free once copied and
-    become the spare; a view of an outgrown stack is not reused.  The stack
-    is zero past ``occupied``: K and M are applied to every row up to the
-    longest block's count, so the rows past a block's own count must be
-    finite, and the block-diagonal pencil keeps them out of every other
+    kept rows, a (2, rows, n) block of their own, are free once copied and
+    become the spare; a view of an outgrown stack is not reused.  Both are
+    zero where nothing is written: K and M are applied to every row up to
+    the longest block's count, so the rows past a block's own count must
+    be finite, and the block-diagonal pencil keeps them out of every other
     block.
     """
-    S = np.zeros((3, 3 * rows, n))
+    S = np.zeros((2, 3 * rows, n))
     S[:, :occupied.shape[1]] = occupied
-    own = occupied.flags.owndata and occupied.shape == (3, rows, n)
-    return S, occupied if own else np.empty((3, rows, n))
+    own = occupied.flags.owndata and occupied.shape == (2, rows, n)
+    return S, occupied if own else np.zeros((2, rows, n))
 
 
 def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
@@ -227,9 +218,18 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     stack holds three rows per kept vector.  Eigenvalues within a cluster
     are reported individually.
 
-    The starting block and its K and M images form a (3, m + 8, n) stack,
-    freed once the first projection has written the kept Ritz rows into a
-    (3, k, n) block; the basis stack is allocated only after that, around
+    The basis is held with its K image only: K·Y is carried through every
+    change of basis, because K is the expensive apply, while M is applied
+    afresh wherever an M product is needed.  Per iteration K takes the W
+    block once; M takes W (its M-norms), every occupied row of the stack
+    (the M-Gram of the Rayleigh–Ritz step), the momentum rows P (their
+    M-norms) and the new X (the residual rows).  So the M-Gram is exact to
+    rounding, and the M-norms of rows normalised from tiny momentum parts
+    carry no amplified rounding forward.
+
+    The starting block and its K image form a (2, m + 8, n) stack, freed
+    once the first projection has written the kept Ritz rows into a
+    (2, k, n) block; the basis stack is allocated only after that, around
     those rows, and the block becomes its spare, which holds the residual
     rows, then W until the preconditioner and the pencil are applied to
     it, then the momentum rows.  So the starting stack and the basis stack
@@ -248,12 +248,8 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     take one (n, b) operand per apply: column i holds every block's i-th
     vector on that block's rows.  A block whose rows whitening finds
     dependent restarts: Ritz combinations of dependent rows carry amplified
-    rounding into the implicit images, so it carries no momentum block P
-    into the next step, and its new X gets K·X and M·X applied afresh.  So
-    does a block whose M-Gram has drifted from symmetric by more than
-    ``DRIFT_ABS``: P rows normalised from tiny momentum parts amplify
-    rounding the same way, a little more each step, until whitening would
-    read the drift as an indefinite metric.
+    rounding into the implicit K images, so it carries no momentum block P
+    into the next step, and its new X gets K·X applied afresh.
 
     ``classes`` labels the blocks: per block the labels of the classes of
     the full pencil it stands for, its own first (default: block q is
@@ -267,9 +263,9 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     the blocks alone.
 
     Residuals are decided implicitly and reported explicitly: each
-    iteration takes its residual norms from the K X and M X blocks it
-    already holds, and once those pass ``tol`` the block is polished and
-    the residuals are recomputed with K and M.  Convergence is declared on
+    iteration takes its residual norms from the K X block it holds and a
+    fresh M X, and once those pass ``tol`` the block is polished and the
+    residuals are recomputed with K and M.  Convergence is declared on
     the recomputed ones, and every exit reports them.  Non-convergence
     within ``maxiter`` raises :class:`ConvergenceError` carrying the
     partial result with per-pair flags; a collapsed subspace raises
@@ -306,28 +302,29 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
         # a column with no part in this block gives it a zero row, which
         # whitening drops
         X[seg] /= np.where(part > 0, part, np.inf)
-    # the starting block and its K and M images, one vector per row; it
-    # lives until the first projection has taken the kept Ritz rows out of
-    # it.  K and M get its own rows, transposed, so they copy nothing
-    first = np.empty((3, bs, n))
+    # the starting block and its K image, one vector per row; it lives
+    # until the first projection has taken the kept Ritz rows out of it.
+    # K and M get its own rows, transposed, so they copy nothing
+    first = np.empty((2, bs, n))
     first[0] = X.T
     del X
     first[1] = K.matvec(first[0].T).T
-    first[2] = M.matvec(first[0].T).T
     nx, npr = [bs] * len(segs), [0] * len(segs)
 
     def ritz(stack, tops):
-        """Rayleigh–Ritz on each block's rows :tops[q] of ``stack``: the
-        pairs each block keeps, its share of the m smallest Ritz values over
-        all blocks, and whether the block must restart (dependent rows or
-        drifted images)."""
-        pairs = [_rayleigh_ritz(stack[:, :top, seg])
+        """Rayleigh–Ritz on each block's rows :tops[q] of ``stack``, M·Y
+        applied afresh: the pairs each block keeps, its share of the m
+        smallest Ritz values over all blocks, and whether the block must
+        restart (dependent rows)."""
+        Y, KY = stack[:, :max(tops)]
+        MY = M.matvec(Y.T).T
+        pairs = [_rayleigh_ritz(Y[:top, seg], KY[:top, seg], MY[:top, seg])
                  for top, seg in zip(tops, segs)]
-        dependent = [C.shape[1] < top or drift > DRIFT_ABS
-                     for (_, C, drift), top in zip(pairs, tops)]
-        owner = _merge([theta for theta, _, _ in pairs], copies)[0][:m]
+        del MY
+        dependent = [C.shape[1] < top for (_, C), top in zip(pairs, tops)]
+        owner = _merge([theta for theta, _ in pairs], copies)[0][:m]
         share = -(-np.bincount(owner, minlength=len(segs)) // copies)
-        return [(theta[:k], C[:, :k]) for (theta, C, _), k
+        return [(theta[:k], C[:, :k]) for (theta, C), k
                 in zip(pairs, share + GUARDS)], share, dependent
 
     def project():
@@ -343,11 +340,11 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
         return [theta for theta, _ in pairs], share
 
     def residuals(explicit):
-        """Residual rows and relative norms of each block's X (K·X, M·X
-        fresh or held)."""
-        top = max(nx)
-        X = S[0, :top].T
-        KX, MX = (K.matvec(X).T, M.matvec(X).T) if explicit else S[1:, :top]
+        """Residual rows and relative norms of each block's X (K·X fresh or
+        held, M·X fresh)."""
+        X = S[0, :max(nx)].T
+        KX = K.matvec(X).T if explicit else S[1, :max(nx)]
+        MX = M.matvec(X).T
         out = [_residuals(KX[:k, seg], MX[:k, seg], theta, np.abs(theta),
                           out=spare[0, :k, seg])
                for k, seg, theta in zip(nx, segs, thetas)]
@@ -358,8 +355,8 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
 
     def widen():
         """Write each block's preconditioned residual rows W, M-normalised,
-        with their images behind its X and P rows; the rows each block then
-        fills."""
+        with their K images behind its X and P rows; the rows each block
+        then fills."""
         active = [~(r <= tol) for r in res]
         if not any(a.any() for a in active):
             for a, w in zip(active, share):
@@ -374,22 +371,24 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
         W = W.T
         if precond is not None:
             W = precond(W)
-        W = (W, K.matvec(W), M.matvec(W))
+        MW = M.matvec(W)
+        scales = [1.0 / np.sqrt(np.maximum(np.einsum(
+            "ij,ij->j", W[seg, :k], MW[seg, :k]), 1e-300))
+            for seg, k in zip(segs, nw)]
+        del MW
+        W = (W, K.matvec(W))
         tops = []
-        for q, seg in enumerate(segs):
-            w = [block[seg, :nw[q]] for block in W]
-            scale = 1.0 / np.sqrt(np.maximum(
-                np.einsum("ij,ij->j", w[0], w[2]), 1e-300))
+        for q, (seg, scale) in enumerate(zip(segs, scales)):
             low = nx[q] + npr[q]
             tops.append(low + nw[q])
-            for i, block in enumerate(w):
-                np.multiply(block.T, scale[:, None],
+            for i, block in enumerate(W):
+                np.multiply(block[seg, :nw[q]].T, scale[:, None],
                             out=S[i, low:tops[q], seg])
         return tops
 
     def advance(pairs, tops, dependent):
         """Write each block's new X and momentum block P from its Ritz
-        coefficients; a restarting block gets K·X and M·X applied afresh."""
+        coefficients; a restarting block gets K·X applied afresh."""
         for q, (seg, (_, C)) in enumerate(zip(segs, pairs)):
             x, top, k = nx[q], tops[q], C.shape[1]
             # momentum block P: the Ritz directions' P/W part alone, kept
@@ -398,29 +397,32 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
             np.matmul(C[:x].T, S[:, :x, seg], out=S[:, x:x + k, seg])
             np.add(S[:, x:x + k, seg], spare[:, :k, seg], out=S[:, :k, seg])
             nx[q], npr[q] = k, 0
-            if dependent[q]:  # restart: no P, X images applied below
+        P = spare[0, :max(nx)]
+        MP = M.matvec(P.T).T
+        for q, seg in enumerate(segs):
+            if dependent[q]:  # restart: no P, K·X applied below
                 continue
+            k = nx[q]
             pnorm = np.sqrt(np.maximum(np.einsum(
-                "ij,ij->i", spare[0, :k, seg], spare[2, :k, seg]), 0.0))
+                "ij,ij->i", P[:k, seg], MP[:k, seg]), 0.0))
             keep = pnorm > 1e-12
-            P = spare[:, :k, seg]
-            P = P if np.all(keep) else P[:, keep]
-            npr[q] = P.shape[1]
-            np.multiply(P, 1.0 / pnorm[keep, None],
+            Pq = spare[:, :k, seg]
+            Pq = Pq if np.all(keep) else Pq[:, keep]
+            npr[q] = Pq.shape[1]
+            np.multiply(Pq, 1.0 / pnorm[keep, None],
                         out=S[:, k:k + npr[q], seg])
+        del MP
         if any(dependent):
-            X = S[0, :max(nx)].T
-            KX, MX = K.matvec(X).T, M.matvec(X).T
+            KX = K.matvec(S[0, :max(nx)].T).T
             for q, seg in enumerate(segs):
                 if dependent[q]:
                     S[1, :nx[q], seg] = KX[:nx[q], seg]
-                    S[2, :nx[q], seg] = MX[:nx[q], seg]
 
     # the first projection takes each block's kept Ritz rows out of the
     # starting stack, which is freed before the basis stack, sized for the
     # most that any block keeps, is allocated around them
     pairs, share, _ = ritz(first, nx)
-    kept = np.zeros((3, max(C.shape[1] for _, C in pairs), n))
+    kept = np.zeros((2, max(C.shape[1] for _, C in pairs), n))
     for q, (seg, (_, C)) in enumerate(zip(segs, pairs)):
         nx[q] = C.shape[1]
         np.matmul(C.T, first[:, :bs, seg], out=kept[:, :nx[q], seg])
@@ -467,8 +469,8 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
             f"fewer than the {m} requested")
     # the m smallest over all blocks and copies, each block's leading rows,
     # copied out; the basis is released before the result is returned, so
-    # a ConvergenceError's traceback does not hold it (W, P and the restart
-    # images live only inside widen and advance)
+    # a ConvergenceError's traceback does not hold it (W, P and the fresh
+    # M and K images live only inside the inner steps)
     owner, index, copy = (a[:m] for a in _merge(thetas, copies))
     X = np.zeros((n, m))
     for q, seg in enumerate(segs):
@@ -639,7 +641,7 @@ def banded_smallest(A, B, m=1, tol=1e-10, maxiter=300, seed=0, start=None):
         Y = factor.solve(BX.T)
         Y /= np.maximum(np.linalg.norm(Y, axis=0), 1e-300)
         S = np.stack((Y.T, A.matvec(Y).T, B.matvec(Y).T))
-        theta, C, _ = _rayleigh_ritz(S)
+        theta, C = _rayleigh_ritz(*S)
         X, BX = C.T @ S[::2]
         # scale-invariant residual: the pencil norms can be h^(-4) apart
         values, x = theta[:m], X[:m].T

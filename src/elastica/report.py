@@ -143,12 +143,24 @@ def load_report(path):
         return VerificationReport.from_json(fh.read())
 
 
-def render_csv(records):
+def _csv_field(text):
+    """``text`` as one CSV field, quoted when it holds a separator."""
+    if any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def render_csv(records, runs=None):
+    """CSV of the records; ``runs``, one label per record, adds a leading
+    ``run`` column naming the report each row came from."""
     lines = [CSV_HEADER]
     for r in records:
         lines.append(",".join([r.name, str(r.k), _fmt(r.bound_value),
                                _fmt(r.measured_value), _fmt(r.slack),
                                r.verdict]))
+    if runs is not None:
+        lines = ["run," + CSV_HEADER] + [
+            f"{_csv_field(run)},{line}" for run, line in zip(runs, lines[1:])]
     return "\n".join(lines) + "\n"
 
 

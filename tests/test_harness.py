@@ -598,6 +598,53 @@ class TestCLI:
         assert sum(len(r.records) for r in reports) == 11
         assert len(list(svg_dir.glob("*.svg"))) == 11
 
+    def test_report_charts_each_report_sharing_a_label(self, tmp_path):
+        # two 8×8 α = 2 runs that differ only in their seed share a label:
+        # each gets its own charts, numbered in argument order, while a
+        # label of its own keeps the plain <label>_<record>.svg name
+        paths = []
+        for seed in (1, 2, 3):
+            paths.append(str(tmp_path / f"seed{seed}.json"))
+            alpha = 0.5 if seed == 3 else 2.0
+            save_report(run_verify(tiny_verify_config(
+                cells=(8, 8), alpha=alpha, seed=seed)), paths[-1])
+        reports = [load_report(p) for p in paths]
+        names = [sorted({r.name for r in rep.records}) for rep in reports]
+        svg_dir = tmp_path / "plots"
+        cli.main(["report", *paths, "--table", str(tmp_path / "t.txt"),
+                  "--svg-dir", str(svg_dir)])
+        stems = ["alpha2_richardson(8x8,16x16)-1",
+                 "alpha2_richardson(8x8,16x16)-2",
+                 "alpha0.5_richardson(8x8,16x16)"]
+        assert sorted(p.name for p in svg_dir.glob("*.svg")) == sorted(
+            f"{stem}_{name}.svg" for stem, run in zip(stems, names)
+            for name in run)
+        chart = (svg_dir / f"{stems[1]}_{names[1][0]}.svg").read_text()
+        assert chart == render_svg(
+            f"{names[1][0]} ({reports[1].label()})",
+            svg_series_for(reports[1], names[1][0]))
+
+    def test_merged_csv_names_each_run(self, tmp_path):
+        # a merged CSV leads with the report's label, quoted where it holds
+        # a comma; the CSV of one report has no run column
+        one = run_verify(tiny_verify_config(cells=(8, 8), policy="fixed"))
+        two = run_verify(tiny_verify_config(cells=(8, 8), alpha=2.0))
+        paths = [str(tmp_path / "one.json"), str(tmp_path / "two.json")]
+        save_report(one, paths[0])
+        save_report(two, paths[1])
+        table = ["--table", str(tmp_path / "t.txt")]
+        single, merged = tmp_path / "single.csv", tmp_path / "merged.csv"
+        cli.main(["report", paths[0], "--csv", str(single), *table])
+        assert single.read_text() == render_csv(one.records)
+        cli.main(["report", *paths, "--csv", str(merged), *table])
+        lines = merged.read_text().splitlines()
+        assert lines[0] == "run,name,k,bound,measured,slack,verdict"
+        assert two.label() == "alpha=2 richardson(8x8,16x16)"
+        body = render_csv(one.records + two.records).splitlines()[1:]
+        runs = (["alpha=0 8x8"] * len(one.records)
+                + ['"alpha=2 richardson(8x8,16x16)"'] * len(two.records))
+        assert lines[1:] == [f"{run},{row}" for run, row in zip(runs, body)]
+
     def test_unknown_key_exits_one(self, capsys):
         assert cli.main(["verify", "--set", "solver.bogus=1"]) == 1
         assert "unknown key" in capsys.readouterr().err

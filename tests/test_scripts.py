@@ -43,7 +43,11 @@ def test_box_sweep_runs(tmp_path):
         assert report["summary"]["fail"] == 0
         # `elastica report` names charts <label>_<record>.svg
         assert any(tmp_path.glob(f"alpha{alpha}_*.svg"))
-    assert (tmp_path / "sweep.csv").read_text().startswith("name,k,bound")
+    # merged from two reports, so each row leads with its report's label
+    csv = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert csv[0] == "run,name,k,bound,measured,slack,verdict"
+    assert {row.split('",')[0] for row in csv[1:]} == {
+        '"alpha=0 richardson(6x6,12x12)', '"alpha=10 richardson(6x6,12x12)'}
     assert "verdict" in (tmp_path / "sweep.txt").read_text()
 
 
