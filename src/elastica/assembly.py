@@ -12,6 +12,8 @@ Kronecker products of three exact 1D tridiagonal matrices: the quadratic
 form is discretised, never the strong operator, which keeps K(α) exactly
 symmetric.  Degrees of freedom are component-major; within a component,
 nodes are lexicographic with the last coordinate fastest.
+:class:`ElasticityProblem` is the one description of that layout:
+interior nodes per axis, spacings and order.
 
 One term table (:func:`_terms`, :func:`_stencils_1d`) feeds two forms of
 the pencil.  :func:`assemble` builds it as CSR in nodal coordinates, for
@@ -47,12 +49,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigensolve import BreakdownError
 from .sparse import SparseSymMatrix
 
 
 @dataclass(frozen=True)
 class ElasticityProblem:
-    """Box domain, coupling constant and mesh resolution."""
+    """Box domain, coupling constant and mesh resolution, and the layout
+    of the degrees of freedom: the boundary is eliminated, so ``nodes`` =
+    Π ``interior`` per component and ``order`` in all."""
 
     edges: tuple[float, ...]
     alpha: float
@@ -79,29 +84,28 @@ class ElasticityProblem:
     def dim(self):
         return len(self.edges)
 
+    @property
+    def interior(self):
+        return tuple(c - 1 for c in self.cells)
+
+    @property
+    def spacings(self):
+        return tuple(e / c for e, c in zip(self.edges, self.cells))
+
+    @property
+    def nodes(self):
+        return math.prod(self.interior)
+
+    @property
+    def order(self):
+        return self.dim * self.nodes
+
     def refined(self):
         return ElasticityProblem(self.edges, self.alpha,
                                  tuple(2 * c for c in self.cells))
 
     def mesh_label(self):
         return "x".join(str(c) for c in self.cells)
-
-
-@dataclass(frozen=True)
-class DofMap:
-    """Layout of the eliminated-boundary degrees of freedom."""
-
-    dim: int
-    interior: tuple[int, ...]   # interior nodes per direction
-    spacings: tuple[float, ...]
-
-    @property
-    def nodes(self):
-        return int(np.prod(self.interior))
-
-    @property
-    def order(self):
-        return self.dim * self.nodes
 
 
 def _stencils_1d(h):
@@ -148,12 +152,6 @@ def _terms(problem):
     return lap_terms, div_terms, mass_terms
 
 
-def _dof_map(problem):
-    interior = tuple(c - 1 for c in problem.cells)
-    spacings = tuple(e / c for e, c in zip(problem.edges, problem.cells))
-    return DofMap(problem.dim, interior, spacings)
-
-
 def _coo_1d(n, lower, diag, upper):
     """COO triplets of an n x n tridiagonal with constant diagonals."""
     idx = np.arange(n)
@@ -175,37 +173,37 @@ def _kron(a, b, nb):
     return rows, cols, vals
 
 
-def _csr(dof_map, terms):
+def _csr(problem, terms):
     """Sum of Kronecker terms as a SparseSymMatrix."""
-    stencils = [_stencils_1d(h) for h in dof_map.spacings]
+    stencils = [_stencils_1d(h) for h in problem.spacings]
     rows, cols, vals = [], [], []
     for row, col, scale, kinds in terms:
         factors = [_coo_1d(n, *stencils[d][kind]) for d, (n, kind)
-                   in enumerate(zip(dof_map.interior, kinds))]
+                   in enumerate(zip(problem.interior, kinds))]
         r, c, v = factors[0]
-        for fac, n in zip(factors[1:], dof_map.interior[1:]):
+        for fac, n in zip(factors[1:], problem.interior[1:]):
             r, c, v = _kron((r, c, v), fac, n)
-        rows.append(r + row * dof_map.nodes)
-        cols.append(c + col * dof_map.nodes)
+        rows.append(r + row * problem.nodes)
+        cols.append(c + col * problem.nodes)
         vals.append(v * scale)
-    return SparseSymMatrix.from_coo(dof_map.order, np.concatenate(rows),
+    return SparseSymMatrix.from_coo(problem.order, np.concatenate(rows),
                                     np.concatenate(cols),
                                     np.concatenate(vals))
 
 
 def assemble(problem):
-    """Assemble (K, M, dof_map) for the generalized eigenproblem as CSR.
+    """Assemble (K, M, problem) for the generalized eigenproblem as CSR.
 
     K = K_lap + alpha*K_div and M are exactly symmetric; the generalized
     eigenvalues approximate the continuous ones at O(h²) for smooth
     eigenfunctions.  The solver applies the same terms in sine coordinates
     (see :func:`box_operators`); the CSR form serves the Matrix Market
-    export and the tests.
+    export and the tests.  The problem, returned third, is the layout of
+    their rows (:class:`ElasticityProblem`).
     """
-    dof_map = _dof_map(problem)
     lap_terms, div_terms, mass_terms = _terms(problem)
-    return (_csr(dof_map, lap_terms + div_terms), _csr(dof_map, mass_terms),
-            dof_map)
+    return (_csr(problem, lap_terms + div_terms), _csr(problem, mass_terms),
+            problem)
 
 
 def _sine_matrix(n):
@@ -247,7 +245,7 @@ def _parity(p):
     return slice(p, None, 2)
 
 
-def _parity_classes(dof_map):
+def _parity_classes(problem):
     """Class-major layout of the sine coordinates.
 
     Component c's coefficient with frequency parities p (p_d = j_d − 1 mod
@@ -261,11 +259,11 @@ def _parity_classes(dof_map):
     grid lexicographic from ``start``.
     """
     pieces, start = [], 0
-    for q in itertools.product((0, 1), repeat=dof_map.dim):
-        for c in range(dof_map.dim):
+    for q in itertools.product((0, 1), repeat=problem.dim):
+        for c in range(problem.dim):
             par = tuple(p ^ (d == c) for d, p in enumerate(q))
             size = math.prod((n + 1 - p) // 2
-                             for n, p in zip(dof_map.interior, par))
+                             for n, p in zip(problem.interior, par))
             if size:
                 pieces.append((q, c, par, start, size))
                 start += size
@@ -402,9 +400,8 @@ def box_operators(problem):
     class one matmul with an off-parity ⌈n/2⌉×⌊n/2⌋ sub-block of S·C·S
     along each of their two axes.
     """
-    dof_map = _dof_map(problem)
     factors = []
-    for n, h in zip(dof_map.interior, dof_map.spacings):
+    for n, h in zip(problem.interior, problem.spacings):
         S = _sine_matrix(n)
         factors.append({kind: _sine_factor(S, *stencil)
                         for kind, stencil in _stencils_1d(h).items()})
@@ -427,28 +424,28 @@ class ClassOrbits:
     reduced coordinates, the representatives' class-major sine
     coordinates concatenated in class-major order.  ``images[g]`` is
     (rows, perm): the reduced rows of class g's representative and the
-    axis permutation that carries it onto class g.  ``dof_map`` is the
+    axis permutation that carries it onto class g.  ``problem`` gives the
     full layout.
     """
 
     classes: tuple[tuple[int, ...], ...]
     pieces: tuple[tuple, ...]
     images: dict
-    dof_map: DofMap
+    problem: ElasticityProblem
 
     def _positions(self, rows, perm):
         """Class-major positions of the representative coordinates
         ``rows`` moved by the axis permutation ``perm``: component c's grid
         goes to component perm[c]'s, its axis d to axis perm[d]."""
         full = {(q, c): start
-                for q, c, _, start, _ in _parity_classes(self.dof_map)}
+                for q, c, _, start, _ in _parity_classes(self.problem)}
         out = []
         for q, c, par, start, size in self.pieces:
             if not rows.start <= start < rows.stop:
                 continue
             image = tuple(q[perm.index(e)] for e in range(len(q)))
             grid = tuple((n + 1 - par[perm.index(e)]) // 2
-                         for e, n in enumerate(self.dof_map.interior))
+                         for e, n in enumerate(self.problem.interior))
             out.append(full[image, perm[c]] + np.arange(size).reshape(
                 grid).transpose(perm).ravel())
         return np.concatenate(out)
@@ -457,9 +454,9 @@ class ClassOrbits:
         """Class-major sine coordinates of the reduced (n, b) block x, its
         column i, a vector of class classes[i]'s representative, carried
         onto class classes[i]."""
-        if len(x) == self.dof_map.order:
+        if len(x) == self.problem.order:
             return x
-        y = np.zeros((self.dof_map.order,) + x.shape[1:])
+        y = np.zeros((self.problem.order,) + x.shape[1:])
         for g in np.unique(classes):
             cols = np.flatnonzero(classes == g)
             rows, perm = self.images[g]
@@ -480,8 +477,7 @@ def class_orbits(problem):
     two equal axes two orbits of two, and other boxes none.  The orbits
     come from the classes' parity tuples alone; no coordinate is moved.
     """
-    dof_map = _dof_map(problem)
-    dim, pieces = dof_map.dim, _parity_classes(dof_map)
+    dim, pieces = problem.dim, _parity_classes(problem)
     axes = tuple(zip(problem.edges, problem.cells))
     perms = [p for p in itertools.permutations(range(dim))
              if all(axes[p[d]] == axes[d] for d in range(dim))]
@@ -502,7 +498,7 @@ def class_orbits(problem):
         tuple(tuple(number[g] for g in sorted(orbit))
               for orbit in orbits.values()), tuple(reduced),
         {number[g]: (rows[q], p) for q, orbit in orbits.items()
-         for g, p in orbit.items()}, dof_map)
+         for g, p in orbit.items()}, problem)
 
 
 def galerkin_start(K, M, m):
@@ -515,7 +511,8 @@ def galerkin_start(K, M, m):
     Ritz vectors of the L×L pencil by ``eigh``.  Column i holds every
     class's i-th Ritz vector on that class's rows, M̂-normalised, in
     class-major sine coordinates.  At α = 0 K̂ is diagonal, so these are
-    the exact lowest eigenvectors of every class.
+    the exact lowest eigenvectors of every class.  A failed ``eigh`` (on
+    over- or underflowed entries) raises :class:`BreakdownError`.
     """
     X = np.zeros((K.order, m))
     ratio = K.diagonal / M.diagonal
@@ -525,7 +522,10 @@ def galerkin_start(K, M, m):
         modes = first + np.argsort(ratio[first:stop],
                                    kind="stable")[:min(2 * m, size)]
         scale = 1.0 / np.sqrt(M.diagonal[modes])
-        _, V = np.linalg.eigh(scale[:, None] * K.restrict(modes) * scale)
+        try:
+            _, V = np.linalg.eigh(scale[:, None] * K.restrict(modes) * scale)
+        except np.linalg.LinAlgError as err:
+            raise BreakdownError(f"Galerkin start failed: {err}") from None
         k = min(m, len(modes))
         X[modes, :k] = scale[:, None] * V[:, :k]
     return X
@@ -540,20 +540,19 @@ def sine_transform(problem, x, inverse=False):
     (:func:`_parity_classes`).  Q maps nodal values to class-major sine
     coordinates, and Qᵀ = T·Pᵀ maps them back.
     """
-    dof_map = _dof_map(problem)
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != dof_map.order:
-        raise ValueError(f"need {dof_map.order} rows, got shape {x.shape}")
-    index = _gather(np.arange(dof_map.order).reshape(
-        (dof_map.dim,) + dof_map.interior), _parity_classes(dof_map))
+    if x.shape[0] != problem.order:
+        raise ValueError(f"need {problem.order} rows, got shape {x.shape}")
+    index = _gather(np.arange(problem.order).reshape(
+        (problem.dim,) + problem.interior), _parity_classes(problem))
     if inverse:
         y = np.empty_like(x)
         y[index] = x
     else:
         y = x
-    shape = dof_map.interior
+    shape = problem.interior
     for axis, n in enumerate(shape):
-        batch = dof_map.dim * math.prod(shape[:axis])
+        batch = problem.dim * math.prod(shape[:axis])
         y = _sine_matrix(n) @ y.reshape(batch, n, -1)
     y = y.reshape(x.shape)
     return y if inverse else y[index]
@@ -563,7 +562,7 @@ def divergence_stiffness(problem):
     """The divergence Gram matrix K_div alone (alpha-independent)."""
     unit = ElasticityProblem(problem.edges, 1.0, problem.cells)
     _, div_terms, _ = _terms(unit)
-    return _csr(_dof_map(unit), div_terms)
+    return _csr(unit, div_terms)
 
 
 def laplacian_inverse(K0):
@@ -583,15 +582,17 @@ def _chebyshev_steps(alpha):
     """Smallest k >= 1 with T_k((2+α)/α) >= 3; 1 at α = 0.
 
     k steps on [1, 1+α] leave a residual polynomial bounded by 1/T_k, so
-    the preconditioned spectrum lies in [2/3, 4/3].
+    the preconditioned spectrum lies in [2/3, 4/3].  T_k(σ) = cosh(k·arcosh
+    σ) for σ >= 1, so k = ⌈arcosh 3 / arcosh σ⌉, about 0.88·√α.  Once
+    (2+α)/α rounds to 1 (α >= 2⁵⁴), no k exists.
     """
     if alpha == 0:
         return 1
     sigma = (2.0 + alpha) / alpha
-    k, t_prev, t = 1, 1.0, sigma
-    while t < 3.0:
-        k, t_prev, t = k + 1, t, 2.0 * sigma * t - t_prev
-    return k
+    if sigma == 1.0:
+        raise ValueError(f"alpha = {alpha:g} is too large for the "
+                         f"Chebyshev steps: (2+alpha)/alpha rounds to 1")
+    return math.ceil(math.acosh(3.0) / math.acosh(sigma))
 
 
 def chebyshev(K, inner, alpha):
@@ -645,9 +646,8 @@ def interpolate_field(problem, components):
     ``components`` is a sequence of callables taking the dim coordinate
     arrays (broadcast on the interior grid) and returning node values.
     """
-    dof_map = _dof_map(problem)
     axes = [h * np.arange(1, n + 1)
-            for n, h in zip(dof_map.interior, dof_map.spacings)]
+            for n, h in zip(problem.interior, problem.spacings)]
     grids = np.meshgrid(*axes, indexing="ij")
     parts = [np.asarray(comp(*grids), dtype=np.float64).ravel()
              for comp in components]

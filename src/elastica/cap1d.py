@@ -35,7 +35,9 @@ points (:func:`rayleigh_quotient`), not the Ritz value xᵀS x / xᵀW x,
 whose h⁻⁴ cancellation puts it up to ~1e-7 below the exact value at 512
 cells.  A solve at 2·cells can start from the eigenvectors at cells
 (``solve_cap(…, start=…)``): the Hermite cubics are nested, so
-:func:`prolongate` carries each vector over exactly.
+:func:`prolongate` carries each vector over exactly.  The cubic and its
+derivatives are written once, in :func:`_hermite_tables`; the element
+matrices, the quotients and the prolongation all read that table.
 
 Reported first eigenvalues are minima over modes m = 0..mode_max.
 """
@@ -65,6 +67,8 @@ _GAUSS_X = np.array([-0.9061798459386640, -0.5384693101056831, 0.0,
 _GAUSS_W = np.array([0.2369268850561891, 0.4786286704993665,
                      0.5688888888888889, 0.4786286704993665,
                      0.2369268850561891])
+#: the Gauss points on the unit cell [0, 1]
+_GAUSS_T = 0.5 * (1.0 + _GAUSS_X)
 
 #: residual tolerance and starting seed of every mode's first-pair solve
 FIRST_PAIR_TOL, FIRST_PAIR_SEED = 1e-13, 0
@@ -124,13 +128,13 @@ class ModeOperator:
         return np.setdiff1d(np.arange(self.ndof_full), self.removed)
 
 
-def _hermite_tables(h):
-    """Value/first/second derivative of the four shapes at the Gauss points.
+def _hermite_tables(h, t=_GAUSS_T):
+    """Value/first/second derivative of the four shapes at the points t of
+    the unit cell, each (4, len(t)); the only place the cubic is written.
 
     Shapes carry the physical scaling: slope DOFs multiply h so the DOF is
     du/dθ at the node.
     """
-    t = 0.5 * (1.0 + _GAUSS_X)
     val = np.stack([
         1 - 3 * t ** 2 + 2 * t ** 3,
         h * (t - 2 * t ** 2 + t ** 3),
@@ -257,29 +261,34 @@ def build_mode_operator(theta0, cells, m, kind):
                         _scatter_bands(elem[metric], keep), removed, ndof)
 
 
+def _cell_values(full, h, t=_GAUSS_T):
+    """u, u' and u'' of a full DOF vector at the points t of every cell of
+    width h, each (cells, len(t)): the :func:`_hermite_tables` applied to
+    each cell's (u₀, u'₀, u₁ − u₀, u'₁).
+
+    So the u₀ row becomes the sum of the u₀ and u₁ rows, exactly 0 for u'
+    and u'': u'' rounds like ε/h, not like the ε/h² of nodal shape sums.
+    """
+    u0 = full[0:-2:2]
+    coef = np.stack([u0, full[1:-2:2], full[2::2] - u0, full[3::2]], axis=1)
+    tables = _hermite_tables(h, t)
+    for table in tables:
+        table[0] += table[2]
+    return [coef @ table for table in tables]
+
+
 def rayleigh_quotient(theta0, cells, m, kind, full):
     """The kind's quotient of one mode's forms at a full DOF vector.
 
-    u, u' and L_m u are evaluated at the Gauss points, so W, A and S are
-    sums of squares, free of the h⁻⁴ cancellation in xᵀ S x; the p/q
-    numerators then lose cosθ₀·u'(θ₀)².  Each cell's cubic is written in
-    its slopes and its mean slope g = (u₁ − u₀)/h, so u'' =
-    ((6t−4)(u'₀−g) + (6t−2)(u'₁−g))/h rounds like ε/h, not like the
-    ε/h² of the nodal shape sums.  For a vector meeting the kind's
-    constraints the value is a conforming upper bound on the mode's first
-    eigenvalue, whatever solve produced the vector.
+    u, u' and L_m u are evaluated at the Gauss points (:func:`_cell_values`),
+    so W, A and S are sums of squares, free of the h⁻⁴ cancellation in
+    xᵀ S x; the p/q numerators then lose cosθ₀·u'(θ₀)².  For a vector
+    meeting the kind's constraints the value is a conforming upper bound on
+    the mode's first eigenvalue, whatever solve produced the vector.
     """
     numerator, metric, _, rim_corrected = _KIND_TABLE[kind]
     h, cot, inv2, wq = _gauss_points(theta0, cells)
-    t = 0.5 * (1.0 + _GAUSS_X)
-    u0, s0 = full[0:-2:2, None], full[1:-2:2, None]
-    u1, s1 = full[2::2, None], full[3::2, None]
-    g = (u1 - u0) / h
-    u = u0 + h * (g * (3 - 2 * t) * t ** 2 + s0 * t * (1 - t) ** 2
-                  + s1 * (t - 1) * t ** 2)
-    du = g * 6 * t * (1 - t) + s0 * (1 - 4 * t + 3 * t ** 2) \
-        + s1 * (3 * t - 2) * t
-    d2u = ((6 * t - 4) * (s0 - g) + (6 * t - 2) * (s1 - g)) / h
+    u, du, d2u = _cell_values(full, h)
     mu = (m * m) * inv2
     forms = {"W": np.sum(wq * u ** 2),
              "A": np.sum(wq * (du ** 2 + mu * u ** 2)),
@@ -296,16 +305,15 @@ def prolongate(full, theta0):
 
     Hermite cubics on the halved cells contain those on the whole ones, so
     the carried vector is the same function: old nodes keep their (u, u'),
-    and each midpoint takes the value and slope of its cell's cubic there.
-    The pole and the rim stay old nodes, so their constraints still hold.
+    and each midpoint takes the value and slope of its cell's cubic there
+    (:func:`_cell_values` at t = ½).  The pole and the rim stay old nodes,
+    so their constraints still hold.
     """
     cells = full.size // 2 - 1
-    h = theta0 / cells
-    u, du = full[0::2], full[1::2]
+    u, du, _ = _cell_values(full, theta0 / cells, np.array([0.5]))
     fine = np.empty(4 * cells + 2)
-    fine[0::4], fine[1::4] = u, du
-    fine[2::4] = 0.5 * (u[:-1] + u[1:]) + 0.125 * h * (du[:-1] - du[1:])
-    fine[3::4] = 1.5 * (u[1:] - u[:-1]) / h - 0.25 * (du[:-1] + du[1:])
+    fine[0::4], fine[1::4] = full[0::2], full[1::2]
+    fine[2::4], fine[3::4] = u[:, 0], du[:, 0]
     return fine
 
 

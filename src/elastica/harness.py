@@ -87,6 +87,13 @@ _POLICY_RE = re.compile(
 OUTPUT_FORMATS = ("json", "csv")
 #: largest box mesh: cells per axis, and unknowns dim·Π(cells − 1)
 MESH_MAX_CELLS, MESH_MAX_ORDER = 1024, 2 ** 21
+#: largest α of a box solve: each preconditioner apply takes about
+#: 0.88·√α K applies (:func:`~elastica.assembly.chebyshev`), 89 at 1e4
+ALPHA_MAX = 1e4
+#: box edges of a solve: below about 1e-75 the bound sums of σ ~ edge⁻²
+#: overflow, and from 1e6 in 3D (1e8 in 2D) LOBPCG stalls at solver.tol
+#: 1e-8, its residual floor growing like ε·edge^(n/2)
+EDGE_MIN, EDGE_MAX = 1e-60, 1e4
 #: largest cap run: radial cells (the coarse mesh) and azimuthal mode
 CAP_MAX_CELLS, CAP_MAX_MODE = 4096, 1024
 CAP_RUN_KINDS = ("all",) + CAP_KINDS
@@ -166,7 +173,7 @@ class RunConfig:
             raise ConfigError(str(err)) from None
         if solves:
             # LOBPCG needs m <= order/4; Richardson's coarse mesh is the limit
-            order = box.dim * math.prod(c - 1 for c in box.cells)
+            order = box.order
             if max(box.cells) > MESH_MAX_CELLS or order > MESH_MAX_ORDER:
                 raise ConfigError(
                     f"mesh.cells out of range: at most {MESH_MAX_CELLS} "
@@ -176,6 +183,12 @@ class RunConfig:
                 raise ConfigError(
                     f"solver.m = {self.m} exceeds order/4 = {order // 4} "
                     f"of the {box.mesh_label()} mesh")
+            if box.alpha > ALPHA_MAX:
+                raise ConfigError(f"domain.alpha out of range: at most "
+                                  f"{ALPHA_MAX:g}, got {box.alpha:g}")
+            if not EDGE_MIN <= min(box.edges) <= max(box.edges) <= EDGE_MAX:
+                raise ConfigError(f"domain.edges out of range: each in "
+                                  f"[{EDGE_MIN:g}, {EDGE_MAX:g}]")
         if self.spectrum_path is not None \
                 and not os.path.exists(self.spectrum_path):
             raise ConfigError(f"spectrum file not found: {self.spectrum_path}")
@@ -378,7 +391,7 @@ def run_verify(cfg):
         else:
             problem = ElasticityProblem(cfg.edges, cfg.alpha, cfg.cells)
             spectrum, _ = solve_problem(problem, cfg.m, cfg.tol, cfg.seed)
-        geometry = DomainGeometry(len(cfg.edges), cfg.edges)
+        geometry = DomainGeometry(len(cfg.edges), math.prod(cfg.edges))
         mesh = spectrum.mesh
     tolerance = VerifyTolerance(rel=cfg.fixed_tolerance(),
                                 per_index_rel=budget_rel)

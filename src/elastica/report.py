@@ -88,9 +88,13 @@ class VerificationReport:
             payload = json.loads(text)
         except json.JSONDecodeError as err:
             raise ReportFormatError(f"not valid JSON: {err}") from None
+        if type(payload) is not dict:
+            raise ReportFormatError("report must be a JSON object")
         for key in ("config", "records", "summary", "provenance"):
             if key not in payload:
                 raise ReportFormatError(f"report is missing field {key!r}")
+        if type(payload["records"]) is not list:
+            raise ReportFormatError("report records must be a list")
         records = []
         for raw in payload["records"]:
             if not isinstance(raw, dict):

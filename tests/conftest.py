@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from elastica.assembly import (ElasticityProblem, _dof_map, _sine_factor,
+from elastica.assembly import (ElasticityProblem, _sine_factor,
                                _sine_matrix, _stencils_1d, class_orbits,
                                sine_transform)
 
@@ -39,9 +39,8 @@ def sine_factors(problem):
     ``box_operators`` builds, for tests that lay terms out with
     ``assembly._operator`` themselves (on every parity class, or with the
     mass added)."""
-    dof_map = _dof_map(problem)
     table = []
-    for n, h in zip(dof_map.interior, dof_map.spacings):
+    for n, h in zip(problem.interior, problem.spacings):
         S = _sine_matrix(n)
         table.append({kind: _sine_factor(S, *stencil)
                       for kind, stencil in _stencils_1d(h).items()})

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from elastica import assembly, harness
-from elastica.assembly import (DofMap, ElasticityProblem, _chebyshev_steps,
+from elastica.assembly import (ElasticityProblem, _chebyshev_steps,
                                assemble, box_operators, chebyshev,
                                class_orbits, divergence_stiffness,
                                galerkin_start,
                                interpolate_field, laplacian_inverse,
                                reference_spectrum_alpha0, sine_transform)
+from elastica.eigensolve import BreakdownError
 from elastica.harness import solve_problem
 from conftest import dense_generalized_eigs
 
@@ -304,6 +305,14 @@ class TestGalerkinStart:
                                    M.diagonal[first:stop])))
             assert np.all(theta >= exact[:live.size] * (1 - 1e-12))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_eigh_is_a_breakdown(self):
+        # at edges of 1e-160 the symbols over- and underflow on the way
+        K, M, _ = box_operators(ElasticityProblem((1e-160, 1e-160), 2.0,
+                                                  (6, 6)))
+        with pytest.raises(BreakdownError, match="Galerkin start failed"):
+            galerkin_start(K, M, 4)
+
     def test_exact_at_alpha0(self):
         # K̂(0) is diagonal, so each class's vectors are its lowest modes
         p = ElasticityProblem((PI, 1.7), 0.0, (12, 16))
@@ -498,6 +507,26 @@ def test_chebyshev_steps_from_alpha():
         == [1, 1, 1, 2, 3, 9]
 
 
+def test_chebyshev_steps_match_the_recurrence():
+    # the closed form against the three-term recurrence for T_k, up to
+    # the largest α a run accepts
+    def recurrence(alpha):
+        if alpha == 0:
+            return 1
+        sigma = (2.0 + alpha) / alpha
+        k, t_prev, t = 1, 1.0, sigma
+        while t < 3.0:
+            k, t_prev, t = k + 1, t, 2.0 * sigma * t - t_prev
+        return k
+
+    top = harness.ALPHA_MAX
+    grid = np.concatenate([np.geomspace(1e-9, top, 10001),
+                           np.linspace(0.0, top, 10001),
+                           np.arange(2001) / 8.0])
+    assert [_chebyshev_steps(a) for a in grid.tolist()] \
+        == [recurrence(a) for a in grid.tolist()]
+
+
 class TestConvergence:
     def test_sigma1_second_order(self):
         errors = {}
@@ -543,9 +572,9 @@ class TestClassOrbits:
         assert K.order == M.order == sum(K.blocks) == stops[-1]
         assert [start for *_, start, _ in orbits.pieces] == \
             [0, *stops[:-1].tolist()]
-        assert orbits.dof_map.order == assemble(problem)[2].order
+        assert orbits.problem.order == assemble(problem)[2].order
         if all(len(orbit) == 1 for orbit in classes):
-            assert K.order == orbits.dof_map.order
+            assert K.order == orbits.problem.order
 
     def test_empty_classes_are_dropped(self):
         # one interior node per axis: classes (0,0) and (1,1) are empty

@@ -20,7 +20,7 @@ from elastica.bounds import (BoundRecord, DegenerateGapError, DomainGeometry,
                              coupling_coefficient, evaluate_all, gap_upper,
                              hook_sum_ratio, index_growth_upper,
                              levine_protter_lower, levitin_parnovski_gap,
-                             low_order_check, make_record,
+                             low_order_sides, make_record,
                              sphere_surface_measure,
                              yang_coefficient, yang_type_next_upper,
                              yang_type_quadratic)
@@ -203,7 +203,7 @@ class TestRatioAndLowerBounds:
         assert 0 < sphere_surface_measure(50) < 1.0
 
     def test_levine_protter_square_box(self):
-        geom = DomainGeometry(2, (math.pi, math.pi))
+        geom = DomainGeometry(2, math.pi ** 2)
         assert levine_protter_lower(geom, 1) == pytest.approx(1 / math.pi,
                                                               rel=1e-15)
         # computed sigma_1 = 2 at alpha = 0 satisfies it comfortably
@@ -211,19 +211,23 @@ class TestRatioAndLowerBounds:
         assert levine_protter_lower(geom, 15) == \
             pytest.approx(15 ** 2 / math.pi, rel=1e-15)
 
+    @staticmethod
+    def low_order_record(s):
+        return next(r for r in evaluate_all(s, 1) if r.name == "low_order")
+
     def test_low_order_check(self):
-        rec = low_order_check(spectrum([2.0, 5.0, 5.0]))
+        rec = self.low_order_record(spectrum([2.0, 5.0, 5.0]))
         assert rec.bound_value == pytest.approx(12.0)
         assert rec.measured_value == pytest.approx(10.0)
         assert rec.verdict == "pass"
-        rec = low_order_check(spectrum([1.0, 1.0, 1.0]))
+        rec = self.low_order_record(spectrum([1.0, 1.0, 1.0]))
         assert rec.verdict == "pass" and rec.bound_value == 6.0
-        rec = low_order_check(spectrum([1.0, 1.0, 1.0], alpha=1.0))
+        rec = self.low_order_record(spectrum([1.0, 1.0, 1.0], alpha=1.0))
         assert rec.bound_value == pytest.approx(10.0)
 
     def test_low_order_needs_enough_values(self):
         with pytest.raises(SpectrumError):
-            low_order_check(spectrum([1.0, 2.0], n=3))
+            low_order_sides(spectrum([1.0, 2.0], n=3))
 
 
 class TestChebyshevSum:
@@ -315,6 +319,19 @@ class TestSpectrumValidation:
     def test_rejects_non_finite(self, alpha, values, residuals):
         with pytest.raises(SpectrumError):
             Spectrum(2, alpha, np.array(values), residuals=residuals)
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.0, 1e4])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_largest_accepted_values_keep_records_finite(self, n, alpha):
+        count = 16
+        top = bounds.SUM_LIMIT / ((6.0 + 4.0 * alpha) * count)
+        values = top * (1 - 1e-12) * np.linspace(0.1, 1.0, count)
+        records = evaluate_all(spectrum(values, n=n, alpha=alpha), count - 1,
+                               DomainGeometry(n, 1.0))
+        assert all(np.isfinite([r.bound_value, r.measured_value, r.slack])
+                   .all() for r in records if r.verdict != "skip")
+        with pytest.raises(SpectrumError, match="bound sums would overflow"):
+            spectrum(values * (1 + 1e-9), n=n, alpha=alpha)
 
     def test_residual_contract(self):
         Spectrum(2, 0.0, np.array([1.0, 2.0]), source="computed",
@@ -423,7 +440,7 @@ class TestEvaluateAll:
     def test_square_box_spectrum_passes(self):
         vals = [2, 2, 5, 5, 5, 5, 8, 8, 10, 10, 10, 10]
         s = spectrum(np.array(vals, dtype=float))
-        geom = DomainGeometry(2, (math.pi, math.pi))
+        geom = DomainGeometry(2, math.pi ** 2)
         records = evaluate_all(s, 8, geometry=geom)
         assert all(r.verdict in ("pass", "skip") for r in records)
         hooks = [r for r in records if r.name == "hook_sum_ratio"]
@@ -483,10 +500,19 @@ class TestEvaluateAll:
         upper = [r for r in records if r.name == "average_upper"][-1]
         assert (upper.k, upper.verdict) == (3, "pass")
 
+    def test_index_growth_past_double_range_is_a_skip(self):
+        # at α = 1000 the bound is 1003·k^501·σ₁: 4^501 ≈ 1e302, 5^501
+        # overflows
+        records = evaluate_all(spectrum(np.arange(1.0, 17.0), alpha=1000.0),
+                               15)
+        growth = [r for r in records if r.name == "index_growth"]
+        assert [r.verdict for r in growth] == ["pass"] * 4 + ["skip"] * 11
+        assert growth[4].note == "index-growth bound overflows at k = 5"
+
     def test_levine_protter_band_stops_at_sigma_k(self):
         s = spectrum([0.3, 1.0, 1.0, 2.0])
         tol = VerifyTolerance(per_index_rel=np.array([0, 0.5, 0, 0]))
-        records = evaluate_all(s, 1, DomainGeometry(2, (math.pi, math.pi)),
+        records = evaluate_all(s, 1, DomainGeometry(2, math.pi ** 2),
                                tol)
         lp = [r for r in records if r.name == "levine_protter_sum"][0]
         assert (lp.k, lp.slack) == (1, pytest.approx(0.3 - 1 / math.pi))
@@ -537,7 +563,7 @@ class TestBoxRecordLayout:
     @pytest.mark.parametrize("n", [2, 3])
     def test_names_kinds_order_and_notes(self, n, with_geometry, k_max):
         values = BOX_SPECTRA[n][:k_max + 1]
-        geometry = DomainGeometry(n, (math.pi,) * n) if with_geometry \
+        geometry = DomainGeometry(n, math.pi ** n) if with_geometry \
             else None
         records = evaluate_all(spectrum(values, n=n), k_max, geometry)
         assert [(r.name, r.kind, r.k, r.note, r.verdict == "skip")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from elastica import eigensolve
-from elastica.assembly import (ElasticityProblem, _csr, _dof_map, _operator,
+from elastica.assembly import (ElasticityProblem, _csr, _operator,
                                _parity_classes, _terms, assemble,
                                box_operators, chebyshev, class_orbits,
                                galerkin_start, laplacian_inverse,
@@ -53,7 +53,7 @@ def full_operator(problem, terms):
     """The sine-coordinate operator of ``terms`` on every parity class,
     as :func:`box_operators` lays it out on boxes without equal axes."""
     return _operator(sine_factors(problem), terms,
-                     _parity_classes(_dof_map(problem)))
+                     _parity_classes(problem))
 
 
 def full_inverse(problem):
@@ -178,14 +178,14 @@ class TestLOBPCG:
 
     def test_shift_invariance(self):
         p = ElasticityProblem((PI, PI), 0.5, (16, 16))
-        K, M, dof_map = assemble(p)
+        K, M, _ = assemble(p)
         lap_terms, div_terms, mass_terms = _terms(p)
         tol = 1e-9
         precond = nodal_inverse(p)
         base = smallest_eigenpairs(K, M, 6, tol=tol, seed=9, precond=precond)
         # K + M as one CSR matrix, summed from the terms
         shifted = smallest_eigenpairs(
-            _csr(dof_map, lap_terms + div_terms + mass_terms), M, 6, tol=tol,
+            _csr(p, lap_terms + div_terms + mass_terms), M, 6, tol=tol,
             seed=9, precond=precond)
         assert np.all(np.abs(shifted.values - base.values - 1.0)
                       <= 20 * tol * shifted.values)
@@ -785,7 +785,7 @@ class TestResultMemory:
             tracemalloc.stop()
         assert res.vectors.shape == (
             sum(size for *_, size in orbits.pieces), m)
-        assert peak <= 4.5 * orbits.dof_map.order * (m + 8) * 8
+        assert peak <= 4.5 * orbits.problem.order * (m + 8) * 8
 
 
 def assert_certified(K, M, result):

@@ -111,6 +111,31 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             tiny_verify_config(cells=(1, 10)).validate()
 
+    def test_alpha_capped_before_any_solve(self):
+        # past the cap a run spends ~0.88·√α K applies per preconditioner
+        # apply; at 1e300 the step count never ended
+        top = harness.ALPHA_MAX
+        assert tiny_verify_config(alpha=top).validate().alpha == top
+        for alpha in (math.nextafter(top, math.inf), 1e300):
+            with pytest.raises(ConfigError, match="domain.alpha out of range"):
+                tiny_verify_config(alpha=alpha).validate()
+        # runs that solve no box only echo it
+        replace(RunConfig(mode="cap"), alpha=1e300).validate()
+
+    @pytest.mark.parametrize("end", ["EDGE_MIN", "EDGE_MAX"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_edges_in_range_at_each_end(self, end, dim):
+        edge = getattr(harness, end)
+        outside = math.nextafter(edge, 0.0 if end == "EDGE_MIN" else math.inf)
+        cells = (6,) * dim
+        cfg = tiny_verify_config(edges=(edge,) * dim, cells=cells)
+        # at the ends the solve converges and no bound sum overflows
+        summary = run_verify(cfg).summary
+        assert summary["fail"] == summary["marginal"] == 0
+        with pytest.raises(ConfigError, match="domain.edges out of range"):
+            tiny_verify_config(edges=(1.0,) * (dim - 1) + (outside,),
+                               cells=cells).validate()
+
 
 def config_text(cfg):
     """A config's echo as ``key = value`` lines; unset paths are left out."""
@@ -186,6 +211,10 @@ class TestSpectrumFiles:
         ("2 nan 1\n1 1.0\n", "alpha must be finite"),
         ("2 0 1\n1 1.0 nan\n", "residuals must be finite"),
         ("2 0 1\n1 1.0 -1e-12\n", "residuals must be finite"),
+        # the square's first 8 values times 1e153: their bound sums
+        # overflow, and the report held inf
+        ("2 0 8\n" + "".join(f"{i} {v}e153\n" for i, v in enumerate(
+            (2, 2, 5, 5, 5, 5, 8, 8), 1)), "bound sums would overflow"),
     ])
     def test_malformed_rejected(self, tmp_path, content, msg):
         path = tmp_path / "bad.spec"
@@ -211,6 +240,23 @@ class TestSpectrumFiles:
 
 
 class TestVerifyFlows:
+    @pytest.mark.parametrize("edges,cells", [
+        ((PI, PI), (16, 16)), ((PI, PI), (32, 32)),
+        ((PI, 0.3 * PI), (32, 8)), ((PI, 2.0), (24, 16)),
+        ((PI, PI, PI), (8, 8, 8)), ((PI, 2.0, 1.5), (8, 6, 6)),
+    ], ids=["square16", "square32", "strip", "pi_by_2", "cube", "box3d"])
+    def test_alpha0_extrapolation_within_its_budget(self, edges, cells):
+        # each extrapolated σ_i against the closed form, within its
+        # Richardson budget |σ_2N − σ_N|; the largest error/budget read
+        # 0.0036, 0.0009, 0.0061, 0.0036, 0.0060 and 0.0103 on these boxes
+        # in this order, so here each budget is 100–1000 times the error
+        cfg = replace(RunConfig(mode="verify"), edges=edges, alpha=0.0,
+                      cells=cells, m=16, k_max=15, tol=1e-10, seed=7)
+        spectrum, rel = harness._richardson(cfg)
+        exact = reference_spectrum_alpha0(edges, 16)
+        assert np.all(np.abs(spectrum.values - exact)
+                      <= rel * spectrum.values)
+
     def test_string_spectrum_all_pass(self, tmp_path):
         # sigma_i = i^2 is the 1D string spectrum (operator (1+a) d^2/dx^2),
         # scale-invariant under the bounds: every record must pass
@@ -456,6 +502,16 @@ class TestReports:
         capsys.readouterr()
         assert cli.main(["report", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("payload", [
+        1, "config records summary provenance",
+        {"config": {}, "records": 5, "summary": {}, "provenance": {}},
+    ], ids=["number", "string_naming_the_fields", "numeric_records"])
+    def test_malformed_top_level_exits_one(self, payload, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["report", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: report ")
 
     @pytest.mark.parametrize("section,change", [
         ("spectrum", {"alpha": "abc"}), ("provenance", {"theta0": [1.0]}),
