@@ -16,20 +16,21 @@ explicit upper bounds on σ_{k+1}, on eigenvalue gaps and on index growth;
 the comparator bounds of Levine–Protter, Hook, Levitin–Parnovski and
 Cheng–Yang are provided alongside for dominance checks.
 
-Every record, box or cap, is judged by :func:`make_record` with an error
-band b: upper and lower bounds pass at slack ≥ 0 and are marginal down to
-slack −b; a strict lower bound passes only with slack > b; an equality
-passes with |measured − bound| ≤ b and is marginal up to 2b.  Anything
-else fails.  :func:`evaluate_all` builds every record, ``low_order``
-included; the volume-dependent ones read a :class:`DomainGeometry`, the
-dimension and volume alone.  A :class:`Spectrum` refuses values whose
-bound sums would overflow (:data:`SUM_LIMIT`).
+Every inequality the program judges is one row of a table here, judged by
+:func:`make_record` with an error band b: the box records of
+:data:`BOX_RECORDS` on a :class:`Spectrum` (:func:`evaluate_all`), the cap
+records of :data:`CAP_RECORDS` on first eigenvalues (:func:`evaluate_cap`).
+Upper and lower bounds pass at slack ≥ 0 and are marginal down to slack −b;
+a strict lower bound passes only with slack > b; an equality passes with
+|measured − bound| ≤ b and is marginal up to 2b.  Anything else fails.  A
+:class:`Spectrum` refuses values whose bound sums overflow (:data:`SUM_LIMIT`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -397,20 +398,44 @@ def chebyshev_sum_check(a, b, s):
     return lhs, rhs
 
 
-def _record(name, kind, k, bound, measured, tol, sense="upper", note=""):
-    """Box record banded over σ₁..σ_k for sums, else over σ₁..σ_{k+1}."""
-    count = k if kind in ("lower_sum", "low_order") else k + 1
-    band = tol.band(count, max(abs(bound), abs(measured)))
-    return make_record(name, kind, k, bound, measured, band, sense, note)
+#: a box record: ``sides(spectrum, geometry, k)`` is its (measured, bound)
+#: at k, its band covers σ₁..σ_{k+covers}; a row ``at`` an index (a function
+#: of n) is judged once, after the per-k rows, a ``volume`` row needs geometry
+BoxRow = namedtuple("BoxRow", "name kind sense covers sides note at volume",
+                    defaults=("", None, False))
+#: every box record, in report order
+BOX_RECORDS = (
+    BoxRow("yang_quadratic", "quadratic_form", "upper", 1,
+           lambda s, g, k: yang_type_quadratic(s, k)),
+    BoxRow("cheng_yang", "quadratic_form", "upper", 1,
+           lambda s, g, k: cheng_yang_sum(s, k)),
+    BoxRow("next_upper", "upper_next", "upper", 1,
+           lambda s, g, k: (s.values[k], yang_type_next_upper(s, k))),
+    BoxRow("average_upper", "upper_next", "upper", 1,
+           lambda s, g, k: (s.values[k], average_upper(s, k))),
+    BoxRow("gap_upper", "gap", "upper", 1,
+           lambda s, g, k: (s.values[k] - s.values[k - 1], gap_upper(s, k))),
+    BoxRow("levitin_parnovski_gap", "gap", "upper", 1,
+           lambda s, g, k: (s.values[k] - s.values[k - 1],
+                            levitin_parnovski_gap(s, k))),
+    BoxRow("hook_sum_ratio", "sum_ratio", "lower", 1,
+           lambda s, g, k: hook_sum_ratio(s, k)),
+    BoxRow("levine_protter_sum", "lower_sum", "lower", 0,
+           lambda s, g, k: (np.sum(s.values[:k]), levine_protter_lower(g, k)),
+           volume=True),
+    BoxRow("index_growth", "index_growth", "upper", 1,
+           lambda s, g, k: (s.values[k], index_growth_upper(
+               float(s.values[0]), s.dim, s.alpha, k)),
+           "conservative constant"),
+    BoxRow("low_order", "low_order", "upper", 0,
+           lambda s, g, k: low_order_sides(s)[::-1], at=lambda n: n + 1),
+)
 
 
 def evaluate_all(spectrum, k_max, geometry=None, tolerance=None):
-    """Evaluate every bound for k = 1..k_max and return the records.
-
-    Per-record failures (degenerate gaps, missing data) become skip entries;
-    the batch never aborts.  Volume-dependent records require ``geometry``
-    and are left out without one.
-    """
+    """The records of :data:`BOX_RECORDS` for k = 1..k_max.  A failing row
+    (degenerate gap, missing data) makes a skip record, never an abort;
+    the volume rows are left out without ``geometry``."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if len(spectrum) < k_max + 1:
@@ -418,48 +443,64 @@ def evaluate_all(spectrum, k_max, geometry=None, tolerance=None):
             f"need {k_max + 1} eigenvalues for k_max={k_max}, "
             f"have {len(spectrum)}")
     tol = tolerance or VerifyTolerance()
-    sig = spectrum.values
+    rows = [row for row in BOX_RECORDS if geometry or not row.volume]
+    steps = [(row, k) for k in range(1, k_max + 1)
+             for row in rows if not row.at]
+    steps += [(row, row.at(spectrum.dim)) for row in rows if row.at]
     records = []
-
-    def guarded(name, kind, k, thunk, sense="upper", note=""):
-        """thunk returns (bound, measured); exceptions become skip records."""
+    for row, k in steps:
         try:
-            bound, measured = thunk()
-        except (DegenerateGapError, SpectrumError, ValueError) as err:
-            records.append(BoundRecord(name, kind, k, math.nan, math.nan,
-                                       math.nan, "skip", str(err)))
-            return
-        records.append(_record(name, kind, k, bound, measured, tol, sense,
-                               note))
+            measured, bound = map(float, row.sides(spectrum, geometry, k))
+        except ValueError as err:
+            records.append(BoundRecord(row.name, row.kind, k, math.nan,
+                                       math.nan, math.nan, "skip", str(err)))
+            continue
+        band = tol.band(k + row.covers, max(abs(bound), abs(measured)))
+        records.append(make_record(row.name, row.kind, k, bound, measured,
+                                   band, row.sense, row.note))
+    return records
 
-    for k in range(1, k_max + 1):
-        gap = float(sig[k] - sig[k - 1])
-        guarded("yang_quadratic", "quadratic_form", k,
-                lambda k=k: tuple(reversed(yang_type_quadratic(spectrum, k))))
-        guarded("cheng_yang", "quadratic_form", k,
-                lambda k=k: tuple(reversed(cheng_yang_sum(spectrum, k))))
-        guarded("next_upper", "upper_next", k,
-                lambda k=k: (yang_type_next_upper(spectrum, k), float(sig[k])))
-        guarded("average_upper", "upper_next", k,
-                lambda k=k: (average_upper(spectrum, k), float(sig[k])))
-        guarded("gap_upper", "gap", k,
-                lambda k=k, gap=gap: (gap_upper(spectrum, k), gap))
-        guarded("levitin_parnovski_gap", "gap", k,
-                lambda k=k, gap=gap: (levitin_parnovski_gap(spectrum, k), gap))
-        guarded("hook_sum_ratio", "sum_ratio", k,
-                lambda k=k: tuple(reversed(hook_sum_ratio(spectrum, k))),
-                sense="lower")
-        if geometry is not None:
-            guarded("levine_protter_sum", "lower_sum", k,
-                    lambda k=k: (levine_protter_lower(geometry, k),
-                                 float(np.sum(sig[:k]))),
-                    sense="lower")
-        guarded("index_growth", "index_growth", k,
-                lambda k=k: (index_growth_upper(
-                    float(sig[0]), spectrum.dim, spectrum.alpha, k),
-                    float(sig[k])),
-                note="conservative constant")
 
-    guarded("low_order", "low_order", spectrum.dim + 1,
-            lambda: low_order_sides(spectrum))
+CAP_DIM = 2  # caps live in the round 2-sphere
+#: smallest hemisphere equality band, relative to the exact value
+CAP_EQUALITY_FLOOR = 0.005
+#: every cap record, in report order: (name, cap kind, kind, sense, c,
+#: times λ₁), its bound c·λ₁ or c; a lower bound's c is n, an equality's
+#: the exact value on the hemisphere, the only cap where it is judged
+CAP_RECORDS = (
+    ("clamped_vs_n_lambda1", "clamped", "cap_strict_lower", "strict lower",
+     CAP_DIM, True),
+    ("buckling_vs_n", "buckling", "cap_strict_lower", "strict lower",
+     CAP_DIM, False),
+    ("p1_vs_n_lambda1", "p_problem", "cap_lower", "lower", CAP_DIM, True),
+    ("q1_vs_n", "q_problem", "cap_lower", "lower", CAP_DIM, False),
+    ("lambda1_hemisphere", "dirichlet_laplacian", "cap_equality", "equality",
+     2.0, False),
+    ("p1_hemisphere", "p_problem", "cap_equality", "equality", 4.0, False),
+    ("q1_hemisphere", "q_problem", "cap_equality", "equality", 2.0, False),
+)
+
+
+def evaluate_cap(values, bands, boundary_mean_curvature_nonneg, hemisphere):
+    """The records of the cap kinds in ``values`` (first eigenvalues, λ₁
+    among them) at error bands ``bands``; a bound c·λ₁ adds c·(λ₁'s band).
+    The paper claims nothing where the rim's mean curvature is < 0: there
+    the strict records are exploratory and the others skipped."""
+    lam, lam_band = values["dirichlet_laplacian"], bands["dirichlet_laplacian"]
+    records = []
+    for name, kind, record_kind, sense, c, times_lambda1 in CAP_RECORDS:
+        if kind not in values or sense == "equality" and not hemisphere:
+            continue
+        bound, band, note = (c * lam, bands[kind] + c * lam_band, "") \
+            if times_lambda1 else (float(c), bands[kind], "")
+        if sense == "equality":
+            band = max(band, CAP_EQUALITY_FLOOR * c)
+            note = f"equality within slack {band:.3g}"
+        elif not boundary_mean_curvature_nonneg:
+            note = "exploratory (no claim here)" if sense == "strict lower" \
+                else "hypothesis not satisfied: boundary mean curvature < 0"
+        record = make_record(name, record_kind, 1, bound, values[kind], band,
+                             sense, note)
+        skip = not boundary_mean_curvature_nonneg and sense == "lower"
+        records.append(replace(record, verdict="skip") if skip else record)
     return records

@@ -78,11 +78,18 @@ def _config_from_args(args, mode):
     return cfg.validate()
 
 
+def _file_part(text):
+    """``text`` with its path separators made ``_``, so that a label or a
+    record name read from a report cannot place a chart outside its
+    directory."""
+    return text.replace("/", "_").replace("\\", "_")
+
+
 def _chart_stems(reports):
     """File-name stem of each report's charts: its label, and where several
     reports share a label, that label with the report's number among them
     (``-1``, ``-2``, ...), so no report overwrites another's charts."""
-    labels = [rep.label().replace(" ", "_").replace("=", "")
+    labels = [_file_part(rep.label().replace(" ", "_").replace("=", ""))
               for rep in reports]
     total, seen, stems = Counter(labels), Counter(), []
     for label in labels:
@@ -110,7 +117,8 @@ def _run_report(args):
         for rep, stem in zip(reports, _chart_stems(reports)):
             for name in dict.fromkeys(r.name for r in rep.records):
                 series = svg_series_for(rep, name)
-                path = os.path.join(args.svg_dir, f"{stem}_{name}.svg")
+                path = os.path.join(args.svg_dir,
+                                    f"{stem}_{_file_part(name)}.svg")
                 with open(path, "w", encoding="ascii") as fh:
                     fh.write(render_svg(f"{name} ({rep.label()})", series))
     return exit_code(reports)

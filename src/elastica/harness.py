@@ -8,7 +8,7 @@ resolution, extrapolates eigenvalues by (4 σ_2N − σ_N)/3 and uses
 inequalities on approximate spectra; the ``cap`` flow extrapolates its
 first eigenvalues the same way (:func:`_extrapolate`).  Both take their
 base relative band from ``VerifyTolerance.rel``; only box runs read
-``verify.policy``.
+``verify.policy``.  The records they judge are rows of :mod:`.bounds`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .assembly import (ElasticityProblem, assemble, box_operators,
                        chebyshev, class_orbits, galerkin_start,
                        laplacian_inverse)
 from .bounds import (DomainGeometry, Spectrum, VerifyTolerance, evaluate_all,
-                     make_record)
+                     evaluate_cap)
 from .cap1d import CAP_KINDS, CapProblem, solve_cap
 from .eigensolve import smallest_eigenpairs
 from .report import VerificationReport, render_csv, save_report
@@ -365,11 +365,17 @@ def _richardson(cfg):
     coarse, _ = solve_problem(problem, cfg.m, cfg.tol, cfg.seed)
     fine, _ = solve_problem(problem.refined(), cfg.m, cfg.tol, cfg.seed)
     extrap, budget = _extrapolate(coarse.values, fine.values)
+    meshes = f"{problem.mesh_label()},{problem.refined().mesh_label()}"
+    if np.any(extrap <= 0):  # Q1 locking: the coarse mesh is too coarse
+        i = int(np.argmax(extrap <= 0))
+        raise ConfigError(
+            f"Richardson extrapolation of sigma_{i + 1} from the {meshes} "
+            f"meshes at alpha = {cfg.alpha:g} is {extrap[i]:.3g} <= 0; "
+            f"raise mesh.cells")
     order = np.argsort(extrap, kind="stable")
     extrap, budget = extrap[order], budget[order]
     spectrum = Spectrum(problem.dim, cfg.alpha, extrap, source="computed",
-                        mesh=f"richardson({problem.mesh_label()},"
-                             f"{problem.refined().mesh_label()})")
+                        mesh=f"richardson({meshes})")
     rel = budget / np.maximum(np.abs(extrap), 1e-300)
     return spectrum, rel
 
@@ -413,19 +419,6 @@ def run_verify(cfg):
     return report
 
 
-CAP_DIM = 2  # caps live in the round 2-sphere
-#: smallest hemisphere equality band, relative to the exact value
-CAP_EQUALITY_FLOOR = 0.005
-#: kind -> (lower record, bound n·λ₁ or n, strict, hemisphere record, exact)
-CAP_RECORDS = {
-    "dirichlet_laplacian": (None, False, False, "lambda1_hemisphere", 2.0),
-    "clamped": ("clamped_vs_n_lambda1", True, True, None, None),
-    "buckling": ("buckling_vs_n", False, True, None, None),
-    "p_problem": ("p1_vs_n_lambda1", True, False, "p1_hemisphere", 4.0),
-    "q_problem": ("q1_vs_n", False, False, "q1_hemisphere", 2.0),
-}
-
-
 def _cap_roundoff(theta0, cells, scale):
     """Double-precision floor of the h^(-4)-conditioned biharmonic pencils.
 
@@ -441,8 +434,7 @@ def run_cap(cfg):
     cfg.validate()
     eps = VerifyTolerance.rel
     kinds = CAP_KINDS if cfg.cap_kind == "all" else \
-        ("dirichlet_laplacian", cfg.cap_kind)
-    kinds = tuple(dict.fromkeys(kinds))  # keep order, drop duplicates
+        dict.fromkeys(("dirichlet_laplacian", cfg.cap_kind))  # λ₁ once
     values, bands = {}, {}
     for kind in kinds:
         coarse = solve_cap(CapProblem(cfg.theta0, kind, cfg.mode_max,
@@ -456,36 +448,9 @@ def run_cap(cfg):
             _cap_roundoff(cfg.theta0, 2 * cfg.radial_cells, values[kind])
         bands[kind] = max(eps, budget, floor)
 
-    cap = CapProblem(cfg.theta0, "dirichlet_laplacian", cfg.mode_max,
-                     cfg.radial_cells)
-    hypothesis_ok = cap.boundary_mean_curvature_nonneg
-    lam, lam_band = values["dirichlet_laplacian"], bands["dirichlet_laplacian"]
-    records = []
-    for kind in values:
-        name, times_lambda1, strict = CAP_RECORDS[kind][:3]
-        if name is None:
-            continue
-        bound = CAP_DIM * lam if times_lambda1 else float(CAP_DIM)
-        band = bands[kind] + (CAP_DIM * lam_band if times_lambda1 else 0.0)
-        record_kind, sense = (("cap_strict_lower", "strict lower") if strict
-                              else ("cap_lower", "lower"))
-        record = make_record(name, record_kind, 1, bound, values[kind], band,
-                             sense)
-        # the paper claims nothing where the rim's mean curvature is < 0
-        if not hypothesis_ok and strict:
-            record = replace(record, note="exploratory (no claim here)")
-        elif not hypothesis_ok:
-            record = replace(record, verdict="skip", note=(
-                "hypothesis not satisfied: boundary mean curvature < 0"))
-        records.append(record)
-    for kind in values:
-        name, exact = CAP_RECORDS[kind][3:]
-        if cap.hemisphere and name is not None:
-            band = max(bands[kind], CAP_EQUALITY_FLOOR * exact)
-            records.append(make_record(name, "cap_equality", 1, exact,
-                                       values[kind], band, "equality",
-                                       f"equality within slack {band:.3g}"))
-
+    records = evaluate_cap(values, bands,
+                           coarse.problem.boundary_mean_curvature_nonneg,
+                           coarse.problem.hemisphere)
     report = VerificationReport(
         cfg.echo(), records,
         provenance={"mesh": f"radial({cfg.radial_cells},"

@@ -159,9 +159,9 @@ def render_csv(records, runs=None):
     ``run`` column naming the report each row came from."""
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(",".join([r.name, str(r.k), _fmt(r.bound_value),
-                               _fmt(r.measured_value), _fmt(r.slack),
-                               r.verdict]))
+        lines.append(",".join([_csv_field(r.name), str(r.k),
+                               _fmt(r.bound_value), _fmt(r.measured_value),
+                               _fmt(r.slack), r.verdict]))
     if runs is not None:
         lines = ["run," + CSV_HEADER] + [
             f"{_csv_field(run)},{line}" for run, line in zip(runs, lines[1:])]
@@ -203,8 +203,12 @@ def render_svg(name, series):
     ``series`` maps a legend label to (k_list, value_list); returns the SVG
     document as a string.
     """
+    # imported here: html.entities' tables (0.4 MB) serve only the charts
+    from html import escape
+
     width, height = 640, 400
     ml, mr, mt, mb = 60, 20, 30, 40
+    name = escape(name, quote=False)
     all_k = [k for ks, _ in series.values() for k in ks]
     all_v = [v for _, vs in series.values() for v in vs
              if np.isfinite(v)]
@@ -252,7 +256,8 @@ def render_svg(name, series):
         parts.append(_svg_polyline([sx(k) for k, _ in finite],
                                    [sy(v) for _, v in finite], color, dash))
         parts.append(f'<text x="{width - mr - 150}" y="{mt + 16 * i + 12}" '
-                     f'font-size="11" fill="{color}">{label}</text>')
+                     f'font-size="11" fill="{color}">'
+                     f'{escape(label, quote=False)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -6,6 +6,8 @@ frozen.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -569,6 +571,15 @@ class TestBoxRecordLayout:
         assert [(r.name, r.kind, r.k, r.note, r.verdict == "skip")
                 for r in records] \
             == expected_box_layout(values, n, k_max, with_geometry)
+
+
+class TestReadmeRecords:
+    def test_readme_lists_the_box_table_in_report_order(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split(
+            "## What is verified")[1].split("\n## ")[0]
+        names = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+        assert names == [row.name for row in bounds.BOX_RECORDS]
 
 
 class TestMakeRecord:

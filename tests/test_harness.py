@@ -1,17 +1,19 @@
 """Harness tests: configs, spectrum files, verification flows, CLI, reports."""
 
+import csv
 import json
 import math
 import os
 from dataclasses import replace
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
 from elastica import cap1d, cli, harness
 from elastica.assembly import reference_spectrum_alpha0
-from elastica.bounds import Spectrum
+from elastica.bounds import BoundRecord, Spectrum
 from elastica.harness import (CONFIG_KEYS, ConfigError, RunConfig,
                               SpectrumFileError, apply_overrides, load_config,
                               parse_config_text, read_spectrum, run_cap,
@@ -561,7 +563,6 @@ class TestReports:
         assert "polyline" in svg
 
     def test_exit_code_ladder(self):
-        from elastica.bounds import BoundRecord
 
         def rec(verdict):
             return BoundRecord("x", "gap", 1, 1.0, 1.0, 0.0, verdict)
@@ -625,7 +626,6 @@ class TestCLI:
 
     def test_report_exit_code_over_reports(self, tmp_path):
         # one fail outranks any number of marginals, in either order
-        from elastica.bounds import BoundRecord
         paths = []
         for verdict in ("fail", "marginal", "pass"):
             paths.append(str(tmp_path / f"{verdict}.json"))
@@ -700,6 +700,56 @@ class TestCLI:
         runs = (["alpha=0 8x8"] * len(one.records)
                 + ['"alpha=2 richardson(8x8,16x16)"'] * len(two.records))
         assert lines[1:] == [f"{run},{row}" for run, row in zip(runs, body)]
+
+    def test_report_charts_stay_in_svg_dir(self, tmp_path):
+        # label and record names come from the report file: their path
+        # separators must not lead a chart out of --svg-dir
+        rep_path = tmp_path / "rep.json"
+        save_report(VerificationReport({}, [BoundRecord(
+            "../up", "gap", 1, 1.0, 1.0, 0.0, "pass")],
+            provenance={"mesh": "../../outside"}), rep_path)
+        svg_dir = tmp_path / "a" / "b" / "plots"
+        assert cli.main(["report", str(rep_path), "--table",
+                         str(tmp_path / "t.txt"), "--svg-dir",
+                         str(svg_dir)]) == 0
+        charts = list(tmp_path.rglob("*.svg"))
+        assert [p.parent for p in charts] == [svg_dir]
+        assert charts[0].name == ".._.._outside_.._up.svg"
+
+    def test_report_quotes_and_escapes_names(self, tmp_path):
+        # a comma in a name stays one CSV field; < and & stay SVG text
+        rep_path = tmp_path / "rep.json"
+        save_report(VerificationReport({}, [BoundRecord(
+            "x,y", "gap", 1, 1.0, 1.0, 0.0, "pass"), BoundRecord(
+            "a<b&c", "gap", 1, 1.0, 1.0, 0.0, "pass")],
+            provenance={"mesh": "m<1&2"}), rep_path)
+        csv_path, svg_dir = tmp_path / "out.csv", tmp_path / "plots"
+        assert cli.main(["report", str(rep_path), "--csv", str(csv_path),
+                         "--table", str(tmp_path / "t.txt"), "--svg-dir",
+                         str(svg_dir)]) == 0
+        with open(csv_path, newline="", encoding="ascii") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows] == ["name", "x,y", "a<b&c"]
+        assert {len(row) for row in rows} == {6}
+        titles = {ElementTree.fromstring(p.read_text()).find(
+            "{http://www.w3.org/2000/svg}text").text
+            for p in svg_dir.glob("*.svg")}
+        assert titles == {"x,y (m<1&2)", "a<b&c (m<1&2)"}
+        legend = ElementTree.fromstring(render_svg(
+            "t", {"<bound> & co": ([1, 2], [1.0, 2.0])}))
+        assert legend[-1].text == "<bound> & co"
+
+    def test_negative_richardson_value_is_a_config_error(self, capsys):
+        # Q1 locking on a 6×6 mesh at α = 1000 drives (4·fine − coarse)/3
+        # below zero; α = 300 on the same mesh still extrapolates
+        argv = ["verify", "--set", "mesh.cells=6,6", "--set", "solver.m=4",
+                "--set", "verify.k_max=3"]
+        assert cli.main([*argv, "--set", "domain.alpha=1000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Richardson extrapolation of sigma_4 "
+                              "from the 6x6,12x12 meshes at alpha = 1000")
+        assert cli.main([*argv, "--set", "domain.alpha=300"]) == 0
+        assert capsys.readouterr().out.startswith("verify: pass=27 ")
 
     def test_unknown_key_exits_one(self, capsys):
         assert cli.main(["verify", "--set", "solver.bogus=1"]) == 1
