@@ -2,8 +2,10 @@
 """Spherical-cap suite over a range of half-angles.
 
 For each theta0 run the five first-eigenvalue problems at two radial
-resolutions, extrapolate, and print the inequality checks (including the
-hemisphere equality cases and the hypothesis gating beyond it).
+resolutions, extrapolate and print the first eigenvalues; then print the
+inequality checks of all angles as one table, the one ``elastica report``
+renders (including the hemisphere equality cases and the hypothesis
+gating beyond it).
 
     python3 scripts/cap_suite.py --thetas pi/4,pi/3,pi/2,2pi/3 --cells 256
 """
@@ -16,7 +18,7 @@ from dataclasses import replace
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from elastica.harness import RunConfig, parse_angle, run_cap  # noqa: E402
-from elastica.report import exit_code, save_report  # noqa: E402
+from elastica.report import exit_code, render_table, save_report  # noqa: E402
 
 
 def main():
@@ -36,14 +38,12 @@ def main():
         values = report.provenance["values"]
         print(f"theta0 = {token.strip():>6s} ({theta0:.4f} rad)")
         print("   " + "  ".join(f"{k}={v:.6f}" for k, v in values.items()))
-        for rec in report.records:
-            print(f"   {rec.name:24s} slack={rec.slack:+.3e} "
-                  f"{rec.verdict}{'  ' + rec.note if rec.note else ''}")
         if args.out:
             os.makedirs(args.out, exist_ok=True)
             save_report(report, os.path.join(
                 args.out, f"cap_{theta0:.4f}.json"))
         reports.append(report)
+    sys.stdout.write(render_table(reports))
     return exit_code(reports)
 
 

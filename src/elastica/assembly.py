@@ -349,11 +349,20 @@ class SineOperator:
         return out
 
 
+def sine_factors(problem):
+    """The table of 1D factors in the sine basis: per axis, the
+    :func:`_sine_factor` of each :func:`_stencils_1d` kind."""
+    return [{kind: _sine_factor(S, *stencil)
+             for kind, stencil in _stencils_1d(h).items()}
+            for S, h in zip(map(_sine_matrix, problem.interior),
+                            problem.spacings)]
+
+
 def _operator(factors, terms, pieces):
     """SineOperator of Kronecker terms (row comp, col comp, scale, kinds)
     laid out on ``pieces``: for the solver, those :func:`class_orbits`
-    keeps.  ``factors[d][kind]`` is axis d's 1D factor in the sine basis
-    (:func:`_sine_factor`), the table :func:`box_operators` builds."""
+    keeps.  ``factors[d][kind]`` is axis d's 1D factor in the sine basis,
+    the table :func:`sine_factors` builds."""
     shape = tuple(len(f["M"]) for f in factors)
     grids, blocks = {}, {}
     for q, c, par, start, size in pieces:
@@ -400,11 +409,7 @@ def box_operators(problem):
     class one matmul with an off-parity ⌈n/2⌉×⌊n/2⌋ sub-block of S·C·S
     along each of their two axes.
     """
-    factors = []
-    for n, h in zip(problem.interior, problem.spacings):
-        S = _sine_matrix(n)
-        factors.append({kind: _sine_factor(S, *stencil)
-                        for kind, stencil in _stencils_1d(h).items()})
+    factors = sine_factors(problem)
     pieces = class_orbits(problem).pieces
     lap_terms, div_terms, mass_terms = _terms(problem)
     return (_operator(factors, lap_terms + div_terms, pieces),

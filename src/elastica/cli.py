@@ -1,15 +1,16 @@
 """Command line interface.
 
-Subcommands mirror the harness run modes:
+One subcommand per job: ``solve`` writes a spectrum file, ``verify`` (of a
+solve, or of ``spectrum.path``) and ``cap`` save JSON reports, and
+``report`` renders them as a table, CSV and SVG charts.
 
     elastica solve   --config cfg [--set k=v ...] [--dump-matrices DIR]
-    elastica bounds  --config cfg [--set k=v ...]
     elastica verify  --config cfg [--set k=v ...]
     elastica cap     --config cfg [--set k=v ...]
     elastica report  R1.json [R2.json ...] [--csv F] [--table F] [--svg-dir D]
 
-Exit status: 0 all records pass or skip, 2 any marginal, 1 any fail or a
-runtime error.
+Exit status: 0 all records pass or skip, 2 any marginal, 1 any fail, a
+runtime error or a usage error.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
             ("solve", "compute a spectrum and write a spectrum file"),
-            ("bounds", "evaluate all bounds on a spectrum file"),
-            ("verify", "solve and verify with the configured slack policy"),
+            ("verify", "verify a solve, or spectrum.path, by every bound"),
             ("cap", "first-eigenvalue suite on a spherical cap")):
         p = sub.add_parser(name, help=helptext)
         _add_common(p)
@@ -69,13 +69,9 @@ def _config_from_args(args, mode):
     if args.config:
         cfg = load_config(args.config, base=cfg)
     cfg = apply_overrides(cfg, args.overrides)
-    if args.output:
-        cfg = replace(cfg, output_path=args.output)
-    if mode == "solve" and getattr(args, "dump_matrices", None):
-        cfg = replace(cfg, dump_matrices=args.dump_matrices)
-    if mode == "bounds" and cfg.spectrum_path is None:
-        raise ConfigError("bounds mode needs spectrum.path")
-    return cfg.validate()
+    dump = getattr(args, "dump_matrices", None)  # only solve has the flag
+    return replace(cfg, output_path=args.output or cfg.output_path,
+                   dump_matrices=dump).validate()
 
 
 def _file_part(text):
@@ -101,11 +97,8 @@ def _chart_stems(reports):
 def _run_report(args):
     reports = [load_report(p) for p in args.reports]
     if args.csv:
-        records = [rec for rep in reports for rec in rep.records]
-        runs = [rep.label() for rep in reports for _ in rep.records] \
-            if len(reports) > 1 else None
         with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(render_csv(records, runs))
+            fh.write(render_csv(reports))
     table = render_table(reports)
     if args.table:
         with open(args.table, "w", encoding="ascii") as fh:
@@ -125,7 +118,10 @@ def _run_report(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:  # 0 after --help, else a usage error
+        return 1 if stop.code else 0
     try:
         if args.command == "report":
             return _run_report(args)

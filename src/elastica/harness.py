@@ -27,7 +27,7 @@ from .bounds import (DomainGeometry, Spectrum, VerifyTolerance, evaluate_all,
                      evaluate_cap)
 from .cap1d import CAP_KINDS, CapProblem, solve_cap
 from .eigensolve import smallest_eigenpairs
-from .report import VerificationReport, render_csv, save_report
+from .report import VerificationReport, read_text, save_report
 from .sparse import read_matrix_market, write_matrix_market
 
 
@@ -78,13 +78,11 @@ CONFIG_KEYS = {
     "cap.cells": ("radial_cells", int),
     "spectrum.path": ("spectrum_path", str),
     "output.path": ("output_path", str),
-    "output.format": ("output_format", str),
 }
 
 #: ``fixed:eps`` takes an unsigned decimal eps: only overflow makes it inf
 _POLICY_RE = re.compile(
     r"fixed(?::((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?))?$|richardson$")
-OUTPUT_FORMATS = ("json", "csv")
 #: largest box mesh: cells per axis, and unknowns dim·Π(cells − 1)
 MESH_MAX_CELLS, MESH_MAX_ORDER = 1024, 2 ** 21
 #: largest α of a box solve: each preconditioner apply takes about
@@ -118,19 +116,16 @@ class RunConfig:
     radial_cells: int = 256
     spectrum_path: str | None = None
     output_path: str | None = None
-    output_format: str = "json"
     dump_matrices: str | None = None
 
     def validate(self):
-        if self.mode not in ("solve", "bounds", "verify", "cap"):
+        if self.mode not in ("solve", "verify", "cap"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not _POLICY_RE.fullmatch(self.policy) \
                 or self.fixed_tolerance() == math.inf:
             raise ConfigError(
                 f"verify.policy must be 'richardson' or 'fixed[:eps]' with "
                 f"a finite eps >= 0, got {self.policy!r}")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ConfigError(f"output.format must be one of {OUTPUT_FORMATS}")
         if self.cap_kind not in CAP_RUN_KINDS:
             raise ConfigError(f"cap.kind must be one of {CAP_RUN_KINDS}")
         if not 1 <= self.k_max <= 10_000:
@@ -148,13 +143,13 @@ class RunConfig:
             raise ConfigError("domain.alpha must be finite and non-negative")
         if not math.isfinite(self.theta0):
             raise ConfigError("cap.theta0 must be finite")
-        if self.mode in ("verify", "bounds") and self.spectrum_path is None \
+        if self.mode == "verify" and self.spectrum_path is None \
                 and self.m < self.k_max + 1:
             raise ConfigError(
                 f"solver.m = {self.m} cannot cover verify.k_max = "
                 f"{self.k_max}; need solver.m >= {self.k_max + 1}")
         solves = self.mode == "solve" or (
-            self.mode in ("verify", "bounds") and self.spectrum_path is None)
+            self.mode == "verify" and self.spectrum_path is None)
         # upper limits, checked before any array is sized from them
         for key, value, top in (
                 ("cap.mode_max", self.mode_max, CAP_MAX_MODE),
@@ -207,40 +202,43 @@ class RunConfig:
         return out
 
 
-def parse_config_text(text, base=None, source="<config>"):
-    cfg = base or RunConfig()
+def _configured(cfg, entries):
+    """``cfg`` with each (where, "key = value") entry set, its value all
+    after the first ``=``; ``where`` names the entry in errors."""
     updates = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for where, entry in entries:
+        if "=" not in entry:
+            raise ConfigError(f"{where}: expected key = value, got {entry!r}")
+        key, value = (part.strip() for part in entry.split("=", 1))
         if key not in CONFIG_KEYS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
         name, parse = CONFIG_KEYS[key]
         try:
             updates[name] = parse(value)
         except ValueError as err:
             raise ConfigError(
-                f"{source}:{lineno}: bad value for {key}: {err}") from None
+                f"{where}: bad value for {key}: {err}") from None
     return replace(cfg, **updates)
+
+
+def parse_config_text(text, base=None, source="<config>"):
+    """Config-file text: one ``key = value`` a line, ``#`` comments."""
+    lines = ((f"{source}:{lineno}", raw.split("#", 1)[0].strip())
+             for lineno, raw in enumerate(text.splitlines(), 1))
+    return _configured(base or RunConfig(),
+                       [(where, line) for where, line in lines if line])
 
 
 def load_config(path, base=None):
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base, source=path)
+    return parse_config_text(read_text(path, "utf-8", ConfigError),
+                             base=base, source=path)
 
 
 def apply_overrides(cfg, pairs):
-    """Apply repeatable ``--set key=value`` overrides."""
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override must be key=value, got {pair!r}")
-    return parse_config_text("\n".join(pairs), base=cfg, source="--set")
+    """Apply ``--set key=value`` overrides, each one key: no comments."""
+    return _configured(cfg, [("--set", pair) for pair in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -257,35 +255,35 @@ def write_spectrum(path, spectrum):
 
 def read_spectrum(path):
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise SpectrumFileError("header must be 'n alpha count'")
+    lines = iter(read_text(path, "ascii", SpectrumFileError).split("\n"))
+    header = next(lines, "").split()
+    if len(header) != 3:
+        raise SpectrumFileError("header must be 'n alpha count'")
+    try:
+        dim, alpha, count = int(header[0]), float(header[1]), int(header[2])
+    except ValueError as err:
+        raise SpectrumFileError(f"bad header: {err}") from None
+    if count < 1:
+        raise SpectrumFileError("header count must be >= 1")
+    for i in range(count):
+        parts = next(lines, "").split()
+        if len(parts) not in (2, 3):
+            raise SpectrumFileError(
+                f"line {i + 2}: expected 'index value [residual]'")
+        if rows and len(parts) != len(rows[0]) + 1:
+            raise SpectrumFileError(
+                f"line {i + 2}: column count differs from line 2")
         try:
-            dim, alpha, count = int(header[0]), float(header[1]), int(header[2])
+            index = int(parts[0])
+            rows.append([float(p) for p in parts[1:]])
         except ValueError as err:
-            raise SpectrumFileError(f"bad header: {err}") from None
-        if count < 1:
-            raise SpectrumFileError("header count must be >= 1")
-        for i in range(count):
-            parts = fh.readline().split()
-            if len(parts) not in (2, 3):
-                raise SpectrumFileError(
-                    f"line {i + 2}: expected 'index value [residual]'")
-            if rows and len(parts) != len(rows[0]) + 1:
-                raise SpectrumFileError(
-                    f"line {i + 2}: column count differs from line 2")
-            try:
-                index = int(parts[0])
-                rows.append([float(p) for p in parts[1:]])
-            except ValueError as err:
-                raise SpectrumFileError(f"line {i + 2}: {err}") from None
-            if index != i + 1:
-                raise SpectrumFileError(f"line {i + 2}: index out of order")
-        for lineno, line in enumerate(fh, count + 2):
-            if line.strip():
-                raise SpectrumFileError(
-                    f"line {lineno}: data past the declared count {count}")
+            raise SpectrumFileError(f"line {i + 2}: {err}") from None
+        if index != i + 1:
+            raise SpectrumFileError(f"line {i + 2}: index out of order")
+    for lineno, line in enumerate(lines, count + 2):
+        if line.strip():
+            raise SpectrumFileError(
+                f"line {lineno}: data past the declared count {count}")
     columns = np.array(rows).T
     residuals = columns[1] if len(columns) == 2 else None
     source = "computed" if residuals is not None else "synthetic"
@@ -415,7 +413,8 @@ def run_verify(cfg):
             else [float(r) for r in spectrum.residuals],
         },
         provenance={"seed": cfg.seed, "mesh": mesh, "solver_tol": cfg.tol})
-    _emit(report, cfg)
+    if cfg.output_path:
+        save_report(report, cfg.output_path)
     return report
 
 
@@ -456,15 +455,7 @@ def run_cap(cfg):
         provenance={"mesh": f"radial({cfg.radial_cells},"
                             f"{2 * cfg.radial_cells})",
                     "theta0": cfg.theta0, "values": values, "budgets": bands})
-    _emit(report, cfg)
+    if cfg.output_path:
+        save_report(report, cfg.output_path)
     return report
 
-
-def _emit(report, cfg):
-    if not cfg.output_path:
-        return
-    if cfg.output_format == "csv":
-        with open(cfg.output_path, "w", encoding="ascii") as fh:
-            fh.write(render_csv(report.records))
-    else:
-        save_report(report, cfg.output_path)

@@ -15,9 +15,11 @@ import numpy as np
 from . import __version__
 from .bounds import VERDICTS, BoundRecord
 
-CSV_HEADER = "name,k,bound,measured,slack,verdict"
+#: the columns of a CSV row; a table row adds the note
+_COLUMNS = ["name", "k", "bound", "measured", "slack", "verdict"]
 _VALUE_FIELDS = ("bound_value", "measured_value", "slack")
-# field -> the types a loaded record may hold there (JSON's, bool excluded)
+# field -> the types a loaded record may hold there (JSON's, bool excluded;
+# strings ASCII)
 _FIELD_TYPES = {"name": (str,), "kind": (str,), "k": (int,), "note": (str,),
                 **dict.fromkeys(_VALUE_FIELDS, (int, float))}
 # (section, field) -> the types ``label`` may find there, when present
@@ -28,6 +30,11 @@ _LABEL_TYPES = {("spectrum", "alpha"): (int, float),
 
 class ReportFormatError(ValueError):
     """A report file does not match the expected schema."""
+
+
+def _typed(value, types):
+    """``value`` is of one of ``types`` and ASCII, as rendered files are."""
+    return type(value) in types and str(value).isascii()
 
 
 def _fmt(x):
@@ -58,7 +65,7 @@ class VerificationReport:
 
     def label(self):
         """Names the run by what it used: the spectrum's alpha (box and
-        spectrum-file runs) or the cap's theta0, then the mesh."""
+        spectrum-file runs) or the cap's theta0, then the mesh in ASCII."""
         parts = []
         if self.spectrum is not None and "alpha" in self.spectrum:
             parts.append(f"alpha={self.spectrum['alpha']:g}")
@@ -66,7 +73,7 @@ class VerificationReport:
             parts.append(f"theta0={self.provenance['theta0']:g}")
         mesh = self.provenance.get("mesh", "")
         if mesh:
-            parts.append(str(mesh))
+            parts.append(mesh.encode("ascii", "backslashreplace").decode())
         return " ".join(parts) or "run"
 
     def to_json(self):
@@ -106,7 +113,7 @@ class VerificationReport:
             except TypeError as err:
                 raise ReportFormatError(f"bad record entry: {err}") from None
             bad = [key for key, types in _FIELD_TYPES.items()
-                   if type(getattr(rec, key)) not in types]
+                   if not _typed(getattr(rec, key), types)]
             if bad or rec.verdict not in VERDICTS:
                 raise ReportFormatError(
                     f"bad {', '.join(bad) or 'verdict'} in record {raw}")
@@ -138,13 +145,22 @@ def exit_code(reports):
 
 def save_report(report, path):
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+        fh.write(report.to_json() + "\n")
+
+
+def read_text(path, encoding, error):
+    """The text of file ``path``; a byte outside ``encoding`` raises
+    ``error`` naming the file."""
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not {encoding.upper()} text: {err}") from None
 
 
 def load_report(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return VerificationReport.from_json(fh.read())
+    return VerificationReport.from_json(
+        read_text(path, "ascii", ReportFormatError))
 
 
 def _csv_field(text):
@@ -154,40 +170,31 @@ def _csv_field(text):
     return text
 
 
-def render_csv(records, runs=None):
-    """CSV of the records; ``runs``, one label per record, adds a leading
-    ``run`` column naming the report each row came from."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join([_csv_field(r.name), str(r.k),
-                               _fmt(r.bound_value), _fmt(r.measured_value),
-                               _fmt(r.slack), r.verdict]))
-    if runs is not None:
-        lines = ["run," + CSV_HEADER] + [
-            f"{_csv_field(run)},{line}" for run, line in zip(runs, lines[1:])]
-    return "\n".join(lines) + "\n"
+def _rows(reports, header, cells):
+    """``header``, then per record of the reports the list ``cells(record)``,
+    each led by a ``run`` column, its report's label, when several merge."""
+    run = ["run"] if len(reports) > 1 else []
+    return [run + header] + [([rep.label()] if run else []) + cells(r)
+                             for rep in reports for r in rep.records]
+
+
+def render_csv(reports):
+    """CSV of the reports' records (:func:`_rows`)."""
+    rows = _rows(reports, _COLUMNS, lambda r: [
+        r.name, str(r.k), _fmt(r.bound_value), _fmt(r.measured_value),
+        _fmt(r.slack), r.verdict])
+    return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
 
 
 def render_table(reports):
-    """Aligned text table; multiple reports are merged keyed by label."""
-    rows = []
-    multi = len(reports) > 1
-    for rep in reports:
-        for r in rep.records:
-            row = ([rep.label()] if multi else []) + [
-                r.name, str(r.k), f"{r.bound_value:.6g}",
-                f"{r.measured_value:.6g}", f"{r.slack:.3g}", r.verdict,
-                r.note]
-            rows.append(row)
-    headers = (["run"] if multi else []) + [
-        "name", "k", "bound", "measured", "slack", "verdict", "note"]
-    widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    out = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    out.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(out) + "\n"
+    """Aligned text table of the reports' records (:func:`_rows`)."""
+    headers, *rows = _rows(reports, _COLUMNS + ["note"], lambda r: [
+        r.name, str(r.k), f"{r.bound_value:.6g}", f"{r.measured_value:.6g}",
+        f"{r.slack:.3g}", r.verdict, r.note])
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    rows = [headers, ["-" * w for w in widths], *rows]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+                   + "\n" for row in rows)
 
 
 def _svg_polyline(xs, ys, color, dash=""):

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from elastica.assembly import (ElasticityProblem, _sine_factor,
-                               _sine_matrix, _stencils_1d, class_orbits,
-                               sine_transform)
+from elastica.assembly import ElasticityProblem, class_orbits, sine_transform
 
 #: α values of the random small boxes
 BOX_ALPHAS = (0.0, 0.5, 2.0, 10.0, 100.0)
@@ -32,19 +30,6 @@ def nodal_vectors(problem, result):
     carried onto its class, then out of class-major sine coordinates."""
     X = class_orbits(problem).expand(result.vectors, result.classes)
     return sine_transform(problem, X, inverse=True)
-
-
-def sine_factors(problem):
-    """Each axis's 1D factors in the sine basis, the table that
-    ``box_operators`` builds, for tests that lay terms out with
-    ``assembly._operator`` themselves (on every parity class, or with the
-    mass added)."""
-    table = []
-    for n, h in zip(problem.interior, problem.spacings):
-        S = _sine_matrix(n)
-        table.append({kind: _sine_factor(S, *stencil)
-                      for kind, stencil in _stencils_1d(h).items()})
-    return table
 
 
 def random_small_box(rng, max_cells):

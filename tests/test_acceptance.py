@@ -18,11 +18,9 @@ from elastica.bounds import (Spectrum, chebyshev_sum_check,
 from elastica.assembly import (ElasticityProblem, _operator, _terms,
                                assemble, box_operators, chebyshev,
                                class_orbits, laplacian_inverse,
-                               sine_transform)
+                               sine_factors, sine_transform)
 from elastica.eigensolve import smallest_eigenpairs
 from elastica.harness import RunConfig, run_cap, run_verify, solve_problem
-from elastica.report import render_csv
-from conftest import sine_factors
 
 PI = math.pi
 SQUARE = (PI, PI)

@@ -11,7 +11,8 @@ from elastica.assembly import (ElasticityProblem, _csr, _operator,
                                _parity_classes, _terms, assemble,
                                box_operators, chebyshev, class_orbits,
                                galerkin_start, laplacian_inverse,
-                               reference_spectrum_alpha0, sine_transform)
+                               reference_spectrum_alpha0, sine_factors,
+                               sine_transform)
 from elastica.eigensolve import (BandedCholesky, ConvergenceError,
                                  EigenResult, FactorizationError,
                                  IndefiniteMassError, _lower_inverse,
@@ -19,8 +20,7 @@ from elastica.eigensolve import (BandedCholesky, ConvergenceError,
                                  smallest_eigenpairs)
 from elastica.harness import RunConfig, run_verify, solve_problem
 from elastica.sparse import BandedSymMatrix, SparseSymMatrix
-from conftest import (dense_generalized_eigs, nodal_vectors,
-                      random_small_box, sine_factors)
+from conftest import dense_generalized_eigs, nodal_vectors, random_small_box
 
 PI = np.pi
 

@@ -43,7 +43,6 @@ class TestConfigParsing:
         solver.seed = 99
         verify.k_max = 6
         verify.policy = richardson
-        output.format = json
         """
         path = tmp_path / "run.cfg"
         path.write_text(text)
@@ -69,6 +68,15 @@ class TestConfigParsing:
         assert cfg.m == 9 and cfg.alpha == 2.0
         with pytest.raises(ConfigError):
             apply_overrides(RunConfig(), ["solver.m"])
+
+    def test_set_value_is_read_whole(self):
+        # a `--set` value keeps its `#` and its line breaks: one pair sets
+        # one key, while a config-file line still ends at its comment
+        cfg = apply_overrides(RunConfig(),
+                              ["output.path=a\ndomain.alpha=3"])
+        assert cfg.output_path == "a\ndomain.alpha=3" and cfg.alpha == 0.0
+        assert parse_config_text("output.path = run#1.json").output_path \
+            == "run"
 
     def test_angle_forms(self):
         cfg = apply_overrides(RunConfig(), ["cap.theta0=pi/2"])
@@ -158,8 +166,7 @@ class TestConfigTable:
             default, edges=(2.0, 3.0, 1.5), alpha=0.75, cells=(6, 8, 4),
             m=20, tol=1e-9, seed=7, k_max=12, policy="fixed:1e-6",
             theta0=1.0, cap_kind="clamped", mode_max=3, radial_cells=64,
-            spectrum_path="run.spec", output_path="out.csv",
-            output_format="csv")
+            spectrum_path="run.spec", output_path="out.json")
         for name, _ in CONFIG_KEYS.values():
             assert getattr(changed, name) != getattr(default, name), name
         for cfg in (default, changed):
@@ -265,7 +272,7 @@ class TestVerifyFlows:
         path = tmp_path / "string.spec"
         vals = [float(i * i) for i in range(1, 11)]
         write_spectrum(path, Spectrum(1, 0.5, np.array(vals)))
-        cfg = replace(RunConfig(mode="bounds"), spectrum_path=str(path),
+        cfg = replace(RunConfig(mode="verify"), spectrum_path=str(path),
                       k_max=8, policy="fixed")
         report = run_verify(cfg)
         assert report.summary["fail"] == 0
@@ -287,8 +294,7 @@ class TestVerifyFlows:
         path = tmp_path / "box.spec"
         write_spectrum(path, Spectrum(2, 0.0, np.array(
             computed.spectrum["values"])))
-        loaded = run_verify(replace(cfg, mode="bounds",
-                                    spectrum_path=str(path)))
+        loaded = run_verify(replace(cfg, spectrum_path=str(path)))
         assert loaded.config["domain.edges"] == \
             computed.config["domain.edges"]
         names = {r.name for r in computed.records}
@@ -299,7 +305,7 @@ class TestVerifyFlows:
     def test_corrupted_spectrum_fails_and_exits_nonzero(self, tmp_path):
         path = tmp_path / "bad.spec"
         write_spectrum(path, Spectrum(2, 0.0, np.array([1.0, 10.0])))
-        cfg = replace(RunConfig(mode="bounds"), spectrum_path=str(path),
+        cfg = replace(RunConfig(mode="verify"), spectrum_path=str(path),
                       k_max=1, policy="fixed")
         report = run_verify(cfg)
         failing = {r.name for r in report.records if r.verdict == "fail"}
@@ -332,11 +338,21 @@ class TestVerifyFlows:
     def test_byte_identical_reports(self):
         a = run_verify(tiny_verify_config())
         b = run_verify(tiny_verify_config())
-        assert render_csv(a.records) == render_csv(b.records)
+        assert render_csv([a]) == render_csv([b])
         assert a.to_json() == b.to_json()
 
 
 class TestCapRuns:
+    def test_hemisphere_values_within_their_budgets(self):
+        # λ₁ = 2, p₁ = 4 and q₁ = 2 on the hemisphere; at 32 cells the
+        # errors are 1e-4 to 1e-2 of their budgets
+        report = run_cap(replace(RunConfig(mode="cap"), radial_cells=32))
+        values = report.provenance["values"]
+        budgets = report.provenance["budgets"]
+        for kind, exact in (("dirichlet_laplacian", 2.0), ("p_problem", 4.0),
+                            ("q_problem", 2.0)):
+            assert abs(values[kind] - exact) <= budgets[kind], kind
+
     def test_hemisphere_records(self):
         cfg = replace(RunConfig(mode="cap"), radial_cells=48, mode_max=3)
         report = run_cap(cfg)
@@ -439,7 +455,7 @@ class TestReports:
         path = tmp_path / "r.json"
         save_report(report, path)
         back = load_report(path)
-        assert render_csv(back.records) == render_csv(report.records)
+        assert render_csv([back]) == render_csv([report])
         assert back.summary == report.summary
 
     def test_skip_records_written_as_strict_json(self, tmp_path):
@@ -541,13 +557,14 @@ class TestReports:
 
     def test_csv_shape(self):
         report = run_verify(tiny_verify_config())
-        csv = render_csv(report.records)
+        csv = render_csv([report])
         lines = csv.strip().splitlines()
         assert lines[0] == "name,k,bound,measured,slack,verdict"
         assert len(lines) == len(report.records) + 1
 
     def test_empty_records_csv(self):
         assert render_csv([]) == "name,k,bound,measured,slack,verdict\n"
+        assert render_csv([VerificationReport({}, [])]) == render_csv([])
 
     def test_table_merges_runs(self):
         a = run_verify(tiny_verify_config(alpha=0.0))
@@ -575,10 +592,10 @@ class TestReports:
             .exit_code() == 1
 
     def test_label_names_the_spectrum_alpha(self, tmp_path):
-        # a bounds run on an α = 2 file echoes the default domain.alpha = 0
+        # a run from an α = 2 file echoes the default domain.alpha = 0
         path = tmp_path / "string.spec"
         write_spectrum(path, Spectrum(1, 2.0, np.arange(1.0, 8.0) ** 2))
-        report = run_verify(replace(RunConfig(mode="bounds"),
+        report = run_verify(replace(RunConfig(mode="verify"),
                                     spectrum_path=str(path), k_max=4,
                                     policy="fixed"))
         assert report.config["domain.alpha"] == 0.0
@@ -594,7 +611,7 @@ class TestCLI:
                          "--set", "solver.m=5", "--set", "solver.seed=4",
                          "--output", str(spec_path)])
         assert code == 0 and spec_path.exists()
-        code = cli.main(["bounds", "--set", f"spectrum.path={spec_path}",
+        code = cli.main(["verify", "--set", f"spectrum.path={spec_path}",
                          "--set", "verify.k_max=4",
                          "--set", "verify.policy=fixed:1e-4"])
         assert code == 0
@@ -691,12 +708,13 @@ class TestCLI:
         table = ["--table", str(tmp_path / "t.txt")]
         single, merged = tmp_path / "single.csv", tmp_path / "merged.csv"
         cli.main(["report", paths[0], "--csv", str(single), *table])
-        assert single.read_text() == render_csv(one.records)
+        assert single.read_text() == render_csv([one])
         cli.main(["report", *paths, "--csv", str(merged), *table])
         lines = merged.read_text().splitlines()
         assert lines[0] == "run,name,k,bound,measured,slack,verdict"
         assert two.label() == "alpha=2 richardson(8x8,16x16)"
-        body = render_csv(one.records + two.records).splitlines()[1:]
+        body = (render_csv([one]).splitlines()[1:]
+                + render_csv([two]).splitlines()[1:])
         runs = (["alpha=0 8x8"] * len(one.records)
                 + ['"alpha=2 richardson(8x8,16x16)"'] * len(two.records))
         assert lines[1:] == [f"{run},{row}" for run, row in zip(runs, body)]
@@ -751,6 +769,68 @@ class TestCLI:
         assert cli.main([*argv, "--set", "domain.alpha=300"]) == 0
         assert capsys.readouterr().out.startswith("verify: pass=27 ")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+        (["nope"], "invalid choice: 'nope'"),
+        (["report"], "the following arguments are required: reports"),
+        # spectrum files are read by `verify --set spectrum.path=…`
+        (["bounds", "--set", "spectrum.path=run.spec"],
+         "invalid choice: 'bounds'"),
+    ], ids=["unknown_flag", "unknown_subcommand", "report_without_file",
+            "bounds_subcommand"])
+    def test_usage_error_exits_one(self, argv, message, capsys):
+        # 2 is the exit status of a marginal record, not of a typo
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: elastica") and message in err
+
+    def test_help_exits_zero(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert "{solve,verify,cap,report}" in capsys.readouterr().out
+
+    def test_set_output_path_keeps_a_hash(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", "--set", "mesh.cells=6,6", "--set",
+                         "solver.m=4", "--set", "verify.k_max=3", "--set",
+                         "output.path=run#1.json"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["run#1.json"]
+
+    @pytest.mark.parametrize("content,argv,message", [
+        (b"2 0 2\n1 1.0\n2 2.0 \xc3\xa9\n",
+         ["verify", "--set", "spectrum.path={path}", "--set",
+          "verify.k_max=1"], "not ASCII text"),
+        (b'{"config": {"caf\xc3\xa9": 1}}', ["report", "{path}"],
+         "not ASCII text"),
+        (b"solver.m = 5\xff\n", ["verify", "--config", "{path}"],
+         "not UTF-8 text"),
+        # JSON escapes make the file ASCII, the record name is not
+        (VerificationReport({}, [BoundRecord(
+            "\u03c3", "gap", 1, 1.0, 1.0, 0.0, "pass")]).to_json().encode(),
+         ["report", "{path}", "--csv", "{out}"], "bad name in record"),
+    ], ids=["spectrum_file", "report_file", "config_file", "record_name"])
+    def test_non_ascii_input_exits_one(self, tmp_path, capsys, content, argv,
+                                       message):
+        path, out = tmp_path / "input", tmp_path / "out.csv"
+        path.write_bytes(content)
+        assert cli.main([a.format(path=path, out=out) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_report_escapes_a_non_ascii_spectrum_file_name(self, tmp_path):
+        # the file's name reaches the label through the mesh; the merged
+        # CSV, the table and the charts stay ASCII
+        spec, rep = tmp_path / "\u03c3.spec", str(tmp_path / "r.json")
+        write_spectrum(spec, Spectrum(2, 0.0, np.array([2.0, 5.0, 5.0])))
+        assert cli.main(["verify", "--set", f"spectrum.path={spec}", "--set",
+                         "verify.k_max=2", "--output", rep]) == 0
+        assert load_report(rep).label() == "alpha=0 file:\\u03c3.spec"
+        assert cli.main(["report", rep, rep, "--csv", str(tmp_path / "m.csv"),
+                         "--table", str(tmp_path / "t.txt"), "--svg-dir",
+                         str(tmp_path / "plots")]) == 0
+        assert len(list((tmp_path / "plots").glob("*.svg"))) == 2 * len(
+            {r.name for r in load_report(rep).records})
+
     def test_unknown_key_exits_one(self, capsys):
         assert cli.main(["verify", "--set", "solver.bogus=1"]) == 1
         assert "unknown key" in capsys.readouterr().err
@@ -775,7 +855,9 @@ class TestCLI:
         (["solve", "--set", "solver.seed=-1"], "solver.seed"),
         (["verify", "--set", "solver.m=4", "--set", "verify.k_max=10"],
          "solver.m >= 11"),
-        (["verify", "--set", "output.format=spectrum"], "output.format"),
+        # no output.format: a run saves JSON, `elastica report` renders it
+        (["verify", "--set", "output.format=spectrum"],
+         "unknown key 'output.format'"),
         (["solve", "--set", "mesh.cells=4,4", "--set", "solver.m=8",
           "--set", "verify.k_max=4"], "exceeds order/4 = 4 of the 4x4"),
         (["verify", "--set", "mesh.cells=4,4", "--set", "solver.m=8",
@@ -791,16 +873,16 @@ class TestCLI:
             "--set", "cap.mode_max=1"], "is below 1e-30")
           for theta0 in ("1e-77", "1e-60", "1e-40")],
         # runs from a spectrum file solve nothing but still echo the domain
-        (["bounds", "--set", "spectrum.path={spec}", "--set",
+        (["verify", "--set", "spectrum.path={spec}", "--set",
           "verify.k_max=2", "--set", "domain.alpha=nan", "--output",
           "{out}"], "domain.alpha must be finite"),
-        (["bounds", "--set", "spectrum.path={spec}", "--set",
+        (["verify", "--set", "spectrum.path={spec}", "--set",
           "verify.k_max=2", "--set", "domain.edges=-1,0", "--output",
           "{out}"], "domain.edges must be positive and finite"),
         (["verify", "--set", "spectrum.path={spec}", "--set",
           "verify.k_max=2", "--set", "domain.alpha=-3", "--output",
           "{out}"], "domain.alpha must be finite"),
-        (["bounds", "--set", "spectrum.path={spec}", "--set",
+        (["verify", "--set", "spectrum.path={spec}", "--set",
           "verify.k_max=2", "--set", "cap.theta0=inf", "--output",
           "{out}"], "cap.theta0 must be finite"),
         # every report echoes the policy, so its eps is checked in every
@@ -808,10 +890,10 @@ class TestCLI:
         (["verify", "--set", "mesh.cells=6,6", "--set", "solver.m=5",
           "--set", "verify.k_max=4", "--set", "verify.policy=fixed:1e"],
          "verify.policy"),
-        (["bounds", "--set", "spectrum.path={spec}", "--set",
+        (["verify", "--set", "spectrum.path={spec}", "--set",
           "verify.k_max=2", "--set", "verify.policy=fixed:1e400",
           "--output", "{out}"], "verify.policy"),
-        (["bounds", "--set", "spectrum.path={spec}", "--set",
+        (["verify", "--set", "spectrum.path={spec}", "--set",
           "verify.k_max=2", "--set", "verify.policy=fixed:-1", "--output",
           "{out}"], "verify.policy"),
     ], ids=["mesh_cells", "cap_cells", "cap_mode_max_huge",
@@ -870,7 +952,7 @@ class TestCLI:
                                          k_max, message):
         path = tmp_path / "in.spec"
         path.write_text(content)
-        assert cli.main(["bounds", "--set", f"spectrum.path={path}",
+        assert cli.main(["verify", "--set", f"spectrum.path={path}",
                          "--set", f"verify.k_max={k_max}"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
@@ -878,7 +960,7 @@ class TestCLI:
     def test_corrupt_spectrum_exit_code(self, tmp_path):
         path = tmp_path / "bad.spec"
         write_spectrum(path, Spectrum(2, 0.0, np.array([1.0, 10.0])))
-        code = cli.main(["bounds", "--set", f"spectrum.path={path}",
+        code = cli.main(["verify", "--set", f"spectrum.path={path}",
                          "--set", "verify.k_max=1"])
         assert code == 1
 
