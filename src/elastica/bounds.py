@@ -128,13 +128,14 @@ class DomainGeometry:
             raise ValueError("volume must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundRecord:
     """One evaluated inequality.
 
     ``slack`` is signed so that nonneg means the inequality holds: for upper
     bounds it is bound − measured, for lower bounds measured − bound, for
-    equalities band − |measured − bound|.
+    equalities band − |measured − bound|.  Slotted: a record has no
+    ``__dict__``, so the reports a run keeps hold only their fields.
     """
 
     name: str

@@ -27,7 +27,8 @@ given without applying the operators again.  LOBPCG applies M afresh
 wherever it needs an M product (the M-Gram of each projection, the
 residual rows, the M-norms of new rows): M is the cheap operand (diagonal
 in the box's sine coordinates), and implicit M images drift.  It never
-holds its starting stack next to its basis stack.  The starting block
+holds its starting stack next to its basis stack, nor a caller's start
+block past the copy that seeds the starting block.  The starting block
 lives in a stack of its own until the first projection has taken the kept
 Ritz rows out of it into a (2, k, n) block, k the most vectors any
 diagonal block keeps (its share of the m smallest plus GUARDS); only then
@@ -227,13 +228,16 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     rounding, and the M-norms of rows normalised from tiny momentum parts
     carry no amplified rounding forward.
 
-    The starting block and its K image form a (2, m + 8, n) stack, freed
-    once the first projection has written the kept Ritz rows into a
-    (2, k, n) block; the basis stack is allocated only after that, around
-    those rows, and the block becomes its spare, which holds the residual
-    rows, then W until the preconditioner and the pencil are applied to
-    it, then the momentum rows.  So the starting stack and the basis stack
-    are never alive together.
+    ``start`` is copied into the starting block and not referenced after
+    that, so a block the caller does not hold itself is freed before the
+    first K apply.  The starting block and its K image form a
+    (2, m + 8, n) stack, freed once the first projection has written the
+    kept Ritz rows into a (2, k, n) block; the basis stack is allocated
+    only after that, around those rows, and the block becomes its spare,
+    which holds the residual rows, then W until the preconditioner and the
+    pencil are applied to it, then the momentum rows.  So the caller's
+    start, the starting stack and the basis stack are never alive
+    together.
 
     ``blocks``, sizes summing to the order, says K and M are block-diagonal
     with consecutive diagonal blocks of those sizes (default: one block).
@@ -296,6 +300,9 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     k = start.shape[1]
     X = np.empty((n, bs))
     X[:, :k] = start
+    # copied: the caller's block is not held past here, so one passed as
+    # a temporary is freed before the first K apply
+    del start
     X[:, k:] = np.random.default_rng(seed).standard_normal((n, bs - k))
     for seg in segs:
         part = np.linalg.norm(X[seg], axis=0)

@@ -360,8 +360,10 @@ def _extrapolate(coarse, fine):
 def _richardson(cfg):
     """Solve at N and 2N, extrapolate, and derive per-index budgets."""
     problem = ElasticityProblem(cfg.edges, cfg.alpha, cfg.cells)
-    coarse, _ = solve_problem(problem, cfg.m, cfg.tol, cfg.seed)
-    fine, _ = solve_problem(problem.refined(), cfg.m, cfg.tol, cfg.seed)
+    # only the spectra are kept: the coarse eigenvectors are freed before
+    # the fine solve
+    coarse = solve_problem(problem, cfg.m, cfg.tol, cfg.seed)[0]
+    fine = solve_problem(problem.refined(), cfg.m, cfg.tol, cfg.seed)[0]
     extrap, budget = _extrapolate(coarse.values, fine.values)
     meshes = f"{problem.mesh_label()},{problem.refined().mesh_label()}"
     if np.any(extrap <= 0):  # Q1 locking: the coarse mesh is too coarse
@@ -394,7 +396,7 @@ def run_verify(cfg):
             spectrum, budget_rel = _richardson(cfg)
         else:
             problem = ElasticityProblem(cfg.edges, cfg.alpha, cfg.cells)
-            spectrum, _ = solve_problem(problem, cfg.m, cfg.tol, cfg.seed)
+            spectrum = solve_problem(problem, cfg.m, cfg.tol, cfg.seed)[0]
         geometry = DomainGeometry(len(cfg.edges), math.prod(cfg.edges))
         mesh = spectrum.mesh
     tolerance = VerifyTolerance(rel=cfg.fixed_tolerance(),

@@ -8,7 +8,8 @@ fixed by the record lists themselves.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -17,6 +18,9 @@ from .bounds import VERDICTS, BoundRecord
 
 #: the columns of a CSV row; a table row adds the note
 _COLUMNS = ["name", "k", "bound", "measured", "slack", "verdict"]
+#: a record's fields in declaration order, the keys of its JSON object
+_RECORD_FIELDS = tuple(f.name for f in fields(BoundRecord))
+_record_values = attrgetter(*_RECORD_FIELDS)
 _VALUE_FIELDS = ("bound_value", "measured_value", "slack")
 # field -> the types a loaded record may hold there (JSON's, bool excluded;
 # strings ASCII)
@@ -82,7 +86,8 @@ class VerificationReport:
             "spectrum": self.spectrum,
             # a skip record has no values: NaN in memory, null in JSON
             "records": [{key: None if isinstance(v, float) and np.isnan(v)
-                         else v for key, v in vars(r).items()}
+                         else v for key, v in zip(_RECORD_FIELDS,
+                                                  _record_values(r))}
                         for r in self.records],
             "summary": self.summary,
             "provenance": self.provenance,

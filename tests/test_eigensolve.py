@@ -1,6 +1,7 @@
 """Eigensolver contract tests: closed-form oracles, determinism, residuals."""
 
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -765,14 +766,15 @@ class TestResultMemory:
         assert peak <= 11 * K.order * (m + 8) * 8
 
     def test_peak_memory_of_one_box_solve(self):
-        # one 64² α = 2 solve_problem peaks at 4.1 blocks of N·(m + 8)
+        # one 64² α = 2 solve_problem peaks at 3.6 blocks of N·(m + 8)
         # doubles, N the full order, in the Chebyshev apply: the basis
         # stack holds 3 × 9 rows of Y and K·Y, what the class that keeps
-        # most keeps, and the apply four blocks of W rows.  With an M·Y
-        # plane in the stack and spare it peaked at 5.2 blocks; with the
-        # starting stack alive next to the new basis stack and spare, at
-        # 6.3; sized for m + 4 kept vectors per class and alive while the
-        # eigenvectors were mapped out to nodal values, at 11.5
+        # most keeps, and the apply four blocks of W rows.  With the
+        # caller's (n, m) start block alive to the end it peaked at 4.1
+        # blocks; with an M·Y plane in the stack and spare, at 5.2; with
+        # the starting stack alive next to the new basis stack and spare,
+        # at 6.3; sized for m + 4 kept vectors per class and alive while
+        # the eigenvectors were mapped out to nodal values, at 11.5
         p = ElasticityProblem((PI, PI), 2.0, (64, 64))
         m = 16
         orbits = class_orbits(p)
@@ -785,7 +787,50 @@ class TestResultMemory:
             tracemalloc.stop()
         assert res.vectors.shape == (
             sum(size for *_, size in orbits.pieces), m)
-        assert peak <= 4.5 * orbits.problem.order * (m + 8) * 8
+        assert peak <= 4.0 * orbits.problem.order * (m + 8) * 8
+
+    def test_peak_memory_of_one_richardson_verify(self):
+        # a 32²/64² α = 2 Richardson verify peaks at 3.6 blocks of
+        # N·(m + 8) doubles, N the fine order, in the fine solve: only the
+        # coarse Spectrum outlives the coarse solve.  With the coarse
+        # eigenvectors alive through the fine solve, and each solve's
+        # start block alive to its end, it peaked at 4.2
+        cfg = replace(RunConfig(mode="verify"), alpha=2.0, cells=(32, 32),
+                      m=16, k_max=15, seed=7)
+        run_verify(cfg)
+        tracemalloc.start()
+        try:
+            run_verify(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fine = ElasticityProblem(cfg.edges, cfg.alpha, (64, 64))
+        assert peak <= 3.9 * fine.order * (cfg.m + 8) * 8
+
+    def test_start_block_is_dead_at_the_first_K_apply(self):
+        p = ElasticityProblem((PI, PI), 2.0, (12, 12))
+        K, M, K0 = box_operators(p)
+        refs, alive = [], []
+
+        def start():
+            block = galerkin_start(K, M, 6)
+            refs.append(weakref.ref(block))
+            return block
+
+        class FirstApply:
+            order = K.order
+
+            def matvec(self, x):
+                if not alive:
+                    alive.append(refs[0]() is not None)
+                return K.matvec(x)
+
+        res = smallest_eigenpairs(
+            FirstApply(), M, 6, tol=1e-9, seed=4, start=start(),
+            precond=laplacian_inverse(K0), blocks=K.blocks,
+            classes=class_orbits(p).classes)
+        assert alive == [False]
+        assert res.values.shape == (6,)
 
 
 def assert_certified(K, M, result):

@@ -1,10 +1,11 @@
 """Harness tests: configs, spectrum files, verification flows, CLI, reports."""
 
+import copy
 import csv
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -477,6 +478,23 @@ class TestReports:
         assert all(np.isnan(r.slack) for r in back.records
                    if r.verdict == "skip")
         assert render_table([back]) == render_table([report])
+
+    def test_records_hold_no_dict(self, tmp_path):
+        # records are slotted, and serialising them reads their fields by
+        # name, so no record of a kept report carries a dict of its own
+        report = run_verify(tiny_verify_config())
+        text = report.to_json()
+        save_report(report, tmp_path / "r.json")
+        assert not any(hasattr(r, "__dict__") for r in report.records)
+        rec = report.records[0]
+        assert replace(rec, verdict="fail") == BoundRecord(
+            *astuple(rec)[:6], "fail", rec.note)
+        assert copy.deepcopy(rec) == rec
+        back = VerificationReport.from_json(text)
+        # astuple: a skip record's NaNs compare equal only by value
+        np.testing.assert_equal([astuple(r) for r in back.records],
+                                [astuple(r) for r in report.records])
+        assert back.to_json() == text
 
     def test_summary_tamper_detected(self, tmp_path):
         report = run_verify(tiny_verify_config())
