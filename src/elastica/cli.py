@@ -69,9 +69,7 @@ def _config_from_args(args, mode):
     if args.config:
         cfg = load_config(args.config, base=cfg)
     cfg = apply_overrides(cfg, args.overrides)
-    dump = getattr(args, "dump_matrices", None)  # only solve has the flag
-    return replace(cfg, output_path=args.output or cfg.output_path,
-                   dump_matrices=dump).validate()
+    return replace(cfg, output_path=args.output or cfg.output_path).validate()
 
 
 def _file_part(text):
@@ -127,7 +125,7 @@ def main(argv=None):
             return _run_report(args)
         cfg = _config_from_args(args, args.command)
         if args.command == "solve":
-            spectrum, result = run_solve(cfg)
+            spectrum, result = run_solve(cfg, args.dump_matrices)
             dest = cfg.output_path or "<stdout>"
             if not cfg.output_path:
                 for i, v in enumerate(spectrum.values, 1):

@@ -268,9 +268,10 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
 
     Residuals are decided implicitly and reported explicitly: each
     iteration takes its residual norms from the K X block it holds and a
-    fresh M X, and once those pass ``tol`` the block is polished and the
+    fresh M X.  The loop has one exit: once those norms pass ``tol``, or
+    the ``maxiter`` budget runs out, the block is re-projected and its
     residuals are recomputed with K and M.  Convergence is declared on
-    the recomputed ones, and every exit reports them.  Non-convergence
+    the recomputed ones, and every result reports them.  Non-convergence
     within ``maxiter`` raises :class:`ConvergenceError` carrying the
     partial result with per-pair flags; a collapsed subspace raises
     :class:`BreakdownError`.
@@ -439,16 +440,20 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     thetas = [theta for theta, _ in pairs]
     it = 0
     R, res = residuals(False)
-    while it < maxiter:
-        # not before the guards have had one step: in a block its start
-        # nearly spans, the starting Ritz pairs pass at once, while another
-        # block's guards may still sit above an eigenvalue they will find
-        if it and converged():
+    while True:
+        # one exit, whether the implicit norms passed or the budget ran out
+        # (maybe just as they passed): the block is re-projected, so it is
+        # M-orthonormal, and its residuals are recomputed explicitly.  The
+        # norms are not read before the guards have had one step: in a
+        # block its start nearly spans, the starting Ritz pairs pass at
+        # once, while another block's guards may still sit above an
+        # eigenvalue they will find
+        if it >= maxiter or (it and converged()):
             # rotations inside an eigenvalue cluster redistribute residual
             # norms, so convergence is decided on the re-projected block
             thetas, share = project()
             res = residuals(True)[1]
-            if converged():
+            if it >= maxiter or converged():
                 break
             R = residuals(False)[0]
         it += 1
@@ -462,13 +467,6 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
         advance(pairs, tops, dependent)
         thetas = [theta for theta, _ in pairs]
         R, res = residuals(False)
-    else:
-        # the budget ran out, maybe just as the implicit norms passed: the
-        # partial result is re-projected, so it is M-orthonormal, and its
-        # residuals are recomputed explicitly
-        npr[:] = [0] * len(segs)
-        thetas, share = project()
-        res = residuals(True)[1]
     count = int(np.dot([theta.size for theta in thetas], copies))
     if count < m:
         raise BreakdownError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -62,24 +62,6 @@ def parse_angle(text):
     return float(text)
 
 
-# config key -> (RunConfig field, value parser), in report echo order
-CONFIG_KEYS = {
-    "domain.edges": ("edges", parse_floats),
-    "domain.alpha": ("alpha", float),
-    "mesh.cells": ("cells", parse_ints),
-    "solver.m": ("m", int),
-    "solver.tol": ("tol", float),
-    "solver.seed": ("seed", int),
-    "verify.k_max": ("k_max", int),
-    "verify.policy": ("policy", str),
-    "cap.theta0": ("theta0", parse_angle),
-    "cap.kind": ("cap_kind", str),
-    "cap.mode_max": ("mode_max", int),
-    "cap.cells": ("radial_cells", int),
-    "spectrum.path": ("spectrum_path", str),
-    "output.path": ("output_path", str),
-}
-
 #: ``fixed:eps`` takes an unsigned decimal eps: only overflow makes it inf
 _POLICY_RE = re.compile(
     r"fixed(?::((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?))?$|richardson$")
@@ -97,26 +79,35 @@ CAP_MAX_CELLS, CAP_MAX_MODE = 4096, 1024
 CAP_RUN_KINDS = ("all",) + CAP_KINDS
 
 
+def _key(key, parse, default):
+    """A RunConfig field that config key ``key`` sets from ``parse(text)``."""
+    return field(default=default, metadata={"key": key, "parse": parse})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters; one instance drives one run."""
+    """Validated run parameters; one instance drives one run.
+
+    Every field but ``mode`` is one config key, declared here with its
+    value parser, in report echo order (:data:`CONFIG_KEYS`).
+    """
 
     mode: str = "verify"
-    edges: tuple[float, ...] = (math.pi, math.pi)
-    alpha: float = 0.0
-    cells: tuple[int, ...] = (32, 32)
-    m: int = 12
-    tol: float = 1e-8
-    seed: int = 2024
-    k_max: int = 10
-    policy: str = "richardson"
-    theta0: float = math.pi / 2
-    cap_kind: str = "all"
-    mode_max: int = 8
-    radial_cells: int = 256
-    spectrum_path: str | None = None
-    output_path: str | None = None
-    dump_matrices: str | None = None
+    edges: tuple[float, ...] = _key("domain.edges", parse_floats,
+                                    (math.pi, math.pi))
+    alpha: float = _key("domain.alpha", float, 0.0)
+    cells: tuple[int, ...] = _key("mesh.cells", parse_ints, (32, 32))
+    m: int = _key("solver.m", int, 12)
+    tol: float = _key("solver.tol", float, 1e-8)
+    seed: int = _key("solver.seed", int, 2024)
+    k_max: int = _key("verify.k_max", int, 10)
+    policy: str = _key("verify.policy", str, "richardson")
+    theta0: float = _key("cap.theta0", parse_angle, math.pi / 2)
+    cap_kind: str = _key("cap.kind", str, "all")
+    mode_max: int = _key("cap.mode_max", int, 8)
+    radial_cells: int = _key("cap.cells", int, 256)
+    spectrum_path: str | None = _key("spectrum.path", str, None)
+    output_path: str | None = _key("output.path", str, None)
 
     def validate(self):
         if self.mode not in ("solve", "verify", "cap"):
@@ -200,6 +191,11 @@ class RunConfig:
             value = getattr(self, name)
             out[key] = list(value) if isinstance(value, tuple) else value
         return out
+
+
+#: config key -> (RunConfig field, value parser), in report echo order
+CONFIG_KEYS = {f.metadata["key"]: (f.name, f.metadata["parse"])
+               for f in fields(RunConfig) if f.metadata}
 
 
 def _configured(cfg, entries):
@@ -332,19 +328,21 @@ def solve_problem(problem, m, tol, seed):
     return spectrum, result
 
 
-def run_solve(cfg):
+def run_solve(cfg, dump=None):
+    """Solve the configured box; ``dump`` names a directory that gets its
+    assembled K.mtx and M.mtx, round-trip checked."""
     cfg.validate()
     problem = ElasticityProblem(cfg.edges, cfg.alpha, cfg.cells)
     spectrum, result = solve_problem(problem, cfg.m, cfg.tol, cfg.seed)
-    if cfg.dump_matrices:
+    if dump:
         # the solve is matrix-free; CSR is built here for the export only
         K, M, _ = assemble(problem)
-        os.makedirs(cfg.dump_matrices, exist_ok=True)
+        os.makedirs(dump, exist_ok=True)
         for name, mat in (("K", K), ("M", M)):
-            dump = os.path.join(cfg.dump_matrices, f"{name}.mtx")
-            write_matrix_market(dump, mat, comment=f" {name} "
+            path = os.path.join(dump, f"{name}.mtx")
+            write_matrix_market(path, mat, comment=f" {name} "
                                 f"{problem.mesh_label()} alpha={cfg.alpha:g}")
-            back = read_matrix_market(dump)
+            back = read_matrix_market(path)
             if not np.array_equal(back.data, mat.data):
                 raise RuntimeError(f"matrix dump round-trip failed for {name}")
     if cfg.output_path:

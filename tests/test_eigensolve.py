@@ -251,6 +251,36 @@ class TestLOBPCG:
                 assert np.array_equal(res.vectors, full.vectors)
                 assert res.converged.all()
 
+    def test_explicit_check_failing_after_implicit_norms_pass(self):
+        # at tol 1e-15, the rounding floor, this production-path solve's
+        # implicit norms pass twice while the re-projected block fails its
+        # explicit check: the loop goes on from the explicit residual rows,
+        # and the budget ends in a ConvergenceError whose partial result
+        # carries its explicit residuals, M-orthonormal vectors and Ritz
+        # values above the eigenvalues
+        p = ElasticityProblem((PI, PI), 2.0, (8, 8))
+        K, M, K0 = box_operators(p)
+        with pytest.raises(ConvergenceError) as info:
+            smallest_eigenpairs(
+                K, M, 6, tol=1e-15, seed=7, maxiter=60,
+                precond=chebyshev(K, laplacian_inverse(K0), p.alpha),
+                start=galerkin_start(K, M, 6), blocks=K.blocks,
+                classes=class_orbits(p).classes)
+        partial = info.value.result
+        assert partial.iterations == 60
+        assert not partial.converged.all()
+        X = partial.vectors
+        R = K.matvec(X) - M.matvec(X) * partial.values
+        fresh = np.linalg.norm(R, axis=0) / np.abs(partial.values)
+        assert np.all(np.abs(partial.residuals - fresh) <= 1e-12 * fresh)
+        # copies repeat their representative's column, so orthonormality
+        # is checked on the nodal vectors, each carried onto its class
+        Kc, Mc, _ = assemble(p)
+        Xn = nodal_vectors(p, partial)
+        assert np.abs(Xn.T @ Mc.matvec(Xn) - np.eye(6)).max() <= 1e-10
+        ref = dense_generalized_eigs(Kc, Mc)[:6]
+        assert np.all(partial.values >= ref * (1.0 - 1e-13))
+
 
 def q1_alpha0_values(edges, cells, count):
     """The discrete α = 0 spectrum of the box: sums Σ_d κ_d/μ_d.

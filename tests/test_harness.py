@@ -643,6 +643,60 @@ class TestCLI:
         report = load_report(out)
         assert report.summary["fail"] == 0
 
+    def test_cap_writes_report(self, tmp_path):
+        # the saved report reads back equal to the one run_cap returns for
+        # the same config (saving it again leaves the file's bytes as they
+        # were), and `elastica report` exits with the cap run's code
+        out = tmp_path / "cap.json"
+        code = cli.main(["cap", "--set", "cap.cells=16", "--set",
+                         "cap.mode_max=1", "--output", str(out)])
+        text = out.read_text(encoding="ascii")
+        report = run_cap(replace(RunConfig(mode="cap"), radial_cells=16,
+                                 mode_max=1, output_path=str(out)))
+        assert out.read_text(encoding="ascii") == text
+        assert load_report(out) == report
+        assert code == report.exit_code()
+        assert cli.main(["report", str(out), "--table",
+                         str(tmp_path / "t.txt")]) == code
+
+    def test_solve_without_output_prints_the_spectrum(self, tmp_path,
+                                                      capsys):
+        # each stdout line "i value" carries, to the bit, the value that
+        # the spectrum file of the same config holds
+        argv = ["solve", "--set", "mesh.cells=6,6", "--set", "solver.m=5",
+                "--set", "domain.alpha=2"]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr()
+        assert printed.err.rstrip().endswith("-> <stdout>")
+        rows = [line.split() for line in printed.out.splitlines()]
+        assert [int(i) for i, _ in rows] == [1, 2, 3, 4, 5]
+        path = tmp_path / "s.spec"
+        assert cli.main(argv + ["--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert np.array_equal([float(v) for _, v in rows],
+                              read_spectrum(path).values)
+
+    def test_chart_of_a_record_skipped_at_every_k(self, tmp_path):
+        # past the equator (θ₀ = 2.2) the boundary's mean curvature is
+        # negative, so the cap's lower-sense records are skipped: a chart
+        # with no finite point still parses and names its record
+        out = tmp_path / "cap.json"
+        cli.main(["cap", "--set", "cap.theta0=2.2", "--set", "cap.cells=16",
+                  "--set", "cap.mode_max=1", "--output", str(out)])
+        records = load_report(out).records
+        skipped = {r.name for r in records} - {
+            r.name for r in records if r.verdict != "skip"}
+        assert skipped
+        svg_dir = tmp_path / "plots"
+        assert cli.main(["report", str(out), "--table",
+                         str(tmp_path / "t.txt"), "--svg-dir",
+                         str(svg_dir)]) == load_report(out).exit_code()
+        for name in skipped:
+            chart, = svg_dir.glob(f"*_{name}.svg")
+            root = ElementTree.parse(chart).getroot()
+            text = " ".join(root.itertext())
+            assert name in text and "no finite data" in text
+
     def test_report_rendering(self, tmp_path):
         rep_path = tmp_path / "rep.json"
         cli.main(["verify", "--set", "mesh.cells=10,10", "--set",
