@@ -17,14 +17,13 @@ interior nodes per axis, spacings and order.
 
 One term table (:func:`_terms`, :func:`_stencils_1d`) feeds two forms of
 the pencil.  :func:`assemble` builds it as CSR in nodal coordinates, for
-the Matrix Market export and the tests.  The eigensolver works in sine
-coordinates, an orthonormal sine matrix along every axis, where every
-symmetric 1D factor is diagonal (Lynch, Rice & Thomas, Numer. Math. 6,
-1964): M and K(0) are one multiply by their symbols, and only the
-α-scaled grad-div couplings C ⊗ Cᵀ are dense.  Those join only
-coefficients of one reflection-parity class (:func:`_parity_classes`; up
-to 4 classes in 2D, 8 in 3D), so with the coefficients ordered
-class-major (:func:`sine_transform`) K̂ and M̂ are block-diagonal, and
+the Matrix Market export.  The eigensolver works in sine coordinates, an
+orthonormal sine matrix along every axis, where every symmetric 1D factor
+is diagonal (Lynch, Rice & Thomas, Numer. Math. 6, 1964): M and K(0) are
+one multiply by their symbols, and only the α-scaled grad-div couplings
+C ⊗ Cᵀ are dense.  Those join only coefficients of one reflection-parity
+class (:func:`_parity_classes`; up to 4 classes in 2D, 8 in 3D), so with
+the coefficients ordered class-major K̂ and M̂ are block-diagonal, and
 each coupling is, per class, one matmul with an off-parity sub-block of
 S·C·S along each of two axes (:func:`box_operators`).  Axes with equal
 edges and cells make some classes images of others under a permutation
@@ -401,9 +400,12 @@ def box_operators(problem):
     """(K̂, M̂, K̂₀): the pencil the solver iterates, and K(0), on the
     classes it keeps, all three from one table of 1D sine factors per axis.
 
-    K̂ = Q·K·Qᵀ, M̂ = Q·M·Qᵀ and K̂₀ = Q·K(0)·Qᵀ, Q = :func:`sine_transform`
-    and K, M, K(0) the terms of :func:`assemble`, on the rows and columns of
-    the classes :func:`class_orbits` keeps (all of them on a box without
+    K̂ = Q·K·Qᵀ, M̂ = Q·M·Qᵀ and K̂₀ = Q·K(0)·Qᵀ, with K, M, K(0) the terms
+    of :func:`assemble` and Q the orthogonal map from nodal values to
+    class-major sine coordinates: the orthonormal sine matrix along every
+    axis of each component, then the coefficients ordered class by class
+    (:func:`_parity_classes`).  They are laid out on the rows and columns
+    of the classes :func:`class_orbits` keeps (all of them on a box without
     equal axes), block-diagonal over those classes (``K̂.blocks``).  M̂ and
     K̂₀ are diagonal; only K̂'s α-scaled grad-div couplings stay dense, per
     class one matmul with an off-parity ⌈n/2⌉×⌊n/2⌋ sub-block of S·C·S
@@ -427,46 +429,11 @@ class ClassOrbits:
     representatives alone: ``pieces`` are their component grids as
     :func:`_parity_classes` lists them, with each ``start`` in these
     reduced coordinates, the representatives' class-major sine
-    coordinates concatenated in class-major order.  ``images[g]`` is
-    (rows, perm): the reduced rows of class g's representative and the
-    axis permutation that carries it onto class g.  ``problem`` gives the
-    full layout.
+    coordinates concatenated in class-major order.
     """
 
     classes: tuple[tuple[int, ...], ...]
     pieces: tuple[tuple, ...]
-    images: dict
-    problem: ElasticityProblem
-
-    def _positions(self, rows, perm):
-        """Class-major positions of the representative coordinates
-        ``rows`` moved by the axis permutation ``perm``: component c's grid
-        goes to component perm[c]'s, its axis d to axis perm[d]."""
-        full = {(q, c): start
-                for q, c, _, start, _ in _parity_classes(self.problem)}
-        out = []
-        for q, c, par, start, size in self.pieces:
-            if not rows.start <= start < rows.stop:
-                continue
-            image = tuple(q[perm.index(e)] for e in range(len(q)))
-            grid = tuple((n + 1 - par[perm.index(e)]) // 2
-                         for e, n in enumerate(self.problem.interior))
-            out.append(full[image, perm[c]] + np.arange(size).reshape(
-                grid).transpose(perm).ravel())
-        return np.concatenate(out)
-
-    def expand(self, x, classes):
-        """Class-major sine coordinates of the reduced (n, b) block x, its
-        column i, a vector of class classes[i]'s representative, carried
-        onto class classes[i]."""
-        if len(x) == self.problem.order:
-            return x
-        y = np.zeros((self.problem.order,) + x.shape[1:])
-        for g in np.unique(classes):
-            cols = np.flatnonzero(classes == g)
-            rows, perm = self.images[g]
-            y[np.ix_(self._positions(rows, perm), cols)] = x[rows, cols]
-        return y
 
 
 def class_orbits(problem):
@@ -486,24 +453,20 @@ def class_orbits(problem):
     axes = tuple(zip(problem.edges, problem.cells))
     perms = [p for p in itertools.permutations(range(dim))
              if all(axes[p[d]] == axes[d] for d in range(dim))]
-    orbits = {}  # representative -> {class: the permutation carrying it}
+    orbits = {}  # representative -> the classes of its orbit
     for q, *_ in pieces:
         if all(q not in orbit for orbit in orbits.values()):
-            orbit = orbits[q] = {}
-            for p in perms:
-                orbit.setdefault(tuple(q[p.index(e)] for e in range(dim)), p)
-    reduced, rows, stop = [], {}, 0
+            orbits[q] = {tuple(q[p.index(e)] for e in range(dim))
+                         for p in perms}
+    reduced, stop = [], 0
     for q, c, par, _, size in pieces:
         if q in orbits:
             reduced.append((q, c, par, stop, size))
-            rows[q] = slice(rows[q].start if q in rows else stop, stop + size)
             stop += size
     number = {q: int("".join(map(str, q)), 2) for q, *_ in pieces}
     return ClassOrbits(
         tuple(tuple(number[g] for g in sorted(orbit))
-              for orbit in orbits.values()), tuple(reduced),
-        {number[g]: (rows[q], p) for q, orbit in orbits.items()
-         for g, p in orbit.items()}, problem)
+              for orbit in orbits.values()), tuple(reduced))
 
 
 def galerkin_start(K, M, m):
@@ -534,40 +497,6 @@ def galerkin_start(K, M, m):
         k = min(m, len(modes))
         X[modes, :k] = scale[:, None] * V[:, :k]
     return X
-
-
-def sine_transform(problem, x, inverse=False):
-    """Q·x, or Qᵀ·x if ``inverse``, for an (n,) vector or (n, b) block.
-
-    Q = P·T: T applies the orthonormal sine matrix along every axis of each
-    component, one batched matmul per axis, and is symmetric and its own
-    inverse; P orders the coefficients class-major
-    (:func:`_parity_classes`).  Q maps nodal values to class-major sine
-    coordinates, and Qᵀ = T·Pᵀ maps them back.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != problem.order:
-        raise ValueError(f"need {problem.order} rows, got shape {x.shape}")
-    index = _gather(np.arange(problem.order).reshape(
-        (problem.dim,) + problem.interior), _parity_classes(problem))
-    if inverse:
-        y = np.empty_like(x)
-        y[index] = x
-    else:
-        y = x
-    shape = problem.interior
-    for axis, n in enumerate(shape):
-        batch = problem.dim * math.prod(shape[:axis])
-        y = _sine_matrix(n) @ y.reshape(batch, n, -1)
-    y = y.reshape(x.shape)
-    return y if inverse else y[index]
-
-
-def divergence_stiffness(problem):
-    """The divergence Gram matrix K_div alone (alpha-independent)."""
-    unit = ElasticityProblem(problem.edges, 1.0, problem.cells)
-    _, div_terms, _ = _terms(unit)
-    return _csr(unit, div_terms)
 
 
 def laplacian_inverse(K0):
@@ -643,22 +572,6 @@ def chebyshev(K, inner, alpha):
         return z
 
     return apply
-
-
-def interpolate_field(problem, components):
-    """Interior-node interpolant of analytic vector fields, component-major.
-
-    ``components`` is a sequence of callables taking the dim coordinate
-    arrays (broadcast on the interior grid) and returning node values.
-    """
-    axes = [h * np.arange(1, n + 1)
-            for n, h in zip(problem.interior, problem.spacings)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    parts = [np.asarray(comp(*grids), dtype=np.float64).ravel()
-             for comp in components]
-    if len(parts) != problem.dim:
-        raise ValueError("need one component callable per dimension")
-    return np.concatenate(parts)
 
 
 def reference_spectrum_alpha0(edges, count):

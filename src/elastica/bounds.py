@@ -375,30 +375,6 @@ def index_growth_upper(sigma1, n, alpha, k):
     return bound
 
 
-def chebyshev_sum_check(a, b, s):
-    """(lhs, rhs) of the Chebyshev-type product bound.
-
-    For non-negative a non-increasing, b non-decreasing, s >= 1:
-    (Σ aᵢ^s)(Σ aᵢ² bᵢ) <= (Σ aᵢ^{s+1})(Σ aᵢ bᵢ); equality at k = 1 and for
-    constant a.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 1:
-        raise ValueError("a and b must be 1D arrays of equal positive length")
-    if np.any(a < 0) or np.any(b < 0):
-        raise ValueError("sequences must be non-negative")
-    if np.any(np.diff(a) > 0):
-        raise ValueError("a must be non-increasing")
-    if np.any(np.diff(b) < 0):
-        raise ValueError("b must be non-decreasing")
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    lhs = float(np.sum(a ** s)) * float(np.sum(a ** 2 * b))
-    rhs = float(np.sum(a ** (s + 1))) * float(np.sum(a * b))
-    return lhs, rhs
-
-
 #: a box record: ``sides(spectrum, geometry, k)`` is its (measured, bound)
 #: at k, its band covers σ₁..σ_{k+covers}; a row ``at`` an index (a function
 #: of n) is judged once, after the per-k rows, a ``volume`` row needs geometry

@@ -153,10 +153,17 @@ class RunConfig:
                 box = ElasticityProblem(self.edges, self.alpha, self.cells)
             if self.mode == "cap":  # Richardson solves at cells and 2·cells
                 for cells in (self.radial_cells, 2 * self.radial_cells):
-                    CapProblem(self.theta0, "dirichlet_laplacian",
-                               self.mode_max, cells)
+                    cap = CapProblem(self.theta0, "dirichlet_laplacian",
+                                     self.mode_max, cells)
         except ValueError as err:
             raise ConfigError(str(err)) from None
+        # λ₁ alone is judged only by the hemisphere equality
+        if self.mode == "cap" and self.cap_kind == "dirichlet_laplacian" \
+                and not cap.hemisphere:
+            raise ConfigError(
+                f"cap.kind = dirichlet_laplacian judges nothing at "
+                f"cap.theta0 = {self.theta0:g}: its one record is the "
+                f"hemisphere equality, at cap.theta0 = pi/2")
         if solves:
             # LOBPCG needs m <= order/4; Richardson's coarse mesh is the limit
             order = box.order
@@ -310,8 +317,9 @@ def solve_problem(problem, m, tol, seed):
     random from ``seed`` (see :func:`smallest_eigenpairs`).  The vectors
     stay in these reduced coordinates, column i a vector of its class's
     representative; ``EigenResult.classes`` gives each pair's parity class
-    by number, and :meth:`ClassOrbits.expand` and the inverse sine
-    transform carry them to nodal values.  The blocks make the path differ
+    by number.  No run reads the vectors; carried onto that class by its
+    axis permutation, then through Qᵀ (Q as in :func:`box_operators`),
+    they are nodal eigenvectors.  The blocks make the path differ
     from a nodal solve's, not the eigenpairs it converges to.  Residuals
     are explicit in sine coordinates; the transform is orthogonal, so they
     equal the nodal ones up to its rounding.

@@ -1,9 +1,10 @@
 """Symmetric sparse (CSR) and banded matrix containers.
 
-Assembly produces ``SparseSymMatrix`` for the Matrix Market export and as
-the test oracle of the sine-coordinate box operators that the iterative
-eigensolver applies; the radial cap problems work with ``BandedSymMatrix``.
-Matrix Market export/import is provided for external cross-checks.
+Assembly produces ``SparseSymMatrix`` for the Matrix Market export, which
+the tests also read as the nodal pencil that the sine-coordinate box
+operators must reproduce; the radial cap problems work with
+``BandedSymMatrix``.  Matrix Market export/import is provided for
+external cross-checks.
 """
 
 from __future__ import annotations
@@ -87,12 +88,6 @@ class SparseSymMatrix:
             out[rows] = np.add.reduceat(prod, self.indptr[rows], axis=0)
         return out[:, 0] if single else out
 
-    def to_dense(self):
-        dense = np.zeros((self.order, self.order))
-        rows = np.repeat(np.arange(self.order), np.diff(self.indptr))
-        dense[rows, self.indices] = self.data
-        return dense
-
 
 @dataclass(frozen=True)
 class BandedSymMatrix:
@@ -146,14 +141,6 @@ class BandedSymMatrix:
         for d in range(1, self.bandwidth + 1):
             sums[d:] += np.abs(self.bands[d, :self.order - d])
         return float(sums.max()) if self.order else 0.0
-
-    def to_dense(self):
-        dense = np.zeros((self.order, self.order))
-        for d in range(self.bandwidth + 1):
-            idx = np.arange(self.order - d)
-            dense[idx + d, idx] = self.bands[d, :self.order - d]
-            dense[idx, idx + d] = self.bands[d, :self.order - d]
-        return dense
 
 
 def write_matrix_market(path, matrix, comment=None):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from elastica.assembly import ElasticityProblem, class_orbits, sine_transform
+from elastica.assembly import ElasticityProblem
+from elastica.sparse import BandedSymMatrix, SparseSymMatrix
+from oracles import expand, sine_transform, to_dense
 
 #: α values of the random small boxes
 BOX_ALPHAS = (0.0, 0.5, 2.0, 10.0, 100.0)
@@ -17,8 +19,9 @@ def dense_generalized_eigs(K, M):
 
     Independent of the package solvers: numpy dense factorisations only.
     """
-    K = K.to_dense() if hasattr(K, "to_dense") else np.asarray(K)
-    M = M.to_dense() if hasattr(M, "to_dense") else np.asarray(M)
+    matrices = (SparseSymMatrix, BandedSymMatrix)
+    K = to_dense(K) if isinstance(K, matrices) else np.asarray(K)
+    M = to_dense(M) if isinstance(M, matrices) else np.asarray(M)
     L = np.linalg.cholesky(M)
     Y = np.linalg.solve(L, K)
     B = np.linalg.solve(L, Y.T).T
@@ -28,7 +31,7 @@ def dense_generalized_eigs(K, M):
 def nodal_vectors(problem, result):
     """The nodal eigenvectors of a ``solve_problem`` result: each column
     carried onto its class, then out of class-major sine coordinates."""
-    X = class_orbits(problem).expand(result.vectors, result.classes)
+    X = expand(problem, result.vectors, result.classes)
     return sine_transform(problem, X, inverse=True)
 
 

@@ -13,14 +13,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from elastica.bounds import (Spectrum, chebyshev_sum_check,
-                             yang_coefficient)
+from elastica.bounds import Spectrum, yang_coefficient
 from elastica.assembly import (ElasticityProblem, _operator, _terms,
                                assemble, box_operators, chebyshev,
                                class_orbits, laplacian_inverse,
-                               sine_factors, sine_transform)
+                               sine_factors)
 from elastica.eigensolve import smallest_eigenpairs
 from elastica.harness import RunConfig, run_cap, run_verify, solve_problem
+from oracles import chebyshev_sum_check, expand, sine_transform
 
 PI = math.pi
 SQUARE = (PI, PI)
@@ -216,9 +216,8 @@ def test_criterion_9_eigensolver_contracts():
                                    classes=orbits.classes)
 
     def nodal(res):
-        return sine_transform(problem, orbits.expand(res.vectors,
-                                                     res.classes),
-                              inverse=True)
+        return sine_transform(problem, expand(problem, res.vectors,
+                                              res.classes), inverse=True)
 
     result = solve(Kop)
     vectors = nodal(result)

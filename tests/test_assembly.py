@@ -8,13 +8,13 @@ import pytest
 from elastica import assembly, harness
 from elastica.assembly import (ElasticityProblem, _chebyshev_steps,
                                assemble, box_operators, chebyshev,
-                               class_orbits, divergence_stiffness,
-                               galerkin_start,
-                               interpolate_field, laplacian_inverse,
-                               reference_spectrum_alpha0, sine_transform)
+                               class_orbits, galerkin_start,
+                               laplacian_inverse, reference_spectrum_alpha0)
 from elastica.eigensolve import BreakdownError
 from elastica.harness import solve_problem
 from conftest import dense_generalized_eigs
+from oracles import (divergence_stiffness, expand, interpolate_field,
+                     orbit_images, sine_transform, to_dense)
 
 PI = np.pi
 
@@ -60,34 +60,34 @@ class TestAssembledMatrices:
         p = ElasticityProblem((PI, PI), 1.5, (8, 8))
         K, M, dof = assemble(p)
         assert dof.order == 2 * 49 == K.order == M.order
-        dk = K.to_dense()
-        dm = M.to_dense()
+        dk = to_dense(K)
+        dm = to_dense(M)
         assert np.abs(dk - dk.T).max() == 0.0
         assert np.abs(dm - dm.T).max() == 0.0
 
     def test_positive_definite(self):
         p = ElasticityProblem((PI, PI), 2.0, (8, 8))
         K, M, _ = assemble(p)
-        assert np.linalg.eigvalsh(K.to_dense()).min() > 0
-        assert np.linalg.eigvalsh(M.to_dense()).min() > 0
+        assert np.linalg.eigvalsh(to_dense(K)).min() > 0
+        assert np.linalg.eigvalsh(to_dense(M)).min() > 0
 
     def test_alpha_split_is_exact(self):
         base = ElasticityProblem((PI, PI), 0.0, (6, 6))
         K0, _, _ = assemble(base)
         Ka, _, _ = assemble(ElasticityProblem((PI, PI), 1.75, (6, 6)))
         Kd = divergence_stiffness(base)
-        diff = Ka.to_dense() - (K0.to_dense() + 1.75 * Kd.to_dense())
+        diff = to_dense(Ka) - (to_dense(K0) + 1.75 * to_dense(Kd))
         assert np.abs(diff).max() < 1e-12
 
     def test_divergence_gram_psd(self):
         Kd = divergence_stiffness(ElasticityProblem((PI, PI), 0.0, (7, 7)))
-        w = np.linalg.eigvalsh(Kd.to_dense())
+        w = np.linalg.eigvalsh(to_dense(Kd))
         assert w.min() > -1e-12
 
     def test_divergence_gram_psd_3d(self):
         Kd = divergence_stiffness(
             ElasticityProblem((PI, PI, PI), 0.0, (4, 4, 4)))
-        w = np.linalg.eigvalsh(Kd.to_dense())
+        w = np.linalg.eigvalsh(to_dense(Kd))
         assert w.min() > -1e-12
 
     def test_alpha0_spectrum_against_oracle(self):
@@ -139,7 +139,7 @@ class TestBoxOperators:
         csr, ops, problem = self._pair(edges, cells, alpha)
         Q = sine_transform(problem, np.eye(csr[0].order))
         for mat, op in zip(csr, ops):
-            dense = mat.to_dense()
+            dense = to_dense(mat)
             eye = np.eye(op.order)
             scale = np.abs(dense).max()
             block = Q.T @ op.matvec(eye) @ Q
@@ -183,7 +183,7 @@ class TestSineCoordinates:
         assert np.abs(sine_transform(p, Q, inverse=True) - eye).max() \
             <= 1e-13
         for mat, op in ((K, Kh), (M, Mh)):
-            dense = mat.to_dense()
+            dense = to_dense(mat)
             got = Q.T @ op.matvec(eye) @ Q
             assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max()
 
@@ -221,7 +221,7 @@ class TestParityClasses:
         p = ElasticityProblem(edges, alpha, cells)
         K, M, _ = assemble(p)
         Q = sine_transform(p, np.eye(K.order))
-        return p, Q, [(Q @ mat.to_dense() @ Q.T, op)
+        return p, Q, [(Q @ to_dense(mat) @ Q.T, op)
                       for mat, op in zip((K, M), box_operators(p))]
 
     def test_operators_equal_conjugated_csr(self, edges, cells, alpha):
@@ -444,9 +444,9 @@ class TestChebyshev:
         # returned unscaled (B itself), which LOBPCG cannot tell apart
         assert _chebyshev_steps(alpha) == steps
         p = ElasticityProblem(edges, alpha, cells)
-        A = assemble(p)[0].to_dense()
-        B = np.linalg.inv(assemble(ElasticityProblem(edges, 0.0, cells))[0]
-                          .to_dense())
+        A = to_dense(assemble(p)[0])
+        B = np.linalg.inv(to_dense(
+            assemble(ElasticityProblem(edges, 0.0, cells))[0]))
         eye = np.eye(len(A))
         if steps == 1:
             expected = B
@@ -572,9 +572,8 @@ class TestClassOrbits:
         assert K.order == M.order == sum(K.blocks) == stops[-1]
         assert [start for *_, start, _ in orbits.pieces] == \
             [0, *stops[:-1].tolist()]
-        assert orbits.problem.order == assemble(problem)[2].order
         if all(len(orbit) == 1 for orbit in classes):
-            assert K.order == orbits.problem.order
+            assert K.order == problem.order
 
     def test_empty_classes_are_dropped(self):
         # one interior node per axis: classes (0,0) and (1,1) are empty
@@ -588,21 +587,31 @@ class TestClassOrbits:
         ((PI, PI, 2.0), (5, 5, 4)),
     ], ids=["square", "cube", "two-equal"])
     def test_images_are_permuted_nodal_fields(self, edges, cells):
-        # every sine mode of a representative, carried onto an image class
-        # and mapped to nodal values, is the representative's nodal field
-        # with axes and components permuted together, with no sign
+        # class_orbits groups the classes as the oracle's permutations do,
+        # each orbit's lowest class first and solved on its own rows; every
+        # sine mode of a representative, carried onto an image class and
+        # mapped to nodal values, is the representative's nodal field with
+        # axes and components permuted together, with no sign
         problem = ElasticityProblem(edges, 2.0, cells)
         orbits = class_orbits(problem)
+        images = orbit_images(problem, orbits.pieces)
         order = sum(size for *_, size in orbits.pieces)  # the reduced order
+        assert sorted(g for orbit in orbits.classes for g in orbit) == \
+            sorted(images)
+        for orbit in orbits.classes:
+            assert orbit[0] == min(orbit)
+            assert images[orbit[0]][1] == tuple(range(problem.dim))
+            assert all(images[g][0] == images[orbit[0]][0] for g in orbit)
         keep = [p for p in itertools.permutations(range(problem.dim))
                 if all(edges[p[d]] == edges[d] and cells[p[d]] == cells[d]
                        for d in range(problem.dim))]
         for orbit in orbits.classes:
-            rows, _ = orbits.images[orbit[0]]
+            rows, _ = images[orbit[0]]
             x = np.zeros((order, rows.stop - rows.start))
             x[rows] = np.eye(rows.stop - rows.start)
-            fields = {g: sine_transform(problem, orbits.expand(
-                x, np.full(x.shape[1], g)), inverse=True) for g in orbit}
+            fields = {g: sine_transform(problem, expand(
+                problem, x, np.full(x.shape[1], g)), inverse=True)
+                for g in orbit}
             for g in orbit[1:]:
                 assert min(np.abs(permute_axes(problem, fields[orbit[0]], p)
                                   - fields[g]).max() for p in keep) <= 1e-14
@@ -620,13 +629,14 @@ class TestClassOrbits:
             K0, _, _ = assemble(ElasticityProblem(edges, 0.0, cells))
             ops = box_operators(problem)
             inverse = laplacian_inverse(ops[2])
+            images = orbit_images(problem, orbits.pieces)
             for orbit in orbits.classes:
-                rows, _ = orbits.images[orbit[0]]
+                rows, _ = images[orbit[0]]
                 x = np.zeros((ops[0].order, rows.stop - rows.start))
                 x[rows] = np.eye(rows.stop - rows.start)
                 for g in orbit:
-                    V = sine_transform(problem, orbits.expand(
-                        x, np.full(x.shape[1], g)), inverse=True)
+                    V = sine_transform(problem, expand(
+                        problem, x, np.full(x.shape[1], g)), inverse=True)
                     for mat, op in zip((K, M, K0), ops):
                         dense = V.T @ mat.matvec(V)
                         assert np.abs(op.matvec(x)[rows] - dense).max() \

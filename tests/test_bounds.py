@@ -18,8 +18,8 @@ from elastica import bounds
 from elastica.bounds import (BoundRecord, DegenerateGapError, DomainGeometry,
                              Spectrum, SpectrumError, VerifyTolerance,
                              alpha_threshold, average_upper, blend_weight,
-                             cheng_yang_sum, chebyshev_sum_check,
-                             coupling_coefficient, evaluate_all, gap_upper,
+                             cheng_yang_sum, coupling_coefficient,
+                             evaluate_all, gap_upper,
                              hook_sum_ratio, index_growth_upper,
                              levine_protter_lower, levitin_parnovski_gap,
                              low_order_sides, make_record,
@@ -27,6 +27,7 @@ from elastica.bounds import (BoundRecord, DegenerateGapError, DomainGeometry,
                              yang_coefficient, yang_type_next_upper,
                              yang_type_quadratic)
 from conftest import bisect
+from oracles import chebyshev_sum_check
 
 
 def spectrum(values, n=2, alpha=0.0):
@@ -430,6 +431,51 @@ class TestProperties:
         assert lhs <= rhs + 1e-12 * max(rhs, 1.0)
         lhs, rhs = chebyshev_sum_check(a_sorted, np.ones(k), 3.0)
         assert lhs <= rhs + 1e-12 * max(rhs, 1.0)
+
+
+class TestLargeK:
+    """Every box record on the exact α = 0 spectra up to k = 4000.
+
+    The bounds tighten as k grows: where a record's slack is a few
+    percent, a constant coded a few percent too strong reads fail, and one
+    coded too weak shows as a slack that stops shrinking.  The expected
+    slack/|bound| at k = 15, 100, 1000 and 4000 is the trend measured on
+    these spectra; ``yang_quadratic`` and ``levine_protter_sum`` are
+    asymptotically sharp at α = 0 (Weyl's law), so theirs falls towards 0.
+    """
+
+    K_MAX = 4000
+    AT = (15, 100, 1000, 4000)
+
+    @pytest.mark.parametrize("n,skips,trends", [
+        (2, 3240, {"yang_quadratic": (0.277, 0.119, 0.039, 0.020),
+                   "next_upper": (0.371, 0.211, 0.111, 0.083),
+                   "levine_protter_sum": (0.662, 0.229, 0.069, 0.034),
+                   "average_upper": (0.454, 0.369, 0.340, 0.339)}),
+        (3, 3849, {"yang_quadratic": (0.344, 0.244, 0.116, 0.076),
+                   "next_upper": (0.294, 0.278, 0.163, 0.134),
+                   "levine_protter_sum": (1.222, 0.550, 0.236, 0.144),
+                   "average_upper": (0.357, 0.364, 0.305, 0.300)}),
+    ], ids=["square", "cube"])
+    def test_exact_spectrum_passes_with_shrinking_slack(self, n, skips,
+                                                        trends):
+        from elastica.assembly import reference_spectrum_alpha0
+        values = reference_spectrum_alpha0((math.pi,) * n, self.K_MAX + 1)
+        records = evaluate_all(Spectrum(n, 0.0, values), self.K_MAX,
+                               DomainGeometry(n, math.pi ** n))
+        verdicts = {}
+        for r in records:
+            verdicts[r.verdict] = verdicts.get(r.verdict, 0) + 1
+        assert verdicts == {"pass": len(records) - skips, "skip": skips}
+        # the only skips are ratios at the degenerate gaps of the lattice
+        assert all(r.name == "hook_sum_ratio"
+                   and r.note.endswith("ratio undefined")
+                   for r in records if r.verdict == "skip")
+        by = {(r.name, r.k): r for r in records}
+        for name, trend in trends.items():
+            rel = [by[name, k].slack / abs(by[name, k].bound_value)
+                   for k in self.AT]
+            assert rel == pytest.approx(trend, abs=5e-4), name
 
 
 class TestEvaluateAll:

@@ -2,10 +2,14 @@
 
 Oracles: hemisphere Laplacian values are (m+1)(m+2) per azimuthal mode
 (first admissible Legendre degree with a node on the equator); the
-hemisphere equality cases are 4 and 2; flat-cap limits reduce to the unit
+hemisphere equality cases are 4 and 2; the Dirichlet and buckling values
+at any θ₀ come from Legendre functions of non-integer degree
+(``oracles.s2_cap_first_eigenvalue``); flat-cap limits reduce to the unit
 disk, whose constants come from Bessel characteristic equations evaluated
 with mpmath.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from elastica.cap1d import (_KIND_TABLE, CAP_KINDS, CapProblem,
                             mode_eigenfunction, prolongate, rayleigh_quotient,
                             solve_cap)
 from elastica.eigensolve import banded_smallest
+from elastica.harness import RunConfig, run_cap
+from oracles import s2_cap_first_eigenvalue, to_dense
 
 PI = np.pi
 HEMI = PI / 2
@@ -41,7 +47,7 @@ class TestModeOperators:
         for m in (0, 1, 2):
             op = build_mode_operator(1.2, 32, m, "clamped")
             for mat in (op.numerator, op.metric):
-                dense = mat.to_dense()
+                dense = to_dense(mat)
                 assert np.array_equal(dense, dense.T)
 
     def test_pole_constraints_by_mode(self):
@@ -76,8 +82,8 @@ class TestModeOperators:
                 cut = np.ix_(keep, keep)
                 num = rim if rim_corrected else dense[numerator]
                 assert op.numerator.bandwidth == op.metric.bandwidth == 3
-                assert np.array_equal(op.numerator.to_dense(), num[cut])
-                assert np.array_equal(op.metric.to_dense(),
+                assert np.array_equal(to_dense(op.numerator), num[cut])
+                assert np.array_equal(to_dense(op.metric),
                                       dense[metric][cut])
 
     def test_metric_positive_definite(self):
@@ -230,6 +236,48 @@ class TestFlatLimits:
         theta0 = 0.1
         buck = solve_cap(CapProblem(theta0, "buckling", 2, 128)).value
         assert theta0 ** 2 * buck == pytest.approx(disk, rel=5e-2)
+
+
+class TestExactS2Values:
+    """Dirichlet and buckling first eigenvalues against their exact values
+    on S², at the four angles of the verdict matrix."""
+
+    ANGLES = (PI / 4, 1.0, HEMI, 2.2)
+
+    @pytest.mark.parametrize("kind", ["dirichlet_laplacian", "buckling"])
+    @pytest.mark.parametrize("theta0", ANGLES,
+                             ids=["pi_4", "1", "pi_2", "2.2"])
+    def test_ritz_value_bounds_exact_from_above(self, theta0, kind):
+        # conforming elements: the computed value lies above the exact
+        # one (by 2e-13 to 1e-11 relative for Dirichlet, 2e-8 to 1.2e-7
+        # for buckling, at 32 cells), and the radial mode 0, the one the
+        # oracle solves, is the minimiser
+        exact = float(s2_cap_first_eigenvalue(theta0, kind))
+        result = solve_cap(CapProblem(theta0, kind, 2, 32))
+        assert result.minimizing_mode == 0
+        assert result.value >= exact * (1.0 - 4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("theta0", ANGLES,
+                             ids=["pi_4", "1", "pi_2", "2.2"])
+    def test_reported_value_within_its_budget(self, theta0):
+        # a buckling run also solves λ₁; the largest error/budget is 0.27
+        cfg = replace(RunConfig(mode="cap"), theta0=theta0,
+                      cap_kind="buckling", radial_cells=32, mode_max=2)
+        provenance = run_cap(cfg).provenance
+        for kind in ("dirichlet_laplacian", "buckling"):
+            exact = float(s2_cap_first_eigenvalue(theta0, kind))
+            error = abs(provenance["values"][kind] - exact)
+            assert error <= provenance["budgets"][kind], kind
+
+    def test_pinned_values(self):
+        assert float(s2_cap_first_eigenvalue(1.0, "dirichlet_laplacian")) \
+            == pytest.approx(5.44599327480263, rel=1e-14)
+        assert float(s2_cap_first_eigenvalue(1.0, "buckling")) \
+            == pytest.approx(14.6998790615736, rel=1e-14)
+        assert float(s2_cap_first_eigenvalue(HEMI, "dirichlet_laplacian")) \
+            == pytest.approx(2.0, rel=1e-14)
+        assert float(s2_cap_first_eigenvalue(HEMI, "buckling")) \
+            == pytest.approx(6.0, rel=1e-14)
 
 
 class TestModeCutoff:

@@ -12,16 +12,17 @@ from elastica.assembly import (ElasticityProblem, _csr, _operator,
                                _parity_classes, _terms, assemble,
                                box_operators, chebyshev, class_orbits,
                                galerkin_start, laplacian_inverse,
-                               reference_spectrum_alpha0, sine_factors,
-                               sine_transform)
-from elastica.eigensolve import (BandedCholesky, ConvergenceError,
-                                 EigenResult, FactorizationError,
+                               reference_spectrum_alpha0, sine_factors)
+from elastica.eigensolve import (BandedCholesky, BreakdownError,
+                                 ConvergenceError, EigenResult,
+                                 FactorizationError,
                                  IndefiniteMassError, _lower_inverse,
                                  banded_smallest, cholesky_banded,
                                  smallest_eigenpairs)
 from elastica.harness import RunConfig, run_verify, solve_problem
 from elastica.sparse import BandedSymMatrix, SparseSymMatrix
 from conftest import dense_generalized_eigs, nodal_vectors, random_small_box
+from oracles import sine_transform
 
 PI = np.pi
 
@@ -211,6 +212,19 @@ class TestLOBPCG:
         M = diag_csr(np.concatenate([np.ones(10), -np.ones(10)]))
         with pytest.raises(IndefiniteMassError):
             smallest_eigenpairs(K, M, 2)
+
+    def test_degenerate_subspace_is_a_breakdown(self):
+        # M's tail lies below the rounding of its head, so the M-Gram of
+        # any basis has numerical rank 1 and the Rayleigh-Ritz step keeps
+        # one direction; with the tail at 1e-14 (and at seed 2) the same
+        # pencil ends in a ConvergenceError instead
+        K = diag_csr(np.arange(1.0, 17.0))
+        M = diag_csr(np.concatenate([[1.0], np.full(15, 1e-20)]))
+        with pytest.raises(BreakdownError) as info:
+            smallest_eigenpairs(K, M, 2, seed=0)
+        assert type(info.value) is BreakdownError
+        assert str(info.value) == ("iteration subspace degenerated to 1 "
+                                   "directions, fewer than the 2 requested")
 
     def test_nonconvergence_carries_partial_result(self):
         n = 63
@@ -817,7 +831,7 @@ class TestResultMemory:
             tracemalloc.stop()
         assert res.vectors.shape == (
             sum(size for *_, size in orbits.pieces), m)
-        assert peak <= 4.0 * orbits.problem.order * (m + 8) * 8
+        assert peak <= 4.0 * p.order * (m + 8) * 8
 
     def test_peak_memory_of_one_richardson_verify(self):
         # a 32²/64² α = 2 Richardson verify peaks at 3.6 blocks of

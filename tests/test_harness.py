@@ -22,6 +22,7 @@ from elastica.harness import (CONFIG_KEYS, ConfigError, RunConfig,
 from elastica.report import (VerificationReport, load_report, render_csv,
                              render_svg, render_table, save_report,
                              svg_series_for)
+from oracles import to_dense
 
 PI = math.pi
 
@@ -440,6 +441,13 @@ class TestCapRecordLayout:
     def test_names_kinds_order_and_notes(self, theta0, cap_kind):
         cfg = replace(RunConfig(mode="cap"), theta0=theta0,
                       cap_kind=cap_kind, radial_cells=16, mode_max=1)
+        if cap_kind == "dirichlet_laplacian" and theta0 != PI / 2:
+            # λ₁ alone feeds only the hemisphere equality: a run that
+            # would judge nothing is refused, naming both keys
+            with pytest.raises(ConfigError, match=r"cap\.kind = dirichlet_"
+                               r"laplacian judges nothing at cap\.theta0"):
+                run_cap(cfg)
+            return
         records = run_cap(cfg).records
         want = expected_cap_layout(theta0, cap_kind)
         assert [(r.name, r.kind, r.k, r.verdict == "skip") for r in records] \
@@ -1062,7 +1070,7 @@ class TestCLI:
         from elastica.sparse import read_matrix_market
         K = read_matrix_market(dump / "K.mtx")
         assert K.order == 2 * 49
-        dense = K.to_dense()
+        dense = to_dense(K)
         assert np.array_equal(dense, dense.T)
 
     @pytest.mark.parametrize("dump,calls", [(True, 1), (False, 0)],
