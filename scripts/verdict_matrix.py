@@ -1,32 +1,34 @@
 #!/usr/bin/env python3
-"""The full verdict matrix: every record of 55 box and cap runs.
+"""The full verdict matrix: every record of 59 box and cap runs.
 
 The 34 box runs are ``run_verify`` solves with m = 16 and k_max = 15:
 
 * the (pi, pi) square at 32x32 cells, alpha in {0, 0.5, 1, 2, 10}, and at
   64x64 cells, alpha = 2, each at seeds 1, 7 and 11 (Richardson);
 * the square at 12x12 cells, alpha in {0, 0.5, 2, 10}, under each of the
-  policies richardson, fixed and fixed:1e-6 (seed 7: the slice that
-  tests/test_verdicts.py runs);
+  policies richardson, fixed and fixed:1e-6 (seed 7);
 * the (pi, pi, pi) cube at 10^3 cells, alpha = 0, and at 6^3, alpha = 10;
 * the (pi, 0.3 pi) strip at 64x8 cells, alpha = 0;
 * the square at 32x32 cells, alpha = 100.
 
-The 21 cap runs are ``run_cap`` at theta0 in {pi/4, 1, pi/2, 2.2}, with
+The 25 cap runs are ``run_cap`` at theta0 in {pi/4, 1, pi/2, 2.2}: with
 cap.kind set to all and to each of the five kinds (256 radial cells, modes
 0-8), but dirichlet_laplacian at pi/2 only: elsewhere it judges nothing,
-and the config is refused.  Every box run but the first group's uses seed
-7.
+and the config is refused; then with cap.kind = all at 32 radial cells.
+Every box run but the first group's uses seed 7.  The 12x12 box runs and
+the 32-cell cap runs are the slice that tests/test_verdicts.py solves.
 
 For each run the matrix holds every record's [name, kind, k, verdict,
-note], as tests/test_verdicts.py writes them, and per record name the
-smallest slack/|bound| over its non-skip records with a nonzero bound (the
-k = 1 quadratic forms read 0 <= 0; null if no record is left).  Without
-options the script prints a one-line summary per run; ``--output FILE``
-writes the matrix, and ``--compare FILE`` prints every changed verdict or
-note and every slack/|bound| that moved by more than 1e-6 against a matrix
-written before, exiting 1 on a verdict change (a record added or lost
-counts as one).
+note] (:func:`record_row`), and per record name the smallest
+slack/|bound| over its non-skip records with a nonzero bound (the k = 1
+quadratic forms read 0 <= 0; null if no record is left).  Without options
+the script prints a one-line summary per run; ``--output FILE`` writes the
+matrix, and ``--compare FILE`` prints every changed verdict or note and
+every slack/|bound| that moved by more than 1e-6 against a matrix written
+before, exiting 1 on a verdict change (a record added or lost counts as
+one).  tests/data/verdicts.json is the matrix that the tests check; the
+written file is byte-stable at a fixed BLAS thread count only, as the
+thread count moves the last digits of some slack/|bound| values.
 
     python3 scripts/verdict_matrix.py --output tests/data/verdicts.json
     python3 scripts/verdict_matrix.py --compare tests/data/verdicts.json
@@ -41,16 +43,16 @@ from dataclasses import replace
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from elastica.bounds import VERDICTS  # noqa: E402
 from elastica.harness import (CAP_RUN_KINDS, RunConfig,  # noqa: E402
                               run_cap, run_verify)
-from test_verdicts import (CAP_ANGLES, VERIFY_ALPHAS,  # noqa: E402
-                           VERIFY_POLICIES, record_row)
 
 PI = math.pi
 BOXES = {"square": (PI, PI), "cube": (PI, PI, PI), "strip": (PI, 0.3 * PI)}
+VERIFY_ALPHAS = (0.0, 0.5, 2.0, 10.0)
+VERIFY_POLICIES = ("richardson", "fixed", "fixed:1e-6")
+CAP_ANGLES = {"pi/4": PI / 4, "1": 1.0, "pi/2": PI / 2, "2.2": 2.2}
 #: a slack/|bound| that moves by more than this is reported by --compare
 SLACK_MOVE = 1e-6
 
@@ -84,7 +86,16 @@ def matrix_runs():
                 continue
             runs[f"cap theta0={angle} kind={kind}"] = replace(
                 RunConfig(mode="cap"), theta0=theta0, cap_kind=kind)
+    for angle, theta0 in CAP_ANGLES.items():
+        runs[f"cap theta0={angle} kind=all cells=32"] = replace(
+            RunConfig(mode="cap"), theta0=theta0, radial_cells=32)
     return runs
+
+
+def record_row(r):
+    """[name, kind, k, verdict, note] of one record: its row in the
+    matrix."""
+    return [r.name, r.kind, r.k, r.verdict, r.note]
 
 
 def matrix_entry(records):
@@ -159,7 +170,7 @@ def compare(old, new):
 
 
 def main(argv=None, runs=None):
-    """Run the matrix (``runs``: label -> config, default all 55);
+    """Run the matrix (``runs``: label -> config, default all 59);
     the exit status is 1 on a verdict change against ``--compare``."""
     ap = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],

@@ -70,7 +70,9 @@ class ElasticityProblem:
         if self.dim not in (2, 3):
             raise ValueError("only 2D and 3D boxes are supported")
         if len(cells) != self.dim:
-            raise ValueError("cells must list one resolution per direction")
+            raise ValueError(
+                f"mesh.cells must list one resolution per direction of "
+                f"domain.edges: {len(cells)} for {self.dim}")
         if not all(0 < e < math.inf for e in edges):
             raise ValueError("edges must be positive and finite")
         if any(c < 2 for c in cells):

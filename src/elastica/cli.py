@@ -1,8 +1,9 @@
 """Command line interface.
 
-One subcommand per job: ``solve`` writes a spectrum file, ``verify`` (of a
-solve, or of ``spectrum.path``) and ``cap`` save JSON reports, and
-``report`` renders them as a table, CSV and SVG charts.
+One subcommand per job: ``solve`` writes a spectrum file (to stdout
+without ``output.path``), ``verify`` (of a solve, or of ``spectrum.path``)
+and ``cap`` save JSON reports, and ``report`` renders them as a table, CSV
+and SVG charts.
 
     elastica solve   --config cfg [--set k=v ...] [--dump-matrices DIR]
     elastica verify  --config cfg [--set k=v ...]
@@ -23,10 +24,11 @@ from dataclasses import replace
 
 from .eigensolve import BreakdownError, ConvergenceError
 from .harness import (ConfigError, RunConfig, SpectrumFileError,
-                      apply_overrides, load_config, run_cap, run_solve,
-                      run_verify)
+                      apply_overrides, format_spectrum, load_config, run_cap,
+                      run_solve, run_verify)
 from .report import (ReportFormatError, exit_code, load_report, render_csv,
                      render_svg, render_table, svg_series_for)
+from .sparse import MatrixFormatError
 
 
 def _add_common(parser):
@@ -128,8 +130,7 @@ def main(argv=None):
             spectrum, result = run_solve(cfg, args.dump_matrices)
             dest = cfg.output_path or "<stdout>"
             if not cfg.output_path:
-                for i, v in enumerate(spectrum.values, 1):
-                    print(f"{i} {v:.17g}")
+                sys.stdout.write(format_spectrum(spectrum))
             print(f"solved: {len(spectrum)} eigenvalues "
                   f"(mesh {spectrum.mesh}, {result.iterations} iterations) "
                   f"-> {dest}", file=sys.stderr)
@@ -142,7 +143,8 @@ def main(argv=None):
               f"skip={counts['skip']}"
               + (f" -> {cfg.output_path}" if cfg.output_path else ""))
         return report.exit_code()
-    except (ConfigError, SpectrumFileError, ReportFormatError, OSError) as err:
+    except (ConfigError, SpectrumFileError, ReportFormatError,
+            MatrixFormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (ConvergenceError, BreakdownError) as err:

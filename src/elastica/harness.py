@@ -28,7 +28,8 @@ from .bounds import (DomainGeometry, Spectrum, VerifyTolerance, evaluate_all,
 from .cap1d import CAP_KINDS, CapProblem, solve_cap
 from .eigensolve import smallest_eigenpairs
 from .report import VerificationReport, read_text, save_report
-from .sparse import read_matrix_market, write_matrix_market
+from .sparse import (MatrixFormatError, read_matrix_market,
+                     write_matrix_market)
 
 
 class ConfigError(ValueError):
@@ -120,9 +121,9 @@ class RunConfig:
         if self.cap_kind not in CAP_RUN_KINDS:
             raise ConfigError(f"cap.kind must be one of {CAP_RUN_KINDS}")
         if not 1 <= self.k_max <= 10_000:
-            raise ConfigError("verify.k_max out of range")
+            raise ConfigError("verify.k_max out of range [1, 10000]")
         if not 1 <= self.m <= 10_000:
-            raise ConfigError("solver.m out of range")
+            raise ConfigError("solver.m out of range [1, 10000]")
         if not 0 < self.tol <= 1e-2:
             raise ConfigError("solver.tol out of range (0, 1e-2]")
         if self.seed < 0:
@@ -247,13 +248,20 @@ def apply_overrides(cfg, pairs):
 # ---------------------------------------------------------------------------
 # spectrum files: header "n alpha count", then "index value [residual]"
 
+def format_spectrum(spectrum):
+    """The text of a spectrum file, as ``solve`` writes it to a file or to
+    stdout."""
+    lines = [f"{spectrum.dim} {spectrum.alpha:.17g} {len(spectrum)}"]
+    for i, v in enumerate(spectrum.values, 1):
+        residual = "" if spectrum.residuals is None \
+            else f" {spectrum.residuals[i - 1]:.17g}"
+        lines.append(f"{i} {v:.17g}{residual}")
+    return "\n".join(lines) + "\n"
+
+
 def write_spectrum(path, spectrum):
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{spectrum.dim} {spectrum.alpha:.17g} {len(spectrum)}\n")
-        for i, v in enumerate(spectrum.values, 1):
-            residual = "" if spectrum.residuals is None \
-                else f" {spectrum.residuals[i - 1]:.17g}"
-            fh.write(f"{i} {v:.17g}{residual}\n")
+        fh.write(format_spectrum(spectrum))
 
 
 def read_spectrum(path):
@@ -351,8 +359,12 @@ def run_solve(cfg, dump=None):
             write_matrix_market(path, mat, comment=f" {name} "
                                 f"{problem.mesh_label()} alpha={cfg.alpha:g}")
             back = read_matrix_market(path)
-            if not np.array_equal(back.data, mat.data):
-                raise RuntimeError(f"matrix dump round-trip failed for {name}")
+            if back.order != mat.order or not all(
+                    np.array_equal(getattr(back, part), getattr(mat, part))
+                    for part in ("indptr", "indices", "data")):
+                raise MatrixFormatError(
+                    f"matrix dump round-trip failed: {path} reads back "
+                    f"other than the assembled {name}")
     if cfg.output_path:
         write_spectrum(cfg.output_path, spectrum)
     return spectrum, result

@@ -669,20 +669,22 @@ class TestCLI:
 
     def test_solve_without_output_prints_the_spectrum(self, tmp_path,
                                                       capsys):
-        # each stdout line "i value" carries, to the bit, the value that
-        # the spectrum file of the same config holds
+        # stdout carries, byte for byte, the spectrum file that --output
+        # writes for the same config, and `verify` reads it back
         argv = ["solve", "--set", "mesh.cells=6,6", "--set", "solver.m=5",
                 "--set", "domain.alpha=2"]
         assert cli.main(argv) == 0
         printed = capsys.readouterr()
         assert printed.err.rstrip().endswith("-> <stdout>")
-        rows = [line.split() for line in printed.out.splitlines()]
-        assert [int(i) for i, _ in rows] == [1, 2, 3, 4, 5]
         path = tmp_path / "s.spec"
         assert cli.main(argv + ["--output", str(path)]) == 0
         assert capsys.readouterr().out == ""
-        assert np.array_equal([float(v) for _, v in rows],
-                              read_spectrum(path).values)
+        assert printed.out == path.read_text(encoding="ascii")
+        piped = tmp_path / "piped.spec"
+        piped.write_text(printed.out, encoding="ascii")
+        assert cli.main(["verify", "--set", f"spectrum.path={piped}",
+                         "--set", "verify.k_max=4"]) == 0
+        assert capsys.readouterr().out.startswith("verify: pass=")
 
     def test_chart_of_a_record_skipped_at_every_k(self, tmp_path):
         # past the equator (θ₀ = 2.2) the boundary's mean curvature is
@@ -976,6 +978,19 @@ class TestCLI:
         (["verify", "--set", "spectrum.path={spec}", "--set",
           "verify.k_max=2", "--set", "verify.policy=fixed:-1", "--output",
           "{out}"], "verify.policy"),
+        (["cap", "--set", "cap.kind=navier"], "cap.kind must be one of"),
+        (["verify", "--set", "verify.k_max=0"],
+         "verify.k_max out of range [1, 10000]"),
+        (["verify", "--set", "verify.k_max=10001"],
+         "verify.k_max out of range [1, 10000]"),
+        (["solve", "--set", "solver.m=0"], "solver.m out of range [1, 10000]"),
+        (["solve", "--set", "solver.tol=0"], "solver.tol out of range"),
+        (["solve", "--set", "solver.tol=0.1"], "solver.tol out of range"),
+        (["verify", "--set", "spectrum.path={spec}.missing", "--set",
+          "verify.k_max=2", "--output", "{out}"], "spectrum file not found"),
+        (["solve", "--set", "mesh.cells=4,4,4"],
+         "mesh.cells must list one resolution per direction of "
+         "domain.edges: 3 for 2"),
     ], ids=["mesh_cells", "cap_cells", "cap_mode_max_huge",
             "cap_mode_max_limit", "cap_cells_huge", "cap_cells_limit",
             "mesh_cells_huge", "mesh_axis_limit", "mesh_order_limit",
@@ -986,7 +1001,9 @@ class TestCLI:
             "bounds_nan_alpha", "bounds_bad_edges",
             "verify_file_negative_alpha", "bounds_infinite_theta0",
             "policy_eps_not_a_number", "policy_eps_infinite",
-            "policy_eps_negative"])
+            "policy_eps_negative", "unknown_cap_kind", "k_max_zero",
+            "k_max_limit", "m_zero", "tol_zero", "tol_above_limit",
+            "missing_spectrum_file", "cells_per_edge"])
     def test_bad_config_exits_one(self, argv, message, capsys, tmp_path):
         spec, out = tmp_path / "ok.spec", tmp_path / "r.json"
         write_spectrum(spec, Spectrum(2, 0.0, np.array([2.0, 5.0, 8.0])))
@@ -994,6 +1011,7 @@ class TestCLI:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("scale,message", [
@@ -1072,6 +1090,29 @@ class TestCLI:
         assert K.order == 2 * 49
         dense = to_dense(K)
         assert np.array_equal(dense, dense.T)
+
+    def test_dump_round_trip_mismatch_exits_one(self, tmp_path,
+                                                monkeypatch, capsys):
+        # a read-back with the assembled values but two column indices of
+        # row 0 swapped is a failed round-trip, reported in one line
+        read = harness.read_matrix_market
+
+        def permuted(path):
+            mat = read(path)
+            indices = mat.indices.copy()
+            indices[:2] = indices[1::-1]
+            return replace(mat, indices=indices)
+
+        monkeypatch.setattr(harness, "read_matrix_market", permuted)
+        out = tmp_path / "s.spec"
+        assert cli.main(["solve", "--set", "mesh.cells=6,6", "--set",
+                         "solver.m=5", "--output", str(out),
+                         "--dump-matrices", str(tmp_path / "mats")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix dump round-trip failed: ")
+        assert err.rstrip().endswith("other than the assembled K")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("dump,calls", [(True, 1), (False, 0)],
                              ids=["dump", "no_dump"])
