@@ -284,7 +284,8 @@ class SineOperator:
     Terms with symmetric factors only are diagonal there and merge into
     ``diagonal``.  The others are grad-div couplings, which join only
     coefficients of one parity class (:func:`_parity_classes`), so the
-    operator is block-diagonal with ``blocks`` as its block sizes.  A
+    operator is block-diagonal with ``blocks`` as its block sizes, which
+    ``classes`` labels (:class:`ClassOrbits`): the layout LOBPCG solves.  A
     coupling (source, target, shape, weight, dense) reads the coefficient
     slice ``source`` as a grid of ``shape``, multiplies it by ``weight``
     (the symbols of its diagonal axes, or None) and by the (axis, matrix)
@@ -293,10 +294,11 @@ class SineOperator:
     transposed row views LOBPCG passes need no copy.
     """
 
-    def __init__(self, diagonal, couplings, blocks):
+    def __init__(self, diagonal, couplings, blocks, classes):
         self.diagonal = diagonal
         self.couplings = tuple(couplings)
         self.blocks = blocks
+        self.classes = classes
         self.order = diagonal.size
 
     def matvec(self, x):
@@ -359,14 +361,14 @@ def sine_factors(problem):
                             problem.spacings)]
 
 
-def _operator(factors, terms, pieces):
+def _operator(factors, terms, orbits):
     """SineOperator of Kronecker terms (row comp, col comp, scale, kinds)
-    laid out on ``pieces``: for the solver, those :func:`class_orbits`
-    keeps.  ``factors[d][kind]`` is axis d's 1D factor in the sine basis,
-    the table :func:`sine_factors` builds."""
+    laid out on the pieces of ``orbits``, a :class:`ClassOrbits`, and
+    labelled with its classes.  ``factors[d][kind]`` is axis d's 1D factor
+    in the sine basis, the table :func:`sine_factors` builds."""
     shape = tuple(len(f["M"]) for f in factors)
     grids, blocks = {}, {}
-    for q, c, par, start, size in pieces:
+    for q, c, par, start, size in orbits.pieces:
         grids[q, c] = (par, slice(start, start + size))
         blocks[q] = blocks.get(q, 0) + size
     diagonal = np.zeros((len(factors),) + shape)
@@ -394,8 +396,8 @@ def _operator(factors, terms, pieces):
                 _parity(p) if f.ndim == 1 else slice(None)
                 for p, f in zip(src, fs))]
             couplings.append((source, target, grid, w, parts))
-    return SineOperator(_gather(diagonal, pieces), couplings,
-                        tuple(blocks.values()))
+    return SineOperator(_gather(diagonal, orbits.pieces), couplings,
+                        tuple(blocks.values()), orbits.classes)
 
 
 def box_operators(problem):
@@ -408,17 +410,18 @@ def box_operators(problem):
     axis of each component, then the coefficients ordered class by class
     (:func:`_parity_classes`).  They are laid out on the rows and columns
     of the classes :func:`class_orbits` keeps (all of them on a box without
-    equal axes), block-diagonal over those classes (``K̂.blocks``).  M̂ and
-    K̂₀ are diagonal; only K̂'s α-scaled grad-div couplings stay dense, per
-    class one matmul with an off-parity ⌈n/2⌉×⌊n/2⌋ sub-block of S·C·S
-    along each of their two axes.
+    equal axes), block-diagonal over those classes (``K̂.blocks``), each
+    labelled with its orbit (``K̂.classes``).  M̂ and K̂₀ are diagonal;
+    only K̂'s α-scaled grad-div couplings stay dense, per class one matmul
+    with an off-parity ⌈n/2⌉×⌊n/2⌋ sub-block of S·C·S along each of their
+    two axes.
     """
     factors = sine_factors(problem)
-    pieces = class_orbits(problem).pieces
+    orbits = class_orbits(problem)
     lap_terms, div_terms, mass_terms = _terms(problem)
-    return (_operator(factors, lap_terms + div_terms, pieces),
-            _operator(factors, mass_terms, pieces),
-            _operator(factors, lap_terms, pieces))
+    return (_operator(factors, lap_terms + div_terms, orbits),
+            _operator(factors, mass_terms, orbits),
+            _operator(factors, lap_terms, orbits))
 
 
 @dataclass(frozen=True)

@@ -70,8 +70,6 @@ _GAUSS_W = np.array([0.2369268850561891, 0.4786286704993665,
 #: the Gauss points on the unit cell [0, 1]
 _GAUSS_T = 0.5 * (1.0 + _GAUSS_X)
 
-#: residual tolerance and starting seed of every mode's first-pair solve
-FIRST_PAIR_TOL, FIRST_PAIR_SEED = 1e-13, 0
 #: floor on the cell angle θ₀/cells: the stiffest pencil entries grow
 #: like (cells/θ₀)⁴ and the cap round-off budget like the eighth power,
 #: and both overflow double precision near θ₀/cells = 1e-40
@@ -327,8 +325,7 @@ def mode_eigenfunction(theta0, cells, m, kind, start=None):
     """
     op = build_mode_operator(theta0, cells, m, kind)
     keep = op.keep
-    res = banded_smallest(op.numerator, op.metric, m=1, tol=FIRST_PAIR_TOL,
-                          seed=FIRST_PAIR_SEED,
+    res = banded_smallest(op.numerator, op.metric,
                           start=None if start is None else start[keep, None])
     full = np.zeros(op.ndof_full)
     full[keep] = res.vectors[:, 0]

@@ -12,12 +12,15 @@ factorisations of dense blocks):
   in one block, and the blocks' Ritz values are merged by a stable sort.
   A block may stand for copies of itself, blocks with the same spectrum
   that are never iterated: the merge counts its values once per copy.
+  K's ``blocks`` and ``classes`` give the layout.
 * :func:`banded_smallest`: banded Cholesky factorisation plus block inverse
-  iteration for small banded pencils (orders up to ~1e4), optionally
-  started from given columns.  The factor is built on dense 64×64
-  diagonal blocks with numpy's LAPACK (``np.linalg.cholesky``), coupled
-  through bandwidth² corners, and applied through the blocks' inverses,
-  which :func:`_lower_inverse` forms by halving each triangle.
+  iteration for the first pair of small banded pencils (orders up to
+  ~1e4), optionally started from a given column.  The factor is built on
+  dense 64×64 diagonal blocks with numpy's LAPACK (``np.linalg.cholesky``),
+  coupled through bandwidth² corners, and applied through the blocks'
+  inverses, which :func:`_lower_inverse` forms by halving each triangle.
+
+The iteration budgets, and the banded tolerance and seed, are constants.
 
 Both hold a basis with its pencil images as a row stack, one vector per
 contiguous row: LOBPCG a ``(2, b, n)`` array (Y, K·Y), the banded solver a
@@ -54,6 +57,10 @@ DROP_REL = 1e-13
 SEEDED = 8
 #: Ritz pairs each block keeps past its share of the m smallest
 GUARDS = 4
+#: iteration budgets of LOBPCG and of the banded inverse iteration
+LOBPCG_MAXITER, BANDED_MAXITER = 500, 300
+#: residual tolerance and starting seed of every banded first-pair solve
+FIRST_PAIR_TOL, FIRST_PAIR_SEED = 1e-13, 0
 
 
 class BreakdownError(RuntimeError):
@@ -65,12 +72,13 @@ class IndefiniteMassError(BreakdownError):
 
 
 class FactorizationError(BreakdownError):
-    """A direct factorisation broke down (non-positive pivot)."""
+    """A direct factorisation broke down (non-positive or smallest pivot)."""
 
     def __init__(self, pivot, value):
         self.pivot = pivot
         self.value = value
-        super().__init__(f"non-positive pivot {value:.3e} at index {pivot}")
+        kind = "smallest" if value > 0.0 else "non-positive"
+        super().__init__(f"{kind} pivot {value:.3e} at index {pivot}")
 
 
 class ConvergenceError(RuntimeError):
@@ -87,8 +95,8 @@ class EigenResult:
 
     ``residuals`` are relative: ||K x − σ M x||₂ / (σ ||x||_M).
     ``vectors`` holds one column per pair in the coordinates K and M act
-    on.  ``classes`` labels each pair with the class it lives in (the
-    ``classes`` of :func:`smallest_eigenpairs`; 0 for a pencil solved as
+    on.  ``classes`` labels each pair with the class it lives in (from
+    ``K.classes`` in :func:`smallest_eigenpairs`; 0 for a pencil solved as
     one block).  A copy's column repeats its block's vector, so the
     columns are M-orthonormal once each is carried onto its class; with
     no copies they are M-orthonormal as they stand.
@@ -200,15 +208,14 @@ def _basis_stack(rows, n, occupied):
     return S, occupied if own else np.zeros((2, rows, n))
 
 
-def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
-                        precond=None, start=None, blocks=None,
-                        classes=None):
+def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, precond=None,
+                        start=None):
     """m algebraically smallest eigenpairs of K x = σ M x by blocked LOBPCG.
 
     K and M need only ``order`` and ``matvec`` (on (n,) and (n, b)
     operands): a CSR matrix or a matrix-free operator.  K must be
     symmetric, M symmetric positive definite, m <= order/4 of the full
-    pencil (copies counted: see ``classes``).  The starting block has
+    pencil (copies counted: see ``K.classes``).  The starting block has
     m + ``SEEDED`` (8) columns, standard normal from ``seed`` in the
     coordinates K and M act on, and the whole iteration is deterministic.
     An (n, k) ``start`` block with k <= m, such as Ritz vectors of a small
@@ -230,20 +237,14 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
 
     ``start`` is copied into the starting block and not referenced after
     that, so a block the caller does not hold itself is freed before the
-    first K apply.  The starting block and its K image form a
-    (2, m + 8, n) stack, freed once the first projection has written the
-    kept Ritz rows into a (2, k, n) block; the basis stack is allocated
-    only after that, around those rows, and the block becomes its spare,
-    which holds the residual rows, then W until the preconditioner and the
-    pencil are applied to it, then the momentum rows.  So the caller's
-    start, the starting stack and the basis stack are never alive
-    together.
+    first K apply; the module docstring gives the stacks' lifetimes.
 
-    ``blocks``, sizes summing to the order, says K and M are block-diagonal
-    with consecutive diagonal blocks of those sizes (default: one block).
-    Every basis vector then lives in one block: each starting column
-    contributes its part in every block (none where the part is zero), and
-    whitening, Rayleigh–Ritz, the updates and the residuals run per block.
+    ``K.blocks``, sizes summing to the order, says K and M are
+    block-diagonal with consecutive diagonal blocks of those sizes; an
+    operand without it (a CSR matrix, say) is one block.  Every basis
+    vector then lives in one block: each starting column contributes its
+    part in every block (none where the part is zero), and whitening,
+    Rayleigh–Ritz, the updates and the residuals run per block.
     After each Rayleigh–Ritz step the per-block Ritz values are merged by
     a stable sort, and each block keeps its share of the m smallest plus
     ``GUARDS`` more; the stack then holds three rows per vector of the
@@ -255,38 +256,37 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
     rounding into the implicit K images, so it carries no momentum block P
     into the next step, and its new X gets K·X applied afresh.
 
-    ``classes`` labels the blocks: per block the labels of the classes of
-    the full pencil it stands for, its own first (default: block q is
-    class q alone).  A block with c labels has c − 1 copies, blocks of the
-    full pencil with the same spectrum that are not solved: the merge
-    counts each of its Ritz values c times, when it picks each block's
-    share of the m smallest (⌈count / c⌉) and the m pairs it returns, and
-    a copy's pair is its block's: its column of ``EigenResult.vectors``
-    repeats the block's vector, and ``EigenResult.classes`` holds the
-    label it stands for.  With every count 1 the iteration is the one on
-    the blocks alone.
+    ``K.classes`` labels the blocks: per block the labels of the classes of
+    the full pencil it stands for, its own first (without it, the one
+    block is class 0 alone).  A block with c labels has c − 1 copies,
+    blocks of the full pencil with the same spectrum that are not solved:
+    the merge counts each of its Ritz values c times, when it picks each
+    block's share of the m smallest (⌈count / c⌉) and the m pairs it
+    returns, and a copy's pair is its block's: its column of
+    ``EigenResult.vectors`` repeats the block's vector, and
+    ``EigenResult.classes`` holds the label it stands for.  With every
+    count 1 the iteration is the one on the blocks alone.
 
     Residuals are decided implicitly and reported explicitly: each
     iteration takes its residual norms from the K X block it holds and a
     fresh M X.  The loop has one exit: once those norms pass ``tol``, or
-    the ``maxiter`` budget runs out, the block is re-projected and its
-    residuals are recomputed with K and M.  Convergence is declared on
-    the recomputed ones, and every result reports them.  Non-convergence
-    within ``maxiter`` raises :class:`ConvergenceError` carrying the
-    partial result with per-pair flags; a collapsed subspace raises
-    :class:`BreakdownError`.
+    the ``LOBPCG_MAXITER`` (500) budget runs out, the block is
+    re-projected and its residuals are recomputed with K and M.
+    Convergence is declared on the recomputed ones, and every result
+    reports them.  Non-convergence within the budget raises
+    :class:`ConvergenceError` carrying the partial result with per-pair
+    flags; a collapsed subspace raises :class:`BreakdownError`.
     """
     n = K.order
     if m < 1:
         raise ValueError("m must be >= 1")
-    sizes = (n,) if blocks is None else tuple(int(b) for b in blocks)
+    sizes = tuple(int(b) for b in getattr(K, "blocks", (n,)))
     if sum(sizes) != n or min(sizes) < 1:
-        raise ValueError(f"blocks must be positive sizes summing to {n}, "
+        raise ValueError(f"K.blocks must be positive sizes summing to {n}, "
                          f"got {sizes}")
-    labels = tuple((q,) for q in range(len(sizes))) if classes is None \
-        else tuple(tuple(c) for c in classes)
+    labels = tuple(tuple(c) for c in getattr(K, "classes", ((0,),)))
     if len(labels) != len(sizes) or min(map(len, labels)) < 1:
-        raise ValueError(f"classes must label each of the {len(sizes)} "
+        raise ValueError(f"K.classes must label each of the {len(sizes)} "
                          f"blocks at least once, got {labels}")
     copies = np.array([len(c) for c in labels])
     # the order of the full pencil, every copy counted
@@ -448,12 +448,12 @@ def smallest_eigenpairs(K, M, m, tol=1e-8, seed=0, maxiter=500,
         # block its start nearly spans, the starting Ritz pairs pass at
         # once, while another block's guards may still sit above an
         # eigenvalue they will find
-        if it >= maxiter or (it and converged()):
+        if it >= LOBPCG_MAXITER or (it and converged()):
             # rotations inside an eigenvalue cluster redistribute residual
             # norms, so convergence is decided on the re-projected block
             thetas, share = project()
             res = residuals(True)[1]
-            if it >= maxiter or converged():
+            if it >= LOBPCG_MAXITER or converged():
                 break
             R = residuals(False)[0]
         it += 1
@@ -608,33 +608,32 @@ def cholesky_banded(A):
     return BandedCholesky(n, bw, diag, corner)
 
 
-def banded_smallest(A, B, m=1, tol=1e-10, maxiter=300, seed=0, start=None):
-    """m smallest eigenpairs of banded A x = λ B x by inverse block iteration.
+def banded_smallest(A, B, start=None):
+    """Smallest eigenpair of banded A x = λ B x by inverse block iteration.
 
     A and B must be positive definite.  Intended for orders up to ~1e4
     where the banded factorisation is cheap.  The starting block of
-    max(m + 4, 6) columns is pseudo-random from ``seed``; an (n, k)
-    ``start`` block with k <= m, such as eigenvectors of a coarser pencil
-    carried to this one, replaces its first k columns, and the others stay
-    as drawn, as in :func:`smallest_eigenpairs`.  Each iteration solves with
+    min(6, order) columns is pseudo-random from ``FIRST_PAIR_SEED``; an
+    (n, 1) ``start`` column, such as the eigenvector of a coarser pencil
+    carried to this one, replaces its first column, and the others stay as
+    drawn, as in :func:`smallest_eigenpairs`.  Each iteration solves with
     the factor of A on B·X, applies A and B once to the new block Y, and
     takes the next B·X from the Ritz combination of the (Y, A·Y, B·Y)
-    stack.  Because the two pencil norms may differ by the full h^(-4)
-    conditioning of a fourth-order problem, ``tol`` and the reported
-    residuals here are backward errors
+    stack, until the first pair passes ``FIRST_PAIR_TOL`` or the
+    ``BANDED_MAXITER`` (300) budget runs out.  Because the two pencil norms
+    may differ by the full h^(-4) conditioning of a fourth-order problem,
+    that tolerance and the reported residual are backward errors
     ||A x − λ B x|| / ((||A||₁ + λ||B||₁)·||x||), not λ-relative norms,
-    computed explicitly on the m kept columns.
+    computed explicitly on the kept column.
     """
     n = A.order
     if B.order != n:
         raise ValueError("A and B must have equal order")
-    if not 1 <= m <= n:
-        raise ValueError("need 1 <= m <= order")
-    start = _start_block(start, n, m)
+    start = _start_block(start, n, 1)
     factor = cholesky_banded(A)
 
-    bs = min(n, max(m + 4, 6))
-    X = np.random.default_rng(seed).standard_normal((n, bs))
+    X = np.random.default_rng(FIRST_PAIR_SEED).standard_normal(
+        (n, min(n, 6)))
     X[:, :start.shape[1]] = start
     BX = B.matvec(X).T
     del X
@@ -649,12 +648,13 @@ def banded_smallest(A, B, m=1, tol=1e-10, maxiter=300, seed=0, start=None):
         theta, C = _rayleigh_ritz(*S)
         X, BX = C.T @ S[::2]
         # scale-invariant residual: the pencil norms can be h^(-4) apart
-        values, x = theta[:m], X[:m].T
+        values, x = theta[:1], X[:1].T
         _, residuals = _residuals(
             A.matvec(x).T, B.matvec(x).T, values,
-            (norm_a + np.abs(values) * norm_b) * np.linalg.norm(X[:m], axis=1))
-        if np.all(residuals <= tol) or it >= maxiter:
+            (norm_a + np.abs(values) * norm_b) * np.linalg.norm(X[:1], axis=1))
+        if np.all(residuals <= FIRST_PAIR_TOL) or it >= BANDED_MAXITER:
             break
     return _checked(EigenResult(values.copy(), x.copy(), residuals, it,
-                                residuals <= tol, np.zeros(m, dtype=int)),
-                    "banded eigenpairs", tol)
+                                residuals <= FIRST_PAIR_TOL,
+                                np.zeros(1, dtype=int)),
+                    "banded eigenpairs", FIRST_PAIR_TOL)

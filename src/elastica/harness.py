@@ -21,8 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .assembly import (ElasticityProblem, assemble, box_operators,
-                       chebyshev, class_orbits, galerkin_start,
-                       laplacian_inverse)
+                       chebyshev, galerkin_start, laplacian_inverse)
 from .bounds import (DomainGeometry, Spectrum, VerifyTolerance, evaluate_all,
                      evaluate_cap)
 from .cap1d import CAP_KINDS, CapProblem, solve_cap
@@ -313,31 +312,31 @@ def solve_problem(problem, m, tol, seed):
 
     LOBPCG runs in class-major sine coordinates (:func:`box_operators`: M
     and K(0) diagonal, K(α)'s grad-div couplings dense), one block per
-    reflection-parity class, preconditioned by Chebyshev steps on
-    [1, 1+α] around K(0)⁻¹, a division by its symbol; no CSR matrix is
-    assembled.  Of each orbit of classes under the box's axis
-    permutations (:func:`class_orbits`) only the representative is
+    reflection-parity class, preconditioned by Chebyshev steps on [1, 1+α]
+    around K(0)⁻¹, a division by its symbol; no CSR matrix is assembled.
+    Of each orbit of classes under the box's axis permutations
+    (:func:`~elastica.assembly.class_orbits`) only the representative is
     solved, its images counted as its copies: :func:`box_operators` builds
     K̂, M̂ and K̂₀ = K(0) on the representatives' coordinates alone, from
     one table of 1D sine factors, so K(0)⁻¹, the Chebyshev steps and the
-    start live there too.  The first m columns of the starting block
-    are the per-class Ritz vectors of :func:`galerkin_start`, the rest
-    random from ``seed`` (see :func:`smallest_eigenpairs`).  The vectors
-    stay in these reduced coordinates, column i a vector of its class's
-    representative; ``EigenResult.classes`` gives each pair's parity class
-    by number.  No run reads the vectors; carried onto that class by its
-    axis permutation, then through Qᵀ (Q as in :func:`box_operators`),
-    they are nodal eigenvectors.  The blocks make the path differ
-    from a nodal solve's, not the eigenpairs it converges to.  Residuals
-    are explicit in sine coordinates; the transform is orthogonal, so they
-    equal the nodal ones up to its rounding.
+    start live there too, and K̂ carries the layout LOBPCG solves
+    (``K̂.blocks``, ``K̂.classes``).  The first m columns of the starting
+    block are the per-class Ritz vectors of :func:`galerkin_start`, the
+    rest random from ``seed`` (see :func:`smallest_eigenpairs`).  The
+    vectors stay in these reduced coordinates, column i a vector of its
+    class's representative; ``EigenResult.classes`` gives each pair's
+    parity class by number.  No run reads the vectors; carried onto that
+    class by its axis permutation, then through Qᵀ (Q as in
+    :func:`box_operators`), they are nodal eigenvectors.  The blocks make
+    the path differ from a nodal solve's, not the eigenpairs it converges
+    to.  Residuals are explicit in sine coordinates; the transform is
+    orthogonal, so they equal the nodal ones up to its rounding.
     """
     K, M, K0 = box_operators(problem)
     precond = chebyshev(K, laplacian_inverse(K0), problem.alpha)
-    result = smallest_eigenpairs(
-        K, M, m, tol=tol, seed=seed, precond=precond,
-        start=galerkin_start(K, M, m), blocks=K.blocks,
-        classes=class_orbits(problem).classes)
+    result = smallest_eigenpairs(K, M, m, tol=tol, seed=seed,
+                                 precond=precond,
+                                 start=galerkin_start(K, M, m))
     spectrum = Spectrum(problem.dim, problem.alpha, result.values,
                         source="computed", mesh=problem.mesh_label(),
                         residuals=result.residuals, solver_tol=tol)

@@ -14,8 +14,8 @@ change together with the code it checks:
 * :func:`chebyshev_sum_check` is the Chebyshev-type product inequality of
   acceptance criterion 6;
 * :func:`s2_cap_first_eigenvalue` is the exact first eigenvalue of the
-  Dirichlet and buckling problems on a cap of S², from Legendre functions
-  of non-integer degree (mpmath, 30 digits).
+  Dirichlet, buckling and clamped problems on a cap of S², from Legendre
+  functions of non-integer degree (mpmath, 30 digits).
 """
 
 import itertools
@@ -183,15 +183,20 @@ def chebyshev_sum_check(a, b, s):
 def s2_cap_first_eigenvalue(theta0, kind):
     """Exact first eigenvalue of ``kind`` on the cap {θ <= θ₀} of S².
 
-    The azimuthal mode 0 of both kinds reduces to the Legendre function
-    P_ν(x), x = cos θ, of non-integer degree ν > 0, and the value is
-    ν(ν+1):
+    The azimuthal mode 0 of these kinds reduces to the Legendre function
+    P_ν(x), x = cos θ, of non-integer degree ν > 0, with ν(ν+1) the value
+    (its square for ``clamped``):
 
     * ``dirichlet_laplacian``: ΔP_ν = −ν(ν+1)P_ν, so u = P_ν with
       P_ν(cos θ₀) = 0;
     * ``buckling``: Δ(Δ + Λ)u = 0 with u = A·P_ν + B, ν(ν+1) = Λ; the
       clamped rim u = u′ = 0 needs dP_ν/dx(cos θ₀) = 0, from
-      (1 − x²)·P_ν′ = ν·(P_{ν−1} − x·P_ν).
+      (1 − x²)·P_ν′ = ν·(P_{ν−1} − x·P_ν);
+    * ``clamped``: Δ²u = Γu is (Δ + √Γ)(Δ − √Γ)u = 0, so u = A·P_ν + B·P_β
+      with ν(ν+1) = √Γ and β(β+1) = −√Γ, β = −½ + i·√(√Γ − ¼) (P_β is a
+      conical function, real on (−1, 1)); u = u′ = 0 at the rim needs
+      det[[P_ν, P_β], [P_ν′, P_β′]] = 0 at cos θ₀, the derivatives from the
+      same recurrence (its factor 1 − x² drops out of the determinant).
 
     ν is the smallest root, bracketed by a scan in steps of 0.05 from 0.05
     and refined by mpmath at 30 digits.
@@ -204,12 +209,21 @@ def s2_cap_first_eigenvalue(theta0, kind):
         def legendre(nu):
             return mpmath.legenp(nu, 0, x, type=2)
 
+        def slope(nu):
+            """(1 − x²)·P_ν′(x)."""
+            return nu * (legendre(nu - 1) - x * legendre(nu))
+
         if kind == "dirichlet_laplacian":
             def rim(nu):
                 return legendre(nu)
         elif kind == "buckling":
             def rim(nu):
-                return legendre(nu - 1) - x * legendre(nu)
+                return slope(nu)
+        elif kind == "clamped":
+            def rim(nu):
+                beta = -0.5 + 1j * mpmath.sqrt(nu * (nu + 1) - 0.25)
+                return mpmath.re(legendre(nu) * slope(beta)
+                                 - legendre(beta) * slope(nu))
         else:
             raise ValueError(f"no exact S² value for cap kind {kind!r}")
         lo = mpmath.mpf("0.05")
@@ -217,4 +231,5 @@ def s2_cap_first_eigenvalue(theta0, kind):
             lo += mpmath.mpf("0.05")
         nu = mpmath.findroot(rim, (lo, lo + mpmath.mpf("0.05")),
                              solver="anderson")
-        return nu * (nu + 1)
+        value = nu * (nu + 1)
+        return value ** 2 if kind == "clamped" else value

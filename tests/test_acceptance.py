@@ -206,14 +206,13 @@ def test_criterion_9_eigensolver_contracts():
     orbits = class_orbits(problem)
     lap_terms, div_terms, mass_terms = _terms(problem)
     shifted_op = _operator(sine_factors(problem),
-                           lap_terms + div_terms + mass_terms, orbits.pieces)
+                           lap_terms + div_terms + mass_terms, orbits)
     precond = chebyshev(Kop, laplacian_inverse(K0op), problem.alpha)
     tol = 1e-8
 
     def solve(op):
         return smallest_eigenpairs(op, Mop, 12, tol=tol, seed=2024,
-                                   precond=precond, blocks=Kop.blocks,
-                                   classes=orbits.classes)
+                                   precond=precond)
 
     def nodal(res):
         return sine_transform(problem, expand(problem, res.vectors,

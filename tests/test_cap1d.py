@@ -2,8 +2,8 @@
 
 Oracles: hemisphere Laplacian values are (m+1)(m+2) per azimuthal mode
 (first admissible Legendre degree with a node on the equator); the
-hemisphere equality cases are 4 and 2; the Dirichlet and buckling values
-at any θ₀ come from Legendre functions of non-integer degree
+hemisphere equality cases are 4 and 2; the Dirichlet, buckling and
+clamped values at any θ₀ come from Legendre functions of non-integer degree
 (``oracles.s2_cap_first_eigenvalue``); flat-cap limits reduce to the unit
 disk, whose constants come from Bessel characteristic equations evaluated
 with mpmath.
@@ -239,19 +239,20 @@ class TestFlatLimits:
 
 
 class TestExactS2Values:
-    """Dirichlet and buckling first eigenvalues against their exact values
-    on S², at the four angles of the verdict matrix."""
+    """Dirichlet, buckling and clamped first eigenvalues against their
+    exact values on S², at the four angles of the verdict matrix."""
 
     ANGLES = (PI / 4, 1.0, HEMI, 2.2)
 
-    @pytest.mark.parametrize("kind", ["dirichlet_laplacian", "buckling"])
+    @pytest.mark.parametrize("kind", ["dirichlet_laplacian", "buckling",
+                                      "clamped"])
     @pytest.mark.parametrize("theta0", ANGLES,
                              ids=["pi_4", "1", "pi_2", "2.2"])
     def test_ritz_value_bounds_exact_from_above(self, theta0, kind):
         # conforming elements: the computed value lies above the exact
         # one (by 2e-13 to 1e-11 relative for Dirichlet, 2e-8 to 1.2e-7
-        # for buckling, at 32 cells), and the radial mode 0, the one the
-        # oracle solves, is the minimiser
+        # for buckling, 1.2e-8 to 3.2e-7 for clamped, at 32 cells), and the
+        # radial mode 0, the one the oracle solves, is the minimiser
         exact = float(s2_cap_first_eigenvalue(theta0, kind))
         result = solve_cap(CapProblem(theta0, kind, 2, 32))
         assert result.minimizing_mode == 0
@@ -260,11 +261,14 @@ class TestExactS2Values:
     @pytest.mark.parametrize("theta0", ANGLES,
                              ids=["pi_4", "1", "pi_2", "2.2"])
     def test_reported_value_within_its_budget(self, theta0):
-        # a buckling run also solves λ₁; the largest error/budget is 0.27
+        # the largest error/budget is 0.27 (buckling at π/2 and 2.2,
+        # clamped at 2.2).  The clamped value is not an upper bound: at
+        # 32/64 cells its extrapolation lies 3e-9 to 8e-8 relative below
+        # the exact Γ₁ at all four angles
         cfg = replace(RunConfig(mode="cap"), theta0=theta0,
-                      cap_kind="buckling", radial_cells=32, mode_max=2)
+                      cap_kind="all", radial_cells=32, mode_max=2)
         provenance = run_cap(cfg).provenance
-        for kind in ("dirichlet_laplacian", "buckling"):
+        for kind in ("dirichlet_laplacian", "buckling", "clamped"):
             exact = float(s2_cap_first_eigenvalue(theta0, kind))
             error = abs(provenance["values"][kind] - exact)
             assert error <= provenance["budgets"][kind], kind
@@ -278,6 +282,10 @@ class TestExactS2Values:
             == pytest.approx(2.0, rel=1e-14)
         assert float(s2_cap_first_eigenvalue(HEMI, "buckling")) \
             == pytest.approx(6.0, rel=1e-14)
+        assert float(s2_cap_first_eigenvalue(1.0, "clamped")) \
+            == pytest.approx(99.8350649840454, rel=1e-14)
+        assert float(s2_cap_first_eigenvalue(HEMI, "clamped")) \
+            == pytest.approx(15.3651267889046, rel=1e-14)
 
 
 class TestModeCutoff:
@@ -372,7 +380,7 @@ class TestWarmStart:
         # the values agree with a cold start (TestUpperBounds)
         _, coarse = mode_eigenfunction(HEMI, 128, m, kind)
         op = build_mode_operator(HEMI, 256, m, kind)
-        cold, warm = (banded_smallest(op.numerator, op.metric, m=1, tol=1e-13,
+        cold, warm = (banded_smallest(op.numerator, op.metric,
                                       start=start).iterations
                       for start in (None, prolongate(coarse, HEMI)[op.keep,
                                                                    None]))

@@ -3,13 +3,14 @@
 import tracemalloc
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from elastica import eigensolve
-from elastica.assembly import (ElasticityProblem, _csr, _operator,
-                               _parity_classes, _terms, assemble,
+from elastica.assembly import (ClassOrbits, ElasticityProblem, _csr,
+                               _operator, _parity_classes, _terms, assemble,
                                box_operators, chebyshev, class_orbits,
                                galerkin_start, laplacian_inverse,
                                reference_spectrum_alpha0, sine_factors)
@@ -53,9 +54,13 @@ def fd_laplacian_1d(n, h):
 
 def full_operator(problem, terms):
     """The sine-coordinate operator of ``terms`` on every parity class,
-    as :func:`box_operators` lays it out on boxes without equal axes."""
-    return _operator(sine_factors(problem), terms,
-                     _parity_classes(problem))
+    as :func:`box_operators` lays it out on boxes without equal axes, but
+    laid out for LOBPCG as one block of class 0, as an operand without a
+    layout is."""
+    op = _operator(sine_factors(problem), terms,
+                   ClassOrbits(((0,),), tuple(_parity_classes(problem))))
+    op.blocks = (op.order,)
+    return op
 
 
 def full_inverse(problem):
@@ -226,13 +231,13 @@ class TestLOBPCG:
         assert str(info.value) == ("iteration subspace degenerated to 1 "
                                    "directions, fewer than the 2 requested")
 
-    def test_nonconvergence_carries_partial_result(self):
+    def test_nonconvergence_carries_partial_result(self, monkeypatch):
         n = 63
         h = PI / (n + 1)
         K = fd_laplacian_1d(n, h)
+        monkeypatch.setattr(eigensolve, "LOBPCG_MAXITER", 2)
         with pytest.raises(ConvergenceError) as info:
-            smallest_eigenpairs(K, identity_csr(n), 3, tol=1e-12, seed=5,
-                                maxiter=2)
+            smallest_eigenpairs(K, identity_csr(n), 3, tol=1e-12, seed=5)
         partial = info.value.result
         assert isinstance(partial, EigenResult)
         assert not partial.converged.all()
@@ -240,9 +245,10 @@ class TestLOBPCG:
         assert str(info.value).count("tol")  # names the tolerance and indices
         assert_certified(K, identity_csr(n), partial)
 
-    def test_budget_ending_as_implicit_norms_pass(self):
+    def test_budget_ending_as_implicit_norms_pass(self, monkeypatch):
         # the in-loop norms come from the K X, M X blocks the iteration
-        # holds; with maxiter at the converged run's count the loop ends
+        # holds; with the budget (LOBPCG_MAXITER) at the converged run's
+        # count the loop ends
         # right after they pass, before its own check, so the exit must
         # polish and recompute explicitly, as the converged break does
         p = ElasticityProblem((PI, PI), 2.0, (12, 12))
@@ -252,9 +258,10 @@ class TestLOBPCG:
                                    precond=precond)
         assert_certified(K, M, full)
         for maxiter in (full.iterations, full.iterations - 1):
+            monkeypatch.setattr(eigensolve, "LOBPCG_MAXITER", maxiter)
             try:
                 res = smallest_eigenpairs(K, M, 6, tol=1e-10, seed=8,
-                                          precond=precond, maxiter=maxiter)
+                                          precond=precond)
             except ConvergenceError as err:
                 res = err.result
                 assert maxiter < full.iterations
@@ -265,7 +272,8 @@ class TestLOBPCG:
                 assert np.array_equal(res.vectors, full.vectors)
                 assert res.converged.all()
 
-    def test_explicit_check_failing_after_implicit_norms_pass(self):
+    def test_explicit_check_failing_after_implicit_norms_pass(
+            self, monkeypatch):
         # at tol 1e-15, the rounding floor, this production-path solve's
         # implicit norms pass twice while the re-projected block fails its
         # explicit check: the loop goes on from the explicit residual rows,
@@ -274,12 +282,12 @@ class TestLOBPCG:
         # values above the eigenvalues
         p = ElasticityProblem((PI, PI), 2.0, (8, 8))
         K, M, K0 = box_operators(p)
+        monkeypatch.setattr(eigensolve, "LOBPCG_MAXITER", 60)
         with pytest.raises(ConvergenceError) as info:
             smallest_eigenpairs(
-                K, M, 6, tol=1e-15, seed=7, maxiter=60,
+                K, M, 6, tol=1e-15, seed=7,
                 precond=chebyshev(K, laplacian_inverse(K0), p.alpha),
-                start=galerkin_start(K, M, 6), blocks=K.blocks,
-                classes=class_orbits(p).classes)
+                start=galerkin_start(K, M, 6))
         partial = info.value.result
         assert partial.iterations == 60
         assert not partial.converged.all()
@@ -334,11 +342,13 @@ class TestSolveProblem:
         # 1e-12 for their vectors to agree to 1e-11
         p = ElasticityProblem((PI, 1.7), 2.0, (12, 10))
         K, M, _ = assemble(p)
-        Kh, Mh, K0 = box_operators(p)
+        lap_terms, div_terms, mass_terms = _terms(p)
+        Kh = full_operator(p, lap_terms + div_terms)
+        Mh = full_operator(p, mass_terms)
         nodal = smallest_eigenpairs(K, M, 6, tol=1e-12, seed=4,
                                     precond=nodal_inverse(p))
         sine = smallest_eigenpairs(Kh, Mh, 6, tol=1e-12, seed=4,
-                                   precond=laplacian_inverse(K0))
+                                   precond=full_inverse(p))
         assert np.all(np.abs(sine.values - nodal.values)
                       <= 1e-12 * nodal.values)
         # the same vectors up to the sign eigh picks for each
@@ -347,16 +357,20 @@ class TestSolveProblem:
         assert np.abs(X * signs - nodal.vectors).max() \
             <= 1e-11 * np.abs(nodal.vectors).max()
 
-    def test_unconverged_sine_solve_is_certified_nodally(self):
+    def test_unconverged_sine_solve_is_certified_nodally(self,
+                                                         monkeypatch):
         # the partial result of a sine solve stopped after 2 iterations,
         # mapped out, is M-orthonormal on the CSR pencil and carries its
         # explicit CSR residuals
         p = ElasticityProblem((PI, 1.7), 2.0, (12, 10))
         K, M, _ = assemble(p)
-        Kh, Mh, K0 = box_operators(p)
+        lap_terms, div_terms, mass_terms = _terms(p)
+        Kh = full_operator(p, lap_terms + div_terms)
+        Mh = full_operator(p, mass_terms)
+        monkeypatch.setattr(eigensolve, "LOBPCG_MAXITER", 2)
         with pytest.raises(ConvergenceError) as info:
-            smallest_eigenpairs(Kh, Mh, 6, tol=1e-9, seed=4, maxiter=2,
-                                precond=laplacian_inverse(K0))
+            smallest_eigenpairs(Kh, Mh, 6, tol=1e-9, seed=4,
+                                precond=full_inverse(p))
         partial = info.value.result
         assert partial.iterations == 2
         assert_certified(K, M, replace(partial, vectors=sine_transform(
@@ -410,8 +424,7 @@ class TestParityBlocks:
         start = np.zeros((K.order, m))
         start[:m] = np.eye(m)
         res = smallest_eigenpairs(K, M, m, tol=1e-8, seed=7,
-                                  precond=laplacian_inverse(K0), start=start,
-                                  blocks=K.blocks)
+                                  precond=laplacian_inverse(K0), start=start)
         ref = q1_alpha0_values(edges, cells, m)
         assert np.all(np.abs(res.values - ref) <= 1e-10 * ref)
         # each vector lives in one class, and not all in class 0
@@ -443,8 +456,7 @@ class TestParityBlocks:
             precond=chebyshev(Kf, full_inverse(p), alpha))
         split = smallest_eigenpairs(
             K, M, m, tol=tol, seed=4,
-            precond=chebyshev(K, laplacian_inverse(K0), alpha),
-            blocks=K.blocks, classes=class_orbits(p).classes)
+            precond=chebyshev(K, laplacian_inverse(K0), alpha))
         assert np.all(np.abs(split.values - one.values) <= 1e-10 * one.values)
         for res, X in ((one, sine_transform(p, one.vectors, inverse=True)),
                        (split, nodal_vectors(p, split))):
@@ -493,8 +505,7 @@ class TestParityBlocks:
         res = smallest_eigenpairs(
             K, M, m, tol=tol, seed=seed,
             precond=chebyshev(K, laplacian_inverse(K0), p.alpha),
-            start=galerkin_start(K, M, m), blocks=K.blocks,
-            classes=class_orbits(p).classes)
+            start=galerkin_start(K, M, m))
         assert res.iterations <= 8
         assert np.all(np.abs(res.values - ref) <= 1e-10 * ref)
         assert max(skews["M"]) <= 1e-14
@@ -504,11 +515,18 @@ class TestParityBlocks:
         assert np.array_equal(res.values, production.values)
 
     def test_rejects_blocks_not_covering_the_order(self):
-        K = diag_csr(np.arange(1.0, 33.0))
+        # the layout is the operand's own: K.blocks and K.classes
+        diag = diag_csr(np.arange(1.0, 33.0))
         M = identity_csr(32)
         for blocks in ((16, 15), (16, 17), (32, 0)):
-            with pytest.raises(ValueError, match="blocks"):
-                smallest_eigenpairs(K, M, 4, blocks=blocks)
+            K = SimpleNamespace(order=32, matvec=diag.matvec, blocks=blocks,
+                                classes=((0,), (1,)))
+            with pytest.raises(ValueError, match="K.blocks"):
+                smallest_eigenpairs(K, M, 4)
+        K = SimpleNamespace(order=32, matvec=diag.matvec, blocks=(16, 16),
+                            classes=((0,),))
+        with pytest.raises(ValueError, match="K.classes"):
+            smallest_eigenpairs(K, M, 4)
 
     def test_cross_class_ties_give_byte_identical_reports(self, tmp_path):
         # at α = 0 every eigenvalue is shared by components in different
@@ -641,8 +659,7 @@ def random_start(problem, m, tol=1e-8, seed=5):
     K, M, K0 = box_operators(problem)
     return smallest_eigenpairs(
         K, M, m, tol=tol, seed=seed,
-        precond=chebyshev(K, laplacian_inverse(K0), problem.alpha),
-        blocks=K.blocks, classes=class_orbits(problem).classes)
+        precond=chebyshev(K, laplacian_inverse(K0), problem.alpha))
 
 
 class TestWarmStart:
@@ -739,10 +756,11 @@ class TestApplyCounts:
                       & (steps[:, 1] <= 2 * kept + W))
 
     def test_banded_applies_each_operand_once_per_block(self):
-        # per iteration: A and B on the new block Y, then both on the m kept
-        # columns for the explicit backward errors; the next B·X comes from
-        # the Ritz combination of the stack, so only the start applies B·X
-        n, m = 40, 3
+        # per iteration: A and B on the new block Y, then both on the kept
+        # first column for the explicit backward error; the next B·X comes
+        # from the Ritz combination of the stack, so only the start applies
+        # B·X
+        n = 40
         h = PI / (n + 1)
         stiff = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
                  + np.diag(np.full(n - 1, -1.0), -1)) / h
@@ -750,32 +768,32 @@ class TestApplyCounts:
                 + np.diag(np.full(n - 1, 1.0), -1)) * h / 6
         A = CountingOperand(BandedSymMatrix.from_dense(stiff))
         B = CountingOperand(BandedSymMatrix.from_dense(mass))
-        res = banded_smallest(A, B, m=m, tol=1e-12)
-        bs = m + 4
+        res = banded_smallest(A, B)
+        bs = 6
         assert res.iterations > 1
-        assert A.calls == [bs, m] * res.iterations
-        assert B.calls == [bs] + [bs, m] * res.iterations
+        assert A.calls == [bs, 1] * res.iterations
+        assert B.calls == [bs] + [bs, 1] * res.iterations
 
 
 class TestResultMemory:
     """Results own their arrays, so no basis stack outlives its solve."""
 
-    def test_vectors_are_owned_c_contiguous_blocks(self):
+    def test_vectors_are_owned_c_contiguous_blocks(self, monkeypatch):
         p = ElasticityProblem((PI, PI), 2.0, (12, 12))
         K, M, K0 = box_operators(p)
-        solve = dict(seed=4, precond=laplacian_inverse(K0), blocks=K.blocks,
-                     classes=class_orbits(p).classes)
+        solve = dict(seed=4, precond=laplacian_inverse(K0))
         converged = smallest_eigenpairs(K, M, 6, tol=1e-9, **solve)
+        monkeypatch.setattr(eigensolve, "LOBPCG_MAXITER", 2)
         with pytest.raises(ConvergenceError) as info:
-            smallest_eigenpairs(K, M, 6, tol=1e-12, maxiter=2, **solve)
+            smallest_eigenpairs(K, M, 6, tol=1e-12, **solve)
         n = 40
         string = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
                   + np.diag(np.full(n - 1, -1.0), -1))
         banded = banded_smallest(BandedSymMatrix.from_dense(string),
-                                 identity_banded(n), m=3, tol=1e-12)
+                                 identity_banded(n))
         for result, shape in ((converged, (K.order, 6)),
                               (info.value.result, (K.order, 6)),
-                              (banded, (n, 3))):
+                              (banded, (n, 1))):
             vectors = result.vectors
             assert vectors.shape == shape
             assert vectors.flags.c_contiguous and vectors.flags.owndata
@@ -862,7 +880,7 @@ class TestResultMemory:
             return block
 
         class FirstApply:
-            order = K.order
+            order, blocks, classes = K.order, K.blocks, K.classes
 
             def matvec(self, x):
                 if not alive:
@@ -871,8 +889,7 @@ class TestResultMemory:
 
         res = smallest_eigenpairs(
             FirstApply(), M, 6, tol=1e-9, seed=4, start=start(),
-            precond=laplacian_inverse(K0), blocks=K.blocks,
-            classes=class_orbits(p).classes)
+            precond=laplacian_inverse(K0))
         assert alive == [False]
         assert res.values.shape == (6,)
 
@@ -950,6 +967,27 @@ class TestBandedCholesky:
         with pytest.raises(FactorizationError) as err:
             cholesky_banded(A)
         assert (err.value.pivot, err.value.value) == (100, 0.0)
+        assert str(err.value) == "non-positive pivot 0.000e+00 at index 100"
+
+    def test_smallest_pivot_named_when_every_pivot_passes(self, rng,
+                                                          monkeypatch):
+        # LAPACK can reject a block whose scalar column loop passes every
+        # pivot (round-off); the error then names the block's smallest
+        # pivot, here of an SPD first block that a patched cholesky rejects
+        dense = banded_dominant(rng, 100, 3)
+        pivots = np.diag(np.linalg.cholesky(dense[:64, :64])) ** 2
+        k = int(np.argmin(pivots))
+
+        def rejecting(block):
+            raise np.linalg.LinAlgError("rejected")
+
+        monkeypatch.setattr(np.linalg, "cholesky", rejecting)
+        with pytest.raises(FactorizationError) as err:
+            cholesky_banded(BandedSymMatrix.from_dense(dense))
+        assert err.value.pivot == k
+        assert err.value.value == pytest.approx(pivots[k], rel=1e-12)
+        assert str(err.value) == (f"smallest pivot {err.value.value:.3e} "
+                                  f"at index {k}")
 
     def test_pivot_after_schur_update_across_blocks(self, rng):
         # A[64, 64] is positive, so the second diagonal block alone factors;
@@ -992,25 +1030,25 @@ class TestBandedSmallest:
                  + np.diag(np.full(n - 1, -1.0), -1))
         A, B = BandedSymMatrix.from_dense(dense), identity_banded(n)
         exact = np.sin(np.arange(1, n + 1) * PI / (n + 1))[:, None]
-        warm = banded_smallest(A, B, m=1, tol=1e-12, start=exact)
-        cold = banded_smallest(A, B, m=1, tol=1e-12)
+        warm = banded_smallest(A, B, start=exact)
+        cold = banded_smallest(A, B)
         assert warm.iterations == 1 < cold.iterations
         assert warm.values[0] == pytest.approx(cold.values[0], rel=1e-12)
         for bad in (np.ones((n, 2)), np.ones((n - 1, 1)), np.ones(n)):
             with pytest.raises(ValueError, match="start"):
-                banded_smallest(A, B, m=1, start=bad)
+                banded_smallest(A, B, start=bad)
 
     def test_toeplitz_closed_form(self):
         n = 60
         dense = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
                  + np.diag(np.full(n - 1, -1.0), -1))
         A = BandedSymMatrix.from_dense(dense)
-        res = banded_smallest(A, identity_banded(n), m=4, tol=1e-12)
-        exact = 2.0 - 2.0 * np.cos(np.arange(1, 5) * PI / (n + 1))
-        assert np.allclose(res.values, exact, rtol=1e-10)
+        res = banded_smallest(A, identity_banded(n))
+        exact = 2.0 - 2.0 * np.cos(PI / (n + 1))
+        assert res.values == pytest.approx([exact], rel=1e-10)
 
     def test_generalized_fem_string(self):
-        # P1 pencil on (0, pi): eigenvalues 6(1-cos jh)/(h^2 (2+cos jh))
+        # P1 pencil on (0, pi): first eigenvalue 6(1-cos h)/(h^2 (2+cos h))
         n = 40
         h = PI / (n + 1)
         stiff = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
@@ -1018,11 +1056,9 @@ class TestBandedSmallest:
         mass = (np.diag(np.full(n, 4.0)) + np.diag(np.full(n - 1, 1.0), 1)
                 + np.diag(np.full(n - 1, 1.0), -1)) * h / 6
         res = banded_smallest(BandedSymMatrix.from_dense(stiff),
-                              BandedSymMatrix.from_dense(mass), m=3,
-                              tol=1e-12)
-        j = np.arange(1, 4)
-        exact = 6 * (1 - np.cos(j * h)) / (h ** 2 * (2 + np.cos(j * h)))
-        assert np.allclose(res.values, exact, rtol=1e-10)
+                              BandedSymMatrix.from_dense(mass))
+        exact = 6 * (1 - np.cos(h)) / (h ** 2 * (2 + np.cos(h)))
+        assert res.values == pytest.approx([exact], rel=1e-10)
 
     def test_clamped_beam_constant(self):
         # squared second difference with reflected ghosts: the first
@@ -1042,7 +1078,7 @@ class TestBandedSmallest:
             biharm[0, 0] += 1.0 / h ** 4   # ghost reflection u(-h) = u(h)
             biharm[-1, -1] += 1.0 / h ** 4
             A = BandedSymMatrix.from_dense(0.5 * (biharm + biharm.T))
-            res = banded_smallest(A, identity_banded(n), m=1, tol=1e-12)
+            res = banded_smallest(A, identity_banded(n))
             errors.append(abs(res.values[0] - target))
         # the reflected-ghost boundary treatment is first order, so expect
         # steady but not quadratic approach

@@ -11,7 +11,9 @@ benchmark under perfbench/ references, which it imports or patches by name
 
 A name scan cannot see a method whose name another definition shares, so
 a second check profiles one run of every CLI job on tiny inputs and lists
-the functions and methods it never enters.
+the functions and methods it never enters.  A third keeps the solvers free
+of options the package never sets: some call in ``src/elastica`` passes
+each of their keyword parameters.
 """
 
 import ast
@@ -96,6 +98,55 @@ def test_the_scan_sees_every_kind_of_definition():
     assert not {"f", "g", "unused"} & references(tree)
     assert "f" in references(ast.parse("x = 'f'"), strings=True)
     assert "f" not in references(ast.parse("x = 'f'"))
+
+
+#: functions whose every keyword parameter some call in src passes
+SETTABLE = ("smallest_eigenpairs", "banded_smallest")
+
+
+def unset_keywords(trees, names):
+    """``function.parameter`` of every parameter with a default, of a
+    top-level function in ``names``, that no call in ``trees`` passes,
+    by keyword or by position."""
+    params = {node.name: node.args for tree in trees
+              for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name in names}
+    passed = {name: set() for name in params}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            if name in params:
+                order = [a.arg for a in params[name].args]
+                passed[name] |= set(order[:len(node.args)])
+                passed[name] |= {kw.arg for kw in node.keywords}
+    unset = [f"{name} not found" for name in names if name not in params]
+    for name, args in params.items():
+        defaults = [a.arg for a in args.args[len(args.args)
+                                             - len(args.defaults):]]
+        defaults += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                     if d is not None]
+        unset += [f"{name}.{arg}" for arg in defaults
+                  if arg not in passed[name]]
+    return unset
+
+
+def test_every_solver_keyword_is_set_somewhere():
+    trees = [parse(path) for path in sorted(SRC.glob("*.py"))]
+    unset = unset_keywords(trees, SETTABLE)
+    assert not unset, "keyword parameters no src call passes:\n" + \
+        "\n".join(unset)
+
+
+def test_the_keyword_scan_sees_unset_options():
+    tree = ast.parse("def f(a, b=1, *, c=2): pass\n"
+                     "def g(a, b=1): pass\n"
+                     "f(0, 1)\nx.g(0, b=2)\n")
+    assert unset_keywords([tree], ("f", "g")) == ["f.c"]
+    assert unset_keywords([tree], ("f", "h")) == ["h not found", "f.c"]
 
 
 #: src definitions that no job of PROFILED_JOBS enters, as module.qualname
