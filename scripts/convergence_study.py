@@ -44,10 +44,10 @@ def main():
     print("hemisphere equalities:")
     prev_p = prev_q = None
     for cells in (int(c) for c in args.cap.split(",")):
-        ep = abs(solve_cap(CapProblem(PI / 2, "p_problem", 4, cells)).value
-                 - 4.0)
-        eq = abs(solve_cap(CapProblem(PI / 2, "q_problem", 4, cells)).value
-                 - 2.0)
+        # one solve: p and q share each mode's rim-corrected S factor
+        p1, q1 = solve_cap([CapProblem(PI / 2, kind, 4, cells)
+                            for kind in ("p_problem", "q_problem")])
+        ep, eq = abs(p1.value - 4.0), abs(q1.value - 2.0)
         rp = "" if prev_p is None else f" order {math.log2(prev_p / ep):.2f}"
         rq = "" if prev_q is None else f" order {math.log2(prev_q / eq):.2f}"
         print(f"  {cells:4d} cells  |p-4| {ep:.3e}{rp}   |q-2| {eq:.3e}{rq}")

@@ -39,16 +39,37 @@ cells.  A solve at 2·cells can start from the eigenvectors at cells
 derivatives are written once, in :func:`_hermite_tables`; the element
 matrices, the quotients and the prolongation all read that table.
 
+The five kinds share their work when one :func:`solve_cap` call takes
+them all, as ``run_cap`` does; it runs one resolution mode by mode:
+
+* per resolution, the Gauss geometry and the Hermite tables at the Gauss
+  points are computed once (:func:`_gauss_points`);
+* per mode, the W, A and S element forms (:func:`_element_matrices`) and
+  the kept DOFs with the rim slope free and clamped (:func:`_kept_dofs`)
+  are computed once; :func:`build_mode_operator` reads them from one-entry
+  caches of read-only arrays, so it still builds one kind's pencil per call;
+* per stiffness, one Cholesky factor serves every kind whose numerator it
+  is: A for dirichlet_laplacian, the clamped S for clamped and buckling,
+  the rim-corrected S for p_problem and q_problem.  Those kinds run back
+  to back, so one factor is alive at a time.
+
+No pencil's arithmetic depends on which kinds are solved together.
+
 Reported first eigenvalues are minima over modes m = 0..mode_max.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
-from .eigensolve import banded_smallest
+from . import eigensolve
+from .eigensolve import BreakdownError, ConvergenceError, banded_smallest
 from .sparse import BandedSymMatrix
 
 # kind -> (numerator, metric, rim slope clamped, rim correction); numerator
@@ -111,19 +132,26 @@ class CapProblem:
 
 @dataclass(frozen=True)
 class ModeOperator:
-    """Radial matrices of one azimuthal mode, constrained per problem kind."""
+    """Radial matrices of one azimuthal mode, constrained per problem kind.
+
+    ``keep`` holds the full DOF index of each row of the constrained
+    pencil, ``removed`` the constrained DOFs.
+    """
 
     m: int
     kind: str
     numerator: BandedSymMatrix
     metric: BandedSymMatrix
     removed: tuple[int, ...]
+    keep: np.ndarray
     ndof_full: int
 
-    @property
-    def keep(self):
-        """Full DOF index of each row of the constrained pencil."""
-        return np.setdiff1d(np.arange(self.ndof_full), self.removed)
+
+def _read_only(*arrays):
+    """Mark cached arrays read-only, so no caller can change them for the
+    next."""
+    for array in arrays:
+        array.flags.writeable = False
 
 
 def _hermite_tables(h, t=_GAUSS_T):
@@ -154,15 +182,46 @@ def _hermite_tables(h, t=_GAUSS_T):
     return val, d1, d2
 
 
+def _cell_tables(h, t):
+    """The :func:`_hermite_tables` at the points t as :func:`_cell_values`
+    applies them, to each cell's (u₀, u'₀, u₁ − u₀, u'₁).
+
+    So the u₀ row becomes the sum of the u₀ and u₁ rows, exactly 0 for u'
+    and u'': u'' rounds like ε/h, not like the ε/h² of nodal shape sums.
+    """
+    tables = _hermite_tables(h, t)
+    for table in tables:
+        table[0] += table[2]
+    return tables
+
+
+class _Gauss(NamedTuple):
+    """One resolution's quadrature: per cell and Gauss point cotθ, 1/sin²θ
+    and the quadrature weight times sinθ, each (cells, 5); and the Hermite
+    tables at the Gauss points, as the element forms (``shapes``) and as
+    :func:`_cell_values` (``cell_shapes``) read them."""
+
+    cot: np.ndarray
+    inv2: np.ndarray
+    wq: np.ndarray
+    shapes: tuple
+    cell_shapes: tuple
+
+
+@lru_cache(maxsize=1)
 def _gauss_points(theta0, cells):
-    """Cell width h and, per cell and Gauss point, cotθ, 1/sin²θ and the
-    quadrature weight times sinθ, each (cells, 5)."""
+    """The :class:`_Gauss` quadrature of [0, θ₀] in ``cells`` cells; computed
+    once per resolution for every mode and kind, and read-only."""
     h = theta0 / cells
     left = h * np.arange(cells)
     theta = left[:, None] + h * 0.5 * (1.0 + _GAUSS_X)[None, :]
     s = np.sin(theta)
-    return h, np.cos(theta) / s, 1.0 / s ** 2, \
-        (0.5 * h) * _GAUSS_W[None, :] * s
+    gauss = _Gauss(np.cos(theta) / s, 1.0 / s ** 2,
+                   (0.5 * h) * _GAUSS_W[None, :] * s, _hermite_tables(h),
+                   _cell_tables(h, _GAUSS_T))
+    _read_only(gauss.cot, gauss.inv2, gauss.wq, *gauss.shapes,
+               *gauss.cell_shapes)
+    return gauss
 
 
 #: the ten DOF pairs a <= b of a 4×4 element matrix, and the pair of each
@@ -180,31 +239,37 @@ def _pair_table(x, y):
     return table.T
 
 
+@lru_cache(maxsize=1)
 def _element_matrices(theta0, cells, m):
     """Per-element (cells, 4, 4) W, A, S; element e couples DOFs 2e..2e+3.
 
     Each form is one matmul of per-element Gauss weights with pair tables
     (:func:`_pair_table`); S expands (L_m φ_a)(L_m φ_b) with
     L_m φ = φ'' + cotθ φ' − μ φ, μ = m²/sin²θ, into its six products.
-    Every element matrix is symmetric bit for bit.
+    Every element matrix is symmetric bit for bit.  The forms are computed
+    once per mode for all kinds, in a read-only mapping of read-only
+    arrays.
     """
-    h, cot, inv2, wq = _gauss_points(theta0, cells)
-    val, d1, d2 = _hermite_tables(h)
-    mu = (m * m) * inv2
+    gauss = _gauss_points(theta0, cells)
+    wq, cot = gauss.wq, gauss.cot
+    val, d1, d2 = gauss.shapes
+    mu = (m * m) * gauss.inv2
     vv, gg = _pair_table(val, val), _pair_table(d1, d1)
 
     def form(weights, tables):
         return (np.concatenate(weights, axis=1)
                 @ np.concatenate(tables))[:, _PAIR_OF]
 
-    return {
+    forms = MappingProxyType({
         "W": form([wq], [vv]),
         "A": form([wq, wq * mu], [gg, vv]),
         "S": form([wq, wq * cot, wq * cot ** 2, -wq * mu, -wq * cot * mu,
                    wq * mu ** 2],
                   [_pair_table(d2, d2), _pair_table(d2, d1), gg,
                    _pair_table(d2, val), _pair_table(d1, val), vv]),
-    }
+    })
+    _read_only(*forms.values())
+    return forms
 
 
 def _scatter_bands(elem, keep):
@@ -237,41 +302,50 @@ def _pole_constraints(m):
     return (0, 1)
 
 
+@lru_cache(maxsize=1)
+def _kept_dofs(cells, m):
+    """(removed, keep) of one mode with the rim slope free and clamped, in
+    that order, so ``slope_clamped`` indexes it: the pole constraints and
+    the rim value u(θ₀) always go.  Built once per mode for all kinds;
+    ``keep`` is read-only."""
+    ndof = 2 * (cells + 1)
+    out = []
+    for rim in ((ndof - 2,), (ndof - 2, ndof - 1)):
+        removed = _pole_constraints(m) + rim
+        kept = np.ones(ndof, dtype=bool)
+        kept[list(removed)] = False
+        keep = np.flatnonzero(kept)
+        _read_only(keep)
+        out.append((removed, keep))
+    return tuple(out)
+
+
 def build_mode_operator(theta0, cells, m, kind):
-    """Constrained banded pencil (numerator, metric) for one mode."""
+    """Constrained banded pencil (numerator, metric) for one mode.
+
+    The element forms and the kept DOFs come from the one-entry caches the
+    mode's kinds share (:func:`_element_matrices`, :func:`_kept_dofs`).
+    """
     if kind not in CAP_KINDS:
         raise ValueError(f"unknown cap problem kind {kind!r}")
     numerator, metric, slope_clamped, rim_corrected = _KIND_TABLE[kind]
     elem = _element_matrices(theta0, cells, m)
-    ndof = 2 * (cells + 1)
-    last_val, last_slope = ndof - 2, ndof - 1
-
-    removed = list(_pole_constraints(m)) + [last_val]
-    if slope_clamped:
-        removed.append(last_slope)
+    removed, keep = _kept_dofs(cells, m)[slope_clamped]
+    top = _scatter_bands(elem[numerator], keep)
     if rim_corrected:
         # boundary correction −cosθ₀ u'(θ₀)² makes u''(θ₀)=0 natural; the
-        # rim slope is local DOF 3 of the last element only
-        elem["S"][-1, 3, 3] -= np.cos(theta0)
-    removed = tuple(sorted(removed))
-    keep = np.setdiff1d(np.arange(ndof), removed)
-    return ModeOperator(m, kind, _scatter_bands(elem[numerator], keep),
-                        _scatter_bands(elem[metric], keep), removed, ndof)
+        # rim slope is the last kept DOF, and only the last element's local
+        # DOF 3 adds to its diagonal entry
+        top.bands[0, -1] -= np.cos(theta0)
+    return ModeOperator(m, kind, top, _scatter_bands(elem[metric], keep),
+                        removed, keep, 2 * (cells + 1))
 
 
-def _cell_values(full, h, t=_GAUSS_T):
-    """u, u' and u'' of a full DOF vector at the points t of every cell of
-    width h, each (cells, len(t)): the :func:`_hermite_tables` applied to
-    each cell's (u₀, u'₀, u₁ − u₀, u'₁).
-
-    So the u₀ row becomes the sum of the u₀ and u₁ rows, exactly 0 for u'
-    and u'': u'' rounds like ε/h, not like the ε/h² of nodal shape sums.
-    """
+def _cell_values(full, tables):
+    """u, u' and u'' of a full DOF vector at the points of every cell, each
+    (cells, points), from the :func:`_cell_tables` at those points."""
     u0 = full[0:-2:2]
     coef = np.stack([u0, full[1:-2:2], full[2::2] - u0, full[3::2]], axis=1)
-    tables = _hermite_tables(h, t)
-    for table in tables:
-        table[0] += table[2]
     return [coef @ table for table in tables]
 
 
@@ -285,9 +359,10 @@ def rayleigh_quotient(theta0, cells, m, kind, full):
     the mode's first eigenvalue, whatever solve produced the vector.
     """
     numerator, metric, _, rim_corrected = _KIND_TABLE[kind]
-    h, cot, inv2, wq = _gauss_points(theta0, cells)
-    u, du, d2u = _cell_values(full, h)
-    mu = (m * m) * inv2
+    gauss = _gauss_points(theta0, cells)
+    wq, cot = gauss.wq, gauss.cot
+    u, du, d2u = _cell_values(full, gauss.cell_shapes)
+    mu = (m * m) * gauss.inv2
     forms = {"W": np.sum(wq * u ** 2),
              "A": np.sum(wq * (du ** 2 + mu * u ** 2)),
              "S": np.sum(wq * (d2u + cot * du - mu * u) ** 2)}
@@ -308,35 +383,20 @@ def prolongate(full, theta0):
     so their constraints still hold.
     """
     cells = full.size // 2 - 1
-    u, du, _ = _cell_values(full, theta0 / cells, np.array([0.5]))
+    u, du, _ = _cell_values(full, _cell_tables(theta0 / cells,
+                                               np.array([0.5])))
     fine = np.empty(4 * cells + 2)
     fine[0::4], fine[1::4] = full[0::2], full[1::2]
     fine[2::4], fine[3::4] = u[:, 0], du[:, 0]
     return fine
 
 
-def mode_eigenfunction(theta0, cells, m, kind, start=None):
-    """(eigenvalue, full DOF vector) of one mode's first pair.
-
-    The vector has its constrained entries re-inserted as zeros, and the
-    eigenvalue is its :func:`rayleigh_quotient`.  ``start``, a full DOF
-    vector on the same cells, replaces the first random column of the
-    banded solve.
-    """
-    op = build_mode_operator(theta0, cells, m, kind)
-    keep = op.keep
-    res = banded_smallest(op.numerator, op.metric,
-                          start=None if start is None else start[keep, None])
-    full = np.zeros(op.ndof_full)
-    full[keep] = res.vectors[:, 0]
-    return rayleigh_quotient(theta0, cells, m, kind, full), full
-
-
 @dataclass(frozen=True)
 class CapResult:
     """Minimum over azimuthal modes of the first per-mode eigenvalue.
 
-    ``vectors[m]`` is mode m's full DOF vector (:func:`mode_eigenfunction`).
+    ``vectors[m]`` is mode m's full DOF vector, its constrained entries
+    zero; ``per_mode[m]`` is that vector's :func:`rayleigh_quotient`.
     """
 
     problem: CapProblem
@@ -346,25 +406,73 @@ class CapResult:
     vectors: np.ndarray
 
 
+@contextmanager
+def _named(kinds, m, cells):
+    """Prefix a solver error's message with the pencils it comes from."""
+    try:
+        yield
+    except (BreakdownError, ConvergenceError) as err:
+        err.args = (f"cap {'/'.join(kinds)}, mode {m}, {cells} cells: "
+                    f"{err}",)
+        raise
+
+
 def solve_cap(problem, start=None):
     """First eigenvalue of every mode 0..mode_max, and their minimum.
 
     ``start``, the CapResult of the same problem at half the radial cells,
     starts each mode's solve from its eigenvector there, prolongated to
     these cells (:func:`prolongate`).
+
+    ``problem`` may also be a list of problems that differ only in kind,
+    and ``start`` None or a list of their starts; a list of CapResults
+    comes back, one per problem.  One problem is the one-kind case of that
+    solve.  The solve runs mode by mode; within a mode, the kinds that
+    share a stiffness (the numerator of their pencils) run back to back on
+    one factor of it, made by ``eigensolve.cholesky_banded`` and passed to
+    :func:`~elastica.eigensolve.banded_smallest` for each of them.  Every
+    kind still builds its own pencil (:func:`build_mode_operator`), so each
+    result is bit for bit the one its problem gets alone.  A solver error
+    names the kinds, the mode and the radial cells of the failed pencil.
     """
-    if start is not None and replace(
-            start.problem,
-            radial_cells=2 * start.problem.radial_cells) != problem:
+    if isinstance(problem, CapProblem):
+        return solve_cap([problem], None if start is None else [start])[0]
+    problems = problem
+    if len({(p.theta0, p.mode_max, p.radial_cells) for p in problems}) != 1:
+        raise ValueError("the cap problems must differ only in kind")
+    if start is not None and any(
+            replace(s.problem, radial_cells=2 * s.problem.radial_cells) != p
+            for s, p in zip(start, problems, strict=True)):
         raise ValueError("start must solve the same cap problem at half "
                          "the radial cells")
-    modes = problem.mode_max + 1
-    per_mode = np.empty(modes)
-    vectors = np.empty((modes, 2 * (problem.radial_cells + 1)))
+    theta0, cells = problems[0].theta0, problems[0].radial_cells
+    modes = problems[0].mode_max + 1
+    per_mode = np.empty((len(problems), modes))
+    vectors = np.zeros((len(problems), modes, 2 * (cells + 1)))
+    by_stiffness = {}
+    for i, p in enumerate(problems):
+        numerator, _, slope_clamped, rim_corrected = _KIND_TABLE[p.kind]
+        by_stiffness.setdefault((numerator, slope_clamped, rim_corrected),
+                                []).append(i)
     for m in range(modes):
-        warm = None if start is None else prolongate(start.vectors[m],
-                                                     problem.theta0)
-        per_mode[m], vectors[m] = mode_eigenfunction(
-            problem.theta0, problem.radial_cells, m, problem.kind, warm)
-    best = int(np.argmin(per_mode))
-    return CapResult(problem, float(per_mode[best]), best, per_mode, vectors)
+        for group in by_stiffness.values():
+            factor = None  # frees the previous stiffness's factor first
+            for i in group:
+                kind = problems[i].kind
+                op = build_mode_operator(theta0, cells, m, kind)
+                if factor is None:
+                    with _named([problems[j].kind for j in group], m, cells):
+                        factor = eigensolve.cholesky_banded(op.numerator)
+                warm = None if start is None else prolongate(
+                    start[i].vectors[m], theta0)[op.keep, None]
+                with _named([kind], m, cells):
+                    res = banded_smallest(op.numerator, op.metric, factor,
+                                          start=warm)
+                vectors[i, m, op.keep] = res.vectors[:, 0]
+                per_mode[i, m] = rayleigh_quotient(theta0, cells, m, kind,
+                                                   vectors[i, m])
+    results = []
+    for p, values, full in zip(problems, per_mode, vectors):
+        best = int(np.argmin(values))
+        results.append(CapResult(p, float(values[best]), best, values, full))
+    return results

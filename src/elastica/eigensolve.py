@@ -13,18 +13,24 @@ factorisations of dense blocks):
   A block may stand for copies of itself, blocks with the same spectrum
   that are never iterated: the merge counts its values once per copy.
   K's ``blocks`` and ``classes`` give the layout.
-* :func:`banded_smallest`: banded Cholesky factorisation plus block inverse
-  iteration for the first pair of small banded pencils (orders up to
-  ~1e4), optionally started from a given column.  The factor is built on
-  dense 64×64 diagonal blocks with numpy's LAPACK (``np.linalg.cholesky``),
-  coupled through bandwidth² corners, and applied through the blocks'
-  inverses, which :func:`_lower_inverse` forms by halving each triangle.
+* :func:`banded_smallest`: block inverse iteration for the first pair of
+  small banded pencils (orders up to ~1e4), optionally started from a
+  given column, on the banded Cholesky factor of the stiffness that the
+  caller makes once with :func:`cholesky_banded` for every pencil sharing
+  that stiffness.  The factor is built on dense 64×64 diagonal blocks with
+  numpy's LAPACK (``np.linalg.cholesky``), coupled through bandwidth²
+  corners, and applied through the blocks' inverses, which
+  :func:`_lower_inverse` forms by halving each triangle.
 
 The iteration budgets, and the banded tolerance and seed, are constants.
 
 Both hold a basis with its pencil images as a row stack, one vector per
-contiguous row: LOBPCG a ``(2, b, n)`` array (Y, K·Y), the banded solver a
-``(3, b, n)`` array (Y, A·Y, B·Y).  ``Cᵀ @ S`` changes the basis of every
+row: LOBPCG a ``(2, b, n)`` array (Y, K·Y) whose rows are contiguous, the
+banded solver a ``(3, b, n)`` array (Y, A·Y, B·Y) that ``np.stack`` builds
+from the transposes of the (n, b) blocks the factor and the operators
+return.  Each plane of that stack is column-major (a vector's entries lie
+b apart: strides (b·n, 1, b) in elements), so the operators' ``matvec``
+reads contiguous (n, b) blocks.  ``Cᵀ @ S`` changes the basis of every
 plane, and :func:`_rayleigh_ritz` forms the Grams from the planes it is
 given without applying the operators again.  LOBPCG applies M afresh
 wherever it needs an M product (the M-Gram of each projection, the
@@ -608,11 +614,13 @@ def cholesky_banded(A):
     return BandedCholesky(n, bw, diag, corner)
 
 
-def banded_smallest(A, B, start=None):
+def banded_smallest(A, B, factor, start=None):
     """Smallest eigenpair of banded A x = λ B x by inverse block iteration.
 
-    A and B must be positive definite.  Intended for orders up to ~1e4
-    where the banded factorisation is cheap.  The starting block of
+    A and B must be positive definite, and ``factor`` is A's
+    :func:`cholesky_banded`, made by the caller so that pencils sharing A
+    share one factor.  Intended for orders up to ~1e4 where the banded
+    factorisation is cheap.  The starting block of
     min(6, order) columns is pseudo-random from ``FIRST_PAIR_SEED``; an
     (n, 1) ``start`` column, such as the eigenvector of a coarser pencil
     carried to this one, replaces its first column, and the others stay as
@@ -630,7 +638,6 @@ def banded_smallest(A, B, start=None):
     if B.order != n:
         raise ValueError("A and B must have equal order")
     start = _start_block(start, n, 1)
-    factor = cholesky_banded(A)
 
     X = np.random.default_rng(FIRST_PAIR_SEED).standard_normal(
         (n, min(n, 6)))

@@ -448,27 +448,32 @@ def _cap_roundoff(theta0, cells, scale):
 
 
 def run_cap(cfg):
-    """First-eigenvalue suite on a spherical cap, Richardson-extrapolated."""
+    """First-eigenvalue suite on a spherical cap, Richardson-extrapolated.
+
+    The requested kinds are solved together, one resolution at a time
+    (:func:`~elastica.cap1d.solve_cap`), so they share each mode's forms
+    and each stiffness's factor.
+    """
     cfg.validate()
     eps = VerifyTolerance.rel
     kinds = CAP_KINDS if cfg.cap_kind == "all" else \
         dict.fromkeys(("dirichlet_laplacian", cfg.cap_kind))  # λ₁ once
+    coarse = solve_cap([CapProblem(cfg.theta0, kind, cfg.mode_max,
+                                   cfg.radial_cells) for kind in kinds])
+    # each fine mode solve starts from its coarse eigenvector
+    fine = solve_cap([replace(c.problem, radial_cells=2 * cfg.radial_cells)
+                      for c in coarse], coarse)
     values, bands = {}, {}
-    for kind in kinds:
-        coarse = solve_cap(CapProblem(cfg.theta0, kind, cfg.mode_max,
-                                      cfg.radial_cells))
-        # each fine mode solve starts from its coarse eigenvector
-        fine = solve_cap(replace(coarse.problem,
-                                 radial_cells=2 * cfg.radial_cells),
-                         start=coarse)
-        values[kind], budget = _extrapolate(coarse.value, fine.value)
+    for kind, c, f in zip(kinds, coarse, fine):
+        values[kind], budget = _extrapolate(c.value, f.value)
         floor = eps if kind == "dirichlet_laplacian" else \
             _cap_roundoff(cfg.theta0, 2 * cfg.radial_cells, values[kind])
         bands[kind] = max(eps, budget, floor)
 
+    problem = coarse[-1].problem
     records = evaluate_cap(values, bands,
-                           coarse.problem.boundary_mean_curvature_nonneg,
-                           coarse.problem.hemisphere)
+                           problem.boundary_mean_curvature_nonneg,
+                           problem.hemisphere)
     report = VerificationReport(
         cfg.echo(), records,
         provenance={"mesh": f"radial({cfg.radial_cells},"

@@ -9,21 +9,31 @@ disk, whose constants come from Bessel characteristic equations evaluated
 with mpmath.
 """
 
+from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from elastica import cap1d, eigensolve
 from elastica.cap1d import (_KIND_TABLE, CAP_KINDS, CapProblem,
-                            _element_matrices, build_mode_operator,
-                            mode_eigenfunction, prolongate, rayleigh_quotient,
-                            solve_cap)
-from elastica.eigensolve import banded_smallest
+                            _element_matrices, _kept_dofs,
+                            build_mode_operator, prolongate,
+                            rayleigh_quotient, solve_cap)
+from elastica.eigensolve import banded_smallest, cholesky_banded
 from elastica.harness import RunConfig, run_cap
 from oracles import s2_cap_first_eigenvalue, to_dense
 
 PI = np.pi
 HEMI = PI / 2
+
+
+def mode_eigenfunction(theta0, cells, m, kind):
+    """(eigenvalue, full DOF vector) of mode m's first pair, from a solve
+    of modes 0..m."""
+    result = solve_cap(CapProblem(theta0, kind, m, cells))
+    return result.per_mode[m], result.vectors[m]
 
 
 class TestProblemValidation:
@@ -87,7 +97,6 @@ class TestModeOperators:
                                       dense[metric][cut])
 
     def test_metric_positive_definite(self):
-        from elastica.eigensolve import cholesky_banded
         for kind in ("dirichlet_laplacian", "clamped", "p_problem"):
             op = build_mode_operator(2.0, 32, 1, kind)
             cholesky_banded(op.metric)  # raises if not SPD
@@ -380,7 +389,8 @@ class TestWarmStart:
         # the values agree with a cold start (TestUpperBounds)
         _, coarse = mode_eigenfunction(HEMI, 128, m, kind)
         op = build_mode_operator(HEMI, 256, m, kind)
-        cold, warm = (banded_smallest(op.numerator, op.metric,
+        factor = cholesky_banded(op.numerator)
+        cold, warm = (banded_smallest(op.numerator, op.metric, factor,
                                       start=start).iterations
                       for start in (None, prolongate(coarse, HEMI)[op.keep,
                                                                    None]))
@@ -394,3 +404,80 @@ class TestWarmStart:
                         CapProblem(HEMI, "q_problem", 2, 32)):
             with pytest.raises(ValueError, match="half"):
                 solve_cap(problem, start=coarse)
+
+
+class TestSharedSolve:
+    """All kinds in one solve_cap share forms, masks and factors, and each
+    result is bit for bit the one its kind gets alone."""
+
+    @pytest.mark.parametrize("theta0", [1.0, HEMI], ids=["1", "pi_2"])
+    def test_each_kind_as_if_solved_alone(self, theta0):
+        # 16 cells cold, then 32 cells warm from them, as run_cap solves
+        coarse = [CapProblem(theta0, kind, 2, 16) for kind in CAP_KINDS]
+        fine = [replace(p, radial_cells=32) for p in coarse]
+        shared_coarse = solve_cap(coarse)
+        shared = shared_coarse + solve_cap(fine, shared_coarse)
+        alone = [solve_cap(p) for p in coarse]
+        alone += [solve_cap(p, start=c) for p, c in zip(fine, alone)]
+        for problem, a, b in zip(coarse + fine, shared, alone):
+            assert a.problem == b.problem == problem
+            assert np.array_equal(a.per_mode, b.per_mode), problem
+            assert np.array_equal(a.vectors, b.vectors), problem
+            assert a.minimizing_mode == b.minimizing_mode
+            assert a.value == b.value
+
+    def test_one_factor_per_stiffness_and_one_form_set_per_mode(
+            self, monkeypatch):
+        # mode_max = 2 at 16/32 cells: 3 modes × 2 resolutions; 3
+        # stiffnesses per mode (A, clamped S, rim-corrected S) for 5 kinds
+        calls = Counter()
+
+        def counting(name, inner):
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return count
+
+        monkeypatch.setattr(eigensolve, "cholesky_banded", counting(
+            "cholesky_banded", eigensolve.cholesky_banded))
+        for name in ("build_mode_operator", "banded_smallest"):
+            monkeypatch.setattr(cap1d, name,
+                                counting(name, getattr(cap1d, name)))
+        # a fresh one-entry cache around each cached builder, so only this
+        # run's misses count
+        for name in ("_gauss_points", "_element_matrices", "_kept_dofs"):
+            monkeypatch.setattr(cap1d, name, lru_cache(maxsize=1)(
+                counting(name, getattr(cap1d, name).__wrapped__)))
+        run_cap(replace(RunConfig(mode="cap"), radial_cells=16, mode_max=2))
+        assert calls == {"cholesky_banded": 18, "build_mode_operator": 30,
+                         "banded_smallest": 30, "_gauss_points": 2,
+                         "_element_matrices": 6, "_kept_dofs": 6}
+
+    def test_cached_forms_and_masks_are_read_only(self):
+        # the rim correction goes into the scattered band of each p/q
+        # pencil, never into the forms the mode's other kinds read
+        forms = _element_matrices(1.0, 16, 2)
+        rim = forms["S"][-1, 3, 3]
+        build_mode_operator(1.0, 16, 2, "p_problem")
+        assert forms["S"][-1, 3, 3] == rim
+        with pytest.raises(ValueError, match="read-only"):
+            forms["S"][-1, 3, 3] -= 1.0
+        with pytest.raises(TypeError):
+            forms["S"] = forms["W"]
+        for _, keep in _kept_dofs(16, 2):
+            with pytest.raises(ValueError, match="read-only"):
+                keep[0] = 0
+
+    def test_problems_must_differ_only_in_kind(self):
+        for other in (CapProblem(HEMI, "clamped", 1, 32),
+                      CapProblem(HEMI, "clamped", 2, 16),
+                      CapProblem(1.0, "clamped", 1, 16)):
+            with pytest.raises(ValueError, match="only in kind"):
+                solve_cap([CapProblem(HEMI, "q_problem", 1, 16), other])
+        with pytest.raises(ValueError, match="only in kind"):
+            solve_cap([])
+        coarse = solve_cap(CapProblem(HEMI, "q_problem", 1, 16))
+        fine = [CapProblem(HEMI, kind, 1, 32)
+                for kind in ("q_problem", "p_problem")]
+        with pytest.raises(ValueError):
+            solve_cap(fine, [coarse])

@@ -768,7 +768,7 @@ class TestApplyCounts:
                 + np.diag(np.full(n - 1, 1.0), -1)) * h / 6
         A = CountingOperand(BandedSymMatrix.from_dense(stiff))
         B = CountingOperand(BandedSymMatrix.from_dense(mass))
-        res = banded_smallest(A, B)
+        res = banded_smallest(A, B, cholesky_banded(A.inner))
         bs = 6
         assert res.iterations > 1
         assert A.calls == [bs, 1] * res.iterations
@@ -789,8 +789,8 @@ class TestResultMemory:
         n = 40
         string = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
                   + np.diag(np.full(n - 1, -1.0), -1))
-        banded = banded_smallest(BandedSymMatrix.from_dense(string),
-                                 identity_banded(n))
+        A = BandedSymMatrix.from_dense(string)
+        banded = banded_smallest(A, identity_banded(n), cholesky_banded(A))
         for result, shape in ((converged, (K.order, 6)),
                               (info.value.result, (K.order, 6)),
                               (banded, (n, 1))):
@@ -1030,20 +1030,21 @@ class TestBandedSmallest:
                  + np.diag(np.full(n - 1, -1.0), -1))
         A, B = BandedSymMatrix.from_dense(dense), identity_banded(n)
         exact = np.sin(np.arange(1, n + 1) * PI / (n + 1))[:, None]
-        warm = banded_smallest(A, B, start=exact)
-        cold = banded_smallest(A, B)
+        factor = cholesky_banded(A)
+        warm = banded_smallest(A, B, factor, start=exact)
+        cold = banded_smallest(A, B, factor)
         assert warm.iterations == 1 < cold.iterations
         assert warm.values[0] == pytest.approx(cold.values[0], rel=1e-12)
         for bad in (np.ones((n, 2)), np.ones((n - 1, 1)), np.ones(n)):
             with pytest.raises(ValueError, match="start"):
-                banded_smallest(A, B, start=bad)
+                banded_smallest(A, B, factor, start=bad)
 
     def test_toeplitz_closed_form(self):
         n = 60
         dense = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
                  + np.diag(np.full(n - 1, -1.0), -1))
         A = BandedSymMatrix.from_dense(dense)
-        res = banded_smallest(A, identity_banded(n))
+        res = banded_smallest(A, identity_banded(n), cholesky_banded(A))
         exact = 2.0 - 2.0 * np.cos(PI / (n + 1))
         assert res.values == pytest.approx([exact], rel=1e-10)
 
@@ -1055,8 +1056,9 @@ class TestBandedSmallest:
                  + np.diag(np.full(n - 1, -1.0), -1)) / h
         mass = (np.diag(np.full(n, 4.0)) + np.diag(np.full(n - 1, 1.0), 1)
                 + np.diag(np.full(n - 1, 1.0), -1)) * h / 6
-        res = banded_smallest(BandedSymMatrix.from_dense(stiff),
-                              BandedSymMatrix.from_dense(mass))
+        A = BandedSymMatrix.from_dense(stiff)
+        res = banded_smallest(A, BandedSymMatrix.from_dense(mass),
+                              cholesky_banded(A))
         exact = 6 * (1 - np.cos(h)) / (h ** 2 * (2 + np.cos(h)))
         assert res.values == pytest.approx([exact], rel=1e-10)
 
@@ -1078,7 +1080,7 @@ class TestBandedSmallest:
             biharm[0, 0] += 1.0 / h ** 4   # ghost reflection u(-h) = u(h)
             biharm[-1, -1] += 1.0 / h ** 4
             A = BandedSymMatrix.from_dense(0.5 * (biharm + biharm.T))
-            res = banded_smallest(A, identity_banded(n))
+            res = banded_smallest(A, identity_banded(n), cholesky_banded(A))
             errors.append(abs(res.values[0] - target))
         # the reflected-ghost boundary treatment is first order, so expect
         # steady but not quadratic approach

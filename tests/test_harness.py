@@ -1022,7 +1022,7 @@ class TestCLI:
                                         monkeypatch):
         # a zero or non-finite mass matrix breaks the radial pencils down
         # inside the banded solver; the breakdown is reported like an
-        # unconverged solve
+        # unconverged solve, naming the first pencil with W as its metric
         elements = cap1d._element_matrices
 
         def scaled(*args):
@@ -1035,7 +1035,19 @@ class TestCLI:
                              "--set", "cap.mode_max=1"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("solver error: ") and message in err
+        assert err.startswith("solver error: cap dirichlet_laplacian, "
+                              "mode 0, 16 cells: ") and message in err
+
+    def test_factorization_error_names_the_kinds_sharing_the_factor(
+            self, capsys):
+        # at θ₀ = 1e-10 the 512-cell clamped S of mode 0 rounds to an
+        # indefinite matrix; its one factor serves clamped and buckling
+        code = cli.main(["cap", "--set", "cap.theta0=1e-10",
+                         "--set", "cap.cells=256", "--set", "cap.mode_max=0"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "solver error: cap clamped/buckling, mode 0, 512 cells: "
+            "non-positive pivot -5.341e+02 at index 650\n")
 
     @pytest.mark.parametrize("content,k_max,message", [
         ("2 0 2\n1 1.0\n2 abc\n", 1, "line 3"),
