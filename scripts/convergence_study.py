@@ -45,9 +45,10 @@ def main():
     prev_p = prev_q = None
     for cells in (int(c) for c in args.cap.split(",")):
         # one solve: p and q share each mode's rim-corrected S factor
-        p1, q1 = solve_cap([CapProblem(PI / 2, kind, 4, cells)
-                            for kind in ("p_problem", "q_problem")])
-        ep, eq = abs(p1.value - 4.0), abs(q1.value - 2.0)
+        res = solve_cap(CapProblem(PI / 2, 4, cells),
+                        ("p_problem", "q_problem"))
+        ep = abs(res["p_problem"].value - 4.0)
+        eq = abs(res["q_problem"].value - 2.0)
         rp = "" if prev_p is None else f" order {math.log2(prev_p / ep):.2f}"
         rq = "" if prev_q is None else f" order {math.log2(prev_q / eq):.2f}"
         print(f"  {cells:4d} cells  |p-4| {ep:.3e}{rp}   |q-2| {eq:.3e}{rq}")

@@ -34,13 +34,14 @@ quotient of the computed vector evaluated as sums of squares at the Gauss
 points (:func:`rayleigh_quotient`), not the Ritz value xᵀS x / xᵀW x,
 whose h⁻⁴ cancellation puts it up to ~1e-7 below the exact value at 512
 cells.  A solve at 2·cells can start from the eigenvectors at cells
-(``solve_cap(…, start=…)``): the Hermite cubics are nested, so
-:func:`prolongate` carries each vector over exactly.  The cubic and its
+(``solve_cap(problem.refined(), kinds, start)``): the Hermite cubics are
+nested, so :func:`prolongate` carries each vector over exactly.  The cubic and its
 derivatives are written once, in :func:`_hermite_tables`; the element
 matrices, the quotients and the prolongation all read that table.
 
-The five kinds share their work when one :func:`solve_cap` call takes
-them all, as ``run_cap`` does; it runs one resolution mode by mode:
+One :func:`solve_cap` call solves one :class:`CapProblem` (θ₀, modes,
+cells) for the kinds asked of it, and those kinds share their work; it
+runs mode by mode:
 
 * per resolution, the Gauss geometry and the Hermite tables at the Gauss
   points are computed once (:func:`_gauss_points`);
@@ -99,18 +100,16 @@ MIN_CELL_ANGLE = 1e-30
 
 @dataclass(frozen=True)
 class CapProblem:
-    """Cap half-angle, problem kind, azimuthal cutoff, radial resolution."""
+    """Cap half-angle, azimuthal cutoff, radial resolution; every kind of
+    :data:`CAP_KINDS` is solved on it."""
 
     theta0: float
-    kind: str
-    mode_max: int = 8
-    radial_cells: int = 256
+    mode_max: int
+    radial_cells: int
 
     def __post_init__(self):
         if not 0.0 < self.theta0 < np.pi:
             raise ValueError("theta0 must lie in (0, pi)")
-        if self.kind not in CAP_KINDS:
-            raise ValueError(f"unknown cap problem kind {self.kind!r}")
         if self.mode_max < 0:
             raise ValueError("mode_max must be >= 0")
         if self.radial_cells < 16:
@@ -120,6 +119,10 @@ class CapProblem:
             raise ValueError(f"theta0/cells = {cell:.3g} is below "
                              f"{MIN_CELL_ANGLE:g}; the cap pencils would "
                              f"overflow")
+
+    def refined(self):
+        """The same cap at twice the radial cells."""
+        return replace(self, radial_cells=2 * self.radial_cells)
 
     @property
     def hemisphere(self):
@@ -132,19 +135,15 @@ class CapProblem:
 
 @dataclass(frozen=True)
 class ModeOperator:
-    """Radial matrices of one azimuthal mode, constrained per problem kind.
+    """Radial pencil of one azimuthal mode, constrained per problem kind.
 
     ``keep`` holds the full DOF index of each row of the constrained
-    pencil, ``removed`` the constrained DOFs.
+    pencil; the DOFs it lacks are constrained to zero.
     """
 
-    m: int
-    kind: str
     numerator: BandedSymMatrix
     metric: BandedSymMatrix
-    removed: tuple[int, ...]
     keep: np.ndarray
-    ndof_full: int
 
 
 def _read_only(*arrays):
@@ -294,29 +293,22 @@ def _scatter_bands(elem, keep):
     return BandedSymMatrix(order, 3, bands)
 
 
-def _pole_constraints(m):
-    if m == 0:
-        return (1,)          # u'(0) = 0, value at pole free
-    if m == 1:
-        return (0,)          # u(0) = 0, slope at pole free
-    return (0, 1)
-
-
 @lru_cache(maxsize=1)
 def _kept_dofs(cells, m):
-    """(removed, keep) of one mode with the rim slope free and clamped, in
-    that order, so ``slope_clamped`` indexes it: the pole constraints and
-    the rim value u(θ₀) always go.  Built once per mode for all kinds;
-    ``keep`` is read-only."""
+    """The kept DOFs of one mode with the rim slope free and clamped, in
+    that order, so ``slope_clamped`` indexes them.  The rim value u(θ₀)
+    always goes, and so do the pole constraints: u'(0) for m = 0, u(0) for
+    m = 1, both for m >= 2.  Built once per mode for all kinds; read-only.
+    """
     ndof = 2 * (cells + 1)
+    pole = [1] if m == 0 else [0] if m == 1 else [0, 1]
     out = []
-    for rim in ((ndof - 2,), (ndof - 2, ndof - 1)):
-        removed = _pole_constraints(m) + rim
+    for rim in ([ndof - 2], [ndof - 2, ndof - 1]):
         kept = np.ones(ndof, dtype=bool)
-        kept[list(removed)] = False
+        kept[pole + rim] = False
         keep = np.flatnonzero(kept)
         _read_only(keep)
-        out.append((removed, keep))
+        out.append(keep)
     return tuple(out)
 
 
@@ -330,15 +322,14 @@ def build_mode_operator(theta0, cells, m, kind):
         raise ValueError(f"unknown cap problem kind {kind!r}")
     numerator, metric, slope_clamped, rim_corrected = _KIND_TABLE[kind]
     elem = _element_matrices(theta0, cells, m)
-    removed, keep = _kept_dofs(cells, m)[slope_clamped]
+    keep = _kept_dofs(cells, m)[slope_clamped]
     top = _scatter_bands(elem[numerator], keep)
     if rim_corrected:
         # boundary correction −cosθ₀ u'(θ₀)² makes u''(θ₀)=0 natural; the
         # rim slope is the last kept DOF, and only the last element's local
         # DOF 3 adds to its diagonal entry
         top.bands[0, -1] -= np.cos(theta0)
-    return ModeOperator(m, kind, top, _scatter_bands(elem[metric], keep),
-                        removed, keep, 2 * (cells + 1))
+    return ModeOperator(top, _scatter_bands(elem[metric], keep), keep)
 
 
 def _cell_values(full, tables):
@@ -417,62 +408,54 @@ def _named(kinds, m, cells):
         raise
 
 
-def solve_cap(problem, start=None):
-    """First eigenvalue of every mode 0..mode_max, and their minimum.
+def solve_cap(problem, kinds, start=None):
+    """First eigenvalue of every mode 0..mode_max, and their minimum, of
+    each of ``kinds`` on ``problem``: a dict from kind to CapResult.
 
-    ``start``, the CapResult of the same problem at half the radial cells,
-    starts each mode's solve from its eigenvector there, prolongated to
-    these cells (:func:`prolongate`).
+    ``start``, the same call's result at half the radial cells, starts each
+    mode's solve from its eigenvector there, prolongated to these cells
+    (:func:`prolongate`).
 
-    ``problem`` may also be a list of problems that differ only in kind,
-    and ``start`` None or a list of their starts; a list of CapResults
-    comes back, one per problem.  One problem is the one-kind case of that
-    solve.  The solve runs mode by mode; within a mode, the kinds that
-    share a stiffness (the numerator of their pencils) run back to back on
-    one factor of it, made by ``eigensolve.cholesky_banded`` and passed to
+    The solve runs mode by mode; within a mode, the kinds that share a
+    stiffness (the numerator of their pencils) run back to back on one
+    factor of it, made by ``eigensolve.cholesky_banded`` and passed to
     :func:`~elastica.eigensolve.banded_smallest` for each of them.  Every
     kind still builds its own pencil (:func:`build_mode_operator`), so each
-    result is bit for bit the one its problem gets alone.  A solver error
+    result is bit for bit the one its kind gets alone.  A solver error
     names the kinds, the mode and the radial cells of the failed pencil.
     """
-    if isinstance(problem, CapProblem):
-        return solve_cap([problem], None if start is None else [start])[0]
-    problems = problem
-    if len({(p.theta0, p.mode_max, p.radial_cells) for p in problems}) != 1:
-        raise ValueError("the cap problems must differ only in kind")
-    if start is not None and any(
-            replace(s.problem, radial_cells=2 * s.problem.radial_cells) != p
-            for s, p in zip(start, problems, strict=True)):
-        raise ValueError("start must solve the same cap problem at half "
-                         "the radial cells")
-    theta0, cells = problems[0].theta0, problems[0].radial_cells
-    modes = problems[0].mode_max + 1
-    per_mode = np.empty((len(problems), modes))
-    vectors = np.zeros((len(problems), modes, 2 * (cells + 1)))
     by_stiffness = {}
-    for i, p in enumerate(problems):
-        numerator, _, slope_clamped, rim_corrected = _KIND_TABLE[p.kind]
+    for kind in kinds:
+        if kind not in CAP_KINDS:
+            raise ValueError(f"unknown cap problem kind {kind!r}")
+        numerator, _, slope_clamped, rim_corrected = _KIND_TABLE[kind]
         by_stiffness.setdefault((numerator, slope_clamped, rim_corrected),
-                                []).append(i)
+                                []).append(kind)
+    if start is not None and any(
+            kind not in start or start[kind].problem.refined() != problem
+            for kind in kinds):
+        raise ValueError("start must solve the same cap problem and kinds "
+                         "at half the radial cells")
+    theta0, cells = problem.theta0, problem.radial_cells
+    modes = problem.mode_max + 1
+    per_mode = {kind: np.empty(modes) for kind in kinds}
+    vectors = {kind: np.zeros((modes, 2 * (cells + 1))) for kind in kinds}
     for m in range(modes):
         for group in by_stiffness.values():
             factor = None  # frees the previous stiffness's factor first
-            for i in group:
-                kind = problems[i].kind
+            for kind in group:
                 op = build_mode_operator(theta0, cells, m, kind)
                 if factor is None:
-                    with _named([problems[j].kind for j in group], m, cells):
+                    with _named(group, m, cells):
                         factor = eigensolve.cholesky_banded(op.numerator)
                 warm = None if start is None else prolongate(
-                    start[i].vectors[m], theta0)[op.keep, None]
+                    start[kind].vectors[m], theta0)[op.keep, None]
                 with _named([kind], m, cells):
                     res = banded_smallest(op.numerator, op.metric, factor,
                                           start=warm)
-                vectors[i, m, op.keep] = res.vectors[:, 0]
-                per_mode[i, m] = rayleigh_quotient(theta0, cells, m, kind,
-                                                   vectors[i, m])
-    results = []
-    for p, values, full in zip(problems, per_mode, vectors):
-        best = int(np.argmin(values))
-        results.append(CapResult(p, float(values[best]), best, values, full))
-    return results
+                vectors[kind][m, op.keep] = res.vectors[:, 0]
+                per_mode[kind][m] = rayleigh_quotient(theta0, cells, m, kind,
+                                                      vectors[kind][m])
+    return {kind: CapResult(problem, float(per_mode[kind].min()),
+                            int(np.argmin(per_mode[kind])), per_mode[kind],
+                            vectors[kind]) for kind in kinds}

@@ -152,9 +152,8 @@ class RunConfig:
             if solves:
                 box = ElasticityProblem(self.edges, self.alpha, self.cells)
             if self.mode == "cap":  # Richardson solves at cells and 2·cells
-                for cells in (self.radial_cells, 2 * self.radial_cells):
-                    cap = CapProblem(self.theta0, "dirichlet_laplacian",
-                                     self.mode_max, cells)
+                cap = CapProblem(self.theta0, self.mode_max,
+                                 self.radial_cells).refined()
         except ValueError as err:
             raise ConfigError(str(err)) from None
         # λ₁ alone is judged only by the hemisphere equality
@@ -458,19 +457,18 @@ def run_cap(cfg):
     eps = VerifyTolerance.rel
     kinds = CAP_KINDS if cfg.cap_kind == "all" else \
         dict.fromkeys(("dirichlet_laplacian", cfg.cap_kind))  # λ₁ once
-    coarse = solve_cap([CapProblem(cfg.theta0, kind, cfg.mode_max,
-                                   cfg.radial_cells) for kind in kinds])
+    problem = CapProblem(cfg.theta0, cfg.mode_max, cfg.radial_cells)
+    coarse = solve_cap(problem, kinds)
     # each fine mode solve starts from its coarse eigenvector
-    fine = solve_cap([replace(c.problem, radial_cells=2 * cfg.radial_cells)
-                      for c in coarse], coarse)
+    fine = solve_cap(problem.refined(), kinds, coarse)
     values, bands = {}, {}
-    for kind, c, f in zip(kinds, coarse, fine):
-        values[kind], budget = _extrapolate(c.value, f.value)
+    for kind in kinds:
+        values[kind], budget = _extrapolate(coarse[kind].value,
+                                            fine[kind].value)
         floor = eps if kind == "dirichlet_laplacian" else \
             _cap_roundoff(cfg.theta0, 2 * cfg.radial_cells, values[kind])
         bands[kind] = max(eps, budget, floor)
 
-    problem = coarse[-1].problem
     records = evaluate_cap(values, bands,
                            problem.boundary_mean_curvature_nonneg,
                            problem.hemisphere)

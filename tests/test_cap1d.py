@@ -29,27 +29,42 @@ PI = np.pi
 HEMI = PI / 2
 
 
+def solve_kind(theta0, kind, mode_max, cells, start=None):
+    """One kind's CapResult on the cap θ₀ with modes 0..mode_max at
+    ``cells`` radial cells; ``start`` is its result at half the cells."""
+    return solve_cap(CapProblem(theta0, mode_max, cells), [kind],
+                     None if start is None else {kind: start})[kind]
+
+
 def mode_eigenfunction(theta0, cells, m, kind):
     """(eigenvalue, full DOF vector) of mode m's first pair, from a solve
     of modes 0..m."""
-    result = solve_cap(CapProblem(theta0, kind, m, cells))
+    result = solve_kind(theta0, kind, m, cells)
     return result.per_mode[m], result.vectors[m]
+
+
+def removed_dofs(op, cells):
+    """The full DOFs a mode operator constrains to zero."""
+    return np.setdiff1d(np.arange(2 * (cells + 1)), op.keep)
 
 
 class TestProblemValidation:
     def test_angle_range(self):
         with pytest.raises(ValueError):
-            CapProblem(0.0, "clamped")
+            CapProblem(0.0, 8, 64)
         with pytest.raises(ValueError):
-            CapProblem(PI, "clamped")
+            CapProblem(PI, 8, 64)
 
     def test_kind_checked(self):
-        with pytest.raises(ValueError):
-            CapProblem(1.0, "navier")
+        problem = CapProblem(1.0, 1, 16)
+        with pytest.raises(ValueError, match="navier"):
+            solve_cap(problem, ["clamped", "navier"])
+        with pytest.raises(ValueError, match="navier"):
+            build_mode_operator(1.0, 16, 0, "navier")
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
-            CapProblem(1.0, "clamped", radial_cells=8)
+            CapProblem(1.0, 8, 8)
 
 
 class TestModeOperators:
@@ -61,9 +76,10 @@ class TestModeOperators:
                 assert np.array_equal(dense, dense.T)
 
     def test_pole_constraints_by_mode(self):
-        assert build_mode_operator(1.0, 32, 0, "clamped").removed[0] == 1
-        assert build_mode_operator(1.0, 32, 1, "clamped").removed[0] == 0
-        assert build_mode_operator(1.0, 32, 2, "clamped").removed[:2] == (0, 1)
+        for m, pole in ((0, [1]), (1, [0]), (2, [0, 1])):
+            for kind, rim in (("p_problem", [64]), ("clamped", [64, 65])):
+                op = build_mode_operator(1.0, 32, m, kind)
+                assert list(removed_dofs(op, 32)) == pole + rim, (m, kind)
 
     def test_pole_regularity_of_radial_eigenfunction(self):
         # the slope DOF at the pole is constrained to zero for m = 0
@@ -88,8 +104,7 @@ class TestModeOperators:
             for kind in CAP_KINDS:
                 op = build_mode_operator(theta0, cells, m, kind)
                 numerator, metric, _, rim_corrected = _KIND_TABLE[kind]
-                keep = np.setdiff1d(np.arange(ndof), op.removed)
-                cut = np.ix_(keep, keep)
+                cut = np.ix_(op.keep, op.keep)
                 num = rim if rim_corrected else dense[numerator]
                 assert op.numerator.bandwidth == op.metric.bandwidth == 3
                 assert np.array_equal(to_dense(op.numerator), num[cut])
@@ -104,21 +119,19 @@ class TestModeOperators:
 
 class TestHemisphereLaplacian:
     def test_lambda1_is_two(self):
-        res = solve_cap(CapProblem(HEMI, "dirichlet_laplacian", mode_max=4,
-                                   radial_cells=96))
+        res = solve_kind(HEMI, "dirichlet_laplacian", 4, 96)
         assert res.minimizing_mode == 0
         assert res.value == pytest.approx(2.0, rel=1e-9)
 
     def test_per_mode_legendre_ladder(self):
-        res = solve_cap(CapProblem(HEMI, "dirichlet_laplacian", mode_max=4,
-                                   radial_cells=96))
+        res = solve_kind(HEMI, "dirichlet_laplacian", 4, 96)
         expected = [(m + 1) * (m + 2) for m in range(5)]
         assert np.allclose(res.per_mode, expected, rtol=1e-7)
         assert res.minimizing_mode == 0
 
     def test_domain_monotonicity(self):
         caps = [PI / 4, PI / 2, 2.0, 2.8]
-        results = [solve_cap(CapProblem(t, "dirichlet_laplacian", 2, 64))
+        results = [solve_kind(t, "dirichlet_laplacian", 2, 64)
                    for t in caps]
         assert all(res.minimizing_mode == 0 for res in results)
         vals = [res.value for res in results]
@@ -136,19 +149,16 @@ class TestHemisphereLaplacian:
 
 class TestHemisphereEqualities:
     def test_p1_equals_four(self):
-        val = solve_cap(CapProblem(HEMI, "p_problem", mode_max=4,
-                                   radial_cells=96)).value
+        val = solve_kind(HEMI, "p_problem", 4, 96).value
         assert val == pytest.approx(4.0, rel=1e-7)
 
     def test_q1_equals_two(self):
-        val = solve_cap(CapProblem(HEMI, "q_problem", mode_max=4,
-                                   radial_cells=96)).value
+        val = solve_kind(HEMI, "q_problem", 4, 96).value
         assert val == pytest.approx(2.0, rel=1e-7)
 
     def test_minimizing_mode_is_radial(self):
         for kind in ("p_problem", "q_problem"):
-            res = solve_cap(CapProblem(HEMI, kind, mode_max=6,
-                                       radial_cells=64))
+            res = solve_kind(HEMI, kind, 6, 64)
             assert res.minimizing_mode == 0
 
     def test_p_eigenfunction_matches_cosine_with_flat_rim(self):
@@ -169,10 +179,10 @@ class TestHemisphereEqualities:
     def test_equality_error_decays_at_least_quadratically(self):
         errors_p, errors_q = [], []
         for cells in (16, 32):
-            errors_p.append(abs(solve_cap(CapProblem(HEMI, "p_problem", 2,
-                                                     cells)).value - 4.0))
-            errors_q.append(abs(solve_cap(CapProblem(HEMI, "q_problem", 2,
-                                                     cells)).value - 2.0))
+            errors_p.append(abs(solve_kind(HEMI, "p_problem", 2,
+                                           cells).value - 4.0))
+            errors_q.append(abs(solve_kind(HEMI, "q_problem", 2,
+                                           cells).value - 2.0))
         assert errors_p[1] < errors_p[0] / 2 ** 1.8
         assert errors_q[1] < errors_q[0] / 2 ** 1.8
 
@@ -181,15 +191,15 @@ class TestStrictInequalities:
     def test_clamped_exceeds_n_lambda1(self):
         margins = []
         for cells in (64, 128):
-            gam = solve_cap(CapProblem(HEMI, "clamped", 4, cells)).value
-            res = solve_cap(CapProblem(HEMI, "dirichlet_laplacian", 4, cells))
+            gam = solve_kind(HEMI, "clamped", 4, cells).value
+            res = solve_kind(HEMI, "dirichlet_laplacian", 4, cells)
             assert res.minimizing_mode == 0
             margins.append(gam - 2 * res.value)
         assert all(m > 1.0 for m in margins)
         assert abs(margins[0] - margins[1]) < 1e-4 * margins[0]
 
     def test_buckling_exceeds_n(self):
-        vals = [solve_cap(CapProblem(HEMI, "buckling", 4, cells)).value
+        vals = [solve_kind(HEMI, "buckling", 4, cells).value
                 for cells in (64, 128)]
         assert all(v > 2.0 + 1.0 for v in vals)
         assert abs(vals[0] - vals[1]) < 1e-6 * vals[0]
@@ -197,27 +207,27 @@ class TestStrictInequalities:
     def test_hemisphere_buckling_analytic_value(self):
         # P2(cos t) + 1/2 satisfies the clamped rim conditions and gives
         # the eigenvalue l(l+1) = 6 exactly
-        val = solve_cap(CapProblem(HEMI, "buckling", 4, 96)).value
+        val = solve_kind(HEMI, "buckling", 4, 96).value
         assert val == pytest.approx(6.0, rel=1e-7)
 
     def test_buckling_dominates_membrane(self):
         for theta0 in (PI / 3, HEMI, 2.0):
-            res = solve_cap(CapProblem(theta0, "dirichlet_laplacian", 4, 64))
+            res = solve_kind(theta0, "dirichlet_laplacian", 4, 64)
             assert res.minimizing_mode == 0
-            buck = solve_cap(CapProblem(theta0, "buckling", 4, 64)).value
+            buck = solve_kind(theta0, "buckling", 4, 64).value
             assert buck >= res.value - 1e-9
 
 
 class TestSubHemisphere:
     def test_p_strictly_above_bound(self):
         for theta0 in (PI / 3, PI / 4):
-            res = solve_cap(CapProblem(theta0, "dirichlet_laplacian", 4, 96))
+            res = solve_kind(theta0, "dirichlet_laplacian", 4, 96)
             assert res.minimizing_mode == 0
-            val = solve_cap(CapProblem(theta0, "p_problem", 4, 96)).value
+            val = solve_kind(theta0, "p_problem", 4, 96).value
             assert val > 2 * res.value * (1 + 1e-6)
 
     def test_q_strictly_above_two(self):
-        val = solve_cap(CapProblem(PI / 3, "q_problem", 4, 96)).value
+        val = solve_kind(PI / 3, "q_problem", 4, 96).value
         assert val > 2.0 + 0.5
 
 
@@ -233,7 +243,7 @@ class TestFlatLimits:
         disk = k ** 4
         assert disk == pytest.approx(104.3631, abs=2e-3)
         theta0 = 0.1
-        gam = solve_cap(CapProblem(theta0, "clamped", 2, 128)).value
+        gam = solve_kind(theta0, "clamped", 2, 128).value
         assert theta0 ** 4 * gam == pytest.approx(disk, rel=5e-2)
 
     def test_buckling_disk_constant(self):
@@ -243,7 +253,7 @@ class TestFlatLimits:
         disk = j11 ** 2
         assert disk == pytest.approx(14.682, abs=2e-3)
         theta0 = 0.1
-        buck = solve_cap(CapProblem(theta0, "buckling", 2, 128)).value
+        buck = solve_kind(theta0, "buckling", 2, 128).value
         assert theta0 ** 2 * buck == pytest.approx(disk, rel=5e-2)
 
 
@@ -263,7 +273,7 @@ class TestExactS2Values:
         # for buckling, 1.2e-8 to 3.2e-7 for clamped, at 32 cells), and the
         # radial mode 0, the one the oracle solves, is the minimiser
         exact = float(s2_cap_first_eigenvalue(theta0, kind))
-        result = solve_cap(CapProblem(theta0, kind, 2, 32))
+        result = solve_kind(theta0, kind, 2, 32)
         assert result.minimizing_mode == 0
         assert result.value >= exact * (1.0 - 4 * np.finfo(float).eps)
 
@@ -300,10 +310,8 @@ class TestExactS2Values:
 class TestModeCutoff:
     def test_minimum_stable_under_more_modes(self):
         for kind in ("clamped", "buckling", "p_problem", "q_problem"):
-            few = solve_cap(CapProblem(HEMI, kind, mode_max=4,
-                                       radial_cells=64)).value
-            more = solve_cap(CapProblem(HEMI, kind, mode_max=8,
-                                        radial_cells=64)).value
+            few = solve_kind(HEMI, kind, 4, 64).value
+            more = solve_kind(HEMI, kind, 8, 64).value
             assert more == pytest.approx(few, rel=1e-9)
 
 
@@ -318,7 +326,7 @@ class TestGramQuotient:
             for m in range(4):
                 op = build_mode_operator(theta0, 16, m, kind)
                 x = rng.standard_normal(op.keep.size)
-                full = np.zeros(op.ndof_full)
+                full = np.zeros(2 * (16 + 1))
                 full[op.keep] = x
                 ref = (x @ op.numerator.matvec(x)) / (x @ op.metric.matvec(x))
                 got = rayleigh_quotient(theta0, 16, m, kind, full)
@@ -338,9 +346,9 @@ def hemisphere_ladder():
     for kind in HEMISPHERE_EXACT:
         warm = None
         for cells in (32, 64, 128, 256, 512):
-            problem = CapProblem(HEMI, kind, mode_max=1, radial_cells=cells)
-            cold = solve_cap(problem)
-            warm = cold if warm is None else solve_cap(problem, start=warm)
+            cold = solve_kind(HEMI, kind, 1, cells)
+            warm = cold if warm is None else solve_kind(HEMI, kind, 1, cells,
+                                                        start=warm)
             out[kind, cells] = cold, warm
     return out
 
@@ -382,7 +390,7 @@ class TestWarmStart:
         _, full = mode_eigenfunction(1.0, 16, 2, "clamped")
         fine = prolongate(full, 1.0)
         op = build_mode_operator(1.0, 32, 2, "clamped")
-        assert np.all(fine[list(op.removed)] == 0.0)
+        assert np.all(fine[removed_dofs(op, 32)] == 0.0)
 
     @pytest.mark.parametrize("kind,m", [("q_problem", 0), ("buckling", 1)])
     def test_fewer_iterations(self, kind, m):
@@ -397,13 +405,16 @@ class TestWarmStart:
         assert warm < cold
 
     def test_start_must_be_the_half_resolution_problem(self):
-        coarse = solve_cap(CapProblem(HEMI, "q_problem", 1, 16))
-        for problem in (CapProblem(HEMI, "q_problem", 1, 48),
-                        CapProblem(HEMI, "p_problem", 1, 32),
-                        CapProblem(1.0, "q_problem", 1, 32),
-                        CapProblem(HEMI, "q_problem", 2, 32)):
+        kinds = ["q_problem"]
+        coarse = solve_cap(CapProblem(HEMI, 1, 16), kinds)
+        # wrong cells, wrong θ₀, wrong mode_max, a kind the start lacks
+        for problem, asked in ((CapProblem(HEMI, 1, 48), kinds),
+                               (CapProblem(1.0, 1, 32), kinds),
+                               (CapProblem(HEMI, 2, 32), kinds),
+                               (CapProblem(HEMI, 1, 32),
+                                ["q_problem", "p_problem"])):
             with pytest.raises(ValueError, match="half"):
-                solve_cap(problem, start=coarse)
+                solve_cap(problem, asked, coarse)
 
 
 class TestSharedSolve:
@@ -413,18 +424,20 @@ class TestSharedSolve:
     @pytest.mark.parametrize("theta0", [1.0, HEMI], ids=["1", "pi_2"])
     def test_each_kind_as_if_solved_alone(self, theta0):
         # 16 cells cold, then 32 cells warm from them, as run_cap solves
-        coarse = [CapProblem(theta0, kind, 2, 16) for kind in CAP_KINDS]
-        fine = [replace(p, radial_cells=32) for p in coarse]
-        shared_coarse = solve_cap(coarse)
-        shared = shared_coarse + solve_cap(fine, shared_coarse)
-        alone = [solve_cap(p) for p in coarse]
-        alone += [solve_cap(p, start=c) for p, c in zip(fine, alone)]
-        for problem, a, b in zip(coarse + fine, shared, alone):
-            assert a.problem == b.problem == problem
-            assert np.array_equal(a.per_mode, b.per_mode), problem
-            assert np.array_equal(a.vectors, b.vectors), problem
-            assert a.minimizing_mode == b.minimizing_mode
-            assert a.value == b.value
+        problem = CapProblem(theta0, 2, 16)
+        coarse = solve_cap(problem, CAP_KINDS)
+        fine = solve_cap(problem.refined(), CAP_KINDS, coarse)
+        assert list(coarse) == list(fine) == list(CAP_KINDS)
+        for kind in CAP_KINDS:
+            alone = solve_kind(theta0, kind, 2, 16)
+            pairs = ((coarse[kind], alone),
+                     (fine[kind], solve_kind(theta0, kind, 2, 32, alone)))
+            for (a, b), cells in zip(pairs, (16, 32)):
+                assert a.problem == b.problem == CapProblem(theta0, 2, cells)
+                assert np.array_equal(a.per_mode, b.per_mode), (kind, cells)
+                assert np.array_equal(a.vectors, b.vectors), (kind, cells)
+                assert a.minimizing_mode == b.minimizing_mode
+                assert a.value == b.value
 
     def test_one_factor_per_stiffness_and_one_form_set_per_mode(
             self, monkeypatch):
@@ -464,20 +477,6 @@ class TestSharedSolve:
             forms["S"][-1, 3, 3] -= 1.0
         with pytest.raises(TypeError):
             forms["S"] = forms["W"]
-        for _, keep in _kept_dofs(16, 2):
+        for keep in _kept_dofs(16, 2):
             with pytest.raises(ValueError, match="read-only"):
                 keep[0] = 0
-
-    def test_problems_must_differ_only_in_kind(self):
-        for other in (CapProblem(HEMI, "clamped", 1, 32),
-                      CapProblem(HEMI, "clamped", 2, 16),
-                      CapProblem(1.0, "clamped", 1, 16)):
-            with pytest.raises(ValueError, match="only in kind"):
-                solve_cap([CapProblem(HEMI, "q_problem", 1, 16), other])
-        with pytest.raises(ValueError, match="only in kind"):
-            solve_cap([])
-        coarse = solve_cap(CapProblem(HEMI, "q_problem", 1, 16))
-        fine = [CapProblem(HEMI, kind, 1, 32)
-                for kind in ("q_problem", "p_problem")]
-        with pytest.raises(ValueError):
-            solve_cap(fine, [coarse])

@@ -101,7 +101,7 @@ def test_the_scan_sees_every_kind_of_definition():
 
 
 #: functions whose every keyword parameter some call in src passes
-SETTABLE = ("smallest_eigenpairs", "banded_smallest")
+SETTABLE = ("smallest_eigenpairs", "banded_smallest", "solve_cap")
 
 
 def unset_keywords(trees, names):

@@ -1,11 +1,13 @@
 """The benchmark's tracer patches elastica callables by name; keep them.
 
-``perfbench/`` has its own test suite outside ``testpaths``; this check
-keeps a rename or removal of a traced callable from passing tier-1 while
-it breaks ``perfbench/run.py --trace 1``.
+``perfbench/`` has its own test suite outside ``testpaths``; these checks
+keep a rename or removal of a traced callable, or a change in how often a
+cap run calls one, from passing tier-1 while it breaks
+``perfbench/run.py --trace 1``.
 """
 
 import importlib
+from collections import Counter
 from pathlib import Path
 
 from dataclasses import replace
@@ -39,8 +41,7 @@ def test_instrument_wraps_and_restores(monkeypatch):
     before = _hooks()
     with tracer.instrument(tracer.Tracer()) as trace:
         inside = _hooks()
-        cap1d.solve_cap(CapProblem(1.0, "q_problem", mode_max=1,
-                                   radial_cells=16))
+        cap1d.solve_cap(CapProblem(1.0, 1, 16), ["q_problem"])
         harness.solve_problem(ElasticityProblem((1.0, 1.0), 1.0, (8, 8)),
                               4, 1e-8, 7)
     assert all(inside[name] is not before[name] for name in before)
@@ -82,6 +83,10 @@ def test_traced_cap_report_unchanged(monkeypatch):
     with tracer.instrument(tracer.Tracer()) as trace:
         traced = harness.run_cap(cfg).to_json()
     assert traced == plain
-    solves = [s for s in trace.spans
-              if s.name == "eigensolve.banded_smallest"]
-    assert len(solves) == len(cap1d.CAP_KINDS) * 2 * 3
+    # the benchmark's cap counts: one pencil and one banded solve per
+    # (kind, resolution, mode), one factor per (stiffness, mode,
+    # resolution): 5 kinds, 2 resolutions, 3 modes, 3 stiffnesses
+    counts = Counter(s.name for s in trace.spans)
+    assert counts["cap1d.build_mode_operator"] == 5 * 2 * 3
+    assert counts["eigensolve.banded_smallest"] == 5 * 2 * 3
+    assert counts["eigensolve.cholesky_banded"] == 3 * 3 * 2
