@@ -167,7 +167,7 @@ class TestConfigTable:
         changed = replace(
             default, edges=(2.0, 3.0, 1.5), alpha=0.75, cells=(6, 8, 4),
             m=20, tol=1e-9, seed=7, k_max=12, policy="fixed:1e-6",
-            theta0=1.0, cap_kind="clamped", mode_max=3, radial_cells=64,
+            theta0=1.0, cap_kind="clamped", mode_max=3, radial_cells=48,
             spectrum_path="run.spec", output_path="out.json")
         for name, _ in CONFIG_KEYS.values():
             assert getattr(changed, name) != getattr(default, name), name
