@@ -35,9 +35,9 @@ points (:func:`rayleigh_quotient`), not the Ritz value xᵀS x / xᵀW x,
 whose h⁻⁴ cancellation puts it up to ~1e-7 below the exact value at 512
 cells.  A solve at 2·cells can start from the eigenvectors at cells
 (``solve_cap(problem.refined(), kinds, start)``): the Hermite cubics are
-nested, so :func:`prolongate` carries each vector over exactly.  The cubic and its
-derivatives are written once, in :func:`_hermite_tables`; the element
-matrices, the quotients and the prolongation all read that table.
+nested, so :func:`prolongate` carries each vector over exactly.  The cubic
+and its derivatives are written once, in :func:`_hermite_tables`; the
+element matrices, the quotients and the prolongation all read that table.
 
 One :func:`solve_cap` call solves one :class:`CapProblem` (θ₀, modes,
 cells) for the kinds asked of it, and those kinds share their work; it
@@ -100,8 +100,8 @@ MIN_CELL_ANGLE = 1e-30
 
 @dataclass(frozen=True)
 class CapProblem:
-    """Cap half-angle, azimuthal cutoff, radial resolution; every kind of
-    :data:`CAP_KINDS` is solved on it."""
+    """Cap half-angle, azimuthal cutoff, radial resolution: what the kinds
+    of :data:`CAP_KINDS` share."""
 
     theta0: float
     mode_max: int

@@ -9,7 +9,8 @@ inequalities on approximate spectra.  The ``cap`` flow solves at two radial
 resolutions too, but reports its fine first eigenvalues unextrapolated,
 each a conforming upper bound, with |fine − coarse| as their budgets.
 Both take their base relative band from ``VerifyTolerance.rel``; only box
-runs read ``verify.policy``.  The records they judge are rows of :mod:`.bounds`.
+runs read ``verify.policy``.  The records they judge are rows of
+:mod:`.bounds`.
 """
 
 from __future__ import annotations
