@@ -36,8 +36,10 @@ whose h⁻⁴ cancellation puts it up to ~1e-7 below the exact value at 512
 cells.  A solve at 2·cells can start from the eigenvectors at cells
 (``solve_cap(problem.refined(), kinds, start)``): the Hermite cubics are
 nested, so :func:`prolongate` carries each vector over exactly.  The cubic
-and its derivatives are written once, in :func:`_hermite_tables`; the
-element matrices, the quotients and the prolongation all read that table.
+and its derivatives are written once, in :func:`_hermite_tables`, and the
+integrands once, as the Gram rows of W, A and S (:func:`_gram_rows`): the
+element matrices are products of those rows at the Hermite shapes, and
+the quotients are sums of their squares at a vector's values.
 
 One :func:`solve_cap` call solves one :class:`CapProblem` (θ₀, modes,
 cells) for the kinds asked of it, and those kinds share their work; it
@@ -45,10 +47,11 @@ runs mode by mode:
 
 * per resolution, the Gauss geometry and the Hermite tables at the Gauss
   points are computed once (:func:`_gauss_points`);
-* per mode, the W, A and S element forms (:func:`_element_matrices`) and
-  the kept DOFs with the rim slope free and clamped (:func:`_kept_dofs`)
-  are computed once; :func:`build_mode_operator` reads them from one-entry
-  caches of read-only arrays, so it still builds one kind's pencil per call;
+* per mode, the kept DOFs with the rim slope free and clamped, and the six
+  distinct banded matrices of the kinds' pencils (W and A over each kept
+  set, the clamped S, the rim-corrected S), are built once, each matrix
+  scattered once (:func:`_mode_bands`); :func:`build_mode_operator` looks
+  one kind's pencil up in that one-entry cache of read-only arrays;
 * per stiffness, one Cholesky factor serves every kind whose numerator it
   is: A for dirichlet_laplacian, the clamped S for clamped and buckling,
   the rim-corrected S for p_problem and q_problem.  Those kinds run back
@@ -195,14 +198,14 @@ def _cell_tables(h, t):
 
 
 class _Gauss(NamedTuple):
-    """One resolution's quadrature: per cell and Gauss point cotθ, 1/sin²θ
-    and the quadrature weight times sinθ, each (cells, 5); and the Hermite
-    tables at the Gauss points, as the element forms (``shapes``) and as
+    """One resolution's quadrature: per cell and Gauss point cotθ, 1/sinθ
+    and √(weight·sinθ), each (cells, 5); and the Hermite tables at the
+    Gauss points, as the element forms (``shapes``, each (4, 1, 5)) and as
     :func:`_cell_values` (``cell_shapes``) read them."""
 
     cot: np.ndarray
-    inv2: np.ndarray
-    wq: np.ndarray
+    inv: np.ndarray
+    root: np.ndarray
     shapes: tuple
     cell_shapes: tuple
 
@@ -215,59 +218,38 @@ def _gauss_points(theta0, cells):
     left = h * np.arange(cells)
     theta = left[:, None] + h * 0.5 * (1.0 + _GAUSS_X)[None, :]
     s = np.sin(theta)
-    gauss = _Gauss(np.cos(theta) / s, 1.0 / s ** 2,
-                   (0.5 * h) * _GAUSS_W[None, :] * s, _hermite_tables(h),
+    gauss = _Gauss(np.cos(theta) / s, 1.0 / s,
+                   np.sqrt((0.5 * h) * _GAUSS_W[None, :] * s),
+                   tuple(table[:, None, :] for table in _hermite_tables(h)),
                    _cell_tables(h, _GAUSS_T))
-    _read_only(gauss.cot, gauss.inv2, gauss.wq, *gauss.shapes,
+    _read_only(gauss.cot, gauss.inv, gauss.root, *gauss.shapes,
                *gauss.cell_shapes)
     return gauss
 
 
-#: the ten DOF pairs a <= b of a 4×4 element matrix, and the pair of each
-#: entry (a, b), so (a, b) and (b, a) read one value
-_PAIRS = np.triu_indices(4)
-_PAIR_OF = np.zeros((4, 4), dtype=int)
-_PAIR_OF[_PAIRS] = _PAIR_OF[_PAIRS[::-1]] = np.arange(len(_PAIRS[0]))
+def _gram_rows(gauss, m, u, du, d2u):
+    """Per form, the rows whose squares sum to it over the Gauss points:
+    √w·u for W; √w·u' and √w·(m/sinθ)·u for A; √w·L_m u for S, where
+    w is the quadrature weight times sinθ.  u, u' and u'' are a function's
+    values, each (cells, 5), or the Hermite shape tables, each (4, 1, 5);
+    the only place the integrands are written."""
+    root, inv = gauss.root, gauss.inv
+    return {"W": [root * u],
+            "A": [root * du, (m * root * inv) * u],
+            "S": [root * (d2u + gauss.cot * du - (m * inv) ** 2 * u)]}
 
 
-def _pair_table(x, y):
-    """(5, pairs) table of x_a y_b + y_a x_b (x_a x_b if x is y) at the
-    Gauss points, for shape tables x, y."""
-    a, b = _PAIRS
-    table = x[a] * y[b] if x is y else x[a] * y[b] + y[a] * x[b]
-    return table.T
-
-
-@lru_cache(maxsize=1)
 def _element_matrices(theta0, cells, m):
     """Per-element (cells, 4, 4) W, A, S; element e couples DOFs 2e..2e+3.
 
-    Each form is one matmul of per-element Gauss weights with pair tables
-    (:func:`_pair_table`); S expands (L_m φ_a)(L_m φ_b) with
-    L_m φ = φ'' + cotθ φ' − μ φ, μ = m²/sin²θ, into its six products.
-    Every element matrix is symmetric bit for bit.  The forms are computed
-    once per mode for all kinds, in a read-only mapping of read-only
-    arrays.
+    Each form is one product of its Gram rows at the Hermite shapes
+    (:func:`_gram_rows`), concatenated over the Gauss points.
     """
     gauss = _gauss_points(theta0, cells)
-    wq, cot = gauss.wq, gauss.cot
-    val, d1, d2 = gauss.shapes
-    mu = (m * m) * gauss.inv2
-    vv, gg = _pair_table(val, val), _pair_table(d1, d1)
-
-    def form(weights, tables):
-        return (np.concatenate(weights, axis=1)
-                @ np.concatenate(tables))[:, _PAIR_OF]
-
-    forms = MappingProxyType({
-        "W": form([wq], [vv]),
-        "A": form([wq, wq * mu], [gg, vv]),
-        "S": form([wq, wq * cot, wq * cot ** 2, -wq * mu, -wq * cot * mu,
-                   wq * mu ** 2],
-                  [_pair_table(d2, d2), _pair_table(d2, d1), gg,
-                   _pair_table(d2, val), _pair_table(d1, val), vv]),
-    })
-    _read_only(*forms.values())
+    forms = {}
+    for name, rows in _gram_rows(gauss, m, *gauss.shapes).items():
+        rows = np.concatenate(rows, axis=2).transpose(1, 0, 2)
+        forms[name] = rows @ rows.transpose(0, 2, 1)
     return forms
 
 
@@ -294,42 +276,50 @@ def _scatter_bands(elem, keep):
 
 
 @lru_cache(maxsize=1)
-def _kept_dofs(cells, m):
-    """The kept DOFs of one mode with the rim slope free and clamped, in
-    that order, so ``slope_clamped`` indexes them.  The rim value u(θ₀)
-    always goes, and so do the pole constraints: u'(0) for m = 0, u(0) for
-    m = 1, both for m >= 2.  Built once per mode for all kinds; read-only.
+def _mode_bands(theta0, cells, m):
+    """One mode's kept DOFs and banded matrices, shared by all its kinds.
+
+    The kept DOFs come with the rim slope free and clamped, in that order,
+    so ``slope_clamped`` indexes them.  The rim value u(θ₀) always goes,
+    and so do the pole constraints: u'(0) for m = 0, u(0) for m = 1, both
+    for m >= 2.  The bands are keyed (form, rim slope clamped, rim
+    corrected), the numerators and metrics :data:`_KIND_TABLE` names; each
+    of the six is scattered once.  Built once per mode; read-only.
     """
     ndof = 2 * (cells + 1)
     pole = [1] if m == 0 else [0] if m == 1 else [0, 1]
-    out = []
+    keeps = []
     for rim in ([ndof - 2], [ndof - 2, ndof - 1]):
         kept = np.ones(ndof, dtype=bool)
         kept[pole + rim] = False
-        keep = np.flatnonzero(kept)
-        _read_only(keep)
-        out.append(keep)
-    return tuple(out)
+        keeps.append(np.flatnonzero(kept))
+    forms = _element_matrices(theta0, cells, m)
+    bands = {}
+    for numerator, metric, clamped, corrected in _KIND_TABLE.values():
+        for key in ((numerator, clamped, corrected), (metric, clamped, False)):
+            if key in bands:
+                continue
+            bands[key] = _scatter_bands(forms[key[0]], keeps[clamped])
+            if key[2]:
+                # boundary correction −cosθ₀ u'(θ₀)² makes u''(θ₀)=0
+                # natural; the rim slope is the last kept DOF, and only the
+                # last element's local DOF 3 adds to its diagonal entry
+                bands[key].bands[0, -1] -= np.cos(theta0)
+    _read_only(*keeps, *(band.bands for band in bands.values()))
+    return tuple(keeps), MappingProxyType(bands)
 
 
 def build_mode_operator(theta0, cells, m, kind):
-    """Constrained banded pencil (numerator, metric) for one mode.
-
-    The element forms and the kept DOFs come from the one-entry caches the
-    mode's kinds share (:func:`_element_matrices`, :func:`_kept_dofs`).
+    """Constrained banded pencil (numerator, metric) of one kind for one
+    mode, read from the cache the mode's kinds share (:func:`_mode_bands`).
     """
     if kind not in CAP_KINDS:
         raise ValueError(f"unknown cap problem kind {kind!r}")
     numerator, metric, slope_clamped, rim_corrected = _KIND_TABLE[kind]
-    elem = _element_matrices(theta0, cells, m)
-    keep = _kept_dofs(cells, m)[slope_clamped]
-    top = _scatter_bands(elem[numerator], keep)
-    if rim_corrected:
-        # boundary correction −cosθ₀ u'(θ₀)² makes u''(θ₀)=0 natural; the
-        # rim slope is the last kept DOF, and only the last element's local
-        # DOF 3 adds to its diagonal entry
-        top.bands[0, -1] -= np.cos(theta0)
-    return ModeOperator(top, _scatter_bands(elem[metric], keep), keep)
+    keeps, bands = _mode_bands(theta0, cells, m)
+    return ModeOperator(bands[numerator, slope_clamped, rim_corrected],
+                        bands[metric, slope_clamped, False],
+                        keeps[slope_clamped])
 
 
 def _cell_values(full, tables):
@@ -351,12 +341,9 @@ def rayleigh_quotient(theta0, cells, m, kind, full):
     """
     numerator, metric, _, rim_corrected = _KIND_TABLE[kind]
     gauss = _gauss_points(theta0, cells)
-    wq, cot = gauss.wq, gauss.cot
-    u, du, d2u = _cell_values(full, gauss.cell_shapes)
-    mu = (m * m) * gauss.inv2
-    forms = {"W": np.sum(wq * u ** 2),
-             "A": np.sum(wq * (du ** 2 + mu * u ** 2)),
-             "S": np.sum(wq * (d2u + cot * du - mu * u) ** 2)}
+    rows = _gram_rows(gauss, m, *_cell_values(full, gauss.cell_shapes))
+    forms = {name: sum(np.sum(row ** 2) for row in form)
+             for name, form in rows.items()}
     top = forms[numerator]
     if rim_corrected:
         top -= np.cos(theta0) * full[-1] ** 2
@@ -417,11 +404,13 @@ def solve_cap(problem, kinds, start=None):
     (:func:`prolongate`).
 
     The solve runs mode by mode; within a mode, the kinds that share a
-    stiffness (the numerator of their pencils) run back to back on one
-    factor of it, made by ``eigensolve.cholesky_banded`` and passed to
-    :func:`~elastica.eigensolve.banded_smallest` for each of them.  Every
-    kind still builds its own pencil (:func:`build_mode_operator`), so each
-    result is bit for bit the one its kind gets alone.  A solver error
+    stiffness (the numerator of their pencils, keyed as :func:`_mode_bands`
+    keys it) run back to back on one factor of it, made by
+    ``eigensolve.cholesky_banded`` and passed to
+    :func:`~elastica.eigensolve.banded_smallest` for each of them.  Each
+    kind looks its pencil up once per mode (:func:`build_mode_operator`)
+    in bands that do not depend on the kinds asked, so each result is bit
+    for bit the one its kind gets alone.  A solver error
     names the kinds, the mode and the radial cells of the failed pencil.
     """
     by_stiffness = {}

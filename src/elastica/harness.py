@@ -450,7 +450,7 @@ def run_cap(cfg):
 
     The requested kinds are solved together at ``cap.cells`` and at twice
     that (:func:`~elastica.cap1d.solve_cap`), so they share each mode's
-    forms and each stiffness's factor.  Each kind reports its fine value,
+    bands and each stiffness's factor.  Each kind reports its fine value,
     the Gram quotient of a function meeting its constraints and so an upper
     bound up to quadrature, with |fine − coarse| as its budget: the h²
     Richardson step would put values that converge like h⁴ below the exact

@@ -13,9 +13,12 @@ change together with the code it checks:
 * :func:`to_dense` is the dense copy of a CSR or banded matrix;
 * :func:`chebyshev_sum_check` is the Chebyshev-type product inequality of
   acceptance criterion 6;
-* :func:`s2_cap_first_eigenvalue` is the exact first eigenvalue of the
-  Dirichlet, buckling and clamped problems on a cap of S², from Legendre
-  functions of non-integer degree (mpmath, 30 digits).
+* :func:`cap_element_forms` is the per-element W, A and S of the cap
+  pencils, written pointwise from the integrands with its own Hermite
+  cubics and Gauss rule;
+* :func:`s2_cap_first_eigenvalue` is the exact first eigenvalue of every
+  cap kind on a cap of S², from Legendre functions of non-integer degree
+  (mpmath, 30 digits).
 """
 
 import itertools
@@ -180,12 +183,50 @@ def chebyshev_sum_check(a, b, s):
     return lhs, rhs
 
 
+def cap_element_forms(theta0, cells, m):
+    """Per-element (cells, 4, 4) W, A and S of one azimuthal mode on the
+    cap [0, θ₀], element e coupling the DOFs (u, u') at nodes e and e + 1:
+
+        W = ∫ u v sinθ dθ,
+        A = ∫ (u'v' + m² uv/sin²θ) sinθ dθ,
+        S = ∫ (L_m u)(L_m v) sinθ dθ,  L_m u = u'' + cotθ u' − (m²/sin²θ) u,
+
+    each integrand evaluated at the points of ``leggauss(5)`` on every
+    cell.  The shapes are the cubics in s = θ − θ_e that take value and
+    slope (1, 0, 0, 0), (0, 1, 0, 0), ... at s = 0 and s = h: the columns
+    of the inverse of the matrix of those four conditions on the monomials.
+    """
+    poly = np.polynomial.polynomial
+    points, weights = np.polynomial.legendre.leggauss(5)
+    h = theta0 / cells
+    coef = np.linalg.inv([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                          [1.0, h, h ** 2, h ** 3],
+                          [0.0, 1.0, 2 * h, 3 * h ** 2]])
+    s = 0.5 * h * (points + 1.0)
+    theta = h * np.arange(cells)[:, None] + s[None, :]
+    val, d1, d2 = (np.broadcast_to(
+        np.array([poly.polyval(s, poly.polyder(coef[:, k], order))
+                  for k in range(4)])[:, None, :], (4,) + theta.shape)
+        for order in range(3))
+    sin = np.sin(theta)
+    weight = 0.5 * h * weights * sin
+    mu = m * m / sin ** 2
+    lm = d2 + (np.cos(theta) / sin) * d1 - mu * val
+
+    def form(weight, f, g):
+        return np.einsum("cg,acg,bcg->cab", weight, f, g)
+
+    return {"W": form(weight, val, val),
+            "A": form(weight, d1, d1) + form(weight * mu, val, val),
+            "S": form(weight, lm, lm)}
+
+
 def s2_cap_first_eigenvalue(theta0, kind):
     """Exact first eigenvalue of ``kind`` on the cap {θ <= θ₀} of S².
 
     The azimuthal mode 0 of these kinds reduces to the Legendre function
     P_ν(x), x = cos θ, of non-integer degree ν > 0, with ν(ν+1) the value
-    (its square for ``clamped``):
+    (its square for ``clamped`` and ``p_problem``):
 
     * ``dirichlet_laplacian``: ΔP_ν = −ν(ν+1)P_ν, so u = P_ν with
       P_ν(cos θ₀) = 0;
@@ -196,7 +237,13 @@ def s2_cap_first_eigenvalue(theta0, kind):
       with ν(ν+1) = √Γ and β(β+1) = −√Γ, β = −½ + i·√(√Γ − ¼) (P_β is a
       conical function, real on (−1, 1)); u = u′ = 0 at the rim needs
       det[[P_ν, P_β], [P_ν′, P_β′]] = 0 at cos θ₀, the derivatives from the
-      same recurrence (its factor 1 − x² drops out of the determinant).
+      same recurrence (its factor 1 − x² drops out of the determinant);
+    * ``q_problem`` and ``p_problem``: the natural rim u(θ₀) = u″(θ₀) = 0,
+      where u″ = x·P′ − ν(ν+1)·P for each Legendre part by Legendre's
+      equation.  q: Δ(Δ + q)u = 0 with u = P_ν + B, ν(ν+1) = q, needs
+      x·s_ν − (1 − x²)·ν(ν+1)·P_ν = 0, s_ν = (1 − x²)·P_ν′.  p: as
+      ``clamped`` with ν(ν+1) = √p, u = A·P_ν + B·P_β, and the rim
+      determinant x·(P_ν·s_β − P_β·s_ν) + 2√p·(1 − x²)·P_ν·P_β = 0.
 
     ν is the smallest root, bracketed by a scan in steps of 0.05 from 0.05
     and refined by mpmath at 30 digits.
@@ -224,6 +271,18 @@ def s2_cap_first_eigenvalue(theta0, kind):
                 beta = -0.5 + 1j * mpmath.sqrt(nu * (nu + 1) - 0.25)
                 return mpmath.re(legendre(nu) * slope(beta)
                                  - legendre(beta) * slope(nu))
+        elif kind == "q_problem":
+            def rim(nu):
+                return x * slope(nu) - (1 - x * x) * nu * (nu + 1) \
+                    * legendre(nu)
+        elif kind == "p_problem":
+            def rim(nu):
+                root = nu * (nu + 1)
+                beta = -0.5 + 1j * mpmath.sqrt(root - 0.25)
+                return mpmath.re(
+                    x * (legendre(nu) * slope(beta)
+                         - legendre(beta) * slope(nu))
+                    + 2 * root * (1 - x * x) * legendre(nu) * legendre(beta))
         else:
             raise ValueError(f"no exact S² value for cap kind {kind!r}")
         lo = mpmath.mpf("0.05")
@@ -232,4 +291,4 @@ def s2_cap_first_eigenvalue(theta0, kind):
         nu = mpmath.findroot(rim, (lo, lo + mpmath.mpf("0.05")),
                              solver="anderson")
         value = nu * (nu + 1)
-        return value ** 2 if kind == "clamped" else value
+        return value ** 2 if kind in ("clamped", "p_problem") else value

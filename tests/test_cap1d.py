@@ -2,11 +2,12 @@
 
 Oracles: hemisphere Laplacian values are (m+1)(m+2) per azimuthal mode
 (first admissible Legendre degree with a node on the equator); the
-hemisphere equality cases are 4 and 2; the Dirichlet, buckling and
-clamped values at any θ₀ come from Legendre functions of non-integer degree
-(``oracles.s2_cap_first_eigenvalue``); flat-cap limits reduce to the unit
-disk, whose constants come from Bessel characteristic equations evaluated
-with mpmath.
+hemisphere equality cases are 4 and 2; the first value of every kind at
+any θ₀ comes from Legendre functions of non-integer degree
+(``oracles.s2_cap_first_eigenvalue``), and the element forms from the
+integrands written pointwise (``oracles.cap_element_forms``); flat-cap
+limits reduce to the unit disk, whose constants come from Bessel
+characteristic equations evaluated with mpmath.
 """
 
 from collections import Counter
@@ -18,12 +19,12 @@ import pytest
 
 from elastica import cap1d, eigensolve
 from elastica.cap1d import (_KIND_TABLE, CAP_KINDS, CapProblem,
-                            _element_matrices, _kept_dofs,
+                            _element_matrices, _mode_bands,
                             build_mode_operator, prolongate,
                             rayleigh_quotient, solve_cap)
 from elastica.eigensolve import banded_smallest, cholesky_banded
 from elastica.harness import RunConfig, run_cap
-from oracles import s2_cap_first_eigenvalue, to_dense
+from oracles import cap_element_forms, s2_cap_first_eigenvalue, to_dense
 
 PI = np.pi
 HEMI = PI / 2
@@ -110,6 +111,19 @@ class TestModeOperators:
                 assert np.array_equal(to_dense(op.numerator), num[cut])
                 assert np.array_equal(to_dense(op.metric),
                                       dense[metric][cut])
+
+    @pytest.mark.parametrize("theta0", [HEMI, 1.0, 2.2])
+    @pytest.mark.parametrize("cells", [16, 33])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_element_forms_match_pointwise_integrands(self, theta0, cells,
+                                                      m):
+        # oracle: the integrands of the module docstring at numpy's Gauss
+        # points, with Hermite cubics of their own
+        exact = cap_element_forms(theta0, cells, m)
+        for name, elem in _element_matrices(theta0, cells, m).items():
+            scale = np.abs(exact[name]).max(axis=(1, 2))
+            error = np.abs(elem - exact[name]).max(axis=(1, 2))
+            assert np.all(error <= 1e-13 * scale), name
 
     def test_metric_positive_definite(self):
         for kind in ("dirichlet_laplacian", "clamped", "p_problem"):
@@ -258,20 +272,20 @@ class TestFlatLimits:
 
 
 class TestExactS2Values:
-    """Dirichlet, buckling and clamped first eigenvalues against their
-    exact values on S², at the four angles of the verdict matrix."""
+    """First eigenvalues of every kind against their exact values on S², at
+    the four angles of the verdict matrix."""
 
     ANGLES = (PI / 4, 1.0, HEMI, 2.2)
 
-    @pytest.mark.parametrize("kind", ["dirichlet_laplacian", "buckling",
-                                      "clamped"])
+    @pytest.mark.parametrize("kind", CAP_KINDS)
     @pytest.mark.parametrize("theta0", ANGLES,
                              ids=["pi_4", "1", "pi_2", "2.2"])
     def test_ritz_value_bounds_exact_from_above(self, theta0, kind):
         # conforming elements: the computed value lies above the exact
         # one (by 2e-13 to 1e-11 relative for Dirichlet, 2e-8 to 1.2e-7
-        # for buckling, 1.2e-8 to 3.2e-7 for clamped, at 32 cells), and the
-        # radial mode 0, the one the oracle solves, is the minimiser
+        # for buckling, 1.2e-8 to 3.2e-7 for clamped, 1.8e-9 to 1.1e-8 for
+        # p and q, at 32 cells), and the radial mode 0, the one the oracle
+        # solves, is the minimiser
         exact = float(s2_cap_first_eigenvalue(theta0, kind))
         result = solve_kind(theta0, kind, 2, 32)
         assert result.minimizing_mode == 0
@@ -281,15 +295,12 @@ class TestExactS2Values:
                              ids=["pi_4", "1", "pi_2", "2.2"])
     def test_reported_value_within_its_budget(self, theta0):
         # run_cap reports the fine Gram quotient, a conforming upper bound
-        # up to quadrature, with |fine − coarse| as its budget; on the
-        # hemisphere p₁ = 4 and q₁ = 2 are checked too
+        # up to quadrature, with |fine − coarse| as its budget
         cfg = replace(RunConfig(mode="cap"), theta0=theta0,
                       cap_kind="all", radial_cells=32, mode_max=2)
         provenance = run_cap(cfg).provenance
         exact = {kind: float(s2_cap_first_eigenvalue(theta0, kind))
-                 for kind in ("dirichlet_laplacian", "buckling", "clamped")}
-        if theta0 == HEMI:
-            exact.update(p_problem=4.0, q_problem=2.0)
+                 for kind in CAP_KINDS}
         for kind, value in exact.items():
             reported = provenance["values"][kind]
             assert reported >= value, kind
@@ -308,6 +319,16 @@ class TestExactS2Values:
             == pytest.approx(99.8350649840454, rel=1e-14)
         assert float(s2_cap_first_eigenvalue(HEMI, "clamped")) \
             == pytest.approx(15.3651267889046, rel=1e-14)
+        # p and q: the hemisphere equalities, q = 6 at π/4 (ν = 2), and
+        # the natural-rim roots at 1 and 2.2
+        for theta0, p, q in ((HEMI, 4.0, 2.0),
+                             (PI / 4, 54.4776574845921, 6.0),
+                             (1.0, 21.3890242696555, 3.91595556436272),
+                             (2.2, 1.34093388402564, 1.57605261143608)):
+            assert float(s2_cap_first_eigenvalue(theta0, "p_problem")) \
+                == pytest.approx(p, rel=1e-14), theta0
+            assert float(s2_cap_first_eigenvalue(theta0, "q_problem")) \
+                == pytest.approx(q, rel=1e-14), theta0
 
 
 class TestModeCutoff:
@@ -319,6 +340,11 @@ class TestModeCutoff:
 
 
 class TestGramQuotient:
+    """The quotient and the pencils both read ``cap1d._gram_rows``, so this
+    checks what lies between the forms and a kind's pencil: the scatter
+    into band storage, the kept DOFs and the rim correction.  The forms
+    themselves are checked against ``oracles.cap_element_forms``."""
+
     @pytest.mark.parametrize("theta0", [HEMI, 1.0, 2.2])
     def test_matches_the_assembled_pencil(self, theta0):
         # oracle: xᵀ N x / xᵀ M x with the banded pencil, on random vectors
@@ -456,30 +482,41 @@ class TestSharedSolve:
 
         monkeypatch.setattr(eigensolve, "cholesky_banded", counting(
             "cholesky_banded", eigensolve.cholesky_banded))
-        for name in ("build_mode_operator", "banded_smallest"):
+        for name in ("build_mode_operator", "banded_smallest",
+                     "_scatter_bands"):
             monkeypatch.setattr(cap1d, name,
                                 counting(name, getattr(cap1d, name)))
         # a fresh one-entry cache around each cached builder, so only this
         # run's misses count
-        for name in ("_gauss_points", "_element_matrices", "_kept_dofs"):
+        for name in ("_gauss_points", "_mode_bands"):
             monkeypatch.setattr(cap1d, name, lru_cache(maxsize=1)(
                 counting(name, getattr(cap1d, name).__wrapped__)))
         run_cap(replace(RunConfig(mode="cap"), radial_cells=16, mode_max=2))
+        # each (mode, resolution) scatters its 6 distinct banded matrices
+        # once: W, A over the free-rim DOFs, W, A, S over the clamped ones,
+        # and the rim-corrected S
         assert calls == {"cholesky_banded": 18, "build_mode_operator": 30,
                          "banded_smallest": 30, "_gauss_points": 2,
-                         "_element_matrices": 6, "_kept_dofs": 6}
+                         "_mode_bands": 6, "_scatter_bands": 36}
 
     def test_cached_forms_and_masks_are_read_only(self):
-        # the rim correction goes into the scattered band of each p/q
-        # pencil, never into the forms the mode's other kinds read
-        forms = _element_matrices(1.0, 16, 2)
-        rim = forms["S"][-1, 3, 3]
-        build_mode_operator(1.0, 16, 2, "p_problem")
-        assert forms["S"][-1, 3, 3] == rim
-        with pytest.raises(ValueError, match="read-only"):
-            forms["S"][-1, 3, 3] -= 1.0
+        # the rim correction goes into the one rim-corrected S band, which
+        # the p and q pencils share; no caller can change a cached band or
+        # kept-DOF set for the next
+        keeps, bands = _mode_bands(1.0, 16, 2)
+        rim = bands["S", False, True].bands[0, -1]
+        for kind in ("p_problem", "q_problem"):
+            op = build_mode_operator(1.0, 16, 2, kind)
+            assert op.numerator is bands["S", False, True]
+        assert bands["S", False, True].bands[0, -1] == rim
+        assert rim == _element_matrices(1.0, 16, 2)["S"][-1, 3, 3] \
+            - np.cos(1.0)
+        assert len(bands) == 6
+        for band in bands.values():
+            with pytest.raises(ValueError, match="read-only"):
+                band.bands[0, -1] -= 1.0
         with pytest.raises(TypeError):
-            forms["S"] = forms["W"]
-        for keep in _kept_dofs(16, 2):
+            bands["S", False, True] = bands["W", False, False]
+        for keep in keeps:
             with pytest.raises(ValueError, match="read-only"):
                 keep[0] = 0
